@@ -210,15 +210,7 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 		// runs configure theirs, so the store identity (game ID + memory
 		// depth) matches every replicate's view.  The master engine itself
 		// never plays a game: misses go through each replicate's own engine.
-		eng, err := game.NewEngine(game.EngineConfig{
-			Game:        base.Game,
-			Rounds:      base.Rounds,
-			MemorySteps: base.MemorySteps,
-			Noise:       base.Noise,
-			StateMode:   base.StateMode,
-			AccumMode:   base.AccumMode,
-			Kernel:      base.Kernel,
-		})
+		eng, err := game.NewEngine(base.EngineConfig())
 		if err != nil {
 			return SerialResult{}, err
 		}

@@ -52,7 +52,7 @@ func (m AccumMode) String() string {
 // configuration is immutable after construction and it is safe for
 // concurrent use by multiple goroutines as long as each call supplies its
 // own rng.Source; the only mutable state is the atomic kernel-mix counters
-// (KernelStats) and the pooled batch scratch buffers.
+// (KernelStats) and the pooled cycle-closing and batch scratch buffers.
 type Engine struct {
 	spec      Spec
 	payoff    Matrix
@@ -67,6 +67,7 @@ type Engine struct {
 	states    *StateTable
 
 	stats     kernelCounters
+	cyclePool sync.Pool // of *cycleBuffers
 	batchPool sync.Pool // of *batchBuffers
 }
 
@@ -215,18 +216,23 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 	}
 	if !needRand && e.kernel != KernelFullReplay && e.intPayoff {
 		// Deterministic noiseless game over an integer-valued payoff matrix:
-		// the joint-state walk is periodic and the closed-form totals are
-		// bit-identical to a full replay (see KernelMode).  KernelBatch only
-		// changes batch routing, so single games keep the KernelAuto fast
-		// path.
-		if res, ok := e.playCycleClosing(a, b); ok {
-			e.stats.cycleGames.Add(1)
+		// the walk is periodic and the closed-form totals are bit-identical
+		// to a full replay (see KernelMode).  KernelBatch only changes batch
+		// routing, so single games keep the KernelAuto fast path.  A game
+		// that ends before its walk revisits a state counts as a scalar game.
+		if wa, wb, ok := moveTables(a, b); ok {
+			res, closed := e.playCycleClosing(wa, wb)
+			if closed {
+				e.stats.cycleGames.Add(1)
+			} else {
+				e.stats.scalarGames.Add(1)
+			}
 			return res, nil
 		}
 	}
 
-	histA := NewHistory(e.memSteps)
-	histB := NewHistory(e.memSteps)
+	histA := newHistory(e.memSteps)
+	histB := newHistory(e.memSteps)
 	res := Result{Rounds: e.rounds}
 
 	for r := 0; r < e.rounds; r++ {

@@ -5,15 +5,17 @@ import "fmt"
 // KernelMode selects the inner-loop implementation Engine.Play uses for a
 // fully deterministic, noiseless game.
 //
-// The joint (stateA, stateB) trajectory of two deterministic memory-n
-// automata is itself a deterministic walk over at most 4^n x 4^n joint
-// states, so it must enter a cycle within that many rounds (16 joint states
-// at the paper's memory-one).  Once the cycle is known, the totals of a
-// rounds-long game follow in closed form — prefix + k*cycle + tail — instead
-// of replaying every round.  With an integer-valued payoff matrix every
-// partial sum is an exactly representable integer, so the closed form is
-// bit-identical to the replayed sum; engines therefore keep their
-// per-seed trajectories unchanged whichever mode runs.
+// Two deterministic memory-n automata that both start from the
+// all-cooperate history play a deterministic walk, and the opponent's state
+// is always the focal state with each round's bit pair swapped, so the walk
+// lives on the focal player's 4^n states alone (4 at the paper's
+// memory-one).  It must therefore revisit a state within 4^n rounds, and
+// from there it repeats; the totals of a rounds-long game follow in closed
+// form — prefix + k*cycle + tail — instead of replaying every round.  With
+// an integer-valued payoff matrix every partial sum is an exactly
+// representable integer, so the closed form is bit-identical to the
+// replayed sum; engines therefore keep their per-seed trajectories
+// unchanged whichever mode runs.
 type KernelMode int
 
 const (
@@ -82,136 +84,111 @@ type MoveTable interface {
 	Words() []uint64
 }
 
-// cycleKernel is the state of one cycle-closing game: both players' packed
-// move tables, the per-round payoff lookup table and the state geometry.
-// It lives entirely on the caller's stack, keeping the fast path free of
-// heap allocations.
-type cycleKernel struct {
-	wa, wb []uint64
-	table  [4]float64
-	mask   int
-	shift  uint
+// moveTables returns both players' packed move tables, or ok=false when
+// either player lacks one.
+func moveTables(a, b Player) (wa, wb []uint64, ok bool) {
+	ta, ok := a.(MoveTable)
+	if !ok {
+		return nil, nil, false
+	}
+	tb, ok := b.(MoveTable)
+	if !ok {
+		return nil, nil, false
+	}
+	return ta.Words(), tb.Words(), true
 }
 
-// next advances the joint state one round without accumulating anything;
-// used by the cycle-detection phase.
-func (k *cycleKernel) next(s int) int {
-	sA := s >> k.shift
-	sB := s & k.mask
-	ma := int(k.wa[sA>>6]>>(uint(sA)&63)) & 1
-	mb := int(k.wb[sB>>6]>>(uint(sB)&63)) & 1
-	sA = ((sA << 2) | ma<<1 | mb) & k.mask
-	sB = ((sB << 2) | mb<<1 | ma) & k.mask
-	return sA<<k.shift | sB
-}
-
-// accum collects the per-phase totals of the closed form.
-type accum struct {
+// totals is the running sum of a game's first r rounds.
+type totals struct {
 	fitA, fitB   float64
 	coopA, coopB int
 }
 
-// round plays one round from joint state s, adds its payoffs and
-// cooperation counts to a, and returns the next joint state.
-func (k *cycleKernel) round(s int, a *accum) int {
-	sA := s >> k.shift
-	sB := s & k.mask
-	ma := int(k.wa[sA>>6]>>(uint(sA)&63)) & 1
-	mb := int(k.wb[sB>>6]>>(uint(sB)&63)) & 1
-	a.fitA += k.table[ma<<1|mb]
-	a.fitB += k.table[mb<<1|ma]
-	a.coopA += 1 - ma
-	a.coopB += 1 - mb
-	sA = ((sA << 2) | ma<<1 | mb) & k.mask
-	sB = ((sB << 2) | mb<<1 | ma) & k.mask
-	return sA<<k.shift | sB
+// firstVisit records the round at which the walk first entered a state;
+// stamp tells this game's entries from those of earlier games.
+type firstVisit struct {
+	stamp uint32
+	round int32
 }
 
-// playCycleClosing runs the cycle-closing fast path: Brent's cycle
-// detection over the joint-state walk, then the game totals as
-// prefix + k*cycle + tail.  It reports ok=false when the fast path does not
-// apply (a player without a packed move table, or a trajectory whose cycle
-// closes too late to save work), in which case the caller must replay the
-// game in full.  Callers guarantee the game is noiseless, both players are
-// deterministic, and the payoff matrix is integer-valued.
-func (e *Engine) playCycleClosing(a, b Player) (Result, bool) {
-	wta, ok := a.(MoveTable)
-	if !ok {
-		return Result{}, false
+// cycleBuffers is the scratch of one cycle-closing walk.  Engines keep them
+// in a sync.Pool like batchBuffers, so the steady-state walk allocates
+// nothing.  Each game takes a fresh stamp instead of clearing first, so a
+// game touches only the states it visits.
+type cycleBuffers struct {
+	stamp  uint32
+	first  []firstVisit // per focal state, 4^n entries
+	prefix []totals     // prefix[r] = totals of rounds [0, r)
+}
+
+func (e *Engine) getCycleBuffers() *cycleBuffers {
+	if buf, ok := e.cyclePool.Get().(*cycleBuffers); ok {
+		return buf
 	}
-	wtb, ok := b.(MoveTable)
-	if !ok {
-		return Result{}, false
+	numStates := NumStates(e.memSteps)
+	return &cycleBuffers{
+		first: make([]firstVisit, numStates),
+		// The walk revisits a state by round 4^n at the latest, so it never
+		// records more prefixes than states.
+		prefix: make([]totals, min(e.rounds, numStates)),
 	}
-	k := cycleKernel{
-		wa:    wta.Words(),
-		wb:    wtb.Words(),
-		table: e.table,
-		mask:  (1 << (2 * uint(e.memSteps))) - 1,
-		shift: 2 * uint(e.memSteps),
+}
+
+// playCycleClosing plays one noiseless game between the packed move tables
+// wa and wb in a single pass over the focal player's states.  Each state's
+// first-visit round is stamped and the running totals are kept as prefix
+// sums; at the first revisit, at round r of a state first entered at round
+// mu, the rest of the game repeats the cycle [mu, r), so the totals are
+// prefix(mu) + k*cycle + tail, read off the prefix sums.  It reports
+// closed=false when the game ends before any revisit; the running totals are
+// then exactly the round-by-round replay.  Callers guarantee the payoff
+// matrix is integer-valued, which makes the closed form bit-identical to the
+// replayed sum.
+func (e *Engine) playCycleClosing(wa, wb []uint64) (res Result, closed bool) {
+	buf := e.getCycleBuffers()
+	defer e.cyclePool.Put(buf)
+	buf.stamp++
+	if buf.stamp == 0 {
+		// The stamp wrapped: forget every earlier game's visits.
+		clear(buf.first)
+		buf.stamp = 1
 	}
+	stamp, first, prefix := buf.stamp, buf.first, buf.prefix
+	mask := len(first) - 1
 	rounds := e.rounds
-
-	// Brent's algorithm: find the cycle length lam, bounding the search so a
-	// cycle that closes beyond the game's horizon falls back to full replay
-	// (which is no more work than the search already did).
-	power, lam := 1, 1
-	tortoise := InitialState<<k.shift | InitialState
-	hare := k.next(tortoise)
-	steps := 1
-	for tortoise != hare {
-		if steps >= 2*rounds {
-			return Result{}, false
+	var run totals
+	// The opponent's state is the focal state with each round's bit pair
+	// swapped; it is tracked alongside but never stamped.
+	sA, sB := InitialState, InitialState
+	for r := 0; r < rounds; r++ {
+		if v := first[sA]; v.stamp == stamp {
+			mu := int(v.round)
+			reps := (rounds - mu) / (r - mu)
+			pre, tail := prefix[mu], prefix[mu+(rounds-mu)%(r-mu)]
+			return Result{
+				FitnessA:      pre.fitA + float64(reps)*(run.fitA-pre.fitA) + (tail.fitA - pre.fitA),
+				FitnessB:      pre.fitB + float64(reps)*(run.fitB-pre.fitB) + (tail.fitB - pre.fitB),
+				CooperationsA: pre.coopA + reps*(run.coopA-pre.coopA) + (tail.coopA - pre.coopA),
+				CooperationsB: pre.coopB + reps*(run.coopB-pre.coopB) + (tail.coopB - pre.coopB),
+				Rounds:        rounds,
+			}, true
 		}
-		if power == lam {
-			tortoise = hare
-			power <<= 1
-			lam = 0
-		}
-		hare = k.next(hare)
-		lam++
-		steps++
+		first[sA] = firstVisit{stamp: stamp, round: int32(r)}
+		prefix[r] = run
+		ma := int(wa[sA>>6]>>(uint(sA)&63)) & 1
+		mb := int(wb[sB>>6]>>(uint(sB)&63)) & 1
+		run.fitA += e.table[ma<<1|mb]
+		run.fitB += e.table[mb<<1|ma]
+		run.coopA += 1 - ma
+		run.coopB += 1 - mb
+		sA = (sA<<2 | ma<<1 | mb) & mask
+		sB = (sB<<2 | mb<<1 | ma) & mask
 	}
-	// Find the cycle start mu with two pointers lam apart.
-	mu := 0
-	tortoise = InitialState<<k.shift | InitialState
-	hare = tortoise
-	for i := 0; i < lam; i++ {
-		hare = k.next(hare)
-	}
-	for tortoise != hare {
-		tortoise = k.next(tortoise)
-		hare = k.next(hare)
-		mu++
-	}
-	if mu+lam >= rounds {
-		// The game ends before completing one full cycle beyond the prefix;
-		// the closed form degenerates to a replay, so let the caller do it.
-		return Result{}, false
-	}
-
-	// Accumulate the prefix (mu rounds), one full cycle (lam rounds) and the
-	// tail ((rounds-mu) mod lam rounds from the cycle start).
-	var pre, cyc, tail accum
-	s := InitialState<<k.shift | InitialState
-	for i := 0; i < mu; i++ {
-		s = k.round(s, &pre)
-	}
-	for i := 0; i < lam; i++ {
-		s = k.round(s, &cyc)
-	}
-	reps := (rounds - mu) / lam
-	rem := (rounds - mu) % lam
-	for i := 0; i < rem; i++ {
-		s = k.round(s, &tail)
-	}
-	// Integer-valued payoffs make every term an exact integer, so the closed
-	// form reproduces the sequential sum bit for bit.
 	return Result{
-		FitnessA:      pre.fitA + float64(reps)*cyc.fitA + tail.fitA,
-		FitnessB:      pre.fitB + float64(reps)*cyc.fitB + tail.fitB,
-		CooperationsA: pre.coopA + reps*cyc.coopA + tail.coopA,
-		CooperationsB: pre.coopB + reps*cyc.coopB + tail.coopB,
+		FitnessA:      run.fitA,
+		FitnessB:      run.fitB,
+		CooperationsA: run.coopA,
+		CooperationsB: run.coopB,
 		Rounds:        rounds,
-	}, true
+	}, false
 }

@@ -144,31 +144,30 @@ func (t *StateTable) String() string {
 }
 
 // History tracks one player's view of the game: the packed state code, and,
-// for the linear-search path, the explicit per-round view array.
+// for the linear-search path, the explicit per-round view array.  The view
+// is a fixed array, so a History held by value needs no heap allocation.
 type History struct {
 	memSteps int
 	mask     int
 	state    int
-	view     []uint8 // view[r] = RoundCode of round r, 0 = most recent
+	view     [MaxMemorySteps]uint8 // view[r] = RoundCode of round r, 0 = most recent
 }
 
 // NewHistory returns a History seeded with the all-cooperate initial state.
 func NewHistory(memSteps int) *History {
+	h := newHistory(memSteps)
+	return &h
+}
+
+func newHistory(memSteps int) History {
 	CheckMemorySteps(memSteps)
-	return &History{
-		memSteps: memSteps,
-		mask:     NumStates(memSteps) - 1,
-		state:    InitialState,
-		view:     make([]uint8, memSteps),
-	}
+	return History{memSteps: memSteps, mask: NumStates(memSteps) - 1, state: InitialState}
 }
 
 // Reset returns the history to the all-cooperate initial state.
 func (h *History) Reset() {
 	h.state = InitialState
-	for i := range h.view {
-		h.view[i] = 0
-	}
+	h.view = [MaxMemorySteps]uint8{}
 }
 
 // MemorySteps returns the memory depth.
@@ -179,7 +178,7 @@ func (h *History) State() int { return h.state }
 
 // View returns the explicit per-round view (most recent round first).  The
 // returned slice aliases internal state and must not be modified.
-func (h *History) View() []uint8 { return h.view }
+func (h *History) View() []uint8 { return h.view[:h.memSteps] }
 
 // Push records one more round of play (my own move and the opponent's move)
 // into the history, updating both the rolling code and the explicit view.
@@ -187,7 +186,7 @@ func (h *History) Push(my, opp Move) {
 	code := uint8(RoundCode(my, opp))
 	h.state = ((h.state << 2) | int(code)) & h.mask
 	// Shift the explicit view: round r becomes round r+1.
-	copy(h.view[1:], h.view[:h.memSteps-1])
+	copy(h.view[1:h.memSteps], h.view[:h.memSteps-1])
 	h.view[0] = code
 }
 
@@ -199,7 +198,7 @@ func (h *History) StateVia(mode StateMode, table *StateTable) int {
 	if mode == StateRolling {
 		return h.state
 	}
-	return table.FindState(h.view)
+	return table.FindState(h.view[:h.memSteps])
 }
 
 // OpponentState returns the packed state as seen from the opponent's

@@ -58,7 +58,8 @@ func (m FitnessMode) String() string {
 	}
 }
 
-// Config describes a population simulation.
+// Config describes a population simulation.  Every run plays on the
+// paper's optimized state and payoff kernels (see Config.EngineConfig).
 type Config struct {
 	// NumSSets is the number of Strategy Sets (the paper's validation run
 	// uses 5,000).
@@ -113,10 +114,6 @@ type Config struct {
 	// the EvalFull path so that all three modes stay bit-for-bit identical
 	// for a given seed.
 	EvalMode fitness.EvalMode
-	// StateMode and AccumMode select the kernel optimization levels
-	// (Figure 3); the zero values are the optimized settings.
-	StateMode game.StateMode
-	AccumMode game.AccumMode
 	// Kernel selects the deterministic-game inner loop; the zero value,
 	// game.KernelAuto, closes the joint-state cycle in closed form whenever
 	// that is bit-exact, and game.KernelFullReplay forces the
@@ -198,6 +195,25 @@ func (c Config) validate() error {
 	return nil
 }
 
+// EngineConfig is the game engine configuration a run with this Config
+// plays on.  The serial engine always runs the paper's optimized kernel
+// settings of Figure 3: the O(1) rolling state code ("Compiler") and the
+// fused payoff look-up ("Instruction").  The original linear state search
+// and branching accumulation stay reachable only through the distributed
+// engine's optimization levels, which is what the Figure 3 ablation
+// measures.
+func (c Config) EngineConfig() game.EngineConfig {
+	return game.EngineConfig{
+		Game:        c.Game,
+		Rounds:      c.Rounds,
+		MemorySteps: c.MemorySteps,
+		Noise:       c.Noise,
+		StateMode:   game.StateRolling,
+		AccumMode:   game.AccumLookup,
+		Kernel:      c.Kernel,
+	}
+}
+
 // AbundanceSample records the composition of the population at one
 // generation.
 type AbundanceSample struct {
@@ -263,15 +279,7 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	engine, err := game.NewEngine(game.EngineConfig{
-		Game:        cfg.Game,
-		Rounds:      cfg.Rounds,
-		MemorySteps: cfg.MemorySteps,
-		Noise:       cfg.Noise,
-		StateMode:   cfg.StateMode,
-		AccumMode:   cfg.AccumMode,
-		Kernel:      cfg.Kernel,
-	})
+	engine, err := game.NewEngine(cfg.EngineConfig())
 	if err != nil {
 		return nil, err
 	}
