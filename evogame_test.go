@@ -2,6 +2,8 @@ package evogame
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +60,26 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 		InitialStrategies: []string{"01x1", "0000"},
 	}); err == nil {
 		t.Fatal("accepted an invalid strategy string")
+	}
+}
+
+// TestNoiseOutsideUnitIntervalRejected: both engines refuse a Noise outside
+// [0,1] — NaN included, which fails every comparison and used to run as a
+// noiseless simulation — with an error naming the field.
+func TestNoiseOutsideUnitIntervalRejected(t *testing.T) {
+	for _, noise := range []float64{math.NaN(), -0.1, 1.5, math.Inf(1)} {
+		_, err := Simulate(context.Background(), SimulationConfig{
+			NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2, Noise: noise,
+		})
+		if err == nil || !strings.Contains(err.Error(), "Noise") {
+			t.Errorf("Simulate with Noise=%v: err = %v, want an error naming Noise", noise, err)
+		}
+		_, err = SimulateParallel(ParallelConfig{
+			Ranks: 2, NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2, Noise: noise,
+		})
+		if err == nil || !strings.Contains(err.Error(), "Noise") {
+			t.Errorf("SimulateParallel with Noise=%v: err = %v, want an error naming Noise", noise, err)
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func ExpectedPayoffs(a, b *strategy.Pure, payoff game.Matrix, rounds int, noise 
 	if rounds <= 0 {
 		return 0, 0, fmt.Errorf("analysis: rounds must be positive, got %d", rounds)
 	}
-	if noise < 0 || noise > 1 {
+	if !(noise >= 0 && noise <= 1) { // NaN included
 		return 0, 0, fmt.Errorf("analysis: noise %v outside [0,1]", noise)
 	}
 	if err := payoff.Validate(); err != nil {
@@ -243,8 +243,8 @@ func CooperationIndex(a, b *strategy.Pure, rounds int, noise float64) (float64, 
 	if rounds <= 0 {
 		return 0, fmt.Errorf("analysis: rounds must be positive")
 	}
-	if noise < 0 || noise > 1 {
-		return 0, fmt.Errorf("analysis: noise outside [0,1]")
+	if !(noise >= 0 && noise <= 1) { // NaN included
+		return 0, fmt.Errorf("analysis: noise %v outside [0,1]", noise)
 	}
 	mem := a.MemorySteps()
 	n := game.NumStates(mem)

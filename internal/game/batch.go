@@ -268,25 +268,16 @@ func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rn
 
 	// Pre-draw the noise flips in canonical scalar order: each lane consumes
 	// its own source exactly as the scalar loop would — two draws per round,
-	// focal player's flip first — so the streams stay aligned with full
-	// replay.
+	// focal player's flip first, against the same threshold — so the streams
+	// stay aligned with full replay.
 	noisy := e.noise > 0
 	if noisy {
 		flipA, flipB := buf.flipA, buf.flipB
-		for r := 0; r < e.rounds; r++ {
+		for r := range flipA {
 			flipA[r], flipB[r] = 0, 0
 		}
 		for l := 0; l < lanes; l++ {
-			src := srcs[buf.lane2idx[l]]
-			bit := uint64(1) << uint(l)
-			for r := 0; r < e.rounds; r++ {
-				if src.Bool(e.noise) {
-					flipA[r] |= bit
-				}
-				if src.Bool(e.noise) {
-					flipB[r] |= bit
-				}
-			}
+			srcs[buf.lane2idx[l]].FlipPairs(e.flipT, uint(l), flipA, flipB)
 		}
 	}
 

@@ -59,6 +59,7 @@ type Engine struct {
 	table     [4]float64
 	rounds    int
 	noise     float64
+	flipT     uint64 // rng.BoolThreshold(noise): the one definition of a flip
 	memSteps  int
 	stateMode StateMode
 	accumMode AccumMode
@@ -119,8 +120,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("game: rounds must be positive, got %d", cfg.Rounds)
 	}
-	if cfg.Noise < 0 || cfg.Noise > 1 {
-		return nil, fmt.Errorf("game: noise must be in [0,1], got %v", cfg.Noise)
+	if !(cfg.Noise >= 0 && cfg.Noise <= 1) {
+		// Written so NaN, which fails every comparison, is rejected too.
+		return nil, fmt.Errorf("game: Noise must be in [0,1], got %v", cfg.Noise)
 	}
 	if cfg.MemorySteps < 1 || cfg.MemorySteps > MaxMemorySteps {
 		return nil, fmt.Errorf("game: memory steps must be in [1,%d], got %d", MaxMemorySteps, cfg.MemorySteps)
@@ -134,6 +136,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		table:     cfg.Payoff.Table(),
 		rounds:    cfg.Rounds,
 		noise:     cfg.Noise,
+		flipT:     rng.BoolThreshold(cfg.Noise),
 		memSteps:  cfg.MemorySteps,
 		stateMode: cfg.StateMode,
 		accumMode: cfg.AccumMode,
@@ -242,10 +245,10 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		moveA := a.Move(stateA, src)
 		moveB := b.Move(stateB, src)
 		if e.noise > 0 {
-			if src.Bool(e.noise) {
+			if src.BoolT(e.flipT) {
 				moveA = moveA.Flip()
 			}
-			if src.Bool(e.noise) {
+			if src.BoolT(e.flipT) {
 				moveB = moveB.Flip()
 			}
 		}

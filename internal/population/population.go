@@ -272,6 +272,9 @@ type Model struct {
 	// EvalFull path (including the noise/mixed-strategy bypass).
 	cache  *fitness.PairCache
 	matrix *fitness.IncrementalMatrix
+	// pairs is the per-event distinct-pair cache of the interned EvalFull
+	// path; its rows are sized from the table's registry.
+	pairs pairRows
 }
 
 // New validates the configuration and builds a Model ready to run.
@@ -360,11 +363,14 @@ func New(cfg Config) (*Model, error) {
 		}
 	} else {
 		// EvalFull (or the noise/mixed bypass): interning still pays off for
-		// the per-event distinct-pair cache of fitnessCached, which becomes
-		// an ID-pair map instead of a string-pair map.  A table holding
-		// strategies outside the codec simply stays unbound and the legacy
-		// string-keyed path takes over.
-		_ = table.Bind(intern.NewRegistry())
+		// the per-event distinct-pair cache, which becomes dense rows indexed
+		// by ID instead of a string-pair map.  A table holding strategies
+		// outside the codec simply stays unbound and the legacy string-keyed
+		// path takes over.
+		reg := intern.NewRegistry()
+		if table.Bind(reg) == nil {
+			m.pairs.reg = reg
+		}
 	}
 	return m, nil
 }
@@ -563,13 +569,13 @@ func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 	default:
 		if m.table.Bound() {
 			// Distinct pairs are identified by interned ID, so the per-event
-			// cache is an integer-keyed map with no string building.
-			cache := make(map[uint64]float64)
-			fa, err := m.fitnessCachedID(a, cache)
+			// cache is two dense rows with no hashing or string building.
+			m.pairs.begin(m.table.ID(a), m.table.ID(b))
+			fa, err := m.fitnessCachedID(a)
 			if err != nil {
 				return 0, 0, err
 			}
-			fb, err := m.fitnessCachedID(b, cache)
+			fb, err := m.fitnessCachedID(b)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -643,84 +649,81 @@ func (m *Model) fitnessExact(i int) (float64, error) {
 }
 
 // fitnessCachedID is fitnessCached on interned IDs: the per-event
-// distinct-pair cache is keyed by packed ID pairs, so identifying a repeat
-// pair costs an integer map probe instead of building two string keys.  For
-// pure strategies the distinct-pair structure, the per-miss randomness
-// splits and therefore the trajectory are identical to the string-keyed
-// path.  For mixed strategies the ID keys are exact where String() was
-// lossy (it truncates to eight states at two decimals), so two nearly-equal
-// mixed strategies that used to collide — silently reusing the wrong
-// pair's payoff — are now evaluated separately.
-func (m *Model) fitnessCachedID(i int, cache map[uint64]float64) (float64, error) {
+// distinct-pair cache is the event's dense pair rows (see pairRows), so
+// identifying a repeat pair costs one indexed load instead of building two
+// string keys.  For pure strategies the distinct-pair structure, the
+// per-miss randomness splits and therefore the trajectory are identical to
+// the string-keyed path.  For mixed strategies the ID keys are exact where
+// String() was lossy (it truncates to eight states at two decimals), so two
+// nearly-equal mixed strategies that used to collide — silently reusing the
+// wrong pair's payoff — are now evaluated separately.  m.pairs.begin must
+// have named SSet i's strategy as one of the event's focal IDs.
+func (m *Model) fitnessCachedID(i int) (float64, error) {
+	p := &m.pairs
 	my := m.table.Get(i)
 	myID := m.table.ID(i)
+	r := p.row(myID)
+	stamp, payoff, queue := p.stamp[r], p.payoff[r], p.queue[r]
+	cached, queued := p.epoch, p.epoch+1
 	deg := m.graph.Degree(i)
-	// Pass 1: collect the distinct pairs missing from the per-event cache,
-	// in first-encounter order, splitting each miss's randomness in exactly
+	p.reserve(deg)
+	// Pass 1: collect the distinct pairs missing from the row, in
+	// first-encounter order, splitting each miss's randomness in exactly
 	// the order the one-game-at-a-time loop used to — the split order is
 	// what keeps the trajectory bit-identical.
-	var (
-		queued   map[uint64]int
-		missOpps []game.Player
-		missSrcs []*rng.Source
-		needSrcs bool
-	)
-	for k := 0; k < deg; k++ {
+	randomFocal := m.engine.Noise() > 0 || !my.Deterministic()
+	misses, needSrcs := 0, false
+	ids := p.ids[:deg]
+	for k := range ids {
 		j := m.graph.Neighbor(i, k)
 		oppID := m.table.ID(j)
-		key := uint64(myID)<<32 | uint64(oppID)
-		if _, ok := cache[key]; ok {
-			continue
-		}
-		if _, ok := queued[key]; ok {
+		ids[k] = oppID
+		if st := stamp[oppID]; st == cached || st == queued {
 			continue
 		}
 		opp := m.table.Get(j)
-		var src *rng.Source
-		if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
-			src = m.src.Split()
+		p.srcPtrs[misses] = nil
+		if randomFocal || !opp.Deterministic() {
+			m.src.SplitInto(&p.srcs[misses])
+			p.srcPtrs[misses] = &p.srcs[misses]
 			needSrcs = true
 		}
-		if queued == nil {
-			queued = make(map[uint64]int)
-		}
-		queued[key] = len(missOpps)
-		missOpps = append(missOpps, opp)
-		missSrcs = append(missSrcs, src)
+		p.missOpps[misses] = opp
+		stamp[oppID], queue[oppID] = queued, int32(misses)
+		misses++
 	}
 	// Play the misses through the bit-sliced batch kernel.
-	var results []game.Result
-	if len(missOpps) > 0 {
-		results = make([]game.Result, len(missOpps))
+	if misses > 0 {
 		var srcs []*rng.Source
 		if needSrcs {
-			srcs = missSrcs
+			srcs = p.srcPtrs[:misses]
 		}
-		if err := m.engine.PlayBatch(my, missOpps, srcs, results); err != nil {
+		if err := m.engine.PlayBatch(my, p.missOpps[:misses], srcs, p.results[:misses]); err != nil {
 			return 0, err
 		}
-		m.games += int64(len(missOpps))
+		m.games += int64(misses)
 	}
 	// Pass 2: replay the one-game-at-a-time loop's probe/fill order with the
-	// plays precomputed.  Filling forward then reverse at the first
-	// encounter — not up front — matters for the noisy self-pair (another
-	// SSet holding the focal strategy): its key is its own reverse, so the
-	// first occurrence must see FitnessA while later occurrences see the
-	// FitnessB overwrite, exactly as the serial loop did.
+	// plays precomputed, summing in neighbour order.  Filling forward then
+	// reverse at the first encounter — not up front — matters for the noisy
+	// self-pair (another SSet holding the focal strategy): its entry is its
+	// own reverse, so the first occurrence must see FitnessA while later
+	// occurrences see the FitnessB overwrite, exactly as the serial loop did.
 	total := 0.0
-	for k := 0; k < deg; k++ {
-		oppID := m.table.ID(m.graph.Neighbor(i, k))
-		key := uint64(myID)<<32 | uint64(oppID)
-		payoff, ok := cache[key]
-		if !ok {
-			res := results[queued[key]]
-			payoff = res.FitnessA
-			cache[key] = payoff
-			// The reverse pairing gives the opponent's payoff; cache it too
-			// since the partner SSet is usually evaluated next.
-			cache[uint64(oppID)<<32|uint64(myID)] = res.FitnessB
+	for _, oppID := range ids {
+		v := payoff[oppID]
+		if stamp[oppID] == queued {
+			res := p.results[queue[oppID]]
+			v = res.FitnessA
+			stamp[oppID], payoff[oppID] = cached, v
+			// The reverse pairing gives the opponent's payoff; keep it when
+			// the opponent is a focal strategy of this event, since the
+			// partner SSet is evaluated next.
+			if rr := p.row(oppID); rr >= 0 {
+				p.stamp[rr][myID], p.payoff[rr][myID] = cached, res.FitnessB
+			}
 		}
-		total += payoff
+		total += v
 	}
 	return total, nil
 }

@@ -77,11 +77,21 @@ func (s *Source) Uint64() uint64 {
 // stream.  The parent stream is advanced.  Splitting is the supported way to
 // hand independent generators to ranks and worker goroutines.
 func (s *Source) Split() *Source {
+	child := &Source{}
+	s.SplitInto(child)
+	return child
+}
+
+// SplitInto is Split without the allocation: it reseeds dst with the child
+// stream Split would return, consuming the parent exactly as Split does.
+// Callers that split once per game keep their children in a reusable
+// []Source and split into its elements.
+func (s *Source) SplitInto(dst *Source) {
 	// Derive the child seed from two parent outputs mixed through SplitMix64
 	// so that children of successive Split calls do not share obvious
 	// structure with the parent's raw outputs.
 	seed := s.Uint64() ^ bits.RotateLeft64(s.Uint64(), 32)
-	return New(seed)
+	dst.Reseed(seed)
 }
 
 // SplitN returns n independent child Sources (see Split).
@@ -133,6 +143,88 @@ func (s *Source) Bool(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// thresholdAlways is the BoolThreshold of every p >= 1: the draw is skipped
+// and the outcome is always true.  Thresholds of p in (0, 1) are strictly
+// below it.
+const thresholdAlways = 1 << 53
+
+// BoolThreshold returns the integer form of Bool(p)'s comparison.  Float64()
+// is k/2⁵³ with k = Uint64()>>11, and p·2⁵³ is exact in float64 (a scaling
+// by a power of two), so for p in (0, 1)
+//
+//	Float64() < p  ⇔  k < p·2⁵³  ⇔  k < ⌈p·2⁵³⌉,
+//
+// which is the returned t, in [1, 2⁵³−1].  Values of p <= 0 give 0 and
+// values of p >= 1 give thresholdAlways; like Bool, BoolT draws nothing for
+// either.  NaN is treated as 0.
+func BoolThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return thresholdAlways
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// BoolT returns Bool(p) for t = BoolThreshold(p), consuming the stream
+// exactly as Bool(p) does, with one integer comparison instead of the float
+// conversion.
+func (s *Source) BoolT(t uint64) bool {
+	if t == 0 || t >= thresholdAlways {
+		return t != 0
+	}
+	return s.Uint64()>>11 < t
+}
+
+// FlipPairs draws len(a) rounds of two BoolT(t) draws each, in canonical
+// order — a[r]'s draw, then b[r]'s — and sets bit lane of a[r] and b[r]
+// for every true draw (bits that are already set stay set).  It consumes
+// the stream exactly as 2·len(a) BoolT calls and leaves every other bit
+// untouched, so a caller can fill one lane of a batch's per-round flip masks
+// per source.  The generator state stays in registers for the whole loop.
+// len(b) must be at least len(a).
+func (s *Source) FlipPairs(t uint64, lane uint, a, b []uint64) {
+	if t == 0 {
+		return
+	}
+	b = b[:len(a)]
+	bit := uint64(1) << (lane & 63)
+	if t >= thresholdAlways {
+		for r := range a {
+			a[r] |= bit
+			b[r] |= bit
+		}
+		return
+	}
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for r := range a {
+		// Two xoshiro256** steps, verbatim from Uint64.  k < t exactly when
+		// k − t wraps (both are below 2⁶³), so bit 63 of the difference is
+		// the draw's outcome.
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		a[r] |= bit & -((x>>11 - t) >> 63)
+
+		x = bits.RotateLeft64(s1*5, 7) * 9
+		u = s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		b[r] |= bit & -((x>>11 - t) >> 63)
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Coin returns true with probability 1/2.

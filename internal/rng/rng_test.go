@@ -460,3 +460,176 @@ func TestUnmarshalBinaryRejectsInvalid(t *testing.T) {
 	// The source must still work after rejected restores.
 	src.Uint64()
 }
+
+// TestBoolThresholdBoundaries pins the integer-threshold form of Bool at the
+// edges where a rounding slip would show: for every p the table names, the
+// draws whose 53-bit value k sits at t−1, t and t+1 must compare against t
+// exactly as Float64 compares against p.
+func TestBoolThresholdBoundaries(t *testing.T) {
+	const ulp53 = 1.0 / (1 << 53)
+	ps := []float64{
+		math.SmallestNonzeroFloat64,
+		ulp53,
+		0.05,
+		0.5,
+		1 - ulp53,
+	}
+	for _, k := range []float64{1, 2, 3, 12345, 1 << 40, 1<<52 + 1, 1<<53 - 2} {
+		p := k * ulp53
+		ps = append(ps, math.Nextafter(p, 0), p, math.Nextafter(p, 1))
+	}
+	for _, p := range ps {
+		th := BoolThreshold(p)
+		if th < 1 || th >= thresholdAlways {
+			t.Fatalf("BoolThreshold(%v) = %d, outside [1, 2^53)", p, th)
+		}
+		for _, k := range []uint64{th - 1, th, th + 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				x := k<<11 | low
+				got := x>>11 < th
+				want := float64(x>>11)/(1<<53) < p
+				if got != want {
+					t.Errorf("p=%v (t=%d), x=%#x: threshold says %v, Float64 says %v", p, th, x, got, want)
+				}
+			}
+		}
+	}
+	for _, p := range []float64{0, -0.5, math.Inf(-1), math.NaN()} {
+		if th := BoolThreshold(p); th != 0 {
+			t.Errorf("BoolThreshold(%v) = %d, want 0", p, th)
+		}
+	}
+	for _, p := range []float64{1, 1.5, math.Inf(1)} {
+		if th := BoolThreshold(p); th != thresholdAlways {
+			t.Errorf("BoolThreshold(%v) = %d, want thresholdAlways", p, th)
+		}
+	}
+}
+
+// FuzzBoolThreshold checks the threshold equivalence for arbitrary p and
+// draw x, and that BoolT consumes a source exactly as Bool does (including
+// the draw-free p <= 0 and p >= 1 cases).
+func FuzzBoolThreshold(f *testing.F) {
+	f.Add(math.Float64bits(0.05), uint64(0))
+	f.Add(math.Float64bits(0.05), uint64(0xCCCCCCCCCCCCC800))
+	f.Add(math.Float64bits(0.5), uint64(1)<<63)
+	f.Add(math.Float64bits(math.SmallestNonzeroFloat64), uint64(0x7ff))
+	f.Add(math.Float64bits(1-1.0/(1<<53)), ^uint64(0))
+	f.Add(math.Float64bits(1), uint64(42))
+	f.Add(math.Float64bits(-0.25), uint64(42))
+	f.Fuzz(func(t *testing.T, pBits, x uint64) {
+		p := math.Float64frombits(pBits)
+		if math.IsNaN(p) {
+			t.Skip("NaN is rejected by every caller")
+		}
+		th := BoolThreshold(p)
+		if p > 0 && p < 1 {
+			got := x>>11 < th
+			want := float64(x>>11)/(1<<53) < p
+			if got != want {
+				t.Fatalf("p=%v (t=%d), x=%#x: threshold says %v, Float64 says %v", p, th, x, got, want)
+			}
+		}
+		a, b := New(x), New(x)
+		for i := 0; i < 8; i++ {
+			if got, want := b.BoolT(th), a.Bool(p); got != want {
+				t.Fatalf("p=%v draw %d: BoolT %v, Bool %v", p, i, got, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("p=%v: BoolT left the source at a different state than Bool", p)
+		}
+	})
+}
+
+// TestFlipPairsMatchesBool holds the bulk draw to 2·rounds scalar Bool
+// calls: same masks (first draw of a round in a, second in b), same
+// post-draw state, and no other bit of the mask words disturbed.
+func TestFlipPairsMatchesBool(t *testing.T) {
+	const lane = 37
+	const other = uint64(1)<<5 | uint64(1)<<63
+	for _, p := range []float64{0.05, 0.5, 0, 1} {
+		for _, rounds := range []int{0, 1, 199, 200, 1000} {
+			ref, bulk := New(uint64(rounds)+2013), New(uint64(rounds)+2013)
+			wantA := make([]uint64, rounds)
+			wantB := make([]uint64, rounds)
+			for r := 0; r < rounds; r++ {
+				wantA[r], wantB[r] = other, other
+				if ref.Bool(p) {
+					wantA[r] |= 1 << lane
+				}
+				if ref.Bool(p) {
+					wantB[r] |= 1 << lane
+				}
+			}
+			a := make([]uint64, rounds)
+			b := make([]uint64, rounds)
+			for r := range a {
+				a[r], b[r] = other, other
+			}
+			bulk.FlipPairs(BoolThreshold(p), lane, a, b)
+			for r := 0; r < rounds; r++ {
+				if a[r] != wantA[r] || b[r] != wantB[r] {
+					t.Fatalf("p=%v rounds=%d: round %d masks (%#x, %#x), want (%#x, %#x)",
+						p, rounds, r, a[r], b[r], wantA[r], wantB[r])
+				}
+			}
+			if bulk.State() != ref.State() {
+				t.Fatalf("p=%v rounds=%d: post-draw state differs from 2·rounds Bool calls", p, rounds)
+			}
+		}
+	}
+}
+
+// TestSplitIntoMatchesSplit: the value-type split yields the same child
+// stream as Split and advances the parent identically.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	p1, p2 := New(55), New(55)
+	var child Source
+	for i := 0; i < 4; i++ {
+		want := p1.Split()
+		p2.SplitInto(&child)
+		if child.State() != want.State() {
+			t.Fatalf("split %d: SplitInto child state differs from Split's", i)
+		}
+		if p1.State() != p2.State() {
+			t.Fatalf("split %d: parents diverged", i)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := p1.Uint64(), p2.Uint64(); a != b {
+			t.Fatalf("parent streams diverged at draw %d after the splits", i)
+		}
+	}
+}
+
+func BenchmarkBool(b *testing.B) {
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		_ = s.Bool(0.05)
+	}
+}
+
+// BenchmarkFlipPairs times one lane of a 200-round noisy game's flip
+// pre-draw at the paper's noise level (400 draws per op).
+func BenchmarkFlipPairs(b *testing.B) {
+	s := New(1)
+	th := BoolThreshold(0.05)
+	a := make([]uint64, 200)
+	c := make([]uint64, 200)
+	for i := 0; i < b.N; i++ {
+		s.FlipPairs(th, uint(i)&63, a, c)
+	}
+}
+
+func BenchmarkSplitInto(b *testing.B) {
+	s := New(1)
+	var child Source
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.SplitInto(&child)
+	}
+}

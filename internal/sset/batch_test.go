@@ -71,3 +71,37 @@ func TestFitnessBatchedMatchesScalarAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestFitnessNoisySourcesMatchSplit: game i of a noisy Fitness call sees
+// the i-th child the caller's Source would hand out through Split, so the
+// value-type split array leaves every stream where it was.
+func TestFitnessNoisySourcesMatchSplit(t *testing.T) {
+	eng := newKernelEngine(t, 0.05, game.KernelAuto)
+	src := rng.New(4)
+	opponents := make([]strategy.Strategy, 130)
+	for i := range opponents {
+		opponents[i] = strategy.RandomPure(1, src)
+	}
+	focal := strategy.WSLS(1)
+	parent := rng.New(21)
+	want := 0.0
+	for _, o := range opponents {
+		res, err := eng.Play(focal, o, parent.Split())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += res.FitnessA
+	}
+	s, _ := New(0, 4, focal)
+	caller := rng.New(21)
+	got, err := s.Fitness(eng, opponents, FitnessOptions{Workers: 1, Source: caller})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("noisy Fitness = %v, per-game Split replay = %v", got, want)
+	}
+	if caller.State() != parent.State() {
+		t.Fatal("Fitness advanced the caller's Source differently from one Split per opponent")
+	}
+}

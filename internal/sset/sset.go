@@ -137,8 +137,9 @@ type FitnessOptions struct {
 // order and returns the summed focal payoff.  Games go through the engine's
 // bit-sliced batch kernel (or the cache's batched ID path) one
 // game.BatchLanes-sized block at a time; the result buffers live on the
-// stack, so the steady state allocates nothing.
-func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions, perGame []*rng.Source, lo, hi int) (float64, error) {
+// stack, so the steady state allocates nothing.  perGame, when non-nil,
+// holds game i's source at index i.
+func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions, perGame []rng.Source, lo, hi int) (float64, error) {
 	var (
 		players [game.BatchLanes]game.Player
 		srcs    [game.BatchLanes]*rng.Source
@@ -168,7 +169,7 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 			for i := c0; i < c1; i++ {
 				var src *rng.Source
 				if perGame != nil {
-					src = perGame[i]
+					src = &perGame[i]
 				}
 				res, err := opts.Cache.Play(s.strat, opponents[i], src)
 				if err != nil {
@@ -180,7 +181,7 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 			for k := 0; k < n; k++ {
 				players[k] = opponents[c0+k]
 				if perGame != nil {
-					srcs[k] = perGame[c0+k]
+					srcs[k] = &perGame[c0+k]
 				}
 			}
 			var chunkSrcs []*rng.Source
@@ -230,7 +231,8 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 	}
 
 	// Pre-derive one source per opponent so that the schedule (which worker
-	// plays which game) cannot change the stream a game sees.
+	// plays which game) cannot change the stream a game sees.  The sources
+	// are values in one array: a noisy call allocates once, not per game.
 	needRandom := eng.Noise() > 0 || !s.strat.Deterministic()
 	if !needRandom {
 		for _, o := range opponents {
@@ -243,12 +245,15 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 			}
 		}
 	}
-	var perGame []*rng.Source
+	var perGame []rng.Source
 	if needRandom {
 		if opts.Source == nil {
 			return 0, fmt.Errorf("sset: randomness required (noise or mixed strategies) but no Source provided")
 		}
-		perGame = opts.Source.SplitN(len(opponents))
+		perGame = make([]rng.Source, len(opponents))
+		for i := range perGame {
+			opts.Source.SplitInto(&perGame[i])
+		}
 	}
 
 	if workers == 1 {
@@ -264,10 +269,12 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 			continue
 		}
 		wg.Add(1)
-		go func(w int, agent Agent) {
+		// perGame goes in by value: capturing the variable would move it to
+		// the heap on every call, the single-worker path included.
+		go func(w int, agent Agent, perGame []rng.Source) {
 			defer wg.Done()
 			partial[w], errs[w] = s.sumRange(eng, opponents, opts, perGame, agent.Lo, agent.Hi)
-		}(w, agent)
+		}(w, agent, perGame)
 	}
 	wg.Wait()
 	total := 0.0

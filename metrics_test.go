@@ -36,7 +36,7 @@ func TestSerialMetricsPopulated(t *testing.T) {
 	if occ := m.BatchLaneOccupancy(); occ <= 0 || occ > 1 {
 		t.Errorf("BatchLaneOccupancy = %v, want in (0, 1]", occ)
 	}
-	// The serial engine's per-event cache is a plain map, not the
+	// The serial engine's per-event cache is its own pair rows, not the
 	// persistent fitness.PairCache, so its cache counters stay zero.
 	if m.CachePlays != 0 || m.CacheHits != 0 {
 		t.Errorf("serial run unexpectedly recorded PairCache traffic: %+v", m)
