@@ -9,8 +9,8 @@
 // bit-identical to running that seed solo.  The throughput win is
 // cross-run sharing: for noiseless deterministic configurations all
 // replicates evaluate fitness through per-run views over one shared
-// fitness.PairCache store (one interning registry, one 64-shard memoized
-// pair table), so replicate k starts with every pair any earlier replicate
+// fitness.PairCache store (one interning registry, 64 lock-free shards
+// of memoized pair results), so replicate k starts with every pair any earlier replicate
 // already played served as a cache hit.  Noisy or mixed configurations
 // keep the engines' existing bypass — the shared store is simply never
 // consulted — so RNG streams never move.

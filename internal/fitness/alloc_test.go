@@ -164,23 +164,32 @@ func TestBoundedEvictionKeepsMirrorInvariant(t *testing.T) {
 	if cache.Len() == 0 {
 		t.Fatal("eviction emptied the cache; it must drop a bounded fraction only")
 	}
-	// Mirror invariant: scan every shard under its read lock.
+	// Mirror invariant: every surviving pair answers both orientations,
+	// the reversed one with the swapped result.  Scan every shard's table
+	// under its lock.
 	for si := range cache.store.shards {
 		sh := &cache.store.shards[si]
-		sh.mu.RLock()
-		for k, res := range sh.entries {
-			mk := mirrorKey(k)
-			mres, ok := sh.entries[mk]
-			if !ok {
-				sh.mu.RUnlock()
-				t.Fatalf("shard %d: pair %#x survived eviction without its mirror", si, k)
+		sh.mu.Lock()
+		tab := sh.table.Load()
+		for i := range tab.slots {
+			tag := tab.slots[i].tag.Load()
+			if tag == 0 {
+				continue
+			}
+			a, b := uint32((tag-1)>>32), uint32(tag-1)
+			var res, mres game.Result
+			ok := cache.lookup(a, b, &res)
+			mok := cache.lookup(b, a, &mres)
+			if !ok || !mok {
+				sh.mu.Unlock()
+				t.Fatalf("shard %d: pair (%d,%d) survived eviction without its mirror", si, a, b)
 			}
 			if mres != swap(res) {
-				sh.mu.RUnlock()
-				t.Fatalf("shard %d: mirror of %#x carries %+v, want %+v", si, k, mres, swap(res))
+				sh.mu.Unlock()
+				t.Fatalf("shard %d: mirror of (%d,%d) carries %+v, want %+v", si, a, b, mres, swap(res))
 			}
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	// Evicted pairs are replayed on demand with identical results.
 	res, err := cache.PlayID(ids[0], ids[1])

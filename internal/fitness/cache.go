@@ -2,7 +2,7 @@ package fitness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +21,8 @@ import (
 const maxCacheBytes = 64 << 20
 
 // numShards is the number of independently locked segments of the pair
-// store.  Mirrored keys (a,b) and (b,a) hash to the same shard, so the
-// mirrored-pair invariant is maintained under one lock.
+// store.  A pair is stored once under its canonical key, so both
+// orientations of a pair live in the same shard.
 const numShards = 64
 
 // evictDivisor is the fraction of a full shard evicted in one pass (one
@@ -30,79 +30,139 @@ const numShards = 64
 // hot pair at once.
 const evictDivisor = 4
 
-// cacheShard is one lock-scoped segment of the pair store.  Reads take the
-// read lock only, so cache hits from concurrent worker goroutines do not
-// serialise on each other.
-type cacheShard struct {
-	mu      sync.RWMutex
-	entries map[uint64]game.Result
+// minTableSlots is the slot count of a shard's first table.
+const minTableSlots = 8
+
+// pairSlot is one open-addressing slot.  tag is the canonical key plus one
+// (0 marks an empty slot; IDs stay below math.MaxUint32, so the tag never
+// wraps).  res is written before tag is published and never changed
+// afterwards, so a reader that observes the tag may copy res without a lock.
+type pairSlot struct {
+	tag atomic.Uint64
+	res game.Result
 }
 
-// evict removes roughly a quarter of the shard's entries, always deleting a
-// key together with its mirror so the mirrored-pair invariant survives
-// eviction.  Victims are the numerically smallest keys — interned IDs are
-// dense and issued in first-seen order, so low keys belong to the oldest
-// strategies, the ones most likely extinct — selected by sorting rather
-// than map iteration so that which pairs later replay (and therefore the
-// reported play counts) stays deterministic for a given seed.  Called with
-// the shard's write lock held.
+// pairTable is a linear-probing table of canonical pair results.  Its
+// length is a power of two and it always keeps an empty slot, so every
+// probe terminates.
+type pairTable struct {
+	slots []pairSlot
+	mask  uint64
+}
+
+func newPairTable(n int) *pairTable {
+	return &pairTable{slots: make([]pairSlot, n), mask: uint64(n - 1)}
+}
+
+// find probes for tag starting at the slot h selects and returns its slot,
+// or nil.  Safe without a lock: slots are only ever filled, never modified.
+func (t *pairTable) find(tag, h uint64) *pairSlot {
+	for i := h >> 6 & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		switch s.tag.Load() {
+		case tag:
+			return s
+		case 0:
+			return nil
+		}
+	}
+}
+
+// put fills the first empty slot of tag's probe sequence, publishing the
+// result before the tag.  Called with the shard's lock held, for a tag not
+// yet in the table.
+func (t *pairTable) put(tag, h uint64, res game.Result) {
+	for i := h >> 6 & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.tag.Load() == 0 {
+			s.res = res
+			s.tag.Store(tag)
+			return
+		}
+	}
+}
+
+// rebuild returns a table of n slots holding every entry of t whose tag
+// is above floor.  The new table is private until its pointer is
+// published, so readers of t keep seeing valid entries meanwhile.
+func (t *pairTable) rebuild(n int, floor uint64) *pairTable {
+	nt := newPairTable(n)
+	for i := range t.slots {
+		s := &t.slots[i]
+		if tag := s.tag.Load(); tag > floor {
+			nt.put(tag, pairHash(tag-1), s.res)
+		}
+	}
+	return nt
+}
+
+// cacheShard is one segment of the pair store.  Reads load the table
+// pointer and probe it without taking any lock; writes (misses) hold mu,
+// fill an empty slot of the live table or publish a rebuilt one.
+type cacheShard struct {
+	table atomic.Pointer[pairTable]
+
+	mu    sync.Mutex
+	pairs int // canonical entries; guarded by mu
+	n     int // ordered entries, 2 per pair and 1 per self pair; guarded by mu
+}
+
+// weight is the number of ordered pairs a canonical key stands for.
+func weight(key uint64) int {
+	if key>>32 == key&0xFFFFFFFF {
+		return 1
+	}
+	return 2
+}
+
+// evict removes roughly a quarter of the shard's ordered entries, whole
+// pairs at a time.  Victims are the numerically smallest canonical keys —
+// interned IDs are dense and issued in first-seen order, so low keys belong
+// to the oldest strategies, the ones most likely extinct — selected by
+// sorting so that which pairs later replay (and therefore the reported play
+// counts) stays deterministic for a given seed.  A pair's canonical key is
+// the smaller of its two ordered keys, so this drops the same pairs as
+// walking the ordered keys in ascending order.  Called with mu held.
 func (sh *cacheShard) evict() int {
-	quota := len(sh.entries) / evictDivisor
-	if quota < 1 {
-		quota = 1
-	}
-	keys := make([]uint64, 0, len(sh.entries))
-	for k := range sh.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	removed := 0
-	for _, k := range keys {
-		if _, ok := sh.entries[k]; !ok {
-			continue // already removed as an earlier victim's mirror
-		}
-		delete(sh.entries, k)
-		removed++
-		if m := mirrorKey(k); m != k {
-			if _, ok := sh.entries[m]; ok {
-				delete(sh.entries, m)
-				removed++
-			}
-		}
-		if removed >= quota {
-			break
+	quota := max(1, sh.n/evictDivisor)
+	t := sh.table.Load()
+	tags := make([]uint64, 0, sh.pairs)
+	for i := range t.slots {
+		if tag := t.slots[i].tag.Load(); tag != 0 {
+			tags = append(tags, tag)
 		}
 	}
+	slices.Sort(tags)
+	removed, cut := 0, 0
+	for removed < quota && cut < len(tags) {
+		removed += weight(tags[cut] - 1)
+		cut++
+	}
+	if cut > 0 {
+		sh.table.Store(t.rebuild(len(t.slots), tags[cut-1]))
+	}
+	sh.pairs -= cut
+	sh.n -= removed
 	return removed
 }
 
-// pairKey packs an ordered ID pair into the store's map key.
-func pairKey(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
-
-// mirrorKey returns the key of the reversed pair.
-func mirrorKey(k uint64) uint64 { return k<<32 | k>>32 }
-
-// shardIndex maps an ID pair to its shard.  The hash is computed over the
-// unordered pair so (a,b) and (b,a) — whose results mirror each other and
-// are stored together — land in the same shard.
-func shardIndex(a, b uint32) int {
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	h := uint64(lo)<<32 | uint64(hi)
+// pairHash mixes a canonical key.  Its low bits pick the shard and the
+// bits above them the first probe slot.
+func pairHash(key uint64) uint64 {
+	h := key
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33
-	return int(h & (numShards - 1))
+	return h
 }
 
 // pairStore is the shareable state behind one or more PairCache views: the
 // sharded result table, the interning registry issuing the dense IDs the
 // table is keyed by, and the game identity every memoized result belongs
-// to.  All of it is safe for concurrent use — shards are RWMutex-locked and
-// the registry locks internally — so independent runs (ensemble replicates)
-// may warm a single store concurrently through their own views.
+// to.  All of it is safe for concurrent use — shard reads are lock-free,
+// shard writes take the shard's mutex and the registry locks internally —
+// so independent runs (ensemble replicates) may warm a single store
+// concurrently through their own views.
 type pairStore struct {
 	gameID      string
 	memorySteps int
@@ -110,6 +170,19 @@ type pairStore struct {
 	reg         *intern.Registry
 
 	shards [numShards]cacheShard
+}
+
+// locate maps an ID pair to its canonical entry: the pair's shard, its
+// slot tag (the unordered key lo<<32|hi, plus one), the key's hash, and
+// whether (a, b) is the reversed orientation of the stored result.  Both
+// orientations of a pair share one shard and one entry.
+func (st *pairStore) locate(a, b uint32) (sh *cacheShard, tag, h uint64, swapped bool) {
+	key := uint64(a)<<32 | uint64(b)
+	if a > b {
+		key, swapped = uint64(b)<<32|uint64(a), true
+	}
+	h = pairHash(key)
+	return &st.shards[h&(numShards-1)], key + 1, h, swapped
 }
 
 // compatible reports whether results memoized in this store are valid for
@@ -138,11 +211,12 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 // PairCache memoizes game results per distinct strategy pair, keyed by the
 // dense IDs of an intern.Registry rather than encoded strategy strings, so
 // the hot lookup path is integer arithmetic with no allocations.  The store
-// is sharded by unordered ID pair: hits take only a shard read lock and the
-// counters are atomics, so the worker goroutines of one rank do not
-// serialise on each other.  Results are pure functions of the pair; racing
-// workers at worst replay a pair once each and store the identical result
-// (counted once, keeping the play counter deterministic for a given seed).
+// is sharded by unordered ID pair and holds one entry per pair: hits take no
+// lock and write no shared word, and the counters are per-view atomics, so
+// concurrent workers and replicates do not serialise on each other.
+// Results are pure functions of the pair; racing workers at worst replay a
+// pair once each and store the identical result (counted once, keeping the
+// play counter deterministic for a given seed).
 //
 // A PairCache is a view: the result table and registry live in a pairStore
 // that additional views may share (see NewView), while the engine used to
@@ -167,8 +241,9 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("fitness: nil engine")
 	}
-	// Size the per-shard entry budget from the per-entry footprint: the
-	// uint64 key, the stored result and map overhead.
+	// The per-shard budget counts ordered entries at 64 bytes each; it
+	// fixes the moments eviction fires, and with them the play counts of
+	// runs that overflow it.
 	const entryBytes = 64
 	maxPerShard := maxCacheBytes / entryBytes / numShards
 	if maxPerShard < 64 {
@@ -181,7 +256,7 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 		reg:         intern.NewRegistry(),
 	}
 	for i := range st.shards {
-		st.shards[i].entries = make(map[uint64]game.Result)
+		st.shards[i].table.Store(newPairTable(minTableSlots))
 	}
 	return &PairCache{eng: eng, store: st}, nil
 }
@@ -277,22 +352,71 @@ func swap(r game.Result) game.Result {
 	}
 }
 
+// lookup serves the ordered pair (a, b) from the store into *dst without
+// taking a lock: it loads the shard's current table and probes it.  A
+// reader racing a rebuild may probe the table just replaced; its entries
+// are all still valid, and a pair it lacks falls through to the locked
+// re-check in record.
+func (c *PairCache) lookup(a, b uint32, dst *game.Result) bool {
+	sh, tag, h, swapped := c.store.locate(a, b)
+	s := sh.table.Load().find(tag, h)
+	if s == nil {
+		return false
+	}
+	if swapped {
+		*dst = swap(s.res)
+	} else {
+		*dst = s.res
+	}
+	return true
+}
+
+// record stores res, the freshly played result of (a, b), unless a racing
+// call stored the pair first, and returns the stored result oriented as
+// (a, b).  Only the call that stores the pair counts a miss: two workers
+// racing on the same uncached pair replay the identical game, and counting
+// it once keeps the reported game totals deterministic for a given seed
+// regardless of scheduling.
+func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
+	sh, tag, h, swapped := c.store.locate(a, b)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	t := sh.table.Load()
+	if s := t.find(tag, h); s != nil {
+		if swapped {
+			return swap(s.res)
+		}
+		return s.res
+	}
+	c.misses.Add(1)
+	if sh.n >= c.store.maxPerShard {
+		c.evicted.Add(int64(sh.evict()))
+		t = sh.table.Load()
+	}
+	if 4*(sh.pairs+1) > 3*len(t.slots) {
+		t = t.rebuild(2*len(t.slots), 0)
+		sh.table.Store(t)
+	}
+	canon := res
+	if swapped {
+		canon = swap(res)
+	}
+	t.put(tag, h, canon)
+	sh.pairs++
+	sh.n += weight(tag - 1)
+	return res
+}
+
 // PlayID returns the result of a game between the strategies behind the
 // given interned IDs (issued by this cache's Interner).  The pair is played
-// at most once and served from memory afterwards; storing a result also
-// stores the mirrored result for the reversed pair.  The hit path performs
-// no allocations and takes only a shard read lock.
+// at most once and served from memory afterwards, in either orientation.
+// The hit path performs no allocations and takes no lock.
 func (c *PairCache) PlayID(a, b uint32) (game.Result, error) {
-	key := pairKey(a, b)
-	sh := &c.store.shards[shardIndex(a, b)]
-	sh.mu.RLock()
-	res, ok := sh.entries[key]
-	sh.mu.RUnlock()
-	if ok {
+	var res game.Result
+	if c.lookup(a, b, &res) {
 		c.hits.Add(1)
 		return res, nil
 	}
-
 	sa, err := c.store.reg.Strategy(a)
 	if err != nil {
 		return game.Result{}, fmt.Errorf("fitness: %w", err)
@@ -303,58 +427,55 @@ func (c *PairCache) PlayID(a, b uint32) (game.Result, error) {
 	}
 	// Deterministic, noiseless game: no source needed.  Played outside the
 	// lock so concurrent workers are not serialised on the kernel.
-	res, err = c.eng.Play(sa, sb, nil)
-	if err != nil {
+	if res, err = c.eng.Play(sa, sb, nil); err != nil {
 		return game.Result{}, err
 	}
-
-	sh.mu.Lock()
-	// Count the play only when this call actually stores the entry: two
-	// workers racing on the same uncached pair replay the identical game,
-	// and counting it once keeps the reported game totals deterministic for
-	// a given seed regardless of scheduling.
-	if _, ok := sh.entries[key]; !ok {
-		c.misses.Add(1)
-		if len(sh.entries) >= c.store.maxPerShard {
-			c.evicted.Add(int64(sh.evict()))
-		}
-		sh.entries[key] = res
-		if mk := mirrorKey(key); mk != key {
-			sh.entries[mk] = swap(res)
-		}
-	}
-	sh.mu.Unlock()
-	return res, nil
+	return c.record(a, b, res), nil
 }
 
 // PlayIDBatch fills out[i] with the result of the game between the
 // strategies behind IDs a and bs[i], for every i.  Results, the games
 // actually executed and the stored entries are identical to calling
-// PlayID(a, bs[i]) in index order, but the misses are deduplicated (in
-// first-encounter order) and played through the engine's batch kernel, 64
-// games per focal strategy at a time, instead of one by one.  (A duplicate
-// of an uncached ID within one call joins the batch probe instead of
-// counting as a hit, so only the hit counter can differ from the serial
-// sequence.)  The all-hits steady state allocates nothing.
+// PlayID(a, bs[i]) in index order, but bs is taken in chunks of
+// game.BatchLanes whose misses are deduplicated (in first-encounter order)
+// and played through the engine's batch kernel in one call instead of one
+// by one.  (A duplicate of an uncached ID within one chunk joins the batch
+// probe instead of counting as a hit, so only the hit counter can differ
+// from the serial sequence.)  Neither hits nor misses allocate.
 func (c *PairCache) PlayIDBatch(a uint32, bs []uint32, out []game.Result) error {
 	if len(out) != len(bs) {
 		return fmt.Errorf("fitness: PlayIDBatch result slice has %d entries for %d opponents", len(out), len(bs))
 	}
-	var missIdx []int
-	for i, b := range bs {
-		key := pairKey(a, b)
-		sh := &c.store.shards[shardIndex(a, b)]
-		sh.mu.RLock()
-		res, ok := sh.entries[key]
-		sh.mu.RUnlock()
-		if ok {
-			out[i] = res
-		} else {
-			missIdx = append(missIdx, i)
+	for lo := 0; lo < len(bs); lo += game.BatchLanes {
+		hi := min(lo+game.BatchLanes, len(bs))
+		if err := c.playIDChunk(a, bs[lo:hi], out[lo:hi]); err != nil {
+			return err
 		}
 	}
-	c.hits.Add(int64(len(bs) - len(missIdx)))
-	if len(missIdx) == 0 {
+	return nil
+}
+
+// playIDChunk is PlayIDBatch over at most game.BatchLanes opponents, with
+// its miss bookkeeping in fixed-size arrays.
+func (c *PairCache) playIDChunk(a uint32, bs []uint32, out []game.Result) error {
+	var (
+		missIdx [game.BatchLanes]uint8 // index into bs of each miss
+		lane    [game.BatchLanes]uint8 // index into order of each miss
+		order   [game.BatchLanes]uint32
+		players [game.BatchLanes]game.Player
+		results [game.BatchLanes]game.Result
+	)
+	misses := 0
+	for i, b := range bs {
+		if !c.lookup(a, b, &out[i]) {
+			missIdx[misses] = uint8(i)
+			misses++
+		}
+	}
+	if hits := len(bs) - misses; hits > 0 {
+		c.hits.Add(int64(hits))
+	}
+	if misses == 0 {
 		return nil
 	}
 
@@ -362,50 +483,32 @@ func (c *PairCache) PlayIDBatch(a uint32, bs []uint32, out []game.Result) error 
 	if err != nil {
 		return fmt.Errorf("fitness: %w", err)
 	}
-	pos := make(map[uint32]int, len(missIdx))
-	order := make([]uint32, 0, len(missIdx))
-	players := make([]game.Player, 0, len(missIdx))
-	for _, i := range missIdx {
-		b := bs[i]
-		if _, ok := pos[b]; ok {
-			continue
+	n := 0
+	for m := 0; m < misses; m++ {
+		b := bs[missIdx[m]]
+		k := 0
+		for k < n && order[k] != b {
+			k++
 		}
-		sb, err := c.store.reg.Strategy(b)
-		if err != nil {
-			return fmt.Errorf("fitness: %w", err)
+		if k == n {
+			if players[n], err = c.store.reg.Strategy(b); err != nil {
+				return fmt.Errorf("fitness: %w", err)
+			}
+			order[n] = b
+			n++
 		}
-		pos[b] = len(order)
-		order = append(order, b)
-		players = append(players, sb)
+		lane[m] = uint8(k)
 	}
 	// Deterministic, noiseless games: no sources needed.  Played outside the
 	// locks so concurrent workers are not serialised on the kernel.
-	results := make([]game.Result, len(order))
-	if err := c.eng.PlayBatch(sa, players, nil, results); err != nil {
+	if err := c.eng.PlayBatch(sa, players[:n], nil, results[:n]); err != nil {
 		return err
 	}
-	for k, b := range order {
-		key := pairKey(a, b)
-		sh := &c.store.shards[shardIndex(a, b)]
-		sh.mu.Lock()
-		// Count-once semantics as in PlayID: a racing worker that stored the
-		// pair first wins, and its (identical) result is what callers see.
-		if stored, ok := sh.entries[key]; ok {
-			results[k] = stored
-		} else {
-			c.misses.Add(1)
-			if len(sh.entries) >= c.store.maxPerShard {
-				c.evicted.Add(int64(sh.evict()))
-			}
-			sh.entries[key] = results[k]
-			if mk := mirrorKey(key); mk != key {
-				sh.entries[mk] = swap(results[k])
-			}
-		}
-		sh.mu.Unlock()
+	for k := 0; k < n; k++ {
+		results[k] = c.record(a, order[k], results[k])
 	}
-	for _, i := range missIdx {
-		out[i] = results[pos[bs[i]]]
+	for m := 0; m < misses; m++ {
+		out[missIdx[m]] = results[lane[m]]
 	}
 	return nil
 }
@@ -462,14 +565,15 @@ func (c *PairCache) Bypassed() int64 { return c.bypassed.Load() }
 func (c *PairCache) Evicted() int64 { return c.evicted.Load() }
 
 // Len returns the number of memoized ordered pairs in the underlying store
-// (shared across views).
+// (shared across views): two per stored pair of distinct strategies, one
+// per self pair.
 func (c *PairCache) Len() int {
 	total := 0
 	for i := range c.store.shards {
 		sh := &c.store.shards[i]
-		sh.mu.RLock()
-		total += len(sh.entries)
-		sh.mu.RUnlock()
+		sh.mu.Lock()
+		total += sh.n
+		sh.mu.Unlock()
 	}
 	return total
 }

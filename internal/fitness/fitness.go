@@ -13,8 +13,8 @@
 //
 //   - PairCache memoizes game.Result per canonical strategy-pair encoding,
 //     so each distinct pair is played at most once for the lifetime of the
-//     cache.  Storing a result also stores the mirrored result for the
-//     reversed pair, since the opponent's fitness is usually requested next.
+//     cache.  A pair is stored once and serves both orientations, since
+//     the opponent's fitness is usually requested next.
 //   - IncrementalMatrix maintains the S×S fitness structure across
 //     generations: per-SSet fitness row sums are built lazily through the
 //     cache and, when the Nature Agent changes the strategy of one SSet,

@@ -64,23 +64,24 @@ func (r *Registry) Intern(s strategy.Strategy) (uint32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("intern: %w", err)
 	}
-	key := string(buf)
+	// Probe with r.ids[string(buf)], which the compiler does without
+	// copying buf; the key string is built only on insert.
 	r.mu.RLock()
-	id, ok := r.ids[key]
+	id, ok := r.ids[string(buf)]
 	r.mu.RUnlock()
 	if ok {
 		return id, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id, ok := r.ids[key]; ok {
+	if id, ok := r.ids[string(buf)]; ok {
 		return id, nil
 	}
 	if len(r.strategies) >= math.MaxUint32 {
 		return 0, fmt.Errorf("intern: registry full (%d strategies)", len(r.strategies))
 	}
 	id = uint32(len(r.strategies))
-	r.ids[key] = id
+	r.ids[string(buf)] = id
 	// Clone so a caller later mutating its Strategy value in place cannot
 	// corrupt the canonical instance the ID resolves to.
 	r.strategies = append(r.strategies, s.Clone())
