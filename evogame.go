@@ -270,9 +270,9 @@ type SimulationConfig struct {
 	// games are evaluated in batches.  All kernel modes produce identical
 	// results for identical seeds; see docs/PERFORMANCE.md.
 	Kernel string
-	// Workers bounds the worker goroutines used for game play inside a
-	// fitness evaluation.  Zero selects GOMAXPROCS; negative values are
-	// rejected.  The result is independent of the worker count.
+	// Workers is validated (negative values are rejected) but bounds
+	// nothing: the serial engine evaluates fitness on the calling goroutine
+	// in every mode and never fans game play out to workers.
 	Workers int
 	// Game names the scenario to play; empty selects "ipd", the paper's
 	// Iterated Prisoner's Dilemma.  See Games() for the registry.
@@ -646,8 +646,10 @@ func serialResultFromInternal(res population.Result) SimulationResult {
 type ParallelConfig struct {
 	// Ranks is the total number of ranks including the Nature Agent (>= 2).
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines used for game play inside
-	// each rank.  Zero selects GOMAXPROCS; negative values are rejected.
+	// WorkersPerRank bounds the worker goroutines each rank fans its
+	// EvalFull game play out to; the cached modes evaluate on the rank's own
+	// goroutine.  Zero selects GOMAXPROCS; negative values are rejected.
+	// The result is independent of the worker count.
 	WorkersPerRank int
 	// OptimizationLevel selects the Figure 3 optimization level 0..3
 	// (0 = original, 1 = non-blocking comm, 2 = + state lookup,

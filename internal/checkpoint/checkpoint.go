@@ -23,8 +23,10 @@ import (
 	"os"
 	"path/filepath"
 
+	"evogame/internal/dynamics"
 	"evogame/internal/game"
 	"evogame/internal/strategy"
+	"evogame/internal/topology"
 )
 
 // Snapshot is the state captured by a checkpoint.
@@ -131,6 +133,29 @@ type Identity struct {
 	Payoff      [4]float64
 	UpdateRule  string
 	Topology    string
+}
+
+// NewIdentity resolves the identity of a run from its configuration,
+// mapping the zero-value Game to the paper's IPD and the nil rule to
+// "fermi" exactly as the engines resolve them.  Both engines build the
+// identity they check resumes against and stamp into snapshots here.
+func NewIdentity(numSSets, memorySteps int, seed uint64, spec game.Spec, rule dynamics.Rule, topo topology.Spec) Identity {
+	if spec.Name == "" {
+		spec = game.IPD()
+	}
+	ruleName := "fermi"
+	if rule != nil {
+		ruleName = rule.Name()
+	}
+	return Identity{
+		NumSSets:    numSSets,
+		MemorySteps: memorySteps,
+		Seed:        seed,
+		Game:        spec.Name,
+		Payoff:      spec.Payoff.Table(),
+		UpdateRule:  ruleName,
+		Topology:    topo.String(),
+	}
 }
 
 // CheckIdentity verifies field by field that the snapshot was produced by a

@@ -280,8 +280,8 @@ func (c *PairCache) NewView(eng *game.Engine) (*PairCache, error) {
 // all-deterministic table of codec-encodable strategies (so every entry can
 // be interned).  Learning only copies strategies and the mutation operator
 // only generates pure ones, so a table that starts deterministic stays
-// deterministic; both engines use this single gate to decide whether to
-// route evaluation through the subsystem or fall back to their full paths.
+// deterministic; NewEvaluator uses this gate to decide whether a run's
+// evaluation goes through the subsystem or stays on the engine's full path.
 func CacheUsable(eng *game.Engine, table []strategy.Strategy) bool {
 	if eng == nil || eng.Noise() > 0 {
 		return false
@@ -324,7 +324,7 @@ func DeltaExact(eng *game.Engine) bool {
 // EffectiveMode returns the evaluation mode an engine should actually run
 // for the requested mode: EvalIncremental downgrades to EvalCached when the
 // engine's game cannot guarantee bit-exact delta updates (see DeltaExact).
-// Both engines route their mode selection through this single gate so a new
+// NewEvaluator resolves both engines' modes through it, so a new
 // cache-validity condition cannot be applied to one engine and missed in
 // the other.
 func EffectiveMode(eng *game.Engine, mode EvalMode) EvalMode {

@@ -24,6 +24,11 @@
 //     O(D²) distinct-pair kernels amortised over the run plus O(S) updates
 //     per adoption/mutation event, where D is the number of distinct
 //     strategies present.
+//   - Evaluator is what the engines use: NewEvaluator resolves the
+//     requested EvalMode against the validity conditions below once per
+//     run (or rank) and either returns the evaluator that computes every
+//     fitness through the two layers above, or nil for the engine's own
+//     EvalFull path.
 //
 // # Cache validity conditions
 //
@@ -34,11 +39,10 @@
 //   - both strategies are deterministic (pure, not mixed).
 //
 // When either condition fails, PairCache.Play transparently bypasses the
-// cache and plays the game with the supplied randomness source, so callers
-// need no mode checks of their own.  The engines additionally fall back to
-// their full evaluation paths for noisy or mixed populations so that the
-// random-number streams — and therefore the trajectories — are bit-for-bit
-// identical to EvalFull.
+// cache and plays the game with the supplied randomness source.
+// NewEvaluator returns nil for noisy or mixed populations, so the engines
+// stay on their full evaluation paths and the random-number streams — and
+// therefore the trajectories — are bit-for-bit identical to EvalFull.
 //
 // The delta update of IncrementalMatrix subtracts and re-adds float64 pair
 // payoffs.  With the standard Prisoner's Dilemma payoff matrix (and any

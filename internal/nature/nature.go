@@ -368,9 +368,6 @@ func (t *Table) Bind(reg *intern.Registry) error {
 	return nil
 }
 
-// Bound reports whether the table tracks interned IDs (see Bind).
-func (t *Table) Bound() bool { return t.reg != nil }
-
 // ID returns the interned ID of SSet i's strategy.  It must only be called
 // on a bound table.
 func (t *Table) ID(i int) uint32 { return t.ids[i] }

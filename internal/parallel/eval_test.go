@@ -63,37 +63,44 @@ func TestEvalModesIdenticalAcrossRankCounts(t *testing.T) {
 	}
 }
 
+// TestEvalModesMatchSerialEngine pins both engines, in every evaluation
+// mode, to the distributed EvalFull run, which plays every pair through
+// sset.Fitness: the exact all-pairs reference.
 func TestEvalModesMatchSerialEngine(t *testing.T) {
+	mutate := func(c *Config) {
+		c.Generations = 80
+		c.MutationRate = 0.3
+	}
+	want := runMode(t, mutate, fitness.EvalFull)
 	cfg := baseConfig()
-	cfg.Generations = 80
-	cfg.MutationRate = 0.3
-
-	serial, err := population.New(population.Config{
-		NumSSets:      cfg.NumSSets,
-		AgentsPerSSet: cfg.AgentsPerSSet,
-		MemorySteps:   cfg.MemorySteps,
-		Rounds:        cfg.Rounds,
-		PCRate:        cfg.PCRate,
-		MutationRate:  cfg.MutationRate,
-		Beta:          cfg.Beta,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialRes, err := serial.Run(context.Background(), cfg.Generations)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	mutate(&cfg)
 	for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
-		par := runMode(t, func(c *Config) {
-			c.Generations = cfg.Generations
-			c.MutationRate = cfg.MutationRate
-		}, mode)
-		assertSameTable(t, mode.String(), serialRes.FinalStrategies, par.FinalStrategies)
-		if par.NatureStats != serialRes.NatureStats {
-			t.Fatalf("%v: nature stats differ from serial: %+v vs %+v", mode, par.NatureStats, serialRes.NatureStats)
+		serial, err := population.New(population.Config{
+			NumSSets:      cfg.NumSSets,
+			AgentsPerSSet: cfg.AgentsPerSSet,
+			MemorySteps:   cfg.MemorySteps,
+			Rounds:        cfg.Rounds,
+			PCRate:        cfg.PCRate,
+			MutationRate:  cfg.MutationRate,
+			Beta:          cfg.Beta,
+			Seed:          cfg.Seed,
+			EvalMode:      mode,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialRes, err := serial.Run(context.Background(), cfg.Generations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameTable(t, "serial "+mode.String(), want.FinalStrategies, serialRes.FinalStrategies)
+		if serialRes.NatureStats != want.NatureStats {
+			t.Fatalf("serial %v: nature stats differ: %+v vs %+v", mode, serialRes.NatureStats, want.NatureStats)
+		}
+		par := runMode(t, mutate, mode)
+		assertSameTable(t, "parallel "+mode.String(), want.FinalStrategies, par.FinalStrategies)
+		if par.NatureStats != want.NatureStats {
+			t.Fatalf("parallel %v: nature stats differ: %+v vs %+v", mode, par.NatureStats, want.NatureStats)
 		}
 	}
 }
@@ -129,9 +136,8 @@ func TestEvalModesNoiseBypassIdentical(t *testing.T) {
 }
 
 func TestEvalModeWorkersAndOptLevelsInvariant(t *testing.T) {
-	// The cached modes must stay deterministic under worker fan-out (the
-	// pair cache is shared by a rank's workers) and across kernel
-	// optimization levels.
+	// The cached mode must not depend on WorkersPerRank (which only the
+	// EvalFull path fans out over) or on the kernel optimization level.
 	var want []strategy.Strategy
 	for _, workers := range []int{1, 4} {
 		for _, lvl := range []OptLevel{OptOriginal, OptFusedFitness} {

@@ -111,8 +111,9 @@ type Config struct {
 	// Ranks is the total number of ranks including the Nature Agent at rank
 	// 0; it must be at least 2.
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines each SSet rank uses for
-	// game play.  Zero selects GOMAXPROCS (the default resolves in
+	// WorkersPerRank bounds the worker goroutines each SSet rank fans its
+	// EvalFull game play out to; the cached modes evaluate on the rank's
+	// own goroutine.  Zero selects GOMAXPROCS (the default resolves in
 	// sset.FitnessOptions.Workers); negative values are rejected.
 	WorkersPerRank int
 
@@ -302,37 +303,14 @@ func (c Config) validate() error {
 // snapshots.
 func (c Config) checkResumeIdentity() error {
 	snap := c.Resume
-	spec, rule, topo := c.effectiveIdentity()
-	if err := snap.CheckIdentity("parallel", checkpoint.Identity{
-		NumSSets:    c.NumSSets,
-		MemorySteps: c.MemorySteps,
-		Seed:        c.Seed,
-		Game:        spec.Name,
-		Payoff:      spec.Payoff.Table(),
-		UpdateRule:  rule,
-		Topology:    topo,
-	}); err != nil {
+	id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
+	if err := snap.CheckIdentity("parallel", id); err != nil {
 		return err
 	}
 	if snap.Resume && snap.Engine != checkpoint.EngineParallel {
 		return fmt.Errorf("parallel: checkpoint carries %q-engine resume state; the parallel engine cannot restore it", snap.Engine)
 	}
 	return nil
-}
-
-// effectiveIdentity resolves the scenario identity strings the Config
-// records in checkpoints, mapping the zero-value Game and nil UpdateRule to
-// the paper's defaults exactly as the engines resolve them.
-func (c Config) effectiveIdentity() (spec game.Spec, rule string, topo string) {
-	spec = c.Game
-	if spec.Name == "" {
-		spec = game.IPD()
-	}
-	rule = "fermi"
-	if c.UpdateRule != nil {
-		rule = c.UpdateRule.Name()
-	}
-	return spec, rule, c.Topology.String()
 }
 
 // RankReport summarises one rank's work and communication.
@@ -703,16 +681,16 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 // derived per (Seed, generation, SSet id) — so the recorded generation
 // re-derives them exactly on resume.
 func natureSnapshot(cfg Config, nat *nature.Agent, table *nature.Table, absGen int) checkpoint.Snapshot {
-	spec, rule, topo := cfg.effectiveIdentity()
+	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
 	st := nat.ExportState()
 	return checkpoint.Snapshot{
 		Generation:  absGen,
-		Seed:        cfg.Seed,
-		MemorySteps: cfg.MemorySteps,
-		Game:        spec.Name,
-		Payoff:      spec.Payoff.Table(),
-		UpdateRule:  rule,
-		Topology:    topo,
+		Seed:        id.Seed,
+		MemorySteps: id.MemorySteps,
+		Game:        id.Game,
+		Payoff:      id.Payoff,
+		UpdateRule:  id.UpdateRule,
+		Topology:    id.Topology,
 		Strategies:  table.Snapshot(),
 		Label:       cfg.CheckpointLabel,
 		Resume:      true,
@@ -784,72 +762,23 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	games := int64(0)
 	fit := make([]float64, hi-lo)
 
-	// The cached evaluation modes route all game play through a rank-local
-	// pair cache so each distinct strategy pair is played at most once per
-	// rank; the incremental mode additionally maintains this rank's block of
-	// rows of the fitness matrix, kept coherent by applying the Nature
-	// Agent's broadcast strategy-table updates as row/column invalidations.
-	// Noisy or mixed populations fall back to the full evaluation path so
-	// the trajectory is bit-identical to EvalFull.
-	//
-	// In EvalCached mode the rank also keeps the interned ID of every table
-	// entry (ids), re-interning only on broadcast strategy-table updates, so
-	// the per-generation game loop looks pairs up by ID with no strategy
-	// encoding and no allocations.  EvalIncremental reads the matrix's
-	// maintained row sums instead, and the matrix tracks its own IDs, so
-	// neither the mirror nor the opponent buffers below are built for it.
-	var cache *fitness.PairCache
-	var matrix *fitness.IncrementalMatrix
-	var ids []uint32
-	evalMode := fitness.EffectiveMode(engine, cfg.EvalMode)
-	if evalMode != fitness.EvalFull && fitness.CacheUsable(engine, table) {
-		if cfg.SharedCache != nil {
-			// A rank-local view over the shared store: lookups are served
-			// from (and misses warm) the cross-run table while the rank's
-			// counters stay attributed to this rank's own engine.
-			cache, err = cfg.SharedCache.NewView(engine)
-			if err != nil {
-				return RankReport{}, fmt.Errorf("parallel: rank %d SharedCache: %w", c.Rank(), err)
-			}
-		} else {
-			cache, err = fitness.NewPairCache(engine)
-			if err != nil {
-				return RankReport{}, err
-			}
-		}
-		if evalMode == fitness.EvalIncremental {
-			matrix, err = fitness.NewIncrementalMatrix(cache, graph, table, lo, hi)
-			if err != nil {
-				return RankReport{}, err
-			}
-		} else {
-			ids = make([]uint32, len(table))
-			for i, s := range table {
-				// CacheUsable guarantees every entry is encodable.
-				if ids[i], err = cache.Interner().Intern(s); err != nil {
-					return RankReport{}, fmt.Errorf("parallel: rank %d interning table: %w", c.Rank(), err)
-				}
-			}
-		}
+	// The cached evaluation modes read fitness from the rank's evaluator
+	// (nil on the EvalFull path, including the noise/mixed-strategy bypass),
+	// kept coherent by applying the Nature Agent's broadcast strategy-table
+	// updates to it.
+	ev, err := fitness.NewEvaluator(engine, graph, table, lo, hi, cfg.EvalMode, cfg.SharedCache)
+	if err != nil {
+		return RankReport{}, fmt.Errorf("parallel: rank %d: %w", c.Rank(), err)
 	}
 
-	// Per-local-SSet opponent buffers, allocated once and refilled per
-	// generation: the neighbor lists are static, only the strategies (and
-	// their IDs) behind them change.  The matrix path never walks
-	// opponents, so EvalIncremental skips the buffers entirely.
+	// EvalFull's per-local-SSet opponent buffers, allocated once and
+	// refilled per generation: the neighbor lists are static, only the
+	// strategies behind them change.
 	var oppStrats [][]strategy.Strategy
-	var oppIDs [][]uint32
-	if matrix == nil {
+	if ev == nil {
 		oppStrats = make([][]strategy.Strategy, len(locals))
-		if cache != nil {
-			oppIDs = make([][]uint32, len(locals))
-		}
 		for li, s := range locals {
-			deg := graph.Degree(s.ID())
-			oppStrats[li] = make([]strategy.Strategy, deg)
-			if cache != nil {
-				oppIDs[li] = make([]uint32, deg)
-			}
+			oppStrats[li] = make([]strategy.Strategy, graph.Degree(s.ID()))
 		}
 	}
 
@@ -876,14 +805,15 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		}
 		pcOK, teacher, learner := decodeSelection(sel)
 
-		// Phase 2: local game play (the dominant compute).  The incremental
-		// mode reads the maintained row sums instead of replaying games; the
-		// cached mode replays only pairs the rank has never seen.
+		// Phase 2: local game play (the dominant compute).  The evaluator
+		// replays only pairs never seen before (or, incrementally, reads
+		// maintained row sums); EvalFull replays every game, fanned out over
+		// the rank's workers.
 		if !cfg.SkipFitnessWhenIdle || pcOK {
 			err := rec.TimeErr(trace.PhaseCompute, func() error {
-				if matrix != nil {
-					for li := range locals {
-						f, err := matrix.Fitness(lo + li)
+				if ev != nil {
+					for li := range fit {
+						f, err := ev.Fitness(lo + li)
 						if err != nil {
 							return err
 						}
@@ -893,37 +823,22 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 				}
 				for li, s := range locals {
 					opponents := oppStrats[li]
-					var selfID uint32
-					var idList []uint32
 					for k := range opponents {
-						j := graph.Neighbor(s.ID(), k)
-						opponents[k] = table[j]
-						if cache != nil {
-							oppIDs[li][k] = ids[j]
-						}
-					}
-					if cache != nil {
-						selfID = ids[s.ID()]
-						idList = oppIDs[li]
+						opponents[k] = table[graph.Neighbor(s.ID(), k)]
 					}
 					var src *rng.Source
 					if cfg.Noise > 0 {
 						src = rng.New(mixSeed(cfg.Seed, start+gen, s.ID()))
 					}
 					f, err := s.Fitness(engine, opponents, sset.FitnessOptions{
-						Workers:     cfg.WorkersPerRank,
-						Source:      src,
-						Cache:       cache,
-						SelfID:      selfID,
-						OpponentIDs: idList,
+						Workers: cfg.WorkersPerRank,
+						Source:  src,
 					})
 					if err != nil {
 						return err
 					}
 					fit[li] = f
-					if cache == nil {
-						games += int64(len(opponents))
-					}
+					games += int64(len(opponents))
 				}
 				return nil
 			})
@@ -965,19 +880,19 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 			return RankReport{}, err
 		}
 		if update.learning {
-			if err := applyTableChange(table, ids, cache, locals, matrix, lo, hi, update.learner, update.learnerStrategy); err != nil {
+			if err := applyTableChange(table, locals, ev, lo, update.learner, update.learnerStrategy); err != nil {
 				return RankReport{}, err
 			}
 		}
 		if update.mutation {
-			if err := applyTableChange(table, ids, cache, locals, matrix, lo, hi, update.target, update.targetStrategy); err != nil {
+			if err := applyTableChange(table, locals, ev, lo, update.target, update.targetStrategy); err != nil {
 				return RankReport{}, err
 			}
 		}
 	}
 
-	if cache != nil {
-		games = cache.Plays()
+	if ev != nil {
+		games = ev.Cache().Plays()
 	}
 	rep := RankReport{
 		Rank:        c.Rank(),
@@ -988,33 +903,22 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		CommStats:   c.Stats(),
 	}
 	rep.Metrics.AddEngine(engine.KernelStats())
-	rep.Metrics.AddCache(cache)
+	rep.Metrics.AddCache(ev.Cache())
 	return rep, nil
 }
 
 // applyTableChange installs a broadcast strategy-table update on an SSet
-// rank: the rank's copy of the global table, the interned ID mirror when
-// the rank keeps one (EvalCached; one Intern call per event — the only
-// place that mode touches the codec after setup), the local SSet if this
-// rank owns the changed index, and — in EvalIncremental mode — the rank's
-// block of the fitness matrix, where the change invalidates row idx and
-// delta-updates column idx of every other local row.
-func applyTableChange(table []strategy.Strategy, ids []uint32, cache *fitness.PairCache, locals []*sset.SSet, matrix *fitness.IncrementalMatrix, lo, hi, idx int, s strategy.Strategy) error {
+// rank: the rank's copy of the global table, the local SSet if this rank
+// owns the changed index, and the rank's fitness evaluator when it has one.
+func applyTableChange(table []strategy.Strategy, locals []*sset.SSet, ev *fitness.Evaluator, lo, idx int, s strategy.Strategy) error {
 	table[idx] = s
-	if ids != nil {
-		id, err := cache.Interner().Intern(s)
-		if err != nil {
-			return fmt.Errorf("parallel: interning table update: %w", err)
-		}
-		ids[idx] = id
-	}
-	if idx >= lo && idx < hi {
-		if err := locals[idx-lo].SetStrategy(s); err != nil {
+	if li := idx - lo; li >= 0 && li < len(locals) {
+		if err := locals[li].SetStrategy(s); err != nil {
 			return err
 		}
 	}
-	if matrix != nil {
-		return matrix.Update(idx, s)
+	if ev != nil {
+		return ev.Apply(idx, s)
 	}
 	return nil
 }

@@ -59,22 +59,6 @@ func TestEvalModesIdenticalDynamics(t *testing.T) {
 	}
 }
 
-func TestEvalModesIdenticalAgainstExactAllPairs(t *testing.T) {
-	// The cached modes must also agree with the explicit all-pairs replay,
-	// not just with the default per-event evaluation.
-	mutate := func(c *Config) {
-		c.NumSSets = 10
-		c.MutationRate = 0.25
-		c.Seed = 31
-		c.FitnessMode = FitnessExactAllPairs
-	}
-	_, want := runWithEvalMode(t, mutate, fitness.EvalFull, 100)
-	for _, mode := range []fitness.EvalMode{fitness.EvalCached, fitness.EvalIncremental} {
-		_, got := runWithEvalMode(t, mutate, mode, 100)
-		assertSameDynamics(t, mode, want, got)
-	}
-}
-
 func TestEvalModesNoiseBypassIdentical(t *testing.T) {
 	// With noise the pair cache is invalid; the cached modes must fall back
 	// to the full path so that even the games-played count matches.

@@ -22,41 +22,9 @@ import (
 	"evogame/internal/intern"
 	"evogame/internal/nature"
 	"evogame/internal/rng"
-	"evogame/internal/sset"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
 )
-
-// FitnessMode selects how the engine computes SSet fitness.
-type FitnessMode int
-
-const (
-	// FitnessCachedDistinct exploits the fact that all agents of an SSet
-	// share one deterministic strategy: each distinct strategy pair present
-	// in the population is played once per evaluation and the result is
-	// reused for every SSet holding that strategy.  This is the redundancy
-	// reduction the paper describes in Section IV-A and makes long
-	// validation runs tractable.
-	FitnessCachedDistinct FitnessMode = iota
-	// FitnessExactAllPairs plays every SSet against every other SSet's
-	// strategy explicitly, exactly as the distributed implementation does.
-	// It is O(S^2) games per evaluation and is used by tests to check that
-	// the cached mode is equivalent, and by the scaling benchmarks where the
-	// volume of game play is the point.
-	FitnessExactAllPairs
-)
-
-// String implements fmt.Stringer.
-func (m FitnessMode) String() string {
-	switch m {
-	case FitnessCachedDistinct:
-		return "cached-distinct"
-	case FitnessExactAllPairs:
-		return "exact-all-pairs"
-	default:
-		return fmt.Sprintf("FitnessMode(%d)", int(m))
-	}
-}
 
 // Config describes a population simulation.  Every run plays on the
 // paper's optimized state and payoff kernels (see Config.EngineConfig).
@@ -96,23 +64,19 @@ type Config struct {
 	Beta         float64
 	// Seed seeds all randomness; runs with the same Config are identical.
 	Seed uint64
-	// Workers bounds the worker goroutines used for game play inside a
-	// fitness evaluation (the thread-level tier).  Zero selects GOMAXPROCS
-	// (the default resolves in sset.FitnessOptions.Workers); negative values
-	// are rejected.
+	// Workers is validated (negative values are rejected) but bounds
+	// nothing: the serial engine evaluates fitness on the calling goroutine
+	// in every mode and never fans game play out to workers.
 	Workers int
-	// FitnessMode selects cached-distinct or exact-all-pairs evaluation for
-	// the EvalFull mode (the per-event evaluation styles that predate the
-	// shared fitness subsystem).
-	FitnessMode FitnessMode
-	// EvalMode routes fitness evaluation through the shared
-	// internal/fitness subsystem.  The zero value, fitness.EvalFull,
-	// preserves the FitnessMode behaviour above; EvalCached memoizes each
-	// distinct strategy pair across generations, and EvalIncremental
+	// EvalMode selects the fitness evaluation.  The zero value,
+	// fitness.EvalFull, evaluates the two SSets of each pairwise-comparison
+	// event afresh, playing each distinct strategy pair of the event once
+	// (the paper's Section IV-A redundancy reduction); EvalCached memoizes
+	// each distinct strategy pair across generations, and EvalIncremental
 	// additionally maintains per-SSet fitness sums with row/column
-	// invalidation.  Noisy or mixed populations transparently fall back to
-	// the EvalFull path so that all three modes stay bit-for-bit identical
-	// for a given seed.
+	// invalidation (see fitness.Evaluator).  Noisy or mixed populations
+	// transparently fall back to the EvalFull path so that all three modes
+	// stay bit-for-bit identical for a given seed.
 	EvalMode fitness.EvalMode
 	// Kernel selects the deterministic-game inner loop; the zero value,
 	// game.KernelAuto, closes the joint-state cycle in closed form whenever
@@ -256,24 +220,22 @@ type Result struct {
 }
 
 // Model is an in-progress population simulation.  It is not safe for
-// concurrent use; the parallelism lives inside the fitness evaluations.
+// concurrent use.
 type Model struct {
 	cfg    Config
 	engine *game.Engine
 	graph  topology.Graph
 	nat    *nature.Agent
 	table  *nature.Table
-	ssets  []*sset.SSet
 	src    *rng.Source
 	gen    int
 	games  int64
-	// cache and matrix implement the EvalCached / EvalIncremental modes of
-	// the shared fitness subsystem; both are nil when the model runs on the
-	// EvalFull path (including the noise/mixed-strategy bypass).
-	cache  *fitness.PairCache
-	matrix *fitness.IncrementalMatrix
-	// pairs is the per-event distinct-pair cache of the interned EvalFull
-	// path; its rows are sized from the table's registry.
+	// ev evaluates fitness in the EvalCached / EvalIncremental modes; it is
+	// nil when the model runs on the EvalFull path (including the
+	// noise/mixed-strategy bypass).
+	ev *fitness.Evaluator
+	// pairs is the per-event distinct-pair cache of the EvalFull path; its
+	// rows are sized from the table's registry.
 	pairs pairRows
 }
 
@@ -321,73 +283,21 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	ssets := make([]*sset.SSet, cfg.NumSSets)
-	for i := range ssets {
-		s, err := sset.New(i, cfg.AgentsPerSSet, table.Get(i))
-		if err != nil {
-			return nil, err
-		}
-		ssets[i] = s
+	ev, err := fitness.NewEvaluator(engine, graph, initial, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache)
+	if err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
-	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, table: table, ssets: ssets, src: gameSrc}
-	evalMode := fitness.EffectiveMode(engine, cfg.EvalMode)
-	if evalMode != fitness.EvalFull && fitness.CacheUsable(engine, initial) {
-		var cache *fitness.PairCache
-		if cfg.SharedCache != nil {
-			// A view over the shared store: lookups are served from (and
-			// misses warm) the cross-run table, while this run's counters and
-			// kernel statistics stay attributed to this run's own engine.
-			cache, err = cfg.SharedCache.NewView(engine)
-			if err != nil {
-				return nil, fmt.Errorf("population: SharedCache: %w", err)
-			}
-		} else {
-			cache, err = fitness.NewPairCache(engine)
-			if err != nil {
-				return nil, err
-			}
-		}
-		m.cache = cache
-		// CacheUsable guarantees every entry is encodable, so binding the
-		// table to the cache's registry cannot fail; from here on fitness
-		// lookups are ID pairs, never strategy encodings.
-		if err := table.Bind(cache.Interner()); err != nil {
+	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, table: table, src: gameSrc, ev: ev}
+	if ev == nil {
+		// The EvalFull path identifies the event's distinct pairs by
+		// interned ID, so its per-event cache is dense rows indexed by ID.
+		reg := intern.NewRegistry()
+		if err := table.Bind(reg); err != nil {
 			return nil, fmt.Errorf("population: %w", err)
 		}
-		if evalMode == fitness.EvalIncremental {
-			mat, err := fitness.NewIncrementalMatrix(cache, graph, initial, 0, cfg.NumSSets)
-			if err != nil {
-				return nil, err
-			}
-			m.matrix = mat
-		}
-	} else {
-		// EvalFull (or the noise/mixed bypass): interning still pays off for
-		// the per-event distinct-pair cache, which becomes dense rows indexed
-		// by ID instead of a string-pair map.  A table holding strategies
-		// outside the codec simply stays unbound and the legacy string-keyed
-		// path takes over.
-		reg := intern.NewRegistry()
-		if table.Bind(reg) == nil {
-			m.pairs.reg = reg
-		}
+		m.pairs.reg = reg
 	}
 	return m, nil
-}
-
-// effectiveIdentity resolves the scenario identity strings a Config records
-// in checkpoints: the zero-value Game and nil UpdateRule map to the paper's
-// defaults exactly as the engines resolve them.
-func effectiveIdentity(cfg Config) (spec game.Spec, rule string, topo string) {
-	spec = cfg.Game
-	if spec.Name == "" {
-		spec = game.IPD()
-	}
-	rule = "fermi"
-	if cfg.UpdateRule != nil {
-		rule = cfg.UpdateRule.Name()
-	}
-	return spec, rule, cfg.Topology.String()
 }
 
 // Snapshot exports the model's mid-run state as a resumable (format v4)
@@ -395,16 +305,17 @@ func effectiveIdentity(cfg Config) (spec game.Spec, rule string, topo string) {
 // event counters, and the game-play stream.  Restore rebuilds a Model from
 // it that continues the run bit-identically.
 func (m *Model) Snapshot() checkpoint.Snapshot {
-	spec, rule, topo := effectiveIdentity(m.cfg)
+	c := m.cfg
+	id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
 	st := m.nat.ExportState()
 	return checkpoint.Snapshot{
 		Generation:  m.gen,
-		Seed:        m.cfg.Seed,
-		MemorySteps: m.cfg.MemorySteps,
-		Game:        spec.Name,
-		Payoff:      spec.Payoff.Table(),
-		UpdateRule:  rule,
-		Topology:    topo,
+		Seed:        id.Seed,
+		MemorySteps: id.MemorySteps,
+		Game:        id.Game,
+		Payoff:      id.Payoff,
+		UpdateRule:  id.UpdateRule,
+		Topology:    id.Topology,
 		Strategies:  m.Strategies(),
 		Label:       m.cfg.CheckpointLabel,
 		Resume:      true,
@@ -418,21 +329,6 @@ func (m *Model) Snapshot() checkpoint.Snapshot {
 		Mutations:   st.Mutations,
 		GamesPlayed: m.games,
 	}
-}
-
-// checkIdentity verifies that a snapshot was produced by a run with the
-// same identity as cfg, via the shared checkpoint.Identity comparison.
-func checkIdentity(cfg Config, snap checkpoint.Snapshot) error {
-	spec, rule, topo := effectiveIdentity(cfg)
-	return snap.CheckIdentity("population", checkpoint.Identity{
-		NumSSets:    cfg.NumSSets,
-		MemorySteps: cfg.MemorySteps,
-		Seed:        cfg.Seed,
-		Game:        spec.Name,
-		Payoff:      spec.Payoff.Table(),
-		UpdateRule:  rule,
-		Topology:    topo,
-	})
 }
 
 // Restore rebuilds a Model from a checkpoint so the run continues where the
@@ -450,7 +346,8 @@ func Restore(cfg Config, snap checkpoint.Snapshot) (*Model, error) {
 	if cfg.InitialStrategies != nil {
 		return nil, fmt.Errorf("population: Restore takes the strategy table from the checkpoint; InitialStrategies must be nil")
 	}
-	if err := checkIdentity(cfg, snap); err != nil {
+	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
+	if err := snap.CheckIdentity("population", id); err != nil {
 		return nil, err
 	}
 	cfg.InitialStrategies = snap.Strategies
@@ -510,8 +407,8 @@ func (m *Model) Strategies() []strategy.Strategy { return m.table.Snapshot() }
 // cached evaluation modes every game runs through the pair cache, so the
 // count is the cache's play counter (misses plus bypassed games).
 func (m *Model) GamesPlayed() int64 {
-	if m.cache != nil {
-		return m.cache.Plays()
+	if m.ev != nil {
+		return m.ev.Cache().Plays()
 	}
 	return m.games
 }
@@ -533,131 +430,30 @@ func (m *Model) FractionOf(s strategy.Strategy) float64 {
 // strategy against the strategies of its topology neighbors (every other
 // SSet in the population for the default well-mixed graph).
 func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
-	if m.matrix != nil {
-		fa, err := m.matrix.Fitness(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.matrix.Fitness(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	fitness := m.fitnessCachedID
+	if m.ev != nil {
+		fitness = m.ev.Fitness
+	} else {
+		m.pairs.begin(m.table.ID(a), m.table.ID(b))
 	}
-	if m.cache != nil {
-		fa, err := m.fitnessViaPairCache(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessViaPairCache(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	fa, err := fitness(a)
+	if err != nil {
+		return 0, 0, err
 	}
-	switch m.cfg.FitnessMode {
-	case FitnessExactAllPairs:
-		fa, err := m.fitnessExact(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessExact(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
-	default:
-		if m.table.Bound() {
-			// Distinct pairs are identified by interned ID, so the per-event
-			// cache is two dense rows with no hashing or string building.
-			m.pairs.begin(m.table.ID(a), m.table.ID(b))
-			fa, err := m.fitnessCachedID(a)
-			if err != nil {
-				return 0, 0, err
-			}
-			fb, err := m.fitnessCachedID(b)
-			if err != nil {
-				return 0, 0, err
-			}
-			return fa, fb, nil
-		}
-		cache := make(map[[2]string]float64)
-		fa, err := m.fitnessCached(a, cache)
-		if err != nil {
-			return 0, 0, err
-		}
-		fb, err := m.fitnessCached(b, cache)
-		if err != nil {
-			return 0, 0, err
-		}
-		return fa, fb, nil
+	fb, err := fitness(b)
+	if err != nil {
+		return 0, 0, err
 	}
+	return fa, fb, nil
 }
 
-// opponents returns the strategies of SSet i's topology neighbors in
-// ascending index order — for the well-mixed graph, every other SSet,
-// exactly the pre-topology opponent list.
-func (m *Model) opponents(i int) []strategy.Strategy {
-	deg := m.graph.Degree(i)
-	opps := make([]strategy.Strategy, deg)
-	for k := 0; k < deg; k++ {
-		opps[k] = m.table.Get(m.graph.Neighbor(i, k))
-	}
-	return opps
-}
-
-// fitnessViaPairCache sums SSet i's payoff against each of its neighbors
-// through the persistent pair cache (EvalCached): each distinct strategy
-// pair is played at most once per run.  Lookups go by the table's interned
-// IDs one 64-lane block at a time, so steady-state evaluation allocates
-// nothing and never re-encodes a strategy, while misses fill through the
-// bit-sliced batch kernel.
-func (m *Model) fitnessViaPairCache(i int) (float64, error) {
-	my := m.table.ID(i)
-	var (
-		ids [game.BatchLanes]uint32
-		res [game.BatchLanes]game.Result
-	)
-	total := 0.0
-	deg := m.graph.Degree(i)
-	for lo := 0; lo < deg; lo += game.BatchLanes {
-		n := game.BatchLanes
-		if lo+n > deg {
-			n = deg - lo
-		}
-		for k := 0; k < n; k++ {
-			ids[k] = m.table.ID(m.graph.Neighbor(i, lo+k))
-		}
-		if err := m.cache.PlayIDBatch(my, ids[:n], res[:n]); err != nil {
-			return 0, err
-		}
-		for k := 0; k < n; k++ {
-			total += res[k].FitnessA
-		}
-	}
-	return total, nil
-}
-
-// fitnessExact plays SSet i against each neighbor's strategy explicitly.
-func (m *Model) fitnessExact(i int) (float64, error) {
-	opponents := m.opponents(i)
-	m.games += int64(len(opponents))
-	return m.ssets[i].Fitness(m.engine, opponents, sset.FitnessOptions{
-		Workers: m.cfg.Workers,
-		Source:  m.src.Split(),
-	})
-}
-
-// fitnessCachedID is fitnessCached on interned IDs: the per-event
-// distinct-pair cache is the event's dense pair rows (see pairRows), so
-// identifying a repeat pair costs one indexed load instead of building two
-// string keys.  For pure strategies the distinct-pair structure, the
-// per-miss randomness splits and therefore the trajectory are identical to
-// the string-keyed path.  For mixed strategies the ID keys are exact where
-// String() was lossy (it truncates to eight states at two decimals), so two
-// nearly-equal mixed strategies that used to collide — silently reusing the
-// wrong pair's payoff — are now evaluated separately.  m.pairs.begin must
-// have named SSet i's strategy as one of the event's focal IDs.
+// fitnessCachedID is the EvalFull evaluation of SSet i: it sums the payoff
+// against every neighbor but plays each distinct strategy pair of the event
+// only once, reusing the result across SSets that hold identical strategies.
+// The per-event distinct-pair cache is the event's dense pair rows (see
+// pairRows), keyed by interned ID, so identifying a repeat pair costs one
+// indexed load.  m.pairs.begin must have named SSet i's strategy as one of
+// the event's focal IDs.
 func (m *Model) fitnessCachedID(i int) (float64, error) {
 	p := &m.pairs
 	my := m.table.Get(i)
@@ -728,53 +524,15 @@ func (m *Model) fitnessCachedID(i int) (float64, error) {
 	return total, nil
 }
 
-// fitnessCached computes the same sum but plays each distinct strategy pair
-// only once, reusing the result across SSets that hold identical strategies.
-// It is the fallback for tables holding strategies outside the codec (which
-// cannot be interned); fitnessCachedID is the normal path.
-func (m *Model) fitnessCached(i int, cache map[[2]string]float64) (float64, error) {
-	my := m.table.Get(i)
-	myKey := my.String()
-	total := 0.0
-	deg := m.graph.Degree(i)
-	for k := 0; k < deg; k++ {
-		opp := m.table.Get(m.graph.Neighbor(i, k))
-		key := [2]string{myKey, opp.String()}
-		payoff, ok := cache[key]
-		if !ok {
-			var src *rng.Source
-			if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
-				src = m.src.Split()
-			}
-			res, err := m.engine.Play(my, opp, src)
-			if err != nil {
-				return 0, err
-			}
-			m.games++
-			payoff = res.FitnessA
-			cache[key] = payoff
-			// The reverse pairing gives the opponent's payoff; cache it too
-			// since the partner SSet is usually evaluated next.
-			cache[[2]string{opp.String(), myKey}] = res.FitnessB
-		}
-		total += payoff
-	}
-	return total, nil
-}
-
 // applyStrategyChange installs a new strategy for SSet idx everywhere the
-// engine tracks it: the authoritative table, the SSet itself, and — in
-// EvalIncremental mode — the fitness matrix, which invalidates row idx and
-// delta-updates every other row's column idx.
+// engine tracks it: the authoritative table and, in the cached modes, the
+// fitness evaluator.
 func (m *Model) applyStrategyChange(idx int, s strategy.Strategy) error {
 	if err := m.table.Set(idx, s); err != nil {
 		return err
 	}
-	if err := m.ssets[idx].SetStrategy(s); err != nil {
-		return err
-	}
-	if m.matrix != nil {
-		return m.matrix.Update(idx, s)
+	if m.ev != nil {
+		return m.ev.Apply(idx, s)
 	}
 	return nil
 }
@@ -923,6 +681,6 @@ func (m *Model) Metrics() fitness.Metrics {
 		Mutations:   st.Mutations,
 	}
 	met.AddEngine(m.engine.KernelStats())
-	met.AddCache(m.cache)
+	met.AddCache(m.ev.Cache())
 	return met
 }

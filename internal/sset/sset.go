@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 
-	"evogame/internal/fitness"
 	"evogame/internal/game"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
@@ -118,28 +117,16 @@ type FitnessOptions struct {
 	// for fully deterministic games.  The source is split per opponent in a
 	// fixed order, so results are independent of the worker count.
 	Source *rng.Source
-	// Cache, when non-nil, routes every game of the batch through the shared
-	// pair cache: distinct noiseless deterministic pairs are played at most
-	// once per cache lifetime, while non-cacheable games bypass the cache
-	// transparently.  The cache is safe for the worker fan-out.
-	Cache *fitness.PairCache
-	// SelfID and OpponentIDs, when OpponentIDs is non-nil, carry the
-	// interned IDs (from Cache.Interner()) of the SSet's strategy and of
-	// each opponent, letting the batch go through the cache's allocation-free
-	// ID-pair path instead of re-encoding strategies per game.  OpponentIDs
-	// must align with the opponents slice; callers only set it when the
-	// whole-run cache-validity gate (fitness.CacheUsable) holds.
-	SelfID      uint32
-	OpponentIDs []uint32
 }
 
 // sumRange plays the SSet's strategy against opponents[lo:hi) in index
-// order and returns the summed focal payoff.  Games go through the engine's
-// bit-sliced batch kernel (or the cache's batched ID path) one
+// order and returns the summed focal payoff.  When payoffs is non-nil it
+// instead stores game i's focal payoff at payoffs[i] and returns zero.
+// Games go through the engine's bit-sliced batch kernel one
 // game.BatchLanes-sized block at a time; the result buffers live on the
 // stack, so the steady state allocates nothing.  perGame, when non-nil,
 // holds game i's source at index i.
-func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions, perGame []rng.Source, lo, hi int) (float64, error) {
+func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, perGame []rng.Source, payoffs []float64, lo, hi int) (float64, error) {
 	var (
 		players [game.BatchLanes]game.Player
 		srcs    [game.BatchLanes]*rng.Source
@@ -157,43 +144,25 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 				return 0, fmt.Errorf("sset: nil opponent strategy at index %d", i)
 			}
 		}
-		switch {
-		case opts.Cache != nil && opts.OpponentIDs != nil:
-			// The allocation-free interned-ID path; misses fill in batches.
-			if err := opts.Cache.PlayIDBatch(opts.SelfID, opts.OpponentIDs[c0:c1], results[:n]); err != nil {
-				return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
-			}
-		case opts.Cache != nil:
-			// Strategy-keyed cache routing stays per game: it re-interns each
-			// pair anyway, so there is no batch to exploit.
-			for i := c0; i < c1; i++ {
-				var src *rng.Source
-				if perGame != nil {
-					src = &perGame[i]
-				}
-				res, err := opts.Cache.Play(s.strat, opponents[i], src)
-				if err != nil {
-					return 0, fmt.Errorf("sset %d vs opponent %d: %w", s.id, i, err)
-				}
-				results[i-c0] = res
-			}
-		default:
-			for k := 0; k < n; k++ {
-				players[k] = opponents[c0+k]
-				if perGame != nil {
-					srcs[k] = &perGame[c0+k]
-				}
-			}
-			var chunkSrcs []*rng.Source
+		for k := 0; k < n; k++ {
+			players[k] = opponents[c0+k]
 			if perGame != nil {
-				chunkSrcs = srcs[:n]
-			}
-			if err := eng.PlayBatch(s.strat, players[:n], chunkSrcs, results[:n]); err != nil {
-				return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
+				srcs[k] = &perGame[c0+k]
 			}
 		}
+		var chunkSrcs []*rng.Source
+		if perGame != nil {
+			chunkSrcs = srcs[:n]
+		}
+		if err := eng.PlayBatch(s.strat, players[:n], chunkSrcs, results[:n]); err != nil {
+			return 0, fmt.Errorf("sset %d vs opponents [%d,%d): %w", s.id, c0, c1, err)
+		}
 		for k := 0; k < n; k++ {
-			total += results[k].FitnessA
+			if payoffs != nil {
+				payoffs[c0+k] = results[k].FitnessA
+			} else {
+				total += results[k].FitnessA
+			}
 		}
 	}
 	return total, nil
@@ -202,8 +171,9 @@ func (s *SSet) sumRange(eng *game.Engine, opponents []strategy.Strategy, opts Fi
 // Fitness plays the SSet's strategy against every opponent strategy and
 // returns the summed focal payoff — the "relative fitness" the Nature Agent
 // compares during pairwise learning.  Games are distributed across worker
-// goroutines; the result is deterministic for a given Source seed regardless
-// of Workers.
+// goroutines, and the payoffs are always summed in opponent order, so the
+// result is bit-identical for a given Source seed regardless of Workers,
+// even for payoffs whose float sums depend on the order of addition.
 func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts FitnessOptions) (float64, error) {
 	if eng == nil {
 		return 0, fmt.Errorf("sset: nil engine")
@@ -220,14 +190,6 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 	}
 	if len(opponents) == 0 {
 		return 0, nil
-	}
-	if opts.OpponentIDs != nil {
-		if opts.Cache == nil {
-			return 0, fmt.Errorf("sset: OpponentIDs require a Cache")
-		}
-		if len(opts.OpponentIDs) != len(opponents) {
-			return 0, fmt.Errorf("sset: %d opponent IDs for %d opponents", len(opts.OpponentIDs), len(opponents))
-		}
 	}
 
 	// Pre-derive one source per opponent so that the schedule (which worker
@@ -257,11 +219,13 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 	}
 
 	if workers == 1 {
-		return s.sumRange(eng, opponents, opts, perGame, 0, len(opponents))
+		return s.sumRange(eng, opponents, perGame, nil, 0, len(opponents))
 	}
 
+	// Each worker stores its games' payoffs by opponent index; summing them
+	// here in index order reproduces the single-worker sum exactly.
 	agents := PartitionOpponents(len(opponents), workers)
-	partial := make([]float64, workers)
+	payoffs := make([]float64, len(opponents))
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w, agent := range agents {
@@ -273,39 +237,18 @@ func (s *SSet) Fitness(eng *game.Engine, opponents []strategy.Strategy, opts Fit
 		// the heap on every call, the single-worker path included.
 		go func(w int, agent Agent, perGame []rng.Source) {
 			defer wg.Done()
-			partial[w], errs[w] = s.sumRange(eng, opponents, opts, perGame, agent.Lo, agent.Hi)
+			_, errs[w] = s.sumRange(eng, opponents, perGame, payoffs, agent.Lo, agent.Hi)
 		}(w, agent, perGame)
 	}
 	wg.Wait()
-	total := 0.0
-	for w := range partial {
-		if errs[w] != nil {
-			return 0, errs[w]
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
 		}
-		total += partial[w]
+	}
+	total := 0.0
+	for _, p := range payoffs {
+		total += p
 	}
 	return total, nil
-}
-
-// FitnessTable evaluates the fitness of every SSet in ssets against the full
-// list of strategies (each SSet plays every entry of strategies, including
-// its own strategy, exactly as in the paper where every SSet measures itself
-// against all strategies held in the population).  It returns one fitness
-// value per SSet.  Games for different SSets run sequentially; parallelism
-// within an SSet is controlled by opts.Workers.
-func FitnessTable(eng *game.Engine, ssets []*SSet, strategies []strategy.Strategy, opts FitnessOptions) ([]float64, error) {
-	fitness := make([]float64, len(ssets))
-	for i, s := range ssets {
-		var localOpts FitnessOptions
-		localOpts.Workers = opts.Workers
-		if opts.Source != nil {
-			localOpts.Source = opts.Source.Split()
-		}
-		f, err := s.Fitness(eng, strategies, localOpts)
-		if err != nil {
-			return nil, err
-		}
-		fitness[i] = f
-	}
-	return fitness, nil
 }

@@ -217,26 +217,53 @@ func TestFitnessRequiresSourceWhenMixedOpponent(t *testing.T) {
 }
 
 func TestFitnessWorkerCountDoesNotChangeResult(t *testing.T) {
-	eng := newEngine(t, 1, 0)
-	src := rng.New(7)
-	// Build a varied opponent pool.
-	var opponents []strategy.Strategy
-	for i := 0; i < 37; i++ {
-		opponents = append(opponents, strategy.RandomPure(1, src))
-	}
-	s, _ := New(0, 8, strategy.WSLS(1))
-	want, err := s.Fitness(eng, opponents, FitnessOptions{Workers: 1})
+	// With a non-integer payoff matrix float addition is not associative, so
+	// only a sum taken in opponent order is independent of the partition.
+	fractional, err := game.Generic().WithPayoff(game.Matrix{Reward: 3, Sucker: 0.1, Temptation: 4.1, Punishment: 1.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 8, 64} {
-		got, err := s.Fitness(eng, opponents, FitnessOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d fitness %v differs from serial %v", workers, got, want)
-		}
+	for _, tc := range []struct {
+		name      string
+		cfg       game.EngineConfig
+		opponents int
+		focals    int
+	}{
+		{"standard", game.EngineConfig{Rounds: 50, MemorySteps: 1}, 37, 1},
+		{"fractional", game.EngineConfig{Game: fractional, Rounds: 50, MemorySteps: 2}, 511, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := game.NewEngine(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := tc.cfg.MemorySteps
+			src := rng.New(7)
+			var opponents []strategy.Strategy
+			for i := 0; i < tc.opponents; i++ {
+				opponents = append(opponents, strategy.RandomPure(mem, src))
+			}
+			for f := 0; f < tc.focals; f++ {
+				focal := strategy.WSLS(mem)
+				if f > 0 {
+					focal = strategy.RandomPure(mem, src)
+				}
+				s, _ := New(0, 8, focal)
+				want, err := s.Fitness(eng, opponents, FitnessOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{2, 3, 4, 8, 64} {
+					got, err := s.Fitness(eng, opponents, FitnessOptions{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("focal %d: workers=%d fitness %v differs from serial %v", f, workers, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -269,47 +296,6 @@ func TestFitnessDefaultWorkers(t *testing.T) {
 	opponents := []strategy.Strategy{strategy.AllC(1), strategy.AllD(1), strategy.WSLS(1)}
 	if _, err := s.Fitness(eng, opponents, FitnessOptions{Workers: 0}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFitnessTable(t *testing.T) {
-	eng := newEngine(t, 1, 0)
-	strats := []strategy.Strategy{strategy.AllC(1), strategy.AllD(1), strategy.WSLS(1)}
-	var ssets []*SSet
-	for i, s := range strats {
-		ss, err := New(i, 2, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ssets = append(ssets, ss)
-	}
-	fitness, err := FitnessTable(eng, ssets, strats, FitnessOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fitness) != 3 {
-		t.Fatalf("fitness table has %d entries", len(fitness))
-	}
-	// Against this pool, AllD exploits AllC and WSLS's first-round
-	// cooperation while WSLS still sustains cooperation with itself and
-	// AllC; AllC is exploited by AllD.  The defining qualitative check from
-	// the paper's dynamics is that WSLS beats AllC in a mixed pool and AllD
-	// earns more than AllC but cannot beat WSLS's cooperative cluster by a
-	// large margin.
-	allc, alld, wsls := fitness[0], fitness[1], fitness[2]
-	if !(wsls > allc) {
-		t.Fatalf("expected WSLS (%v) to out-earn AllC (%v) in this pool", wsls, allc)
-	}
-	if alld <= 0 || allc <= 0 || wsls <= 0 {
-		t.Fatal("fitness values must be positive with the standard payoff matrix")
-	}
-}
-
-func TestFitnessTablePropagatesErrors(t *testing.T) {
-	eng := newEngine(t, 1, 0)
-	ss, _ := New(0, 2, strategy.TFT(1))
-	if _, err := FitnessTable(eng, []*SSet{ss}, []strategy.Strategy{nil}, FitnessOptions{Workers: 1}); err == nil {
-		t.Fatal("FitnessTable swallowed an error")
 	}
 }
 
