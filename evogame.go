@@ -360,6 +360,9 @@ type Metrics struct {
 	Generations int
 	// CachePlays, CacheHits, CacheMisses, CacheBypassed and CacheEvicted
 	// describe persistent pair-cache traffic; all zero when no cache ran.
+	// On a well-mixed EvalCached run with integer payoffs a hit stands for
+	// one distinct opponent strategy, not one neighbour.  CacheBypassed is
+	// always 0 (noisy and mixed runs never build a cache).
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64

@@ -8,7 +8,6 @@ import (
 
 	"evogame/internal/game"
 	"evogame/internal/intern"
-	"evogame/internal/rng"
 	"evogame/internal/strategy"
 )
 
@@ -169,7 +168,23 @@ type pairStore struct {
 	maxPerShard int
 	reg         *intern.Registry
 
+	// highWater is the largest entry count any shard has reached.  It is
+	// raised under the shard's lock in record and never lowered, so once a
+	// store has come near its budget it stays marked as such (see
+	// PairCache.headroom).
+	highWater atomic.Int64
+
 	shards [numShards]cacheShard
+}
+
+// raiseHighWater lifts the store's high-water mark to n if n exceeds it.
+func (st *pairStore) raiseHighWater(n int) {
+	for {
+		hw := st.highWater.Load()
+		if int64(n) <= hw || st.highWater.CompareAndSwap(hw, int64(n)) {
+			return
+		}
+	}
 }
 
 // locate maps an ID pair to its canonical entry: the pair's shard, its
@@ -220,7 +235,7 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 //
 // A PairCache is a view: the result table and registry live in a pairStore
 // that additional views may share (see NewView), while the engine used to
-// play misses and the hit/miss/bypass counters are per view.  A solo run
+// play misses and the hit/miss/eviction counters are per view.  A solo run
 // owns a private store; ensemble replicates each hold their own view over
 // one shared store, so kernel statistics and cache counters stay attributed
 // to the run that incurred them while results warmed by any replicate serve
@@ -229,10 +244,9 @@ type PairCache struct {
 	eng   *game.Engine
 	store *pairStore
 
-	hits     atomic.Int64
-	misses   atomic.Int64
-	bypassed atomic.Int64
-	evicted  atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	evicted atomic.Int64
 }
 
 // NewPairCache returns an empty cache bound to the given engine, with a
@@ -334,13 +348,6 @@ func EffectiveMode(eng *game.Engine, mode EvalMode) EvalMode {
 	return mode
 }
 
-// Cacheable reports whether a game between a and b is a pure function of
-// the pair and may therefore be memoized: the engine must be noiseless and
-// both strategies deterministic.
-func (c *PairCache) Cacheable(a, b strategy.Strategy) bool {
-	return c.eng.Noise() == 0 && a.Deterministic() && b.Deterministic()
-}
-
 // swap returns the result seen from the opposite side of the board.
 func swap(r game.Result) game.Result {
 	return game.Result{
@@ -404,7 +411,17 @@ func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
 	t.put(tag, h, canon)
 	sh.pairs++
 	sh.n += weight(tag - 1)
+	c.store.raiseHighWater(sh.n)
 	return res
+}
+
+// headroom reports whether k more pairs can be recorded without eviction
+// firing: each adds at most two ordered entries to one shard, and no shard
+// has ever held more than the high-water mark.  While it holds, the order
+// in which a call looks its pairs up cannot change which pairs are stored,
+// and so cannot change any later miss or eviction.
+func (c *PairCache) headroom(k int) bool {
+	return c.store.highWater.Load()+2*int64(k) < int64(c.store.maxPerShard)
 }
 
 // PlayID returns the result of a game between the strategies behind the
@@ -513,41 +530,10 @@ func (c *PairCache) playIDChunk(a uint32, bs []uint32, out []game.Result) error 
 	return nil
 }
 
-// Play returns the result of a game between focal strategy a and opponent
-// b.  Cacheable pairs (see Cacheable) are interned and served through
-// PlayID; non-cacheable pairs — the noise > 0 or mixed strategy bypass —
-// are played fresh every call with the supplied source, exactly as the
-// engine would without the cache, touching no locks beyond the atomic play
-// counter.  Engines that track IDs themselves should prefer PlayID, which
-// skips the per-call interning.
-func (c *PairCache) Play(a, b strategy.Strategy, src *rng.Source) (game.Result, error) {
-	if !c.Cacheable(a, b) {
-		return c.playBypass(a, b, src)
-	}
-	ida, errA := c.store.reg.Intern(a)
-	idb, errB := c.store.reg.Intern(b)
-	if errA != nil || errB != nil {
-		// Unknown strategy implementation: play without memoizing.
-		return c.playBypass(a, b, src)
-	}
-	return c.PlayID(ida, idb)
-}
-
-// playBypass plays a game the cache must not memoize, counting it without
-// taking any lock.
-func (c *PairCache) playBypass(a, b strategy.Strategy, src *rng.Source) (game.Result, error) {
-	res, err := c.eng.Play(a, b, src)
-	if err != nil {
-		return game.Result{}, err
-	}
-	c.bypassed.Add(1)
-	return res, nil
-}
-
 // Plays returns the number of games actually executed by the engine through
-// this cache (cache misses plus bypassed games).  This is the quantity the
-// engines report as "games played".
-func (c *PairCache) Plays() int64 { return c.misses.Load() + c.bypassed.Load() }
+// this cache: one per miss.  This is the quantity the engines report as
+// "games played".
+func (c *PairCache) Plays() int64 { return c.misses.Load() }
 
 // Hits returns the number of lookups served from memory.
 func (c *PairCache) Hits() int64 { return c.hits.Load() }
@@ -555,10 +541,6 @@ func (c *PairCache) Hits() int64 { return c.hits.Load() }
 // Misses returns the number of cacheable lookups that executed the game
 // kernel and stored its result.
 func (c *PairCache) Misses() int64 { return c.misses.Load() }
-
-// Bypassed returns the number of non-cacheable games (noise, mixed or
-// non-codec strategies) played through the cache without being memoized.
-func (c *PairCache) Bypassed() int64 { return c.bypassed.Load() }
 
 // Evicted returns the number of memoized entries this view dropped by
 // bounded eviction after a shard reached its memory budget.

@@ -13,13 +13,25 @@ import (
 // distributed engine, rows [lo, hi)).  It is the single place that decides
 // which fitness algorithm runs and when the pair cache is valid: both
 // engines build one through NewEvaluator and then only ask for Fitness and
-// report strategy changes through Apply.
+// report strategy changes through Apply or Adopt.
 //
 // EvalIncremental reads the maintained row sums of an IncrementalMatrix.
 // EvalCached sums SSet i's payoffs against its graph neighbours, in
 // neighbour order, through the pair cache's batched ID path; a mirror of
 // the strategy table's interned IDs keeps that path free of strategy
 // encoding.
+//
+// On a complete graph with integer payoffs (DeltaExact), EvalCached takes
+// the abundance path instead.  It keeps the number of SSets holding each
+// interned ID, so
+// Fitness(i) looks up each distinct opponent strategy once and weights it
+// by its abundance: O(k) lookups for k distinct strategies present instead
+// of O(S).  Every payoff and partial sum is then an integer below 2⁵³, so
+// the sum equals the neighbour-order sum bit for bit.  The set of pairs
+// looked up is also the neighbour loop's, so misses and games played are
+// unchanged; only the lookup order differs.  Order can decide eviction
+// victims, so the path runs only while the store has headroom for every
+// pair the call looks up, and falls back to the neighbour loop otherwise.
 //
 // An Evaluator is not safe for concurrent use; each engine (or rank) owns
 // one.  Evaluators over views of one shared store may run concurrently.
@@ -28,6 +40,7 @@ type Evaluator struct {
 	graph  topology.Graph
 	matrix *IncrementalMatrix // EvalIncremental
 	ids    []uint32           // EvalCached: interned ID of every SSet's strategy
+	abund  *abundance         // EvalCached abundance path; nil when its gates fail
 }
 
 // NewEvaluator returns the evaluator for a run over the given strategy table
@@ -78,6 +91,12 @@ func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy,
 			return nil, fmt.Errorf("fitness: interning strategy %d: %w", i, err)
 		}
 	}
+	if g.Complete() && DeltaExact(eng) {
+		ev.abund = &abundance{}
+		for _, id := range ev.ids {
+			ev.abund.add(id)
+		}
+	}
 	return ev, nil
 }
 
@@ -97,6 +116,11 @@ func (e *Evaluator) Cache() *PairCache {
 func (e *Evaluator) Fitness(i int) (float64, error) {
 	if e.matrix != nil {
 		return e.matrix.Fitness(i)
+	}
+	if e.abund != nil {
+		if total, ok, err := e.abundanceFitness(i); ok {
+			return total, err
+		}
 	}
 	var (
 		ids [game.BatchLanes]uint32
@@ -120,9 +144,44 @@ func (e *Evaluator) Fitness(i int) (float64, error) {
 	return total, nil
 }
 
+// abundanceFitness is Fitness on the abundance path: one lookup per
+// distinct strategy held by another SSet, weighted by how many hold it.
+// SSet i itself is left out of its own strategy's count, so the self pair
+// is looked up only when another SSet shares it.  ok is false, with
+// nothing looked up, when the store lacks headroom for the call's pairs.
+func (e *Evaluator) abundanceFitness(i int) (total float64, ok bool, err error) {
+	a, my := e.abund, e.ids[i]
+	a.opps, a.mult = a.opps[:0], a.mult[:0]
+	for _, t := range a.present {
+		m := a.count[t]
+		if t == my {
+			m--
+		}
+		if m > 0 {
+			a.opps = append(a.opps, t)
+			a.mult = append(a.mult, m)
+		}
+	}
+	if !e.cache.headroom(len(a.opps)) {
+		return 0, false, nil
+	}
+	if cap(a.res) < len(a.opps) {
+		a.res = make([]game.Result, cap(a.opps))
+	}
+	res := a.res[:len(a.opps)]
+	if err := e.cache.PlayIDBatch(my, a.opps, res); err != nil {
+		return 0, true, err
+	}
+	for k, r := range res {
+		total += float64(a.mult[k]) * r.FitnessA
+	}
+	return total, true, nil
+}
+
 // Apply records that SSet idx now holds strategy s (an adoption or
 // mutation event): the matrix invalidates row idx and delta-updates the
-// other rows, or the ID mirror re-interns s.
+// other rows, or the ID mirror re-interns s.  Adopt is the cheaper call
+// for a strategy copied from another SSet.
 func (e *Evaluator) Apply(idx int, s strategy.Strategy) error {
 	if e.matrix != nil {
 		return e.matrix.Update(idx, s)
@@ -134,6 +193,72 @@ func (e *Evaluator) Apply(idx int, s strategy.Strategy) error {
 	if err != nil {
 		return fmt.Errorf("fitness: interning update: %w", err)
 	}
-	e.ids[idx] = id
+	e.setID(idx, id)
 	return nil
+}
+
+// Adopt records that SSet learner now holds SSet teacher's strategy (a
+// pairwise-comparison adoption).  It is Apply without the interning: the
+// teacher's ID is already known, so no strategy is encoded and no ID is
+// issued.
+func (e *Evaluator) Adopt(learner, teacher int) error {
+	n := len(e.ids)
+	if e.matrix != nil {
+		n = e.matrix.Len()
+	}
+	if learner < 0 || learner >= n || teacher < 0 || teacher >= n {
+		return fmt.Errorf("fitness: adoption %d <- %d outside table of %d strategies", learner, teacher, n)
+	}
+	if e.matrix != nil {
+		return e.matrix.updateID(learner, e.matrix.ids[teacher])
+	}
+	e.setID(learner, e.ids[teacher])
+	return nil
+}
+
+// setID points SSet idx's mirror entry, and the abundance counts, at id.
+func (e *Evaluator) setID(idx int, id uint32) {
+	if e.abund != nil {
+		e.abund.remove(e.ids[idx])
+		e.abund.add(id)
+	}
+	e.ids[idx] = id
+}
+
+// abundance counts the SSets holding each interned strategy ID and keeps
+// the IDs with a nonzero count in a compact list, both updated in O(1) per
+// strategy change.  The opps, mult and res slices are Fitness scratch.
+type abundance struct {
+	count   []int32  // count[id]: SSets holding id
+	pos     []int32  // pos[id]: index of id in present while count[id] > 0
+	present []uint32 // IDs with count > 0, in no particular order
+
+	opps []uint32
+	mult []int32
+	res  []game.Result
+}
+
+func (a *abundance) add(id uint32) {
+	if int(id) >= len(a.count) {
+		grow := int(id) + 1 - len(a.count)
+		a.count = append(a.count, make([]int32, grow)...)
+		a.pos = append(a.pos, make([]int32, grow)...)
+	}
+	if a.count[id] == 0 {
+		a.pos[id] = int32(len(a.present))
+		a.present = append(a.present, id)
+	}
+	a.count[id]++
+}
+
+func (a *abundance) remove(id uint32) {
+	a.count[id]--
+	if a.count[id] > 0 {
+		return
+	}
+	// Swap-remove: the order of present only decides the order of lookups,
+	// which cannot change any sum or any stored pair (see Evaluator).
+	p, last := a.pos[id], a.present[len(a.present)-1]
+	a.present[p], a.pos[last] = last, p
+	a.present = a.present[:len(a.present)-1]
 }

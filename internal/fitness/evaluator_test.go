@@ -94,11 +94,20 @@ func testEvaluatorAgainstOracle(t *testing.T, eng *game.Engine, mode EvalMode, t
 		}
 	}
 	check(0)
-	// Strategy changes both copy existing strategies (as learning does) and
-	// introduce new ones (as mutation does).
+	// Strategy changes both copy existing strategies (as learning does,
+	// reported through Adopt or Apply) and introduce new ones (as mutation
+	// does).
 	for step := 1; step <= 40; step++ {
-		idx := src.Intn(n)
-		s := table[src.Intn(n)].Clone()
+		idx, teacher := src.Intn(n), src.Intn(n)
+		if step%3 == 2 {
+			table[idx] = table[teacher].Clone()
+			if err := ev.Adopt(idx, teacher); err != nil {
+				t.Fatal(err)
+			}
+			check(step)
+			continue
+		}
+		s := table[teacher].Clone()
 		if step%3 == 0 {
 			s = strategy.RandomPure(2, src)
 		}
@@ -107,6 +116,9 @@ func testEvaluatorAgainstOracle(t *testing.T, eng *game.Engine, mode EvalMode, t
 			t.Fatal(err)
 		}
 		check(step)
+	}
+	if err := ev.Adopt(n, 0); err == nil {
+		t.Fatal("Adopt accepted a learner outside the table")
 	}
 }
 
@@ -186,5 +198,144 @@ func TestNewEvaluatorSharedView(t *testing.T) {
 	}
 	if _, err := NewEvaluator(other, g, table, 0, 4, EvalCached, shared); err == nil {
 		t.Fatal("accepted a shared cache bound to a different game")
+	}
+}
+
+// TestEvaluatorAbundancePath drives the well-mixed EvalCached evaluator,
+// which sums by strategy abundance, through a seeded sequence of adoptions
+// and mutations.  After every event each row's fitness must equal the
+// engine's payoffs summed in neighbour order, bit for bit.  A twin pair of
+// evaluators over tiny-budget stores, one forced onto the neighbour-order
+// loop, must report identical plays, misses and evictions throughout: the
+// abundance order may only run while it cannot change which pairs are
+// evicted.
+func TestEvaluatorAbundancePath(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		n, lo, hi int
+		distinct  int // size of the initial strategy pool; 0 draws every SSet fresh
+		steps     int
+		evicts    bool // the run must both take the abundance path and evict
+	}{
+		{"S=2", 2, 0, 2, 0, 100, false},
+		{"S=3", 3, 0, 3, 0, 100, false},
+		{"S=64", 64, 0, 64, 4, 150, true},
+		{"S=200", 200, 0, 200, 20, 30, false},
+		{"single-strategy", 16, 0, 16, 1, 100, false},
+		{"block", 64, 20, 41, 4, 150, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testAbundancePath(t, tc.n, tc.lo, tc.hi, tc.distinct, tc.steps, tc.evicts)
+		})
+	}
+}
+
+func testAbundancePath(t *testing.T, n, lo, hi, distinct, steps int, evicts bool) {
+	const budget = 16 // small enough to evict, large enough for early abundance calls
+	abund, twin := testCacheSmallShards(t, budget), testCacheSmallShards(t, budget)
+	eng := abund.Engine()
+	g, err := (topology.Spec{}).Build(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(uint64(1000 + n + lo))
+	table := make([]strategy.Strategy, n)
+	pool := make([]strategy.Strategy, distinct)
+	for k := range pool {
+		pool[k] = strategy.RandomPure(2, src)
+	}
+	for i := range table {
+		if distinct == 0 {
+			table[i] = strategy.RandomPure(2, src)
+		} else {
+			table[i] = pool[src.Intn(distinct)].Clone()
+		}
+	}
+	newEval := func(shared *PairCache) *Evaluator {
+		ev, err := NewEvaluator(eng, g, table, lo, hi, EvalCached, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == nil || ev.abund == nil {
+			t.Fatal("a well-mixed integer-payoff EvalCached evaluator must take the abundance path")
+		}
+		return ev
+	}
+	ev := newEval(nil)
+	a, b := newEval(abund), newEval(twin)
+	b.abund = nil // the twin sums in neighbour order
+
+	oracle := make(map[[2]strategy.Strategy]float64)
+	play := func(x, y strategy.Strategy) float64 {
+		k := [2]strategy.Strategy{x, y}
+		if v, ok := oracle[k]; ok {
+			return v
+		}
+		res, err := eng.Play(x, y, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle[k] = res.FitnessA
+		return res.FitnessA
+	}
+	check := func(step int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			want := 0.0
+			for k := 0; k < g.Degree(i); k++ {
+				want += play(table[i], table[g.Neighbor(i, k)])
+			}
+			for k, e := range []*Evaluator{ev, a, b} {
+				got, err := e.Fitness(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("step %d SSet %d: evaluator %d (private, tiny store, twin) %v, oracle %v", step, i, k, got, want)
+				}
+			}
+		}
+		ca, cb := a.Cache(), b.Cache()
+		if ca.Plays() != cb.Plays() || ca.Misses() != cb.Misses() || ca.Evicted() != cb.Evicted() {
+			t.Fatalf("step %d: plays/misses/evicted %d/%d/%d, neighbour-order twin %d/%d/%d", step,
+				ca.Plays(), ca.Misses(), ca.Evicted(), cb.Plays(), cb.Misses(), cb.Evicted())
+		}
+	}
+	check(0)
+	for step := 1; step <= steps; step++ {
+		idx := src.Intn(n)
+		switch r := src.Intn(10); {
+		case r < 5: // adoption: copy another SSet's strategy by ID
+			teacher := src.Intn(n)
+			table[idx] = table[teacher].Clone()
+			for _, e := range []*Evaluator{ev, a, b} {
+				if err := e.Adopt(idx, teacher); err != nil {
+					t.Fatal(err)
+				}
+			}
+		default: // mutation, or a copy reported through Apply
+			var s strategy.Strategy = strategy.RandomPure(2, src)
+			if r == 9 {
+				s = table[src.Intn(n)].Clone()
+			}
+			table[idx] = s
+			for _, e := range []*Evaluator{ev, a, b} {
+				if err := e.Apply(idx, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check(step)
+	}
+	if n > 2 && ev.Cache().Hits() >= b.Cache().Hits() {
+		t.Fatalf("abundance path served %d hits, no fewer than the neighbour loop's %d", ev.Cache().Hits(), b.Cache().Hits())
+	}
+	if evicts {
+		if a.Cache().Evicted() == 0 {
+			t.Fatal("the tiny store never evicted; the twin comparison proves nothing")
+		}
+		if a.Cache().Hits() >= b.Cache().Hits() {
+			t.Fatalf("abundance path never ran on the tiny store: hits %d, twin %d", a.Cache().Hits(), b.Cache().Hits())
+		}
 	}
 }

@@ -30,6 +30,25 @@
 //     fitness through the two layers above, or nil for the engine's own
 //     EvalFull path.
 //
+// # Cost of an EvalCached fitness
+//
+// EvalCached sums an SSet's payoff over its graph neighbours, one pair
+// lookup each: O(degree) lookups per fitness.  The abundance path cuts a
+// well-mixed population to O(k) lookups, where k is the number of distinct
+// strategies present (13–26 in a memory-six population of 128 SSets).  The
+// Evaluator keeps how many SSets hold each interned strategy and looks each
+// distinct opponent strategy up once, weighted by that count.  It runs
+// only when three gates hold:
+//
+//   - the graph is complete (well-mixed),
+//   - the payoff matrix is integer-valued (DeltaExact), so every weighted
+//     sum is exact in any order, and
+//   - the mode is EvalCached (EvalIncremental keeps its matrix).
+//
+// It also needs headroom in the store for every pair of the call, so that
+// lookup order cannot change which pairs eviction drops; without it the
+// neighbour-order sum runs.
+//
 // # Cache validity conditions
 //
 // A pair result may be memoized if and only if the game is a pure function
@@ -38,11 +57,10 @@
 //   - the engine is noiseless (game.Engine.Noise() == 0), and
 //   - both strategies are deterministic (pure, not mixed).
 //
-// When either condition fails, PairCache.Play transparently bypasses the
-// cache and plays the game with the supplied randomness source.
-// NewEvaluator returns nil for noisy or mixed populations, so the engines
-// stay on their full evaluation paths and the random-number streams — and
-// therefore the trajectories — are bit-for-bit identical to EvalFull.
+// CacheUsable checks both for a whole run.  NewEvaluator returns nil for
+// noisy or mixed populations, so the engines stay on their full evaluation
+// paths and the random-number streams — and therefore the trajectories —
+// are bit-for-bit identical to EvalFull.
 //
 // The delta update of IncrementalMatrix subtracts and re-adds float64 pair
 // payoffs.  With the standard Prisoner's Dilemma payoff matrix (and any

@@ -57,9 +57,10 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tft, alld := strategy.TFT(1), strategy.AllD(1)
+	ids := internAll(t, cache, strategy.TFT(1), strategy.AllD(1))
+	tft, alld := ids[0], ids[1]
 
-	first, err := cache.Play(tft, alld, nil)
+	first, err := cache.PlayID(tft, alld)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 		t.Fatalf("after first play: plays=%d hits=%d", cache.Plays(), cache.Hits())
 	}
 	// Same ordered pair: a hit with the identical result.
-	again, err := cache.Play(tft, alld, nil)
+	again, err := cache.PlayID(tft, alld)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 		t.Fatalf("cached result differs: %+v vs %+v", again, first)
 	}
 	// Reversed pair: also a hit, with the mirrored result.
-	rev, err := cache.Play(alld, tft, nil)
+	rev, err := cache.PlayID(alld, tft)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +92,35 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	}
 	// A strategy with the same move table but a different value must share
 	// the canonical key.
-	tft2, err := strategy.ParsePure(1, tft.String())
+	parsed, err := strategy.ParsePure(1, strategy.TFT(1).String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Play(tft2, alld, nil); err != nil {
+	tft2 := internAll(t, cache, parsed)[0]
+	if tft2 != tft {
+		t.Fatalf("equal move tables interned as %d and %d", tft, tft2)
+	}
+	if _, err := cache.PlayID(tft2, alld); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Plays() != 1 {
 		t.Fatal("equal move tables should share one cache entry")
 	}
+}
+
+// internAll interns every strategy into the cache's registry and returns
+// their IDs in order.
+func internAll(t testing.TB, cache *PairCache, ss ...strategy.Strategy) []uint32 {
+	t.Helper()
+	ids := make([]uint32, len(ss))
+	for i, s := range ss {
+		id, err := cache.Interner().Intern(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 func TestPairCacheMatchesEngine(t *testing.T) {
@@ -110,13 +130,17 @@ func TestPairCacheMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := strategy.AllMemoryOne()
-	for _, a := range all {
-		for _, b := range all {
+	ids := make([]uint32, len(all))
+	for i, s := range all {
+		ids[i] = internAll(t, cache, s)[0]
+	}
+	for i, a := range all {
+		for j, b := range all {
 			want, err := eng.Play(a, b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cache.Play(a, b, nil)
+			got, err := cache.PlayID(ids[i], ids[j])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,49 +151,6 @@ func TestPairCacheMatchesEngine(t *testing.T) {
 	}
 	if cache.Hits() == 0 {
 		t.Fatal("mirrored storage should produce hits during an all-pairs sweep")
-	}
-}
-
-func TestPairCacheBypassesNoise(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tft, alld := strategy.TFT(1), strategy.AllD(1)
-	if cache.Cacheable(tft, alld) {
-		t.Fatal("noisy games must not be cacheable")
-	}
-	src := rng.New(1)
-	for i := 0; i < 3; i++ {
-		if _, err := cache.Play(tft, alld, src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Plays() != 3 || cache.Hits() != 0 || cache.Len() != 0 {
-		t.Fatalf("noisy bypass stored state: plays=%d hits=%d len=%d", cache.Plays(), cache.Hits(), cache.Len())
-	}
-}
-
-func TestPairCacheBypassesMixedStrategies(t *testing.T) {
-	cache, err := NewPairCache(newEngine(t, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gtft, err := strategy.MixedFromProbs(1, []float64{1, 0.3, 1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Cacheable(gtft, strategy.TFT(1)) || cache.Cacheable(strategy.TFT(1), gtft) {
-		t.Fatal("mixed strategies must not be cacheable")
-	}
-	src := rng.New(2)
-	for i := 0; i < 2; i++ {
-		if _, err := cache.Play(gtft, strategy.TFT(1), src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Len() != 0 || cache.Plays() != 2 {
-		t.Fatalf("mixed bypass stored state: plays=%d len=%d", cache.Plays(), cache.Len())
 	}
 }
 
@@ -187,7 +168,14 @@ func TestPairCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for _, a := range all {
 				for _, b := range all {
-					res, err := cache.Play(a, b, nil)
+					// Interning concurrently exercises the registry too.
+					ida, errA := cache.Interner().Intern(a)
+					idb, errB := cache.Interner().Intern(b)
+					if errA != nil || errB != nil {
+						t.Error(errA, errB)
+						return
+					}
+					res, err := cache.PlayID(ida, idb)
 					if err != nil {
 						t.Error(err)
 						return

@@ -200,6 +200,12 @@ func (m *IncrementalMatrix) Update(idx int, s strategy.Strategy) error {
 	if err != nil {
 		return fmt.Errorf("fitness: interning update: %w", err)
 	}
+	return m.updateID(idx, id)
+}
+
+// updateID is Update for a strategy already interned as id; idx must lie
+// in [0, Len()).
+func (m *IncrementalMatrix) updateID(idx int, id uint32) error {
 	m.ids[idx] = id
 	if m.graph != nil {
 		// Only idx's neighbors interact with it: walk the neighbor list

@@ -12,8 +12,13 @@ type Metrics struct {
 	Generations int
 
 	// PairCache counters (zero when the run had no cache, e.g. EvalFull or a
-	// noisy population).  CachePlays = CacheMisses + CacheBypassed is the
-	// number of games the engine actually executed through the cache.
+	// noisy population).  CachePlays = CacheMisses is the number of games
+	// the engine actually executed through the cache.  CacheHits counts
+	// lookups served from memory; on the well-mixed abundance path (see
+	// Evaluator) one lookup stands for every SSet holding the opponent's
+	// strategy, so it counts distinct strategies, not neighbours.
+	// CacheBypassed is always 0: noisy and mixed runs never build a cache
+	// (see CacheUsable); the field stays for the exported metric schema.
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64
@@ -62,7 +67,6 @@ func (m *Metrics) AddCache(c *PairCache) {
 	m.CachePlays += c.Plays()
 	m.CacheHits += c.Hits()
 	m.CacheMisses += c.Misses()
-	m.CacheBypassed += c.Bypassed()
 	m.CacheEvicted += c.Evicted()
 }
 

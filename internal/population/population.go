@@ -537,6 +537,19 @@ func (m *Model) applyStrategyChange(idx int, s strategy.Strategy) error {
 	return nil
 }
 
+// adopt copies SSet teacher's strategy to SSet learner.  The fitness
+// evaluator copies the teacher's interned ID rather than re-interning the
+// copy.
+func (m *Model) adopt(learner, teacher int) error {
+	if err := m.table.Set(learner, m.table.Get(teacher).Clone()); err != nil {
+		return err
+	}
+	if m.ev != nil {
+		return m.ev.Adopt(learner, teacher)
+	}
+	return nil
+}
+
 // Step advances the simulation by one generation: a possible
 // pairwise-comparison learning event followed by a possible mutation, with
 // strategy-table updates applied immediately, as in the paper's Nature Agent
@@ -551,8 +564,7 @@ func (m *Model) Step() error {
 		adopted, _ := m.nat.DecideAdoption(fitT, fitL)
 		m.nat.RecordPC(adopted)
 		if adopted {
-			newStrat := m.table.Get(teacher).Clone()
-			if err := m.applyStrategyChange(learner, newStrat); err != nil {
+			if err := m.adopt(learner, teacher); err != nil {
 				return err
 			}
 		}
