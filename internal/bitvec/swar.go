@@ -15,50 +15,93 @@ import "math/bits"
 // Lanes is the number of independent lanes a single word carries.
 const Lanes = 64
 
-// Broadcast returns the word with every lane set to b: all ones when b is
-// true, zero otherwise.
-func Broadcast(b bool) uint64 {
-	if b {
-		return ^uint64(0)
-	}
-	return 0
-}
-
 // MuxSelect collapses the 2^len(planes) leaf words down to one word through
 // a multiplexer tree: lane L of the result is leaves[s_L][L], where s_L is
 // the integer whose bit j is lane L of planes[j].  In the batch kernel the
-// leaves are a (broadcast or transposed) move table and the planes are the
-// bit-sliced game states, so one call computes every lane's next move with
-// no per-lane branching.
+// leaves are a transposed move table and the planes are the bit-sliced game
+// states, so one call computes every lane's next move with no per-lane
+// branching.
 //
-// The selection combines pairs in place, ascending-bit first, so leaves is
-// destroyed; callers copy their table into a scratch slice.  len(leaves)
-// must be exactly 1<<len(planes).
-func MuxSelect(leaves []uint64, planes []uint64) uint64 {
-	size := len(leaves)
-	for _, sel := range planes {
+// The first level reads leaves and writes its pairwise selections into
+// scratch; later levels combine in place in scratch, ascending-bit first.
+// leaves is left intact, so a table can be selected from every round
+// without a copy.  len(leaves) must be exactly 1<<len(planes), with at least
+// one plane, and scratch must hold at least len(leaves)/2 words.
+func MuxSelect(scratch, leaves, planes []uint64) uint64 {
+	size := len(leaves) >> 1
+	sel := planes[0]
+	for i := 0; i < size; i++ {
+		scratch[i] = (leaves[2*i] &^ sel) | (leaves[2*i+1] & sel)
+	}
+	for _, sel := range planes[1:] {
 		size >>= 1
 		for i := 0; i < size; i++ {
-			leaves[i] = (leaves[2*i] &^ sel) | (leaves[2*i+1] & sel)
+			scratch[i] = (scratch[2*i] &^ sel) | (scratch[2*i+1] & sel)
 		}
 	}
-	return leaves[0]
+	return scratch[0]
 }
 
 // CounterAdd adds the per-lane 0/1 word ones into the vertical counter
 // planes with ripple carry: lane L of the counter gains ones' bit L.  Each
 // lane's count occupies the same bit position of every plane, so carries
-// never cross lanes.  A carry out of the last plane is dropped; callers
+// never cross lanes.  The carry ripples through every plane, with no early
+// exit once it dies out, so the cost is fixed by the width and never
+// branches on the data.  A carry out of the last plane is dropped; callers
 // size the counter with CounterWidth so that cannot happen.
 func CounterAdd(planes []uint64, ones uint64) {
-	for i := range planes {
-		if ones == 0 {
-			return
-		}
-		carry := planes[i] & ones
-		planes[i] ^= ones
-		ones = carry
+	for i, p := range planes {
+		planes[i] = p ^ ones
+		ones &= p
 	}
+}
+
+// CounterAddWords adds every word of words into the vertical counter planes,
+// exactly as one CounterAdd per word would.  Sixteen words at a time are
+// first reduced through a carry-save adder tree (Harley–Seal) whose partial
+// sums stay in registers, so only one word in sixteen ripples through the
+// planes.  Like CounterAdd it never branches on the data.  planes must be
+// wide enough for the final counts (see CounterWidth).
+func CounterAddWords(planes, words []uint64) {
+	var ones, twos, fours, eights uint64
+	blocks := len(words) &^ 15
+	for i := 0; i < blocks; i += 16 {
+		w := words[i : i+16 : i+16]
+		var twosA, twosB, foursA, foursB, eightsA, eightsB, sixteens uint64
+		twosA, ones = csa(ones, w[0], w[1])
+		twosB, ones = csa(ones, w[2], w[3])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, w[4], w[5])
+		twosB, ones = csa(ones, w[6], w[7])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, w[8], w[9])
+		twosB, ones = csa(ones, w[10], w[11])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, w[12], w[13])
+		twosB, ones = csa(ones, w[14], w[15])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		sixteens, eights = csa(eights, eightsA, eightsB)
+		CounterAdd(planes[4:], sixteens)
+	}
+	if blocks > 0 {
+		// A full block means the counts reach 16, so planes has at least
+		// five words.
+		CounterAdd(planes[3:], eights)
+		CounterAdd(planes[2:], fours)
+		CounterAdd(planes[1:], twos)
+		CounterAdd(planes, ones)
+	}
+	for _, w := range words[blocks:] {
+		CounterAdd(planes, w)
+	}
+}
+
+// csa is a carry-save adder over 64 lanes: per lane, a+b+c = 2*carry + sum.
+func csa(a, b, c uint64) (carry, sum uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
 }
 
 // CounterLane extracts lane L's count from a vertical counter.

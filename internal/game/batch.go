@@ -8,23 +8,28 @@ import (
 	"evogame/internal/rng"
 )
 
-// This file implements the bit-sliced (SWAR) batch kernel: one focal
-// strategy playing up to 64 opponents simultaneously, one game per bit lane
-// of a uint64 word (see internal/bitvec).  It targets the full-replay
-// workload the scaling studies measure — every round of every game is
-// played, but 64 games advance per word operation instead of one.
+// This file implements the bit-sliced (SWAR) batch kernel: up to 64 games
+// played simultaneously, one game per bit lane of a uint64 word (see
+// internal/bitvec).  Every lane has its own pair of players, so one batch
+// can carry one focal strategy against many opponents (PlayBatch) or the
+// games of several focal strategies at once (PlayPairs).  Every round of
+// every game is played, but 64 games advance per word operation instead of
+// one.
 //
-// Layout.  The focal player's joint history against all 64 opponents is
-// kept as 2n bit planes: plane j holds bit j of the focal's packed game
-// state in every lane.  The opponents' own states need no storage at all —
-// an opponent's state is the focal state with each round's (my, opp) bit
-// pair swapped, so plane j of the opponents' view is focal plane j^1.  Next
-// moves come from a multiplexer tree over the 4^n-entry move tables
-// (bitvec.MuxSelect): the focal's table broadcasts to 0/^0 leaf words, the
-// opponents' tables are transposed once per batch so bit L of leaf s is
-// lane L's move in state s.  Per-round outcomes accumulate in vertical
-// ripple-carry counters; the per-lane totals are reconstructed once at the
-// end of the batch.
+// Layout.  The focal players' joint histories are kept as 2n bit planes:
+// plane j holds bit j of each lane's packed focal game state.  The
+// opponents' own states need no storage at all — an opponent's state is the
+// focal state with each round's (my, opp) bit pair swapped, so plane j of
+// the opponents' view is focal plane j^1.  Both sides' move tables are
+// transposed once per batch, so bit L of leaf s is lane L's move in state
+// s, and next moves come from a multiplexer tree over those leaves
+// (bitvec.MuxSelect), which reads the tables without consuming them.
+// Each round records three defection masks (focal, opponent, both); after
+// the last round they are summed into vertical counters sixteen rounds at a
+// time (bitvec.CounterAddWords), and the per-lane totals are read back
+// once.  The round loop has no data-dependent branch: the noise masks are
+// XORed in every round (they stay zero on a noiseless engine), and the
+// counters never branch on the data either.
 //
 // Exactness.  With an integer-valued payoff matrix the scalar loop's
 // running fitness sum is an exactly representable integer after every
@@ -97,16 +102,17 @@ func (e *Engine) KernelStats() KernelStats {
 // depend only on the engine's memory depth and round count, which are fixed
 // at construction.
 type batchBuffers struct {
-	focalT   []uint64    // focal move table broadcast to 0/^0 leaves, 4^n words
-	oppT     []uint64    // transposed opponent tables: bit L of word s = lane L's move in state s
-	scratch  []uint64    // multiplexer scratch, 4^n words (MuxSelect destroys its leaves)
-	planes   []uint64    // focal joint-history planes: plane j = state bit j of every lane
-	oppView  []uint64    // planes pair-swapped into the opponents' perspective
-	counts   [3][]uint64 // vertical counters for outcome codes CC, CD, DC
-	flipA    []uint64    // pre-drawn noise masks, one word per round (nil when noiseless)
+	focalT   []uint64 // transposed focal tables: bit L of word s = lane L's focal move in state s
+	oppT     []uint64 // transposed opponent tables, likewise
+	scratch  []uint64 // multiplexer scratch, 4^n/2 words
+	planes   []uint64 // focal joint-history planes: plane j = state bit j of every lane
+	oppView  []uint64 // planes pair-swapped into the opponents' perspective
+	flipA    []uint64 // pre-drawn noise masks, one word per round (all zero when noiseless)
 	flipB    []uint64
-	words    [BatchLanes][]uint64 // packed move table of each occupied lane
-	lane2idx [BatchLanes]int      // occupied lane -> index into the opponents slice
+	moves    [3][]uint64             // per-round defection masks: focal, opponent, both
+	counts   [3][]uint64             // vertical counters of the moves' rounds per lane
+	words    [2][BatchLanes][]uint64 // packed move tables of each occupied lane: focal, opponent
+	lane2idx [BatchLanes]int         // occupied lane -> index into the chunk's pairs
 }
 
 func (e *Engine) getBatchBuffers() *batchBuffers {
@@ -117,48 +123,52 @@ func (e *Engine) getBatchBuffers() *batchBuffers {
 	buf := &batchBuffers{
 		focalT:  make([]uint64, numStates),
 		oppT:    make([]uint64, numStates),
-		scratch: make([]uint64, numStates),
+		scratch: make([]uint64, numStates/2),
 		planes:  make([]uint64, 2*e.memSteps),
 		oppView: make([]uint64, 2*e.memSteps),
+		flipA:   make([]uint64, e.rounds),
+		flipB:   make([]uint64, e.rounds),
 	}
 	width := bitvec.CounterWidth(e.rounds)
 	for c := range buf.counts {
+		buf.moves[c] = make([]uint64, e.rounds)
 		buf.counts[c] = make([]uint64, width)
-	}
-	if e.noise > 0 {
-		buf.flipA = make([]uint64, e.rounds)
-		buf.flipB = make([]uint64, e.rounds)
 	}
 	return buf
 }
 
 func (e *Engine) putBatchBuffers(buf *batchBuffers) {
-	for l := range buf.words {
-		buf.words[l] = nil // do not pin strategy tables in the pool
+	for side := range buf.words {
+		clear(buf.words[side][:]) // do not pin strategy tables in the pool
 	}
 	e.batchPool.Put(buf)
 }
 
-// batchFocalWords returns the focal player's packed move table when the
-// engine's kernel mode and the game's parameters allow the SWAR path, and
-// nil when every game of the batch must take the scalar fallback.
-func (e *Engine) batchFocalWords(a Player) []uint64 {
-	if !e.intPayoff || !a.Deterministic() || a.MemorySteps() != e.memSteps {
-		return nil
-	}
-	mt, ok := a.(MoveTable)
-	if !ok {
-		return nil
-	}
+// batchEnabled reports whether the engine's kernel mode and payoff matrix
+// let eligible games take the SWAR path at all.
+func (e *Engine) batchEnabled() bool {
 	switch e.kernel {
 	case KernelFullReplay:
 		// The reference mode measures the original scalar loop; the batch API
 		// stays available but plays every lane through Engine.Play.
-		return nil
+		return false
 	case KernelAuto:
 		if e.memSteps > batchAutoMaxMemory {
-			return nil
+			return false
 		}
+	}
+	return e.intPayoff
+}
+
+// laneWords returns p's packed move table when p can occupy a SWAR lane,
+// and nil when its games must take the scalar fallback.
+func (e *Engine) laneWords(p Player) []uint64 {
+	if !p.Deterministic() || p.MemorySteps() != e.memSteps {
+		return nil
+	}
+	mt, ok := p.(MoveTable)
+	if !ok {
+		return nil
 	}
 	return mt.Words()
 }
@@ -177,159 +187,150 @@ func (e *Engine) PlayBatch(a Player, opponents []Player, srcs []*rng.Source, out
 	if a == nil {
 		return fmt.Errorf("game: PlayBatch requires a focal player")
 	}
-	if len(out) != len(opponents) {
-		return fmt.Errorf("game: PlayBatch result slice has %d entries for %d opponents", len(out), len(opponents))
+	if err := checkBatchArgs("PlayBatch", len(opponents), srcs, out); err != nil {
+		return err
 	}
-	if srcs != nil && len(srcs) != len(opponents) {
-		return fmt.Errorf("game: PlayBatch source slice has %d entries for %d opponents", len(srcs), len(opponents))
+	var focal [BatchLanes]Player
+	for l := range focal[:min(BatchLanes, len(opponents))] {
+		focal[l] = a
 	}
-	aw := e.batchFocalWords(a)
 	for lo := 0; lo < len(opponents); lo += BatchLanes {
-		hi := lo + BatchLanes
-		if hi > len(opponents) {
-			hi = len(opponents)
-		}
-		var chunkSrcs []*rng.Source
-		if srcs != nil {
-			chunkSrcs = srcs[lo:hi]
-		}
-		if err := e.playBatchChunk(a, aw, opponents[lo:hi], chunkSrcs, out[lo:hi]); err != nil {
+		hi := min(lo+BatchLanes, len(opponents))
+		if err := e.playChunk(focal[:hi-lo], opponents[lo:hi], chunkSources(srcs, lo, hi), out[lo:hi]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// playBatchChunk plays one chunk of at most BatchLanes opponents.  Lanes
-// the SWAR kernel cannot replay exactly fall back to the scalar Play path
-// individually; aw == nil forces the fallback for the whole chunk.
-func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rng.Source, out []Result) error {
+// PlayPairs plays one game between as[i] and bs[i] for every i, writing its
+// outcome to out[i].  It is observably identical to calling Play(as[i],
+// bs[i], srcs[i]) in index order, with the same source rules as PlayBatch,
+// but every lane of a batch may carry a different focal player, so the
+// games of several focal strategies share one bit-sliced batch.
+func (e *Engine) PlayPairs(as, bs []Player, srcs []*rng.Source, out []Result) error {
+	if len(as) != len(bs) {
+		return fmt.Errorf("game: PlayPairs has %d focal players for %d opponents", len(as), len(bs))
+	}
+	if err := checkBatchArgs("PlayPairs", len(bs), srcs, out); err != nil {
+		return err
+	}
+	for lo := 0; lo < len(bs); lo += BatchLanes {
+		hi := min(lo+BatchLanes, len(bs))
+		if err := e.playChunk(as[lo:hi], bs[lo:hi], chunkSources(srcs, lo, hi), out[lo:hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkBatchArgs(op string, games int, srcs []*rng.Source, out []Result) error {
+	if len(out) != games {
+		return fmt.Errorf("game: %s result slice has %d entries for %d games", op, len(out), games)
+	}
+	if srcs != nil && len(srcs) != games {
+		return fmt.Errorf("game: %s source slice has %d entries for %d games", op, len(srcs), games)
+	}
+	return nil
+}
+
+func chunkSources(srcs []*rng.Source, lo, hi int) []*rng.Source {
+	if srcs == nil {
+		return nil
+	}
+	return srcs[lo:hi]
+}
+
+// playChunk plays the games (as[i], bs[i]) of one chunk of at most
+// BatchLanes pairs; it is the one batch routine behind PlayBatch and
+// PlayPairs.  Pairs the SWAR kernel cannot replay exactly fall back to the
+// scalar Play path individually.
+func (e *Engine) playChunk(as, bs []Player, srcs []*rng.Source, out []Result) error {
 	var buf *batchBuffers
+	if e.batchEnabled() {
+		buf = e.getBatchBuffers()
+		defer e.putBatchBuffers(buf)
+	}
 	lanes := 0
-	for i, b := range opps {
-		if b == nil {
-			if buf != nil {
-				e.putBatchBuffers(buf)
+	for i, b := range bs {
+		a := as[i]
+		if a == nil || b == nil {
+			return fmt.Errorf("game: batch game %d has a nil player", i)
+		}
+		var aw, bw []uint64
+		if buf != nil {
+			if aw = e.laneWords(a); aw != nil {
+				bw = e.laneWords(b)
 			}
-			return fmt.Errorf("game: PlayBatch got a nil opponent")
 		}
-		eligible := aw != nil && b.Deterministic() && b.MemorySteps() == e.memSteps
-		var mt MoveTable
-		if eligible {
-			mt, eligible = b.(MoveTable)
-		}
-		if eligible && e.noise > 0 && (srcs == nil || srcs[i] == nil) {
-			if buf != nil {
-				e.putBatchBuffers(buf)
-			}
-			return fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
-				e.noise, a.Deterministic(), b.Deterministic())
-		}
-		if !eligible {
+		if bw == nil {
 			var src *rng.Source
 			if srcs != nil {
 				src = srcs[i]
 			}
 			res, err := e.Play(a, b, src)
 			if err != nil {
-				if buf != nil {
-					e.putBatchBuffers(buf)
-				}
 				return err
 			}
 			out[i] = res
 			continue
 		}
-		if buf == nil {
-			buf = e.getBatchBuffers()
+		if e.noise > 0 && (srcs == nil || srcs[i] == nil) {
+			return fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
+				e.noise, a.Deterministic(), b.Deterministic())
 		}
-		buf.words[lanes] = mt.Words()
+		buf.words[0][lanes], buf.words[1][lanes] = aw, bw
 		buf.lane2idx[lanes] = i
 		lanes++
 	}
-	if buf == nil {
+	if lanes == 0 {
 		return nil
 	}
-	defer e.putBatchBuffers(buf)
 
-	numStates := NumStates(e.memSteps)
-	focalT := buf.focalT[:numStates]
-	oppT := buf.oppT[:numStates]
-	for s := 0; s < numStates; s++ {
-		focalT[s] = bitvec.Broadcast(aw[s>>6]>>(uint(s)&63)&1 == 1)
-		oppT[s] = 0
-	}
+	// Transpose both sides' move tables: bit L of leaf s is lane L's move in
+	// state s.
+	focalT, oppT := buf.focalT, buf.oppT
+	clear(focalT)
+	clear(oppT)
 	for l := 0; l < lanes; l++ {
-		w := buf.words[l]
-		for s := 0; s < numStates; s++ {
-			oppT[s] |= (w[s>>6] >> (uint(s) & 63) & 1) << uint(l)
+		aw, bw := buf.words[0][l], buf.words[1][l]
+		for s := range focalT {
+			focalT[s] |= (aw[s>>6] >> (uint(s) & 63) & 1) << uint(l)
+			oppT[s] |= (bw[s>>6] >> (uint(s) & 63) & 1) << uint(l)
 		}
 	}
 
 	// Pre-draw the noise flips in canonical scalar order: each lane consumes
 	// its own source exactly as the scalar loop would — two draws per round,
 	// focal player's flip first, against the same threshold — so the streams
-	// stay aligned with full replay.
-	noisy := e.noise > 0
-	if noisy {
-		flipA, flipB := buf.flipA, buf.flipB
-		for r := range flipA {
-			flipA[r], flipB[r] = 0, 0
-		}
+	// stay aligned with full replay.  A noiseless engine never writes the
+	// masks, so they stay zero.
+	if e.noise > 0 {
+		clear(buf.flipA)
+		clear(buf.flipB)
 		for l := 0; l < lanes; l++ {
-			srcs[buf.lane2idx[l]].FlipPairs(e.flipT, uint(l), flipA, flipB)
+			srcs[buf.lane2idx[l]].FlipPairs(e.flipT, uint(l), buf.flipA, buf.flipB)
 		}
 	}
 
-	planes := buf.planes
-	for j := range planes {
-		planes[j] = 0 // InitialState: empty history in every lane
+	if e.memSteps == 1 {
+		playRoundsMemoryOne(buf)
+	} else {
+		playRounds(buf)
 	}
-	for c := range buf.counts {
-		cnt := buf.counts[c]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-	}
-	scratch := buf.scratch[:numStates]
-	oppView := buf.oppView
-	for r := 0; r < e.rounds; r++ {
-		copy(scratch, focalT)
-		moveA := bitvec.MuxSelect(scratch, planes)
-		// An opponent's own state is the focal state with each round's
-		// (my, opp) bit pair swapped, so its selector planes are the focal
-		// planes at index j^1.
-		for j := range oppView {
-			oppView[j] = planes[j^1]
-		}
-		copy(scratch, oppT)
-		moveB := bitvec.MuxSelect(scratch, oppView)
-		if noisy {
-			moveA ^= buf.flipA[r]
-			moveB ^= buf.flipB[r]
-		}
-		// Count outcome codes CC, CD, DC per lane; DD follows from the round
-		// count at extraction time.
-		bitvec.CounterAdd(buf.counts[0], ^(moveA | moveB))
-		bitvec.CounterAdd(buf.counts[1], ^moveA&moveB)
-		bitvec.CounterAdd(buf.counts[2], moveA&^moveB)
-		// state = ((state << 2) | my<<1 | opp) & mask, sliced: shift the
-		// planes up a round and insert the new pair; the oldest round falls
-		// off the end of the slice.
-		for j := len(planes) - 1; j >= 2; j-- {
-			planes[j] = planes[j-2]
-		}
-		planes[1] = moveA
-		planes[0] = moveB
+	for c, cnt := range buf.counts {
+		clear(cnt)
+		bitvec.CounterAddWords(cnt, buf.moves[c])
 	}
 
 	t := e.table
 	rounds := e.rounds
 	for l := 0; l < lanes; l++ {
-		cc := bitvec.CounterLane(buf.counts[0], l)
-		cd := bitvec.CounterLane(buf.counts[1], l)
-		dc := bitvec.CounterLane(buf.counts[2], l)
-		dd := rounds - cc - cd - dc
+		defA := bitvec.CounterLane(buf.counts[0], l)
+		defB := bitvec.CounterLane(buf.counts[1], l)
+		dd := bitvec.CounterLane(buf.counts[2], l)
+		cd, dc := defB-dd, defA-dd
+		cc := rounds - cd - dc - dd
 		out[buf.lane2idx[l]] = Result{
 			FitnessA:      float64(cc)*t[0] + float64(cd)*t[1] + float64(dc)*t[2] + float64(dd)*t[3],
 			FitnessB:      float64(cc)*t[0] + float64(cd)*t[2] + float64(dc)*t[1] + float64(dd)*t[3],
@@ -341,4 +342,52 @@ func (e *Engine) playBatchChunk(a Player, aw []uint64, opps []Player, srcs []*rn
 	e.stats.batchGames.Add(int64(lanes))
 	e.stats.batchCalls.Add(1)
 	return nil
+}
+
+// playRounds plays every round of a batch at any memory depth, recording
+// each round's defection masks in buf.moves; the outcome counts follow from
+// them after the last round.
+func playRounds(buf *batchBuffers) {
+	planes, oppView, scratch := buf.planes, buf.oppView, buf.scratch
+	clear(planes) // InitialState: empty history in every lane
+	n := len(buf.flipA)
+	flipB, movesA, movesB, movesAB := buf.flipB[:n], buf.moves[0][:n], buf.moves[1][:n], buf.moves[2][:n]
+	for r, fa := range buf.flipA {
+		moveA := bitvec.MuxSelect(scratch, buf.focalT, planes) ^ fa
+		// An opponent's own state is the focal state with each round's
+		// (my, opp) bit pair swapped, so its selector planes are the focal
+		// planes at index j^1.
+		for j := range oppView {
+			oppView[j] = planes[j^1]
+		}
+		moveB := bitvec.MuxSelect(scratch, buf.oppT, oppView) ^ flipB[r]
+		movesA[r], movesB[r], movesAB[r] = moveA, moveB, moveA&moveB
+		// state = ((state << 2) | my<<1 | opp) & mask, sliced: shift the
+		// planes up a round and insert the new pair; the oldest round falls
+		// off the end of the slice.
+		for j := len(planes) - 1; j >= 2; j-- {
+			planes[j] = planes[j-2]
+		}
+		planes[1] = moveA
+		planes[0] = moveB
+	}
+}
+
+// playRoundsMemoryOne is playRounds unrolled for memory one: the state is
+// the last round's pair, so the two planes and the four leaves of each
+// table stay in registers.
+func playRoundsMemoryOne(buf *batchBuffers) {
+	f0, f1, f2, f3 := buf.focalT[0], buf.focalT[1], buf.focalT[2], buf.focalT[3]
+	o0, o1, o2, o3 := buf.oppT[0], buf.oppT[1], buf.oppT[2], buf.oppT[3]
+	var my, opp uint64 // focal state bits 1 and 0; the opponent's state swaps them
+	n := len(buf.flipA)
+	flipB, movesA, movesB, movesAB := buf.flipB[:n], buf.moves[0][:n], buf.moves[1][:n], buf.moves[2][:n]
+	for r, fa := range buf.flipA {
+		lo, hi := f0&^opp|f1&opp, f2&^opp|f3&opp
+		moveA := (lo&^my | hi&my) ^ fa
+		lo, hi = o0&^my|o1&my, o2&^my|o3&my
+		moveB := (lo&^opp | hi&opp) ^ flipB[r]
+		movesA[r], movesB[r], movesAB[r] = moveA, moveB, moveA&moveB
+		my, opp = moveA, moveB
+	}
 }

@@ -239,6 +239,116 @@ func TestPlayBatchSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestPlayPairsExhaustiveMemoryOne gives every lane its own focal player:
+// all 256 ordered pairs of the 16 memory-one pure strategies in one call
+// (four full chunks), shuffled so neighbouring lanes hold unrelated focal
+// tables.  Each game must equal a scalar full replay, noiseless and noisy,
+// and leave its source exactly where the scalar loop does.
+func TestPlayPairsExhaustiveMemoryOne(t *testing.T) {
+	for _, noise := range []float64{0, 0.05} {
+		t.Run(fmt.Sprintf("noise%v", noise), func(t *testing.T) {
+			batch, scalar := newTestEngines(t, 1, noise)
+			var as, bs []Player
+			for a := 0; a < 16; a++ {
+				for b := 0; b < 16; b++ {
+					as = append(as, wordPlayerFromBits(1, uint64(a)))
+					bs = append(bs, wordPlayerFromBits(1, uint64(b)))
+				}
+			}
+			shuffle := rng.New(8)
+			for i := len(as) - 1; i > 0; i-- {
+				j := shuffle.Intn(i + 1)
+				as[i], as[j] = as[j], as[i]
+				bs[i], bs[j] = bs[j], bs[i]
+			}
+			var srcs []*rng.Source
+			if noise > 0 {
+				srcs = make([]*rng.Source, len(as))
+				for i := range srcs {
+					srcs[i] = rng.New(uint64(500 + i))
+				}
+			}
+			got := make([]Result, len(as))
+			if err := batch.PlayPairs(as, bs, srcs, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range as {
+				var src *rng.Source
+				if noise > 0 {
+					src = rng.New(uint64(500 + i))
+				}
+				want, err := scalar.Play(as[i], bs[i], src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != want {
+					t.Fatalf("pair %d: batch %+v, scalar full replay %+v", i, got[i], want)
+				}
+				if src != nil && srcs[i].State() != src.State() {
+					t.Fatalf("pair %d: source left at %#x, scalar loop at %#x", i, srcs[i].State(), src.State())
+				}
+			}
+			if s := batch.KernelStats(); s.BatchCalls != 4 || s.BatchGames != 256 {
+				t.Fatalf("256 eligible pairs took %d batches of %d games, want 4 of 256", s.BatchCalls, s.BatchGames)
+			}
+		})
+	}
+}
+
+// TestPlayPairsRandomDeeperMemory runs the general round loop with a
+// different random focal per lane at memory 2..4, noiseless and noisy, over
+// a ragged second chunk with mixed players in some lanes.
+func TestPlayPairsRandomDeeperMemory(t *testing.T) {
+	for mem := 2; mem <= 4; mem++ {
+		for _, noise := range []float64{0, 0.05} {
+			t.Run(fmt.Sprintf("mem%d-noise%v", mem, noise), func(t *testing.T) {
+				batch, scalar := newTestEngines(t, mem, noise)
+				src := rng.New(uint64(70 + mem))
+				as, bs := make([]Player, 90), make([]Player, 90)
+				srcs := make([]*rng.Source, len(as))
+				for i := range as {
+					as[i], bs[i] = randomWordPlayer(mem, src), randomWordPlayer(mem, src)
+					srcs[i] = rng.New(uint64(900 + i))
+				}
+				got := make([]Result, len(as))
+				if err := batch.PlayPairs(as, bs, srcs, got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range as {
+					src := rng.New(uint64(900 + i))
+					want, err := scalar.Play(as[i], bs[i], src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i] != want || srcs[i].State() != src.State() {
+						t.Fatalf("pair %d: batch %+v, scalar full replay %+v", i, got[i], want)
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestPlayPairsValidation(t *testing.T) {
+	batch, _ := newTestEngines(t, 1, 0)
+	p := randomWordPlayer(1, rng.New(1))
+	if err := batch.PlayPairs([]Player{p}, []Player{p, p}, nil, make([]Result, 2)); err == nil {
+		t.Fatal("mismatched focal and opponent counts accepted")
+	}
+	if err := batch.PlayPairs([]Player{p}, []Player{p}, nil, make([]Result, 2)); err == nil {
+		t.Fatal("mismatched out length accepted")
+	}
+	if err := batch.PlayPairs([]Player{p}, []Player{p}, make([]*rng.Source, 2), make([]Result, 1)); err == nil {
+		t.Fatal("mismatched srcs length accepted")
+	}
+	if err := batch.PlayPairs([]Player{nil}, []Player{p}, nil, make([]Result, 1)); err == nil {
+		t.Fatal("nil focal player accepted")
+	}
+	if err := batch.PlayPairs([]Player{p}, []Player{nil}, nil, make([]Result, 1)); err == nil {
+		t.Fatal("nil opponent accepted")
+	}
+}
+
 func benchmarkPlayBatch(b *testing.B, mem int, noise float64, kernel KernelMode) {
 	e, err := NewEngine(EngineConfig{
 		Rounds: DefaultRounds, MemorySteps: mem, Noise: noise,
@@ -275,3 +385,26 @@ func BenchmarkPlayBatchMemoryOne(b *testing.B)      { benchmarkPlayBatch(b, 1, 0
 func BenchmarkPlayBatchMemoryOneNoisy(b *testing.B) { benchmarkPlayBatch(b, 1, 0.05, KernelBatch) }
 func BenchmarkPlayBatchMemoryThree(b *testing.B)    { benchmarkPlayBatch(b, 3, 0, KernelBatch) }
 func BenchmarkPlayBatchScalarRef(b *testing.B)      { benchmarkPlayBatch(b, 1, 0, KernelFullReplay) }
+
+// BenchmarkPlayPairsMemoryOneNoisy fills every lane with a different random
+// focal and opponent, the shape of a merged pairwise-comparison event.
+func BenchmarkPlayPairsMemoryOneNoisy(b *testing.B) {
+	e, err := NewEngine(EngineConfig{Rounds: DefaultRounds, MemorySteps: 1, Noise: 0.05, AccumMode: AccumLookup})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(2013)
+	as, bs := make([]Player, BatchLanes), make([]Player, BatchLanes)
+	srcs := make([]*rng.Source, BatchLanes)
+	for i := range as {
+		as[i], bs[i], srcs[i] = randomWordPlayer(1, src), randomWordPlayer(1, src), rng.New(uint64(i))
+	}
+	out := make([]Result, BatchLanes)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.PlayPairs(as, bs, srcs, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*BatchLanes), "ns/game")
+}

@@ -515,10 +515,8 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		}
 		return data, nil
 	}
-	//lint:allow randsource wall-clock measurement of broadcast-blocked time for RankReport comm stats; never feeds simulation state
-	start := time.Now()
+	// recv accounts the time blocked waiting for the payload.
 	out, _, err := c.recv(root, tag)
-	c.blockedNs.Add(int64(time.Since(start)))
 	return out, err
 }
 

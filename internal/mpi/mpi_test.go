@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -575,5 +576,40 @@ func BenchmarkBcast16Ranks(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestBcastBlockedTimeCountedOnce holds the root back for a known delay, so
+// the non-root rank's Bcast receive blocks at least that long.  Its
+// TimeBlocked must cover the delay and must not exceed the call's own wall
+// time, which it would if the receive were counted twice.
+func TestBcastBlockedTimeCountedOnce(t *testing.T) {
+	const delay = 30 * time.Millisecond
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			time.Sleep(delay)
+			_, err := c.Bcast(0, []byte("payload"))
+			return err
+		}
+		start := time.Now()
+		out, err := c.Bcast(0, nil)
+		wall := time.Since(start)
+		if err != nil {
+			return err
+		}
+		if string(out) != "payload" {
+			return fmt.Errorf("received %q", out)
+		}
+		blocked := c.Stats().TimeBlocked
+		if blocked < delay {
+			return fmt.Errorf("TimeBlocked %v, want at least the root's delay %v", blocked, delay)
+		}
+		if blocked > wall {
+			return fmt.Errorf("TimeBlocked %v exceeds the Bcast call's wall time %v", blocked, wall)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

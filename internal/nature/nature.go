@@ -372,6 +372,12 @@ func (t *Table) Bind(reg *intern.Registry) error {
 // on a bound table.
 func (t *Table) ID(i int) uint32 { return t.ids[i] }
 
+// IDs returns the interned ID of every SSet's strategy, indexed by SSet,
+// so a scan over all SSets needs no per-entry call.  It must only be called
+// on a bound table, and the slice must not be modified; it stays current
+// across Sets.
+func (t *Table) IDs() []uint32 { return t.ids }
+
 // Snapshot returns a copy of the table's strategy slice; callers may read it
 // without holding any reference to the live table.
 func (t *Table) Snapshot() []strategy.Strategy {

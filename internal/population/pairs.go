@@ -9,7 +9,7 @@ import (
 )
 
 // pairRows is the per-event distinct-pair cache of the interned EvalFull
-// path (fitnessCachedID).  A pairwise-comparison event evaluates two focal
+// path (fitnessPair).  A pairwise-comparison event evaluates two focal
 // SSets and only ever looks up pairs whose first strategy is one of the two
 // focal strategies, so the cache is one dense row per focal interned ID:
 // entry opp of a row holds the focal strategy's payoff against strategy
@@ -17,13 +17,13 @@ import (
 // dropped.
 //
 // Rows are generation-stamped.  Entry opp is cached when its stamp equals
-// the event's epoch, and queued — its game collected into the current
-// evaluation's batch, result at index queue[opp] — when the stamp is
-// epoch+1.  Advancing the epoch by two per event invalidates every row in
-// O(1); stamps are cleared only when the uint32 epoch runs out.
+// the event's epoch, and queued — its game collected into the event's
+// batch, result at index queue[opp] — when the stamp is epoch+1.  Advancing
+// the epoch by two per event invalidates every row in O(1); stamps are
+// cleared only when the uint32 epoch runs out.
 //
-// The evaluation's miss list, per-miss sources and results live here too,
-// so the steady-state noisy path allocates nothing.
+// The event's miss list, per-miss sources and results live here too, so
+// the steady-state noisy path allocates nothing.
 type pairRows struct {
 	reg    *intern.Registry // sizes the rows: IDs are dense below reg.Len()
 	epoch  uint32
@@ -32,11 +32,14 @@ type pairRows struct {
 	payoff [2][]float64
 	queue  [2][]int32
 
-	ids      []uint32 // the evaluation's neighbour IDs, in neighbour order
-	missOpps []game.Player
-	srcs     []rng.Source
-	srcPtrs  []*rng.Source
-	results  []game.Result
+	ids       [2][]uint32 // each focal SSet's neighbour IDs off the complete graph
+	misses    int         // games queued so far this event
+	needSrcs  bool        // some queued game needs randomness
+	missFocal []game.Player
+	missOpps  []game.Player
+	srcs      []rng.Source
+	srcPtrs   []*rng.Source
+	results   []game.Result
 }
 
 // begin starts a pairwise-comparison event between focal IDs a and b.
@@ -51,6 +54,7 @@ func (p *pairRows) begin(a, b uint32) {
 	}
 	p.epoch += 2
 	p.focal = [2]uint32{a, b}
+	p.misses, p.needSrcs = 0, false
 	// New IDs appear with every adoption and mutation; grow with headroom.
 	// Fresh rows need no copy: every old stamp is below the new epoch.
 	if n := p.reg.Len(); len(p.stamp[0]) < n {
@@ -75,15 +79,20 @@ func (p *pairRows) row(id uint32) int {
 	return -1
 }
 
-// reserve sizes the per-evaluation buffers for deg neighbours.  The source
-// array is never reallocated while srcPtrs points into it.
-func (p *pairRows) reserve(deg int) {
-	if len(p.srcs) >= deg {
-		return
+// reserve sizes the event's buffers for focal SSets of degrees degA and
+// degB.  It runs before any miss is queued, so the source array is never
+// reallocated while srcPtrs points into it.
+func (p *pairRows) reserve(degA, degB int) {
+	for side, deg := range [2]int{degA, degB} {
+		if len(p.ids[side]) < deg {
+			p.ids[side] = make([]uint32, deg)
+		}
 	}
-	p.ids = make([]uint32, deg)
-	p.missOpps = make([]game.Player, deg)
-	p.srcs = make([]rng.Source, deg)
-	p.srcPtrs = make([]*rng.Source, deg)
-	p.results = make([]game.Result, deg)
+	if n := degA + degB; len(p.srcs) < n {
+		p.missFocal = make([]game.Player, n)
+		p.missOpps = make([]game.Player, n)
+		p.srcs = make([]rng.Source, n)
+		p.srcPtrs = make([]*rng.Source, n)
+		p.results = make([]game.Result, n)
+	}
 }

@@ -154,3 +154,31 @@ func TestPairRowsEpochWraparound(t *testing.T) {
 		t.Fatalf("epoch %d never wrapped", wrapped.pairs.epoch)
 	}
 }
+
+// BenchmarkFitnessPairNoisy times one pairwise-comparison event in the
+// Figure 2 shape: S=512 random memory-one SSets, 200 rounds, noise 0.05, on
+// the EvalFull path.  Each event plays the pairs missing from both focal
+// SSets' rows in one batch.
+func BenchmarkFitnessPairNoisy(b *testing.B) {
+	cfg := baseConfig()
+	cfg.NumSSets = 512
+	cfg.Rounds = 200
+	cfg.Noise = 0.05
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pick := rng.New(2013)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		teacher, learner, err := pick.Pair(cfg.NumSSets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := m.fitnessPair(teacher, learner); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.games)/float64(b.N), "games/op")
+}

@@ -429,83 +429,127 @@ func (m *Model) FractionOf(s strategy.Strategy) float64 {
 // pairwise comparison.  Each SSet's fitness is the summed payoff of its
 // strategy against the strategies of its topology neighbors (every other
 // SSet in the population for the default well-mixed graph).
+//
+// On the EvalFull path each distinct strategy pair of the event is played
+// once and its result reused across SSets that hold identical strategies,
+// through the event's dense pair rows (see pairRows).  Both SSets' missing
+// pairs are collected first — teacher's, then learner's — and played in one
+// batch; the sums then run teacher first.  That reproduces, bit for bit,
+// evaluating the teacher completely before the learner starts.
 func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
-	fitness := m.fitnessCachedID
 	if m.ev != nil {
-		fitness = m.ev.Fitness
-	} else {
-		m.pairs.begin(m.table.ID(a), m.table.ID(b))
+		fa, err := m.ev.Fitness(a)
+		if err != nil {
+			return 0, 0, err
+		}
+		fb, err := m.ev.Fitness(b)
+		if err != nil {
+			return 0, 0, err
+		}
+		return fa, fb, nil
 	}
-	fa, err := fitness(a)
-	if err != nil {
-		return 0, 0, err
+	p := &m.pairs
+	p.begin(m.table.ID(a), m.table.ID(b))
+	p.reserve(m.graph.Degree(a), m.graph.Degree(b))
+	m.collect(0, a)
+	m.collect(1, b)
+	if n := p.misses; n > 0 {
+		var srcs []*rng.Source
+		if p.needSrcs {
+			srcs = p.srcPtrs[:n]
+		}
+		if err := m.engine.PlayPairs(p.missFocal[:n], p.missOpps[:n], srcs, p.results[:n]); err != nil {
+			return 0, 0, err
+		}
+		m.games += int64(n)
 	}
-	fb, err := fitness(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	return fa, fb, nil
+	return m.sum(0, a), m.sum(1, b), nil
 }
 
-// fitnessCachedID is the EvalFull evaluation of SSet i: it sums the payoff
-// against every neighbor but plays each distinct strategy pair of the event
-// only once, reusing the result across SSets that hold identical strategies.
-// The per-event distinct-pair cache is the event's dense pair rows (see
-// pairRows), keyed by interned ID, so identifying a repeat pair costs one
-// indexed load.  m.pairs.begin must have named SSet i's strategy as one of
-// the event's focal IDs.
-func (m *Model) fitnessCachedID(i int) (float64, error) {
+// neighbourIDs returns the interned IDs of SSet i's neighbours in
+// neighbour order, as two runs.  On the complete graph they are the table's
+// dense ID slice on either side of i, with no Graph call; otherwise they
+// are side's buffer, which pass 1 fills.
+func (m *Model) neighbourIDs(side, i int) (lo, hi []uint32) {
+	if m.graph.Complete() {
+		all := m.table.IDs()
+		return all[:i], all[i+1:]
+	}
+	return m.pairs.ids[side][:m.graph.Degree(i)], nil
+}
+
+// collect is pass 1 of the evaluation of focal SSet i (side 0 for the
+// teacher, 1 for the learner): it queues the distinct pairs missing from
+// the SSet's row, in first-encounter order, splitting each miss's
+// randomness in exactly the order the one-game-at-a-time loop used to — the
+// split order is what keeps the trajectory bit-identical.
+func (m *Model) collect(side, i int) {
 	p := &m.pairs
-	my := m.table.Get(i)
+	if !m.graph.Complete() {
+		ids := p.ids[side][:m.graph.Degree(i)]
+		for k := range ids {
+			ids[k] = m.table.ID(m.graph.Neighbor(i, k))
+		}
+	}
+	lo, hi := m.neighbourIDs(side, i)
+	stamp := p.stamp[p.row(m.table.ID(i))]
+	cached, queued := p.epoch, p.epoch+1
+	for k, oppID := range lo {
+		if st := stamp[oppID]; st != cached && st != queued {
+			m.queue(side, i, k, oppID)
+		}
+	}
+	for k, oppID := range hi {
+		if st := stamp[oppID]; st != cached && st != queued {
+			m.queue(side, i, len(lo)+k, oppID)
+		}
+	}
+}
+
+// queue adds focal SSet i's game against its k-th neighbour, of strategy
+// oppID, to the event's batch.
+func (m *Model) queue(side, i, k int, oppID uint32) {
+	p := &m.pairs
+	my, myID := m.table.Get(i), m.table.ID(i)
+	opp := m.table.Get(m.graph.Neighbor(i, k))
+	n := p.misses
+	p.srcPtrs[n] = nil
+	if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
+		m.src.SplitInto(&p.srcs[n])
+		p.srcPtrs[n] = &p.srcs[n]
+		p.needSrcs = true
+	}
+	p.missFocal[n], p.missOpps[n] = my, opp
+	r := p.row(myID)
+	p.stamp[r][oppID], p.queue[r][oppID] = p.epoch+1, int32(n)
+	p.misses++
+	// The teacher's pass 2 fills the learner's entry for the teacher's
+	// strategy from this game's FitnessB, so the learner must not queue it.
+	if side == 0 && p.row(oppID) == 1 {
+		p.stamp[1][myID] = p.epoch + 1
+	}
+}
+
+// sum is pass 2 of the evaluation of focal SSet i: it replays the
+// one-game-at-a-time loop's probe/fill order with the plays precomputed,
+// summing in neighbour order.  Filling forward then reverse at the first
+// encounter — not up front — matters for the noisy self-pair (another SSet
+// holding the focal strategy): its entry is its own reverse, so the first
+// occurrence must see FitnessA while later occurrences see the FitnessB
+// overwrite, exactly as the serial loop did.
+func (m *Model) sum(side, i int) float64 {
+	lo, hi := m.neighbourIDs(side, i)
 	myID := m.table.ID(i)
+	return m.sumRun(myID, hi, m.sumRun(myID, lo, 0))
+}
+
+// sumRun adds focal strategy myID's payoffs against the strategies ids to
+// total, in order.
+func (m *Model) sumRun(myID uint32, ids []uint32, total float64) float64 {
+	p := &m.pairs
 	r := p.row(myID)
 	stamp, payoff, queue := p.stamp[r], p.payoff[r], p.queue[r]
 	cached, queued := p.epoch, p.epoch+1
-	deg := m.graph.Degree(i)
-	p.reserve(deg)
-	// Pass 1: collect the distinct pairs missing from the row, in
-	// first-encounter order, splitting each miss's randomness in exactly
-	// the order the one-game-at-a-time loop used to — the split order is
-	// what keeps the trajectory bit-identical.
-	randomFocal := m.engine.Noise() > 0 || !my.Deterministic()
-	misses, needSrcs := 0, false
-	ids := p.ids[:deg]
-	for k := range ids {
-		j := m.graph.Neighbor(i, k)
-		oppID := m.table.ID(j)
-		ids[k] = oppID
-		if st := stamp[oppID]; st == cached || st == queued {
-			continue
-		}
-		opp := m.table.Get(j)
-		p.srcPtrs[misses] = nil
-		if randomFocal || !opp.Deterministic() {
-			m.src.SplitInto(&p.srcs[misses])
-			p.srcPtrs[misses] = &p.srcs[misses]
-			needSrcs = true
-		}
-		p.missOpps[misses] = opp
-		stamp[oppID], queue[oppID] = queued, int32(misses)
-		misses++
-	}
-	// Play the misses through the bit-sliced batch kernel.
-	if misses > 0 {
-		var srcs []*rng.Source
-		if needSrcs {
-			srcs = p.srcPtrs[:misses]
-		}
-		if err := m.engine.PlayBatch(my, p.missOpps[:misses], srcs, p.results[:misses]); err != nil {
-			return 0, err
-		}
-		m.games += int64(misses)
-	}
-	// Pass 2: replay the one-game-at-a-time loop's probe/fill order with the
-	// plays precomputed, summing in neighbour order.  Filling forward then
-	// reverse at the first encounter — not up front — matters for the noisy
-	// self-pair (another SSet holding the focal strategy): its entry is its
-	// own reverse, so the first occurrence must see FitnessA while later
-	// occurrences see the FitnessB overwrite, exactly as the serial loop did.
-	total := 0.0
 	for _, oppID := range ids {
 		v := payoff[oppID]
 		if stamp[oppID] == queued {
@@ -514,14 +558,14 @@ func (m *Model) fitnessCachedID(i int) (float64, error) {
 			stamp[oppID], payoff[oppID] = cached, v
 			// The reverse pairing gives the opponent's payoff; keep it when
 			// the opponent is a focal strategy of this event, since the
-			// partner SSet is evaluated next.
+			// partner SSet is summed next.
 			if rr := p.row(oppID); rr >= 0 {
 				p.stamp[rr][myID], p.payoff[rr][myID] = cached, res.FitnessB
 			}
 		}
 		total += v
 	}
-	return total, nil
+	return total
 }
 
 // applyStrategyChange installs a new strategy for SSet idx everywhere the

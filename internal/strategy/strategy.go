@@ -15,6 +15,8 @@ package strategy
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"strings"
 
 	"evogame/internal/game"
 	"evogame/internal/rng"
@@ -166,10 +168,8 @@ func (p *Pure) Equal(other Strategy) bool {
 // DefectionCount returns the number of states in which the strategy defects.
 func (p *Pure) DefectionCount() int {
 	count := 0
-	for s := 0; s < p.n; s++ {
-		if p.Move(s, nil) == game.Defect {
-			count++
-		}
+	for _, w := range p.bits {
+		count += bits.OnesCount64(w)
 	}
 	return count
 }
@@ -182,32 +182,32 @@ func (p *Pure) Hamming(q *Pure) (int, error) {
 	}
 	d := 0
 	for i := range p.bits {
-		d += popcount(p.bits[i] ^ q.bits[i])
+		d += bits.OnesCount64(p.bits[i] ^ q.bits[i])
 	}
 	return d, nil
 }
 
-func popcount(x uint64) int {
-	// math/bits is not imported elsewhere in this file; keep the dependency
-	// local to the one call site via a tiny loop-free implementation.
-	x = x - ((x >> 1) & 0x5555555555555555)
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
-}
+// moveChunks[b] renders the eight states packed in byte b as '0'/'1'
+// characters, lowest state first.
+var moveChunks = func() (t [256][8]byte) {
+	for b := range t {
+		for k := range t[b] {
+			t[b][k] = '0' + byte(b>>uint(k)&1)
+		}
+	}
+	return t
+}()
 
 // String renders the full move table as '0'/'1' characters, state 0 first.
 // For memory-one this matches the rows of the paper's Table III.
 func (p *Pure) String() string {
-	buf := make([]byte, p.n)
-	for s := 0; s < p.n; s++ {
-		if p.Move(s, nil) == game.Defect {
-			buf[s] = '1'
-		} else {
-			buf[s] = '0'
-		}
+	var sb strings.Builder
+	sb.Grow(p.n)
+	for s := 0; s < p.n; s += 8 {
+		chunk := &moveChunks[byte(p.bits[s>>6]>>(uint(s)&63))]
+		sb.Write(chunk[:min(8, p.n-s)])
 	}
-	return string(buf)
+	return sb.String()
 }
 
 // Words returns the packed move table; used by the codec and the k-means

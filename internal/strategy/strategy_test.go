@@ -584,3 +584,30 @@ func BenchmarkEncodeDecodeMemorySix(b *testing.B) {
 		_, _ = Decode(buf)
 	}
 }
+
+// TestPureStringAndDefectionCountMatchMoves holds the packed-word String
+// rendering and the popcount DefectionCount to a per-state Move walk on
+// random strategies at every memory depth the engines run.
+func TestPureStringAndDefectionCountMatchMoves(t *testing.T) {
+	src := rng.New(2013)
+	for mem := 1; mem <= 6; mem++ {
+		for trial := 0; trial < 20; trial++ {
+			p := RandomPure(mem, src)
+			want := make([]byte, p.NumStates())
+			defects := 0
+			for s := range want {
+				want[s] = '0'
+				if p.Move(s, nil) == game.Defect {
+					want[s] = '1'
+					defects++
+				}
+			}
+			if got := p.String(); got != string(want) {
+				t.Fatalf("memory-%d trial %d: String %q, want %q", mem, trial, got, want)
+			}
+			if got := p.DefectionCount(); got != defects {
+				t.Fatalf("memory-%d trial %d: DefectionCount %d, want %d", mem, trial, got, defects)
+			}
+		}
+	}
+}
