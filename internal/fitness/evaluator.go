@@ -238,27 +238,35 @@ type abundance struct {
 	res  []game.Result
 }
 
-func (a *abundance) add(id uint32) {
+// add counts one more SSet holding id and reports whether id is newly
+// present (appended to present).
+func (a *abundance) add(id uint32) bool {
 	if int(id) >= len(a.count) {
 		grow := int(id) + 1 - len(a.count)
 		a.count = append(a.count, make([]int32, grow)...)
 		a.pos = append(a.pos, make([]int32, grow)...)
 	}
-	if a.count[id] == 0 {
-		a.pos[id] = int32(len(a.present))
-		a.present = append(a.present, id)
-	}
 	a.count[id]++
+	if a.count[id] > 1 {
+		return false
+	}
+	a.pos[id] = int32(len(a.present))
+	a.present = append(a.present, id)
+	return true
 }
 
-func (a *abundance) remove(id uint32) {
+// remove counts one SSet fewer holding id.  When none is left, id leaves
+// present by swap-remove: it returns the position id vacated, which the
+// last entry now fills, or -1 while id is still present.
+func (a *abundance) remove(id uint32) int {
 	a.count[id]--
 	if a.count[id] > 0 {
-		return
+		return -1
 	}
 	// Swap-remove: the order of present only decides the order of lookups,
 	// which cannot change any sum or any stored pair (see Evaluator).
 	p, last := a.pos[id], a.present[len(a.present)-1]
 	a.present[p], a.pos[last] = last, p
 	a.present = a.present[:len(a.present)-1]
+	return int(p)
 }

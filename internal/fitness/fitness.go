@@ -15,15 +15,15 @@
 //     so each distinct pair is played at most once for the lifetime of the
 //     cache.  A pair is stored once and serves both orientations, since
 //     the opponent's fitness is usually requested next.
-//   - IncrementalMatrix maintains the S×S fitness structure across
-//     generations: per-SSet fitness row sums are built lazily through the
-//     cache and, when the Nature Agent changes the strategy of one SSet,
-//     only that SSet's row is invalidated while every other row receives an
-//     O(1) delta update to its sum (subtract the stale pair payoff, add the
-//     new one).  Per-generation cost therefore drops from O(S²) games to
-//     O(D²) distinct-pair kernels amortised over the run plus O(S) updates
-//     per adoption/mutation event, where D is the number of distinct
-//     strategies present.
+//   - IncrementalMatrix maintains fitness sums across generations: rows
+//     are built lazily through the cache and, when the Nature Agent changes
+//     the strategy of one SSet, every other row receives an O(1) delta
+//     update to its sum (subtract the stale pair payoff, add the new one).
+//     Well-mixed rows are kept per distinct strategy rather than per SSet.
+//     Per-generation cost therefore drops from O(S²) games to O(D²)
+//     distinct-pair kernels amortised over the run plus O(D) updates per
+//     adoption/mutation event (O(degree) under a sparse topology), where D
+//     is the number of distinct strategies present.
 //   - Evaluator is what the engines use: NewEvaluator resolves the
 //     requested EvalMode against the validity conditions below once per
 //     run (or rank) and either returns the evaluator that computes every
@@ -84,10 +84,10 @@ const (
 	// across generations; each distinct strategy pair is played at most once
 	// for the lifetime of a run.
 	EvalCached
-	// EvalIncremental additionally maintains per-SSet fitness sums in an
+	// EvalIncremental additionally maintains fitness sums in an
 	// IncrementalMatrix, so generations without strategy changes replay
-	// nothing and a strategy change costs one row rebuild plus O(S) delta
-	// updates.
+	// nothing and a strategy change costs at most one row build plus one
+	// delta update per distinct strategy (per neighbour on a sparse graph).
 	EvalIncremental
 )
 

@@ -484,8 +484,8 @@ func TestIncrementalMatrixGraphRestricted(t *testing.T) {
 			}
 		}
 	}
-	// The complete graph must collapse to the dense well-mixed path and
-	// agree with the all-pairs brute force.
+	// The complete graph must collapse to the strategy-keyed well-mixed
+	// rows and agree with the all-pairs brute force.
 	wm, err := (topology.Spec{}).Build(len(table), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -8,31 +8,37 @@ import (
 )
 
 // IncrementalMatrix maintains the per-SSet fitness of the pairwise
-// evaluation across generations.  Row i holds the focal payoff of SSet i's
-// strategy against every SSet it interacts with; the row sum is the
-// "relative fitness" the Nature Agent compares during pairwise learning.
-// In a well-mixed population (nil graph) every SSet interacts with every
-// other; under a structured topology only graph edges are evaluated, so a
-// row costs the SSet's degree in cache lookups instead of S-1.
+// evaluation across generations: the summed focal payoff of SSet i's
+// strategy against every SSet it interacts with, the "relative fitness" the
+// Nature Agent compares during pairwise learning.
 //
 // Strategies are tracked as the dense interned IDs of the cache's registry,
-// so row rebuilds and delta updates go through PairCache.PlayID — integer
-// pair lookups with no per-game encoding or string keys.  Interning happens
-// once per strategy-change event in Update, which is O(events) over a run,
-// not O(games).
+// so row builds and updates go through PairCache.PlayID — integer pair
+// lookups with no per-game encoding or string keys.  Interning happens once
+// per Update, which is O(events) over a run, not O(games).
 //
-// Rows are built lazily through the PairCache on the first Fitness request
-// and kept current thereafter: when the strategy of SSet t changes, row t
-// is invalidated (rebuilt on next request) while every other built row
-// adjacent to t receives an O(1) delta update to its sum — subtract the
-// stale payoff against t, add the payoff against t's new strategy.  Only
-// the range [lo, hi) of rows is materialised, so a distributed rank pays
-// memory only for the block of SSets it owns while still tracking the full
-// strategy table.
+// Only the range [lo, hi) of SSets is materialised, so a distributed rank
+// pays only for the block it owns while still tracking the full strategy
+// table.  An SSet is "built" from its first Fitness request until its
+// strategy next changes; only built SSets are kept current.
+//
+// Under a structured topology each built SSet owns a degree-indexed row:
+// entry k is the payoff against its k-th neighbour, so memory is
+// O(rows × degree).  A change of SSet t's strategy invalidates t's row and
+// gives every built neighbour an O(1) delta update (subtract the stale
+// payoff against t, add the payoff against t's new strategy).
+//
+// In a well-mixed population (nil or complete graph) SSets holding the same
+// strategy have the same fitness, so rows are keyed by strategy instead of
+// by SSet (see strategyRows): the cost of a change is one update per
+// distinct strategy held by a built SSet, with a lookup only for a pair the
+// row does not hold yet.  The pairs looked up are exactly those of an
+// SSet-keyed row, so misses and games played are unchanged; only hits fall.
 //
 // IncrementalMatrix is only used for noiseless populations of deterministic
-// strategies (the engines bypass it otherwise), so every pair payoff is a
-// pure function of the pair and the delta updates are exact; see the
+// strategies with integer payoffs (the engines bypass or downgrade it
+// otherwise), so every pair payoff is a pure function of the pair and every
+// sum is an exact integer, whatever the order of its updates; see the
 // package documentation for the cache-validity conditions.
 //
 // The type is not safe for concurrent use; each engine (or rank) owns one.
@@ -41,14 +47,15 @@ type IncrementalMatrix struct {
 	graph  topology.Graph // nil means well-mixed (all pairs interact)
 	ids    []uint32       // interned strategy ID per SSet
 	lo, hi int
+	built  []bool // built[r]: SSet lo+r is kept current
 
-	// pay[r] holds the focal payoffs of SSet lo+r.  Well-mixed (nil graph)
-	// rows are dense: pay[r][j] is the payoff against SSet j.  Graph rows
-	// are degree-indexed: pay[r][k] is the payoff against the row's k-th
-	// neighbor, so memory is O(rows × degree) rather than O(rows × S).
-	pay   [][]float64
-	sums  []float64 // sums[r]: sum of pay[r] entries (self excluded)
-	built []bool
+	// Degree-indexed graph rows (graph != nil): pay[r][k] is SSet lo+r's
+	// payoff against its k-th neighbour and sums[r] their sum.
+	pay  [][]float64
+	sums []float64
+
+	// Strategy-keyed rows (graph == nil).
+	wm strategyRows
 }
 
 // NewIncrementalMatrix returns a matrix tracking the given strategy table
@@ -79,8 +86,7 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 		ids[i] = id
 	}
 	if g != nil && g.Complete() {
-		// The complete graph is the well-mixed population; drop it so the
-		// hot loops below stay on the branch-free all-pairs path.
+		// The complete graph is the well-mixed population.
 		g = nil
 	}
 	m := &IncrementalMatrix{
@@ -89,16 +95,18 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 		ids:   ids,
 		lo:    lo,
 		hi:    hi,
-		pay:   make([][]float64, hi-lo),
-		sums:  make([]float64, hi-lo),
 		built: make([]bool, hi-lo),
 	}
-	for r := range m.pay {
-		if g != nil {
-			m.pay[r] = make([]float64, g.Degree(lo+r))
-		} else {
-			m.pay[r] = make([]float64, len(table))
+	if g == nil {
+		for _, id := range ids {
+			m.wm.abund.add(id)
 		}
+		return m, nil
+	}
+	m.pay = make([][]float64, hi-lo)
+	m.sums = make([]float64, hi-lo)
+	for r := range m.pay {
+		m.pay[r] = make([]float64, g.Degree(lo+r))
 	}
 	return m, nil
 }
@@ -130,65 +138,57 @@ func (m *IncrementalMatrix) Rows() (lo, hi int) { return m.lo, m.hi }
 // GamesPlayed returns the games executed through the underlying cache.
 func (m *IncrementalMatrix) GamesPlayed() int64 { return m.cache.Plays() }
 
-func (m *IncrementalMatrix) buildRow(i int) error {
+// buildGraphRow fills SSet i's degree-indexed row: O(degree) lookups.
+func (m *IncrementalMatrix) buildGraphRow(i int) error {
 	r := i - m.lo
 	my := m.ids[i]
 	sum := 0.0
-	if m.graph != nil {
-		// Degree-indexed row: entry k is the payoff against the k-th
-		// neighbor, so the rebuild is O(degree) work and memory.
-		deg := m.graph.Degree(i)
-		for k := 0; k < deg; k++ {
-			j := m.graph.Neighbor(i, k)
-			res, err := m.cache.PlayID(my, m.ids[j])
-			if err != nil {
-				return fmt.Errorf("fitness: row %d vs %d: %w", i, j, err)
-			}
-			m.pay[r][k] = res.FitnessA
-			sum += res.FitnessA
-		}
-		m.sums[r] = sum
-		m.built[r] = true
-		return nil
-	}
-	for j := range m.ids {
-		if j == i {
-			m.pay[r][j] = 0
-			continue
-		}
+	deg := m.graph.Degree(i)
+	for k := 0; k < deg; k++ {
+		j := m.graph.Neighbor(i, k)
 		res, err := m.cache.PlayID(my, m.ids[j])
 		if err != nil {
 			return fmt.Errorf("fitness: row %d vs %d: %w", i, j, err)
 		}
-		m.pay[r][j] = res.FitnessA
+		m.pay[r][k] = res.FitnessA
 		sum += res.FitnessA
 	}
 	m.sums[r] = sum
-	m.built[r] = true
 	return nil
 }
 
 // Fitness returns the pairwise fitness of SSet i (the summed focal payoff
-// against every SSet it interacts with), building the row through the cache
-// if it has not been materialised yet.  i must lie in [lo, hi).
+// against every SSet it interacts with), building its row through the
+// cache if it has not been materialised yet.  i must lie in [lo, hi).
 func (m *IncrementalMatrix) Fitness(i int) (float64, error) {
 	if i < m.lo || i >= m.hi {
 		return 0, fmt.Errorf("fitness: row %d outside materialised range [%d,%d)", i, m.lo, m.hi)
 	}
-	if !m.built[i-m.lo] {
-		if err := m.buildRow(i); err != nil {
+	r := i - m.lo
+	if m.graph != nil {
+		if !m.built[r] {
+			if err := m.buildGraphRow(i); err != nil {
+				return 0, err
+			}
+			m.built[r] = true
+		}
+		return m.sums[r], nil
+	}
+	if !m.built[r] {
+		if err := m.wm.acquire(m.cache, m.ids[i]); err != nil {
 			return 0, err
 		}
+		m.built[r] = true
 	}
-	return m.sums[i-m.lo], nil
+	return m.wm.row(m.ids[i]).sum, nil
 }
 
 // Update records that SSet idx now holds strategy s (an adoption or
 // mutation event).  The new strategy is interned once; row idx is
-// invalidated and every other built row that interacts with idx gets a
-// delta update of its column idx, costing one ID-pair cache lookup each —
-// O(S) work well-mixed, O(degree) under a sparse topology, with new game
-// kernels only for pairs never seen before.
+// invalidated and every other built row that interacts with idx is brought
+// up to date — O(degree) lookups under a sparse topology, at most one per
+// distinct built strategy well-mixed — with new game kernels only for
+// pairs never seen before.
 func (m *IncrementalMatrix) Update(idx int, s strategy.Strategy) error {
 	if idx < 0 || idx >= len(m.ids) {
 		return fmt.Errorf("fitness: update index %d outside table of %d strategies", idx, len(m.ids))
@@ -206,54 +206,168 @@ func (m *IncrementalMatrix) Update(idx int, s strategy.Strategy) error {
 // updateID is Update for a strategy already interned as id; idx must lie
 // in [0, Len()).
 func (m *IncrementalMatrix) updateID(idx int, id uint32) error {
+	old := m.ids[idx]
 	m.ids[idx] = id
-	if m.graph != nil {
-		// Only idx's neighbors interact with it: walk the neighbor list
-		// (ascending, like the row scan below) instead of scanning and
-		// adjacency-testing every materialised row.
-		deg := m.graph.Degree(idx)
-		for k := 0; k < deg; k++ {
-			i := m.graph.Neighbor(idx, k)
-			if i < m.lo || i >= m.hi || !m.built[i-m.lo] {
-				continue
-			}
-			col := neighborPos(m.graph, i, idx)
-			if col < 0 {
-				return fmt.Errorf("fitness: graph edge %d->%d has no reverse edge", idx, i)
-			}
-			if err := m.deltaUpdate(i, idx, col, id); err != nil {
-				return err
-			}
-		}
-	} else {
-		for r := range m.built {
-			i := m.lo + r
-			if i == idx || !m.built[r] {
-				continue
-			}
-			if err := m.deltaUpdate(i, idx, idx, id); err != nil {
-				return err
-			}
-		}
-	}
-	if idx >= m.lo && idx < m.hi {
+	wasBuilt := idx >= m.lo && idx < m.hi && m.built[idx-m.lo]
+	if wasBuilt {
 		m.built[idx-m.lo] = false
+	}
+	if m.graph == nil {
+		if wasBuilt {
+			m.wm.release(old)
+		}
+		return m.wm.change(m.cache, old, id)
+	}
+	// Only idx's neighbors interact with it: walk the neighbor list
+	// (ascending) instead of scanning and adjacency-testing every
+	// materialised row.
+	deg := m.graph.Degree(idx)
+	for k := 0; k < deg; k++ {
+		i := m.graph.Neighbor(idx, k)
+		if i < m.lo || i >= m.hi || !m.built[i-m.lo] {
+			continue
+		}
+		col := neighborPos(m.graph, i, idx)
+		if col < 0 {
+			return fmt.Errorf("fitness: graph edge %d->%d has no reverse edge", idx, i)
+		}
+		r := i - m.lo
+		res, err := m.cache.PlayID(m.ids[i], id)
+		if err != nil {
+			return fmt.Errorf("fitness: delta update row %d vs %d: %w", i, idx, err)
+		}
+		m.sums[r] += res.FitnessA - m.pay[r][col]
+		m.pay[r][col] = res.FitnessA
 	}
 	return nil
 }
 
-// deltaUpdate refreshes built row i after idx's strategy changed to the
-// strategy behind id: subtract the stale pair payoff from the row sum, add
-// the new one.  col is the row-local payoff index of idx (idx itself for
-// dense well-mixed rows, idx's neighbor position for degree-indexed graph
-// rows).
-func (m *IncrementalMatrix) deltaUpdate(i, idx, col int, id uint32) error {
-	r := i - m.lo
-	res, err := m.cache.PlayID(m.ids[i], id)
-	if err != nil {
-		return fmt.Errorf("fitness: delta update row %d vs %d: %w", i, idx, err)
+// strategyRows holds the well-mixed rows of an IncrementalMatrix, one per
+// interned strategy s held by at least one built SSet.  abund counts the
+// SSets of the whole table holding each strategy (mult(s,t) = count[t] −
+// [t=s] is then the number of opponents holding t that an SSet holding s
+// faces), and its present list numbers the columns of every row.  A live
+// row holds pay(s,t) for every present t with mult(s,t) ≥ 1 and keeps
+// sum = Σ_t mult(s,t)·pay(s,t).
+type strategyRows struct {
+	abund abundance
+	rowOf []int32 // rowOf[id]: 1 + index into rows of id's row, 0 for none
+	// rows holds the live rows; the slots past len(rows) keep the slices of
+	// dead rows for reuse.
+	rows []stratRow
+}
+
+// stratRow is the fitness row of one strategy.
+type stratRow struct {
+	id   uint32
+	refs int32 // built SSets holding id
+	sum  float64
+	pay  []float64 // pay[p]: payoff of id against abund.present[p] ...
+	has  []bool    // ... valid where has[p] is set
+}
+
+// row returns id's live row; id must be held by a built SSet.
+func (w *strategyRows) row(id uint32) *stratRow {
+	return &w.rows[w.rowOf[id]-1]
+}
+
+// acquire counts one more built SSet holding id, building id's row (one
+// lookup per distinct strategy it faces) if none is live.
+func (w *strategyRows) acquire(c *PairCache, id uint32) error {
+	if int(id) >= len(w.rowOf) {
+		w.rowOf = append(w.rowOf, make([]int32, int(id)+1-len(w.rowOf))...)
 	}
-	m.sums[r] += res.FitnessA - m.pay[r][col]
-	m.pay[r][col] = res.FitnessA
+	if w.rowOf[id] != 0 {
+		w.row(id).refs++
+		return nil
+	}
+	a := &w.abund
+	n := len(w.rows)
+	if n < cap(w.rows) {
+		w.rows = w.rows[:n+1] // reuse a dead row's slices
+	} else {
+		w.rows = append(w.rows, stratRow{})
+	}
+	r := &w.rows[n]
+	*r = stratRow{
+		id:   id,
+		refs: 1,
+		pay:  append(r.pay[:0], make([]float64, len(a.present))...),
+		has:  append(r.has[:0], make([]bool, len(a.present))...),
+	}
+	w.rowOf[id] = int32(n + 1)
+	for p, t := range a.present {
+		mult := a.count[t]
+		if t == id {
+			mult--
+		}
+		if mult == 0 {
+			continue
+		}
+		res, err := c.PlayID(id, t)
+		if err != nil {
+			w.release(id)
+			return fmt.Errorf("fitness: row of strategy %d vs %d: %w", id, t, err)
+		}
+		r.pay[p], r.has[p] = res.FitnessA, true
+		r.sum += float64(mult) * res.FitnessA
+	}
+	return nil
+}
+
+// release counts one built SSet fewer holding id, dropping id's row when
+// none is left.
+func (w *strategyRows) release(id uint32) {
+	r := w.row(id)
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	i, last := int(w.rowOf[id]-1), len(w.rows)-1
+	w.rows[i], w.rows[last] = w.rows[last], w.rows[i]
+	w.rowOf[w.rows[i].id] = int32(i + 1)
+	w.rowOf[id] = 0
+	w.rows = w.rows[:last]
+}
+
+// change moves one SSet from strategy a to strategy b and brings every
+// live row up to date: subtract pay(s,a), move the counts (and columns),
+// add pay(s,b) where an opponent now holds b, looking it up only if the
+// row lacks it.
+func (w *strategyRows) change(c *PairCache, a, b uint32) error {
+	ab := &w.abund
+	pa := ab.pos[a]
+	for k := range w.rows {
+		// mult(s,a) ≥ 1 here: another SSet holds a, or s ≠ a.
+		w.rows[k].sum -= w.rows[k].pay[pa]
+	}
+	if p := ab.remove(a); p >= 0 {
+		last := len(ab.present)
+		for k := range w.rows {
+			r := &w.rows[k]
+			r.pay[p], r.has[p] = r.pay[last], r.has[last]
+			r.pay, r.has = r.pay[:last], r.has[:last]
+		}
+	}
+	if ab.add(b) {
+		for k := range w.rows {
+			r := &w.rows[k]
+			r.pay, r.has = append(r.pay, 0), append(r.has, false)
+		}
+	}
+	pb, cb := ab.pos[b], ab.count[b]
+	for k := range w.rows {
+		r := &w.rows[k]
+		if r.id == b && cb == 1 {
+			continue
+		}
+		if !r.has[pb] {
+			res, err := c.PlayID(r.id, b)
+			if err != nil {
+				return fmt.Errorf("fitness: row of strategy %d vs %d: %w", r.id, b, err)
+			}
+			r.pay[pb], r.has[pb] = res.FitnessA, true
+		}
+		r.sum += r.pay[pb]
+	}
 	return nil
 }

@@ -180,8 +180,9 @@ func (m *mailbox) put(msg message) {
 // matches any source, tag == AnyTag matches any tag.  Queued matches are
 // delivered even after a peer failure; once no match is queued, take
 // returns a *RankError if any rank has failed, or ErrDeadline if the
-// communicator's deadline elapses first.
-func (m *mailbox) take(src, tag int) (message, error) {
+// communicator's deadline elapses first.  The time spent waiting for a
+// match is added to *blockedNs; a match already queued reads no clock.
+func (m *mailbox) take(src, tag int, blockedNs *atomic.Int64) (message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	expired := false
@@ -208,7 +209,10 @@ func (m *mailbox) take(src, tag int) (message, error) {
 			return message{}, fmt.Errorf("mpi: rank %d: no message matching (src=%d, tag=%d) within the %v deadline: %w",
 				m.rank, src, tag, m.fab.opts.Deadline, ErrDeadline)
 		}
+		//lint:allow randsource wall-clock measurement of receive-blocked time for RankReport comm stats; never feeds simulation state
+		start := time.Now()
 		m.cond.Wait()
+		blockedNs.Add(int64(time.Since(start)))
 	}
 }
 
@@ -295,7 +299,8 @@ type Stats struct {
 	BytesRecv   int64
 	Collectives int64
 	// TimeBlocked is the cumulative wall-clock time the rank spent waiting
-	// inside Recv and collective calls.
+	// for a message to arrive inside Recv and collective calls; receiving a
+	// message that is already queued adds nothing.
 	TimeBlocked time.Duration
 	// RetriedSends counts send attempts repeated after the fault injector
 	// dropped the message (always zero with no injector).
@@ -426,10 +431,7 @@ func (c *Comm) recv(from, tag int) ([]byte, int, error) {
 	if from >= c.fabric.size {
 		return nil, 0, fmt.Errorf("%w: %d not in [0,%d)", ErrInvalidRank, from, c.fabric.size)
 	}
-	//lint:allow randsource wall-clock measurement of receive-blocked time for RankReport comm stats; never feeds simulation state
-	start := time.Now()
-	msg, err := c.fabric.mailboxes[c.rank].take(from, tag)
-	c.blockedNs.Add(int64(time.Since(start)))
+	msg, err := c.fabric.mailboxes[c.rank].take(from, tag, &c.blockedNs)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -613,3 +613,37 @@ func TestBcastBlockedTimeCountedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTimeBlockedCountsOnlyWaits checks that receiving a message already
+// queued adds nothing to TimeBlocked, while a receive that has to wait for
+// its message adds the wait.
+func TestTimeBlockedCountsOnlyWaits(t *testing.T) {
+	queued := make(chan struct{})
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 0 {
+			if err := c.Send(1, 1, []byte("early")); err != nil {
+				return err
+			}
+			close(queued)
+			time.Sleep(5 * time.Millisecond)
+			return c.Send(1, 2, []byte("late"))
+		}
+		<-queued
+		if _, err := c.Recv(0, 1); err != nil {
+			return err
+		}
+		if blocked := c.Stats().TimeBlocked; blocked != 0 {
+			return fmt.Errorf("pre-queued receive added %v to TimeBlocked, want 0", blocked)
+		}
+		if _, err := c.Recv(0, 2); err != nil {
+			return err
+		}
+		if blocked := c.Stats().TimeBlocked; blocked <= 0 {
+			return fmt.Errorf("waiting receive left TimeBlocked at %v, want > 0", blocked)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

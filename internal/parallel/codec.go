@@ -92,97 +92,98 @@ func decodeSelection(buf []byte) (ok bool, teacher, learner int) {
 }
 
 // updateMessage is the per-generation strategy-table update broadcast after
-// the learning and mutation phases.
+// the learning and mutation phases.  An adoption names only the learner and
+// the teacher whose strategy it copies, which every rank already holds; a
+// mutation ships the new strategy.
 type updateMessage struct {
-	learning        bool
-	learner         int
-	learnerStrategy strategy.Strategy
-	mutation        bool
-	target          int
-	targetStrategy  strategy.Strategy
+	learning         bool
+	learner, teacher int
+	mutation         bool
+	target           int
+	targetStrategy   strategy.Strategy
 }
 
+// Update flag bits.
+const (
+	updateLearning = 1 << iota
+	updateMutation
+)
+
 // encodeUpdate packs an updateMessage: a flag byte (bit 0 learning, bit 1
-// mutation) followed by, for each present component, a uint32 SSet index and
-// a length-prefixed strategy encoding.
+// mutation), then for an adoption the uint32 learner and teacher indices,
+// then for a mutation the uint32 target index and a length-prefixed
+// strategy encoding.
 func encodeUpdate(u updateMessage) ([]byte, error) {
-	flags := byte(0)
+	out := make([]byte, 1, 9)
 	if u.learning {
-		flags |= 1
+		out[0] |= updateLearning
+		out = binary.LittleEndian.AppendUint32(out, uint32(u.learner))
+		out = binary.LittleEndian.AppendUint32(out, uint32(u.teacher))
 	}
 	if u.mutation {
-		flags |= 2
-	}
-	out := []byte{flags}
-	appendStrat := func(id int, s strategy.Strategy) error {
-		enc, err := strategy.Encode(s)
+		enc, err := strategy.Encode(u.targetStrategy)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var idBuf [4]byte
-		binary.LittleEndian.PutUint32(idBuf[:], uint32(id))
-		out = append(out, idBuf[:]...)
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-		out = append(out, lenBuf[:]...)
+		out[0] |= updateMutation
+		out = binary.LittleEndian.AppendUint32(out, uint32(u.target))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
 		out = append(out, enc...)
-		return nil
-	}
-	if u.learning {
-		if err := appendStrat(u.learner, u.learnerStrategy); err != nil {
-			return nil, err
-		}
-	}
-	if u.mutation {
-		if err := appendStrat(u.target, u.targetStrategy); err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }
 
-// decodeUpdate reverses encodeUpdate.
-func decodeUpdate(buf []byte) (updateMessage, error) {
+// decodeUpdate reverses encodeUpdate for a table of n SSets.  It rejects
+// unknown flag bits and any learner, teacher or target index outside
+// [0, n), so an accepted update can be applied without further checks.
+func decodeUpdate(buf []byte, n int) (updateMessage, error) {
 	var u updateMessage
 	if len(buf) < 1 {
 		return u, fmt.Errorf("parallel: empty update payload")
 	}
 	flags := buf[0]
 	buf = buf[1:]
-	readStrat := func() (int, strategy.Strategy, error) {
-		if len(buf) < 8 {
-			return 0, nil, fmt.Errorf("parallel: update payload truncated")
-		}
-		id := int(binary.LittleEndian.Uint32(buf))
-		n := int(binary.LittleEndian.Uint32(buf[4:]))
-		buf = buf[8:]
-		if len(buf) < n {
-			return 0, nil, fmt.Errorf("parallel: update payload truncated inside strategy")
-		}
-		s, err := strategy.Decode(buf[:n])
-		if err != nil {
-			return 0, nil, err
-		}
-		buf = buf[n:]
-		return id, s, nil
+	if flags&^(updateLearning|updateMutation) != 0 {
+		return u, fmt.Errorf("parallel: unknown update flags %#x", flags)
 	}
-	if flags&1 != 0 {
-		id, s, err := readStrat()
-		if err != nil {
-			return u, err
+	readIndex := func(field string) (int, error) {
+		if len(buf) < 4 {
+			return 0, fmt.Errorf("parallel: update payload truncated at the %s index", field)
 		}
+		v := binary.LittleEndian.Uint32(buf)
+		buf = buf[4:]
+		if uint64(v) >= uint64(n) {
+			return 0, fmt.Errorf("parallel: update %s %d outside [0,%d)", field, v, n)
+		}
+		return int(v), nil
+	}
+	var err error
+	if flags&updateLearning != 0 {
 		u.learning = true
-		u.learner = id
-		u.learnerStrategy = s
-	}
-	if flags&2 != 0 {
-		id, s, err := readStrat()
-		if err != nil {
+		if u.learner, err = readIndex("learner"); err != nil {
 			return u, err
 		}
+		if u.teacher, err = readIndex("teacher"); err != nil {
+			return u, err
+		}
+	}
+	if flags&updateMutation != 0 {
 		u.mutation = true
-		u.target = id
-		u.targetStrategy = s
+		if u.target, err = readIndex("target"); err != nil {
+			return u, err
+		}
+		if len(buf) < 4 {
+			return u, fmt.Errorf("parallel: update payload truncated at the strategy length")
+		}
+		size := binary.LittleEndian.Uint32(buf)
+		buf = buf[4:]
+		if uint64(len(buf)) < uint64(size) {
+			return u, fmt.Errorf("parallel: update payload truncated inside strategy")
+		}
+		if u.targetStrategy, err = strategy.Decode(buf[:size]); err != nil {
+			return u, err
+		}
+		buf = buf[size:]
 	}
 	if len(buf) != 0 {
 		return u, fmt.Errorf("parallel: %d trailing bytes after update payload", len(buf))

@@ -613,7 +613,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 				}
 				update.learning = true
 				update.learner = learner
-				update.learnerStrategy = newStrat
+				update.teacher = teacher
 			}
 		}
 
@@ -875,19 +875,12 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		}); err != nil {
 			return RankReport{}, err
 		}
-		update, err := decodeUpdate(upBuf)
+		update, err := decodeUpdate(upBuf, len(table))
 		if err != nil {
 			return RankReport{}, err
 		}
-		if update.learning {
-			if err := applyTableChange(table, locals, ev, lo, update.learner, update.learnerStrategy); err != nil {
-				return RankReport{}, err
-			}
-		}
-		if update.mutation {
-			if err := applyTableChange(table, locals, ev, lo, update.target, update.targetStrategy); err != nil {
-				return RankReport{}, err
-			}
+		if err := applyUpdate(update, table, locals, ev, lo); err != nil {
+			return RankReport{}, err
 		}
 	}
 
@@ -907,18 +900,40 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	return rep, nil
 }
 
-// applyTableChange installs a broadcast strategy-table update on an SSet
-// rank: the rank's copy of the global table, the local SSet if this rank
-// owns the changed index, and the rank's fitness evaluator when it has one.
-func applyTableChange(table []strategy.Strategy, locals []*sset.SSet, ev *fitness.Evaluator, lo, idx int, s strategy.Strategy) error {
-	table[idx] = s
-	if li := idx - lo; li >= 0 && li < len(locals) {
-		if err := locals[li].SetStrategy(s); err != nil {
+// applyUpdate installs a broadcast strategy-table update on an SSet rank:
+// the rank's copy of the global table, the local SSet if this rank owns a
+// changed index, and the rank's fitness evaluator when it has one.  An
+// adoption shares the teacher's strategy value, which is safe because a
+// strategy is never modified after construction, and lets the evaluator
+// copy the teacher's interned ID instead of re-interning.
+func applyUpdate(u updateMessage, table []strategy.Strategy, locals []*sset.SSet, ev *fitness.Evaluator, lo int) error {
+	if u.learning {
+		if err := setStrategy(table, locals, lo, u.learner, table[u.teacher]); err != nil {
 			return err
 		}
+		if ev != nil {
+			if err := ev.Adopt(u.learner, u.teacher); err != nil {
+				return err
+			}
+		}
 	}
-	if ev != nil {
-		return ev.Apply(idx, s)
+	if u.mutation {
+		if err := setStrategy(table, locals, lo, u.target, u.targetStrategy); err != nil {
+			return err
+		}
+		if ev != nil {
+			return ev.Apply(u.target, u.targetStrategy)
+		}
+	}
+	return nil
+}
+
+// setStrategy points table entry idx, and the local SSet if this rank owns
+// idx, at s.
+func setStrategy(table []strategy.Strategy, locals []*sset.SSet, lo, idx int, s strategy.Strategy) error {
+	table[idx] = s
+	if li := idx - lo; li >= 0 && li < len(locals) {
+		return locals[li].SetStrategy(s)
 	}
 	return nil
 }

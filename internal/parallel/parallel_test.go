@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -163,30 +165,50 @@ func TestTableCodecRoundTrip(t *testing.T) {
 }
 
 func TestUpdateCodecRoundTrip(t *testing.T) {
+	const n = 16
 	u := updateMessage{
-		learning: true, learner: 5, learnerStrategy: strategy.WSLS(1),
+		learning: true, learner: 5, teacher: 11,
 		mutation: true, target: 9, targetStrategy: strategy.AllD(1),
 	}
 	buf, err := encodeUpdate(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeUpdate(buf)
+	if want := 1 + 8 + 8 + strategy.EncodedSize(1); len(buf) != want {
+		t.Fatalf("update is %d bytes, want %d", len(buf), want)
+	}
+	got, err := decodeUpdate(buf, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.learning || got.learner != 5 || !got.learnerStrategy.Equal(strategy.WSLS(1)) {
+	if !got.learning || got.learner != 5 || got.teacher != 11 {
 		t.Fatalf("learning part wrong: %+v", got)
 	}
 	if !got.mutation || got.target != 9 || !got.targetStrategy.Equal(strategy.AllD(1)) {
 		t.Fatalf("mutation part wrong: %+v", got)
 	}
 
+	// An adoption alone is the flag byte and two indices.
+	adopt, err := encodeUpdate(updateMessage{learning: true, learner: 3, teacher: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(adopt) != 9 {
+		t.Fatalf("adoption-only update is %d bytes, want 9", len(adopt))
+	}
+	gotAdopt, err := decodeUpdate(adopt, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gotAdopt.learning || gotAdopt.learner != 3 || gotAdopt.teacher != 0 || gotAdopt.mutation {
+		t.Fatalf("adoption-only update decoded as %+v", gotAdopt)
+	}
+
 	empty, err := encodeUpdate(updateMessage{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEmpty, err := decodeUpdate(empty)
+	gotEmpty, err := decodeUpdate(empty, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,15 +216,77 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		t.Fatal("empty update decoded as containing events")
 	}
 
-	if _, err := decodeUpdate(nil); err == nil {
+	if _, err := decodeUpdate(nil, n); err == nil {
 		t.Fatal("accepted empty update payload")
 	}
-	if _, err := decodeUpdate(buf[:4]); err == nil {
+	if _, err := decodeUpdate(buf[:4], n); err == nil {
 		t.Fatal("accepted truncated update payload")
 	}
-	if _, err := decodeUpdate(append(buf, 1, 2, 3)); err == nil {
+	if _, err := decodeUpdate(append(buf[:len(buf):len(buf)], 1, 2, 3), n); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
+	if _, err := decodeUpdate([]byte{4}, n); err == nil {
+		t.Fatal("accepted unknown flag bits")
+	}
+	// Every index is checked against the table size, and the error names
+	// the offending field.
+	for _, bad := range []struct {
+		field string
+		u     updateMessage
+	}{
+		{"learner", updateMessage{learning: true, learner: n, teacher: 0}},
+		{"teacher", updateMessage{learning: true, learner: 0, teacher: n + 7}},
+		{"target", updateMessage{mutation: true, target: n, targetStrategy: strategy.TFT(1)}},
+	} {
+		b, err := encodeUpdate(bad.u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = decodeUpdate(b, n)
+		if err == nil || !strings.Contains(err.Error(), bad.field) {
+			t.Fatalf("out-of-range %s: got error %v", bad.field, err)
+		}
+	}
+}
+
+// FuzzDecodeUpdate feeds arbitrary payloads to decodeUpdate: it must never
+// panic, and a payload it accepts must carry in-range indices and
+// re-encode byte for byte.
+func FuzzDecodeUpdate(f *testing.F) {
+	const n = 12
+	seeds := []updateMessage{
+		{},
+		{learning: true, learner: 3, teacher: 7},
+		{mutation: true, target: 11, targetStrategy: strategy.WSLS(2)},
+		{learning: true, learner: 0, teacher: 11, mutation: true, target: 4, targetStrategy: strategy.AllC(1)},
+	}
+	for _, u := range seeds {
+		buf, err := encodeUpdate(u)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add([]byte{1, 12, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{2, 0, 0, 0, 0, 255, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		u, err := decodeUpdate(buf, n)
+		if err != nil {
+			return
+		}
+		for _, idx := range []int{u.learner, u.teacher, u.target} {
+			if idx < 0 || idx >= n {
+				t.Fatalf("accepted index %d outside [0,%d): %+v", idx, n, u)
+			}
+		}
+		again, err := encodeUpdate(u)
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, buf) {
+			t.Fatalf("re-encoded %x, decoded from %x", again, buf)
+		}
+	})
 }
 
 func TestRunBasic(t *testing.T) {

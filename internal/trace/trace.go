@@ -1,63 +1,37 @@
 // Package trace records how a rank's wall-clock time is split between
-// phases — game-play computation, communication, and bookkeeping — so the
-// scaling studies can report the compute/communication breakdown of the
-// paper's Figure 5 and diagnose the efficiency cliffs of Figure 4 and
-// Table VI.
+// game-play computation and communication, so the scaling studies can
+// report the compute/communication breakdown of the paper's Figure 5 and
+// diagnose the efficiency cliffs of Figure 4 and Table VI.
 package trace
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Phase identifies what a rank is spending time on.
-type Phase string
+type Phase int
 
 // The phases used by the parallel engine.
 const (
-	PhaseCompute   Phase = "compute"
-	PhaseComm      Phase = "comm"
-	PhaseBookkeep  Phase = "bookkeeping"
-	PhaseIdle      Phase = "idle"
-	PhaseReduction Phase = "reduction"
+	PhaseCompute Phase = iota
+	PhaseComm
+	numPhases
 )
 
-// Recorder accumulates per-phase durations.  It is safe for concurrent use;
-// each rank typically owns one Recorder but the aggregation helpers merge
-// them across ranks.
+// Recorder accumulates per-phase durations in a fixed array of atomic
+// counters: recording takes no lock and allocates nothing, and a Recorder
+// is safe for concurrent use.
 type Recorder struct {
-	mu     sync.Mutex
-	totals map[Phase]time.Duration
-	counts map[Phase]int64
+	totals [numPhases]atomic.Int64 // nanoseconds
 }
 
 // NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		totals: make(map[Phase]time.Duration),
-		counts: make(map[Phase]int64),
-	}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Add records d spent in phase p.
+// Add records d spent in phase p; a negative d counts as zero.
 func (r *Recorder) Add(p Phase, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	r.mu.Lock()
-	r.totals[p] += d
-	r.counts[p]++
-	r.mu.Unlock()
-}
-
-// Time runs fn and records its duration under phase p.
-func (r *Recorder) Time(p Phase, fn func()) {
-	start := time.Now()
-	fn()
-	r.Add(p, time.Since(start))
+	r.totals[p].Add(int64(max(d, 0)))
 }
 
 // TimeErr runs fn and records its duration under phase p, returning fn's
@@ -71,94 +45,5 @@ func (r *Recorder) TimeErr(p Phase, fn func() error) error {
 
 // Total returns the accumulated duration of phase p.
 func (r *Recorder) Total(p Phase) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totals[p]
-}
-
-// Count returns the number of intervals recorded for phase p.
-func (r *Recorder) Count(p Phase) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counts[p]
-}
-
-// Sum returns the accumulated duration across all phases.
-func (r *Recorder) Sum() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total time.Duration
-	for _, d := range r.totals {
-		total += d
-	}
-	return total
-}
-
-// Snapshot returns a copy of the per-phase totals.
-func (r *Recorder) Snapshot() map[Phase]time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[Phase]time.Duration, len(r.totals))
-	for p, d := range r.totals {
-		out[p] = d
-	}
-	return out
-}
-
-// Reset clears all recorded data.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.totals = make(map[Phase]time.Duration)
-	r.counts = make(map[Phase]int64)
-}
-
-// Merge adds other's totals into r.
-func (r *Recorder) Merge(other *Recorder) {
-	if other == nil {
-		return
-	}
-	snap := other.Snapshot()
-	other.mu.Lock()
-	counts := make(map[Phase]int64, len(other.counts))
-	for p, c := range other.counts {
-		counts[p] = c
-	}
-	other.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for p, d := range snap {
-		r.totals[p] += d
-	}
-	for p, c := range counts {
-		r.counts[p] += c
-	}
-}
-
-// Fraction returns the share of total recorded time spent in phase p, in
-// [0,1]; it returns 0 when nothing has been recorded.
-func (r *Recorder) Fraction(p Phase) float64 {
-	total := r.Sum()
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Total(p)) / float64(total)
-}
-
-// String renders the recorder's totals sorted by phase name.
-func (r *Recorder) String() string {
-	snap := r.Snapshot()
-	phases := make([]string, 0, len(snap))
-	for p := range snap {
-		phases = append(phases, string(p))
-	}
-	sort.Strings(phases)
-	var sb strings.Builder
-	for i, p := range phases {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s=%s", p, snap[Phase(p)].Round(time.Microsecond))
-	}
-	return sb.String()
+	return time.Duration(r.totals[p].Load())
 }

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +9,9 @@ import (
 
 func TestAddAndTotals(t *testing.T) {
 	r := NewRecorder()
+	if r.Total(PhaseCompute) != 0 || r.Total(PhaseComm) != 0 {
+		t.Fatal("a new recorder should be empty")
+	}
 	r.Add(PhaseCompute, 100*time.Millisecond)
 	r.Add(PhaseCompute, 50*time.Millisecond)
 	r.Add(PhaseComm, 25*time.Millisecond)
@@ -18,103 +21,29 @@ func TestAddAndTotals(t *testing.T) {
 	if r.Total(PhaseComm) != 25*time.Millisecond {
 		t.Fatalf("comm total = %v", r.Total(PhaseComm))
 	}
-	if r.Count(PhaseCompute) != 2 || r.Count(PhaseComm) != 1 {
-		t.Fatal("counts wrong")
-	}
-	if r.Sum() != 175*time.Millisecond {
-		t.Fatalf("sum = %v", r.Sum())
-	}
-	if r.Total(PhaseIdle) != 0 {
-		t.Fatal("unrecorded phase should be zero")
-	}
 }
 
 func TestNegativeDurationsClamped(t *testing.T) {
 	r := NewRecorder()
+	r.Add(PhaseComm, time.Millisecond)
 	r.Add(PhaseComm, -time.Second)
-	if r.Total(PhaseComm) != 0 {
-		t.Fatal("negative duration was not clamped")
-	}
-	if r.Count(PhaseComm) != 1 {
-		t.Fatal("clamped interval should still be counted")
+	if r.Total(PhaseComm) != time.Millisecond {
+		t.Fatalf("negative duration was not clamped: total %v", r.Total(PhaseComm))
 	}
 }
 
 func TestTimeHelpers(t *testing.T) {
 	r := NewRecorder()
-	r.Time(PhaseCompute, func() { time.Sleep(2 * time.Millisecond) })
-	if r.Total(PhaseCompute) < time.Millisecond {
-		t.Fatalf("Time recorded %v", r.Total(PhaseCompute))
-	}
-	err := r.TimeErr(PhaseComm, func() error { time.Sleep(time.Millisecond); return nil })
+	err := r.TimeErr(PhaseCompute, func() error { time.Sleep(2 * time.Millisecond); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Total(PhaseComm) <= 0 {
-		t.Fatal("TimeErr did not record")
+	if r.Total(PhaseCompute) < time.Millisecond {
+		t.Fatalf("TimeErr recorded %v", r.Total(PhaseCompute))
 	}
-}
-
-func TestFraction(t *testing.T) {
-	r := NewRecorder()
-	if r.Fraction(PhaseCompute) != 0 {
-		t.Fatal("empty recorder fraction should be 0")
-	}
-	r.Add(PhaseCompute, 300*time.Millisecond)
-	r.Add(PhaseComm, 100*time.Millisecond)
-	if got := r.Fraction(PhaseCompute); got != 0.75 {
-		t.Fatalf("compute fraction = %v", got)
-	}
-	if got := r.Fraction(PhaseComm); got != 0.25 {
-		t.Fatalf("comm fraction = %v", got)
-	}
-}
-
-func TestSnapshotIsACopy(t *testing.T) {
-	r := NewRecorder()
-	r.Add(PhaseCompute, time.Second)
-	snap := r.Snapshot()
-	snap[PhaseCompute] = 5 * time.Second
-	if r.Total(PhaseCompute) != time.Second {
-		t.Fatal("mutating the snapshot changed the recorder")
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.Add(PhaseCompute, time.Second)
-	r.Reset()
-	if r.Sum() != 0 || r.Count(PhaseCompute) != 0 {
-		t.Fatal("Reset did not clear the recorder")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := NewRecorder()
-	b := NewRecorder()
-	a.Add(PhaseCompute, time.Second)
-	b.Add(PhaseCompute, 2*time.Second)
-	b.Add(PhaseComm, 500*time.Millisecond)
-	a.Merge(b)
-	if a.Total(PhaseCompute) != 3*time.Second {
-		t.Fatalf("merged compute = %v", a.Total(PhaseCompute))
-	}
-	if a.Total(PhaseComm) != 500*time.Millisecond {
-		t.Fatalf("merged comm = %v", a.Total(PhaseComm))
-	}
-	if a.Count(PhaseCompute) != 2 {
-		t.Fatalf("merged count = %d", a.Count(PhaseCompute))
-	}
-	a.Merge(nil) // must not panic
-}
-
-func TestStringRendering(t *testing.T) {
-	r := NewRecorder()
-	r.Add(PhaseCompute, time.Second)
-	r.Add(PhaseComm, time.Millisecond)
-	s := r.String()
-	if !strings.Contains(s, "compute") || !strings.Contains(s, "comm") {
-		t.Fatalf("String() = %q", s)
+	boom := errors.New("boom")
+	if err := r.TimeErr(PhaseComm, func() error { return boom }); err != boom {
+		t.Fatalf("TimeErr returned %v, want fn's error", err)
 	}
 }
 
@@ -131,9 +60,6 @@ func TestConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Count(PhaseCompute) != 16000 {
-		t.Fatalf("concurrent count = %d, want 16000", r.Count(PhaseCompute))
-	}
 	if r.Total(PhaseCompute) != 16000*time.Microsecond {
 		t.Fatalf("concurrent total = %v", r.Total(PhaseCompute))
 	}
