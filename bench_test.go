@@ -39,23 +39,27 @@ func BenchmarkTable1PayoffKernel(b *testing.B) {
 // lookup for the memory-one state space of Table II, in both the original
 // linear-search form and the optimized rolling form.
 func BenchmarkTable2StateIdentification(b *testing.B) {
-	for _, mode := range []game.StateMode{game.StateLinearSearch, game.StateRolling} {
-		b.Run(mode.String(), func(b *testing.B) {
-			table := game.NewStateTable(1)
-			h := game.NewHistory(1)
-			for i := 0; i < b.N; i++ {
-				h.Push(game.Move(i&1), game.Move((i>>1)&1))
-				_ = h.StateVia(mode, table)
-			}
-		})
-	}
+	b.Run(game.StateLinearSearch.String(), func(b *testing.B) {
+		table := game.NewStateTable(1)
+		view := []uint8{0}
+		for i := 0; i < b.N; i++ {
+			view[0] = uint8(game.RoundCode(game.Move(i&1), game.Move((i>>1)&1)))
+			_ = table.FindState(view)
+		}
+	})
+	b.Run(game.StateRolling.String(), func(b *testing.B) {
+		state := game.InitialState
+		for i := 0; i < b.N; i++ {
+			state = (state<<2 | game.RoundCode(game.Move(i&1), game.Move((i>>1)&1))) & 3
+		}
+		_ = state
+	})
 }
 
 // BenchmarkTable3MemoryOneGames plays every pair of the sixteen memory-one
 // strategies of Table III once.
 func BenchmarkTable3MemoryOneGames(b *testing.B) {
-	eng, err := game.NewEngine(game.EngineConfig{Rounds: game.DefaultRounds, MemorySteps: 1,
-		StateMode: game.StateRolling, AccumMode: game.AccumLookup})
+	eng, err := game.NewEngine(game.EngineConfig{Rounds: game.DefaultRounds, MemorySteps: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

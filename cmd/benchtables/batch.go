@@ -178,8 +178,6 @@ func measureBatch(mode string, table []strategy.Strategy, rounds, memSteps, swee
 		Rounds:      rounds,
 		MemorySteps: memSteps,
 		Noise:       noise,
-		StateMode:   game.StateRolling,
-		AccumMode:   game.AccumLookup,
 		Kernel:      kernel,
 	})
 	if err != nil {

@@ -128,8 +128,6 @@ func measureKernel(mode string, table []strategy.Strategy, rounds, memSteps, swe
 	eng, err := game.NewEngine(game.EngineConfig{
 		Rounds:      rounds,
 		MemorySteps: memSteps,
-		StateMode:   game.StateRolling,
-		AccumMode:   game.AccumLookup,
 		Kernel:      kernel,
 	})
 	if err != nil {

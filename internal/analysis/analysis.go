@@ -16,7 +16,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 
 	"evogame/internal/game"
 	"evogame/internal/strategy"
@@ -109,33 +108,6 @@ func ExpectedPayoffs(a, b *strategy.Pure, payoff game.Matrix, rounds int, noise 
 		dist, next = next, dist
 	}
 	return totalA, totalB, nil
-}
-
-// PayoffMatrix returns the exact expected payoff of every ordered strategy
-// pair: entry [i][j] is the total payoff strategy i earns against strategy j
-// over the given number of rounds.
-func PayoffMatrix(strategies []*strategy.Pure, payoff game.Matrix, rounds int, noise float64) ([][]float64, error) {
-	if len(strategies) == 0 {
-		return nil, fmt.Errorf("analysis: no strategies")
-	}
-	out := make([][]float64, len(strategies))
-	for i := range out {
-		out[i] = make([]float64, len(strategies))
-	}
-	for i, a := range strategies {
-		for j, b := range strategies {
-			if j < i {
-				continue // fill both directions from one computation
-			}
-			pa, pb, err := ExpectedPayoffs(a, b, payoff, rounds, noise)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: pair (%d,%d): %w", i, j, err)
-			}
-			out[i][j] = pa
-			out[j][i] = pb
-		}
-	}
-	return out, nil
 }
 
 // InvasionReport describes whether a rare mutant strategy can invade a
@@ -289,10 +261,4 @@ func CooperationIndex(a, b *strategy.Pure, rounds int, noise float64) (float64, 
 		dist, next = next, dist
 	}
 	return cooperation / float64(rounds), nil
-}
-
-// Equalish reports whether two floats are within tol of each other; exported
-// for reuse by tests that compare simulated and exact payoffs.
-func Equalish(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
 }

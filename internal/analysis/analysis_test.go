@@ -52,7 +52,7 @@ func TestExpectedPayoffsNoiselessMatchesSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !Equalish(exactA, res.FitnessA, 1e-9) || !Equalish(exactB, res.FitnessB, 1e-9) {
+				if !near(exactA, res.FitnessA, 1e-9) || !near(exactB, res.FitnessB, 1e-9) {
 					t.Fatalf("memory-%d %s vs %s: exact (%v,%v) != simulated (%v,%v)",
 						mem, a, b, exactA, exactB, res.FitnessA, res.FitnessB)
 				}
@@ -132,7 +132,7 @@ func TestExpectedPayoffsSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equalish(pa, qa, 1e-9) || !Equalish(pb, qb, 1e-9) {
+	if !near(pa, qa, 1e-9) || !near(pb, qb, 1e-9) {
 		t.Fatalf("payoffs not symmetric: (%v,%v) vs (%v,%v)", pa, pb, qa, qb)
 	}
 }
@@ -161,26 +161,6 @@ func TestGrimCollapsesUnderNoiseWSLSDoesNot(t *testing.T) {
 	// into alternating retaliation (about 2 points per round instead of 3).
 	if grim > 0.75*3*rounds {
 		t.Fatalf("noisy GRIM self-play (%v) should collapse well below full cooperation", grim)
-	}
-}
-
-func TestPayoffMatrix(t *testing.T) {
-	pool := []*strategy.Pure{strategy.AllC(1), strategy.AllD(1), strategy.TFT(1)}
-	m, err := PayoffMatrix(pool, game.Standard(), 200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 3 || len(m[0]) != 3 {
-		t.Fatalf("matrix shape %dx%d", len(m), len(m[0]))
-	}
-	if m[1][0] != 800 || m[0][1] != 0 {
-		t.Fatalf("AllD/AllC entries wrong: %v, %v", m[1][0], m[0][1])
-	}
-	if m[2][2] != 600 {
-		t.Fatalf("TFT self-play = %v, want 600", m[2][2])
-	}
-	if _, err := PayoffMatrix(nil, game.Standard(), 10, 0); err == nil {
-		t.Fatal("accepted an empty pool")
 	}
 }
 
@@ -330,7 +310,7 @@ func TestQuickExactMatchesDeterministicSimulation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equalish(pa, res.FitnessA, 1e-9) && Equalish(pb, res.FitnessB, 1e-9)
+		return near(pa, res.FitnessA, 1e-9) && near(pb, res.FitnessB, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -354,3 +334,6 @@ func BenchmarkExpectedPayoffsMemoryFour(b *testing.B) {
 		}
 	}
 }
+
+// near reports whether two floats are within tol of each other.
+func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -43,6 +43,8 @@ type Model struct {
 }
 
 // New validates the configuration and builds a baseline model.
+//
+//lint:allow deadapi BenchmarkAblationSSetVsBaseline (bench_test.go) builds the traditional baseline to time against
 func New(cfg Config) (*Model, error) {
 	if cfg.NumAgents < 2 {
 		return nil, fmt.Errorf("baseline: need at least 2 agents, got %d", cfg.NumAgents)
@@ -54,8 +56,6 @@ func New(cfg Config) (*Model, error) {
 		Rounds:      cfg.Rounds,
 		MemorySteps: cfg.MemorySteps,
 		Noise:       cfg.Noise,
-		StateMode:   game.StateRolling,
-		AccumMode:   game.AccumLookup,
 		// The baseline stands in for the traditional implementation the
 		// paper improves on, so it must replay every round rather than
 		// inherit the cycle-closing fast path.
@@ -89,17 +89,6 @@ func New(cfg Config) (*Model, error) {
 	return &Model{cfg: cfg, engine: engine, nat: nat, agents: agents, src: gameSrc}, nil
 }
 
-// Generation returns the number of generations simulated so far.
-func (m *Model) Generation() int { return m.gen }
-
-// GamesPlayed returns the number of IPD games executed so far.
-func (m *Model) GamesPlayed() int64 { return m.games }
-
-// Strategies returns a copy of the agents' current strategies.
-func (m *Model) Strategies() []strategy.Strategy {
-	return append([]strategy.Strategy(nil), m.agents...)
-}
-
 // fitness plays agent i serially against every other agent, exactly as the
 // traditional algorithm prescribes — no redundancy elimination, no
 // thread-level fan-out.
@@ -124,6 +113,8 @@ func (m *Model) fitness(i int) (float64, error) {
 }
 
 // Step advances the simulation by one generation.
+//
+//lint:allow deadapi BenchmarkAblationSSetVsBaseline (bench_test.go) steps the traditional baseline it times
 func (m *Model) Step() error {
 	if teacher, learner, ok := m.nat.MaybeSelectPC(len(m.agents)); ok {
 		fitT, err := m.fitness(teacher)
@@ -146,32 +137,4 @@ func (m *Model) Step() error {
 	m.nat.EndGeneration()
 	m.gen++
 	return nil
-}
-
-// Run advances the simulation by the given number of generations.
-func (m *Model) Run(generations int) error {
-	if generations < 0 {
-		return fmt.Errorf("baseline: negative generation count %d", generations)
-	}
-	for g := 0; g < generations; g++ {
-		if err := m.Step(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Stats returns the Nature Agent's event counters.
-func (m *Model) Stats() nature.Stats { return m.nat.Stats() }
-
-// FractionOf returns the fraction of agents currently holding a strategy
-// equal to s.
-func (m *Model) FractionOf(s strategy.Strategy) float64 {
-	count := 0
-	for _, a := range m.agents {
-		if a.Equal(s) {
-			count++
-		}
-	}
-	return float64(count) / float64(len(m.agents))
 }

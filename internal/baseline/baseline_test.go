@@ -18,6 +18,16 @@ func baseConfig() Config {
 	}
 }
 
+// run advances m by the given number of generations.
+func run(t *testing.T, m *Model, generations int) {
+	t.Helper()
+	for g := 0; g < generations; g++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	cfg := baseConfig()
 	cfg.NumAgents = 1
@@ -41,16 +51,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestRunNegativeGenerations(t *testing.T) {
-	m, err := New(baseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(-1); err == nil {
-		t.Fatal("accepted a negative generation count")
-	}
-}
-
 func TestPopulationSizeConserved(t *testing.T) {
 	cfg := baseConfig()
 	cfg.MutationRate = 0.5
@@ -58,14 +58,12 @@ func TestPopulationSizeConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Strategies()) != cfg.NumAgents {
+	run(t, m, 100)
+	if len(m.agents) != cfg.NumAgents {
 		t.Fatal("agent count changed")
 	}
-	if m.Generation() != 100 {
-		t.Fatalf("generation = %d", m.Generation())
+	if m.gen != 100 {
+		t.Fatalf("generation = %d", m.gen)
 	}
 }
 
@@ -85,28 +83,26 @@ func TestSelectionFavoursDefectorsWithoutReciprocity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(300); err != nil {
-		t.Fatal(err)
-	}
-	if frac := m.FractionOf(strategy.AllD(1)); frac != 1 {
-		t.Fatalf("ALLD fraction = %v, want fixation", frac)
+	run(t, m, 300)
+	for i, a := range m.agents {
+		if !a.Equal(strategy.AllD(1)) {
+			t.Fatalf("agent %d holds %v, want ALLD fixation", i, a)
+		}
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func() []strategy.Strategy {
+	final := func() []strategy.Strategy {
 		cfg := baseConfig()
 		cfg.MutationRate = 0.3
 		m, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Run(120); err != nil {
-			t.Fatal(err)
-		}
-		return m.Strategies()
+		run(t, m, 120)
+		return m.agents
 	}
-	a, b := run(), run()
+	a, b := final(), final()
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("baseline runs diverge at agent %d", i)
@@ -122,15 +118,13 @@ func TestGamesPlayedGrowsQuadratically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(10); err != nil {
-		t.Fatal(err)
-	}
+	run(t, m, 10)
 	want := int64(10 * 2 * 7)
-	if m.GamesPlayed() != want {
-		t.Fatalf("games played = %d, want %d (PC rate 1, 8 agents)", m.GamesPlayed(), want)
+	if m.games != want {
+		t.Fatalf("games played = %d, want %d (PC rate 1, 8 agents)", m.games, want)
 	}
-	if m.Stats().PCEvents != 10 {
-		t.Fatalf("PC events = %d", m.Stats().PCEvents)
+	if m.nat.Stats().PCEvents != 10 {
+		t.Fatalf("PC events = %d", m.nat.Stats().PCEvents)
 	}
 }
 
@@ -145,7 +139,7 @@ func TestInitialStrategiesCopied(t *testing.T) {
 		t.Fatal(err)
 	}
 	initial[0] = strategy.WSLS(1) // mutating the caller's slice must not matter
-	if !m.Strategies()[0].Equal(strategy.AllC(1)) {
+	if !m.agents[0].Equal(strategy.AllC(1)) {
 		t.Fatal("model aliases the caller's initial strategy slice")
 	}
 }

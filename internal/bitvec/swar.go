@@ -1,14 +1,12 @@
+// Package bitvec holds the SWAR ("SIMD within a register") primitives of
+// the bit-sliced batch game kernel (internal/game).  The kernel plays up to
+// 64 independent games at once by assigning each game one bit position — a
+// "lane" — of a uint64 word, so a per-game boolean across the whole batch is
+// a single word and a per-game small integer is a short array of words (a
+// "vertical" counter: word i holds bit i of every lane's value).  These
+// helpers are the word arithmetic the kernel's inner loop is made of; they
+// know nothing about games and operate on raw []uint64.
 package bitvec
-
-// SWAR ("SIMD within a register") primitives for the bit-sliced batch game
-// kernel (internal/game).  The kernel plays up to 64 independent games at
-// once by assigning each game one bit position — a "lane" — of a uint64
-// word, so a per-game boolean across the whole batch is a single word and a
-// per-game small integer is a short array of words (a "vertical" counter:
-// word i holds bit i of every lane's value).  These helpers are the word
-// arithmetic the kernel's inner loop is made of; they know nothing about
-// games and operate on raw []uint64 so the hot loop carries no Vector
-// wrappers.
 
 import "math/bits"
 

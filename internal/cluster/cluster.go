@@ -57,11 +57,6 @@ type Machine struct {
 	Network    Network
 }
 
-// MaxProcessors returns the machine's maximum number of MPI tasks when one
-// task is placed per core (virtual-node mode on Blue Gene/P, 16 tasks per
-// node on Blue Gene/Q as in the paper's runs).
-func (m Machine) MaxProcessors() int { return m.MaxNodes * m.CoresPerNode }
-
 // BlueGeneP returns the Blue Gene/P model used for the paper's large-scale
 // runs: 72 racks, 73,728 nodes, 4 cores per node (294,912 cores), 2 GB per
 // node (the Intrepid/JUGENE configuration), 3D torus at 425 MB/s per link

@@ -7,8 +7,8 @@ import (
 
 func TestBlueGenePParameters(t *testing.T) {
 	m := BlueGeneP()
-	if m.MaxProcessors() != 294912 {
-		t.Fatalf("BG/P max processors = %d, want 294912 (the paper's full machine)", m.MaxProcessors())
+	if cores := m.MaxNodes * m.CoresPerNode; cores != 294912 {
+		t.Fatalf("BG/P cores = %d, want 294912 (the paper's full machine)", cores)
 	}
 	if m.CoresPerNode != 4 || m.Network.TorusDimensions != 3 {
 		t.Fatalf("BG/P node/network shape wrong: %+v", m)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"evogame/internal/rng"
 )
@@ -106,35 +105,16 @@ func Imitation() Rule { return imitationRule{} }
 // Moran returns the pairwise Moran death-birth rule.
 func Moran() Rule { return moranRule{} }
 
-var (
-	ruleMu      sync.RWMutex
-	rulesByName = map[string]Rule{
-		"fermi":     Fermi(),
-		"imitation": Imitation(),
-		"moran":     Moran(),
-	}
-)
-
-// Register adds an update rule to the registry so it becomes addressable by
-// name from the facade, the CLI and checkpoints.  The name must be unused.
-func Register(r Rule) error {
-	if r == nil || r.Name() == "" {
-		return fmt.Errorf("dynamics: cannot register a nil or unnamed rule")
-	}
-	ruleMu.Lock()
-	defer ruleMu.Unlock()
-	if _, ok := rulesByName[r.Name()]; ok {
-		return fmt.Errorf("dynamics: rule %q already registered", r.Name())
-	}
-	rulesByName[r.Name()] = r
-	return nil
+// rulesByName is the update-rule registry, fixed at compile time.
+var rulesByName = map[string]Rule{
+	"fermi":     Fermi(),
+	"imitation": Imitation(),
+	"moran":     Moran(),
 }
 
 // Lookup returns the registered update rule with the given name.
 func Lookup(name string) (Rule, error) {
-	ruleMu.RLock()
 	r, ok := rulesByName[name]
-	ruleMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("dynamics: unknown update rule %q (want one of %v)", name, Names())
 	}
@@ -143,8 +123,6 @@ func Lookup(name string) (Rule, error) {
 
 // Names returns the sorted names of all registered update rules.
 func Names() []string {
-	ruleMu.RLock()
-	defer ruleMu.RUnlock()
 	names := make([]string, 0, len(rulesByName))
 	for name := range rulesByName {
 		names = append(names, name)

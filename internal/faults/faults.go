@@ -115,11 +115,8 @@ type armed struct {
 // by every rank of a communicator.  The zero value (and a nil *Plan) is a
 // no-op injector.
 type Plan struct {
-	mu      sync.Mutex
-	events  []armed
-	crashes int64
-	drops   int64
-	delays  int64
+	mu     sync.Mutex
+	events []armed
 }
 
 // NewPlan builds a Plan from explicit events.  Passing no events yields a
@@ -164,7 +161,6 @@ func (p *Plan) Crash(rank, epoch int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.consume(Crash, rank, epoch); ok {
-		p.crashes++
 		return &CrashError{Rank: rank, Gen: epoch}
 	}
 	return nil
@@ -181,7 +177,6 @@ func (p *Plan) Drop(src, _, epoch int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.consume(Drop, src, epoch); ok {
-		p.drops++
 		return true
 	}
 	return false
@@ -197,35 +192,9 @@ func (p *Plan) Delay(src, _, epoch int) time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ev, ok := p.consume(Delay, src, epoch); ok {
-		p.delays++
 		return ev.Delay
 	}
 	return 0
-}
-
-// Fired returns how many events of each class have fired so far.
-func (p *Plan) Fired() (crashes, drops, delays int64) {
-	if p == nil {
-		return 0, 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.crashes, p.drops, p.delays
-}
-
-// Events returns a copy of the plan's schedule (original counts, not the
-// remaining ones).
-func (p *Plan) Events() []Event {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Event, len(p.events))
-	for i, ev := range p.events {
-		out[i] = ev.Event
-	}
-	return out
 }
 
 // String renders the plan in the spec grammar accepted by Parse.

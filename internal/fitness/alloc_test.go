@@ -163,7 +163,7 @@ func TestBoundedEvictionKeepsMirrorInvariant(t *testing.T) {
 	if cache.Evicted() == 0 {
 		t.Fatal("tiny shard budget never triggered eviction")
 	}
-	if cache.Len() == 0 {
+	if cache.storedPairs() == 0 {
 		t.Fatal("eviction emptied the cache; it must drop a bounded fraction only")
 	}
 	// Mirror invariant: every surviving pair answers both orientations,

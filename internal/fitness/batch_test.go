@@ -63,8 +63,8 @@ func TestPlayIDBatchMatchesPlayID(t *testing.T) {
 	if batched.Plays() != serial.Plays() {
 		t.Fatalf("play counts diverged: batch %d, serial %d", batched.Plays(), serial.Plays())
 	}
-	if batched.Len() != serial.Len() {
-		t.Fatalf("stored pair counts diverged: batch %d, serial %d", batched.Len(), serial.Len())
+	if batched.storedPairs() != serial.storedPairs() {
+		t.Fatalf("stored pair counts diverged: batch %d, serial %d", batched.storedPairs(), serial.storedPairs())
 	}
 
 	// A second pass is all hits and must not allocate.

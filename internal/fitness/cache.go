@@ -308,15 +308,6 @@ func CacheUsable(eng *game.Engine, table []strategy.Strategy) bool {
 	return true
 }
 
-// Engine returns the engine the cache plays games with.
-func (c *PairCache) Engine() *game.Engine { return c.eng }
-
-// GameID returns the canonical identity of the game every memoized result
-// belongs to.  A store is bound to one game (and every view's engine is
-// checked against it), so results cannot leak between scenarios by
-// construction.
-func (c *PairCache) GameID() string { return c.store.gameID }
-
 // Interner returns the registry issuing the dense strategy IDs PlayID
 // accepts.  Engines intern their strategy tables through it once per
 // strategy-change event, so the per-game path never touches the codec.
@@ -545,17 +536,3 @@ func (c *PairCache) Misses() int64 { return c.misses.Load() }
 // Evicted returns the number of memoized entries this view dropped by
 // bounded eviction after a shard reached its memory budget.
 func (c *PairCache) Evicted() int64 { return c.evicted.Load() }
-
-// Len returns the number of memoized ordered pairs in the underlying store
-// (shared across views): two per stored pair of distinct strategies, one
-// per self pair.
-func (c *PairCache) Len() int {
-	total := 0
-	for i := range c.store.shards {
-		sh := &c.store.shards[i]
-		sh.mu.Lock()
-		total += sh.n
-		sh.mu.Unlock()
-	}
-	return total
-}

@@ -233,7 +233,7 @@ func TestEvaluatorAbundancePath(t *testing.T) {
 func testAbundancePath(t *testing.T, n, lo, hi, distinct, steps int, evicts bool) {
 	const budget = 16 // small enough to evict, large enough for early abundance calls
 	abund, twin := testCacheSmallShards(t, budget), testCacheSmallShards(t, budget)
-	eng := abund.Engine()
+	eng := abund.eng
 	g, err := (topology.Spec{}).Build(n, 0)
 	if err != nil {
 		t.Fatal(err)

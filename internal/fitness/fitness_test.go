@@ -87,8 +87,8 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	if cache.Plays() != 1 || cache.Hits() != 2 {
 		t.Fatalf("after mirror hit: plays=%d hits=%d", cache.Plays(), cache.Hits())
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d ordered pairs, want 2", cache.Len())
+	if cache.storedPairs() != 2 {
+		t.Fatalf("cache holds %d ordered pairs, want 2", cache.storedPairs())
 	}
 	// A strategy with the same move table but a different value must share
 	// the canonical key.
@@ -193,8 +193,8 @@ func TestPairCacheConcurrentUse(t *testing.T) {
 			}
 		}
 	}
-	if cache.Len() != 16*16 {
-		t.Fatalf("cache holds %d pairs, want 256", cache.Len())
+	if cache.storedPairs() != 16*16 {
+		t.Fatalf("cache holds %d pairs, want 256", cache.storedPairs())
 	}
 }
 
@@ -357,7 +357,7 @@ func TestIncrementalMatrixBlockRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotLo, gotHi := m.Rows(); gotLo != lo || gotHi != hi {
+	if gotLo, gotHi := m.lo, m.hi; gotLo != lo || gotHi != hi {
 		t.Fatalf("Rows() = [%d,%d)", gotLo, gotHi)
 	}
 	for i := lo; i < hi; i++ {

@@ -132,12 +132,6 @@ func neighborPos(g topology.Graph, i, j int) int {
 // Len returns the number of SSets tracked.
 func (m *IncrementalMatrix) Len() int { return len(m.ids) }
 
-// Rows returns the half-open range of rows this matrix materialises.
-func (m *IncrementalMatrix) Rows() (lo, hi int) { return m.lo, m.hi }
-
-// GamesPlayed returns the games executed through the underlying cache.
-func (m *IncrementalMatrix) GamesPlayed() int64 { return m.cache.Plays() }
-
 // buildGraphRow fills SSet i's degree-indexed row: O(degree) lookups.
 func (m *IncrementalMatrix) buildGraphRow(i int) error {
 	r := i - m.lo

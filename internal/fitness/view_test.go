@@ -38,10 +38,10 @@ func TestNewViewSharesStoreButNotCounters(t *testing.T) {
 	if cacheA.Interner() != cacheB.Interner() {
 		t.Fatal("views over one store must share one interning registry")
 	}
-	if cacheA.GameID() != cacheB.GameID() {
+	if cacheA.store.gameID != cacheB.store.gameID {
 		t.Fatal("views over one store must report one game identity")
 	}
-	if cacheA.Engine() == cacheB.Engine() {
+	if cacheA.eng == cacheB.eng {
 		t.Fatal("each view must keep its own engine")
 	}
 
@@ -91,11 +91,11 @@ func TestNewViewSharesStoreButNotCounters(t *testing.T) {
 	if got, want := cacheB.Hits(), int64(len(ids)*len(ids)); got != want {
 		t.Fatalf("second view hits = %d, want %d", got, want)
 	}
-	if ks := cacheB.Engine().KernelStats(); ks.ScalarGames+ks.CycleGames+ks.BatchGames != 0 {
+	if ks := cacheB.eng.KernelStats(); ks.ScalarGames+ks.CycleGames+ks.BatchGames != 0 {
 		t.Fatal("an all-hits view must not have played games through its engine")
 	}
-	if cacheA.Len() != cacheB.Len() {
-		t.Fatalf("views report different store sizes: %d vs %d", cacheA.Len(), cacheB.Len())
+	if cacheA.storedPairs() != cacheB.storedPairs() {
+		t.Fatalf("views report different store sizes: %d vs %d", cacheA.storedPairs(), cacheB.storedPairs())
 	}
 }
 

@@ -28,12 +28,12 @@ type Player interface {
 type AccumMode int
 
 const (
-	// AccumBranching resolves each round's payoff through the four-way
-	// comparison of Matrix.Payoff.
-	AccumBranching AccumMode = iota
 	// AccumLookup resolves each round's payoff through the fused 4-entry
 	// look-up table (Matrix.Table) indexed by the round outcome code.
-	AccumLookup
+	AccumLookup AccumMode = iota
+	// AccumBranching resolves each round's payoff through the four-way
+	// comparison of Matrix.Payoff.
+	AccumBranching
 )
 
 // String implements fmt.Stringer.
@@ -61,11 +61,13 @@ type Engine struct {
 	noise     float64
 	flipT     uint64 // rng.BoolThreshold(noise): the one definition of a flip
 	memSteps  int
-	stateMode StateMode
 	accumMode AccumMode
 	kernel    KernelMode
 	intPayoff bool
-	states    *StateTable
+	states    *StateTable // non-nil only under StateLinearSearch
+	// replay plays one game round by round: playRounds, or the Figure 3
+	// ablation's playReference when a mode field asks for it.
+	replay func(e *Engine, a, b Player, src *rng.Source) Result
 
 	stats     kernelCounters
 	cyclePool sync.Pool // of *cycleBuffers
@@ -73,7 +75,8 @@ type Engine struct {
 }
 
 // EngineConfig collects the knobs of the IPD kernel.  The zero value is not
-// valid; use the documented defaults below.
+// valid (Rounds and MemorySteps must be set); its zero modes select the
+// production kernel.
 type EngineConfig struct {
 	// Game is the scenario the engine plays (see Spec and the registry).
 	// The zero value selects the paper's IPD spec, so legacy configurations
@@ -90,9 +93,11 @@ type EngineConfig struct {
 	Noise float64
 	// MemorySteps is the memory depth n shared by both players.
 	MemorySteps int
-	// StateMode selects linear-search or rolling state identification.
+	// StateMode selects rolling (the zero value) or linear-search state
+	// identification.
 	StateMode StateMode
-	// AccumMode selects branching or look-up fitness accumulation.
+	// AccumMode selects look-up (the zero value) or branching fitness
+	// accumulation.
 	AccumMode AccumMode
 	// Kernel selects the deterministic-game inner loop: the zero value,
 	// KernelAuto, closes the joint-state cycle in closed form whenever that
@@ -138,13 +143,16 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		noise:     cfg.Noise,
 		flipT:     rng.BoolThreshold(cfg.Noise),
 		memSteps:  cfg.MemorySteps,
-		stateMode: cfg.StateMode,
 		accumMode: cfg.AccumMode,
 		kernel:    cfg.Kernel,
 		intPayoff: cfg.Payoff.IntegerValued(),
+		replay:    (*Engine).playRounds,
 	}
 	if cfg.StateMode == StateLinearSearch {
 		e.states = NewStateTable(cfg.MemorySteps)
+	}
+	if cfg.StateMode != StateRolling || cfg.AccumMode != AccumLookup {
+		e.replay = (*Engine).playReference
 	}
 	return e, nil
 }
@@ -160,13 +168,6 @@ func (e *Engine) Noise() float64 { return e.noise }
 
 // Payoff returns the engine's payoff matrix.
 func (e *Engine) Payoff() Matrix { return e.payoff }
-
-// Kernel returns the engine's kernel mode.
-func (e *Engine) Kernel() KernelMode { return e.kernel }
-
-// Game returns the scenario spec the engine plays (with the effective
-// payoff matrix installed).
-func (e *Engine) Game() Spec { return e.spec }
 
 // GameID returns the canonical identity of the game this engine plays:
 // scenario, effective payoff values and rounds per game.  The fitness
@@ -189,19 +190,6 @@ type Result struct {
 	// Rounds is the number of rounds actually played.
 	Rounds int
 }
-
-func (r Result) averageFitness() (float64, float64) {
-	if r.Rounds == 0 {
-		return 0, 0
-	}
-	return r.FitnessA / float64(r.Rounds), r.FitnessB / float64(r.Rounds)
-}
-
-// AverageFitnessA returns player A's mean per-round payoff.
-func (r Result) AverageFitnessA() float64 { a, _ := r.averageFitness(); return a }
-
-// AverageFitnessB returns player B's mean per-round payoff.
-func (r Result) AverageFitnessB() float64 { _, b := r.averageFitness(); return b }
 
 // Play runs one game between a and b and returns both players' accumulated
 // fitness.  src is required when noise > 0 or either strategy is mixed; it
@@ -234,16 +222,21 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 		}
 	}
 
-	histA := newHistory(e.memSteps)
-	histB := newHistory(e.memSteps)
+	res := e.replay(e, a, b, src)
+	e.stats.scalarGames.Add(1)
+	return res, nil
+}
+
+// playRounds replays one game round by round on the two rolling state codes
+// and the fused payoff table.  The draws per round are A's move, B's move,
+// A's flip, B's flip.
+func (e *Engine) playRounds(a, b Player, src *rng.Source) Result {
+	mask := NumStates(e.memSteps) - 1
 	res := Result{Rounds: e.rounds}
-
+	sA, sB := InitialState, InitialState
 	for r := 0; r < e.rounds; r++ {
-		stateA := histA.StateVia(e.stateMode, e.states)
-		stateB := histB.StateVia(e.stateMode, e.states)
-
-		moveA := a.Move(stateA, src)
-		moveB := b.Move(stateB, src)
+		moveA := a.Move(sA, src)
+		moveB := b.Move(sB, src)
 		if e.noise > 0 {
 			if src.BoolT(e.flipT) {
 				moveA = moveA.Flip()
@@ -252,27 +245,19 @@ func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 				moveB = moveB.Flip()
 			}
 		}
-
 		if moveA == Cooperate {
 			res.CooperationsA++
 		}
 		if moveB == Cooperate {
 			res.CooperationsB++
 		}
-
-		if e.accumMode == AccumLookup {
-			res.FitnessA += e.table[RoundCode(moveA, moveB)]
-			res.FitnessB += e.table[RoundCode(moveB, moveA)]
-		} else {
-			res.FitnessA += e.payoff.Payoff(moveA, moveB)
-			res.FitnessB += e.payoff.Payoff(moveB, moveA)
-		}
-
-		histA.Push(moveA, moveB)
-		histB.Push(moveB, moveA)
+		codeA, codeB := RoundCode(moveA, moveB), RoundCode(moveB, moveA)
+		res.FitnessA += e.table[codeA]
+		res.FitnessB += e.table[codeB]
+		sA = (sA<<2 | codeA) & mask
+		sB = (sB<<2 | codeB) & mask
 	}
-	e.stats.scalarGames.Add(1)
-	return res, nil
+	return res
 }
 
 // PlayFitness is a convenience wrapper around Play that returns only the

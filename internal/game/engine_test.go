@@ -173,57 +173,63 @@ func TestWSLSvsWSLSSustainsCooperation(t *testing.T) {
 	}
 }
 
+// push returns the memory-n state after one more round (my, opp): the
+// rolling code both round loops keep.
+func push(state, mem int, my, opp Move) int {
+	return (state<<2 | RoundCode(my, opp)) & (NumStates(mem) - 1)
+}
+
+// postErrorStates returns both memory-one players' states after a round in
+// which A defected by mistake and B cooperated, identified the way the
+// paper's original kernel does: FindState over the explicit view.
+func postErrorStates(t *testing.T) (int, int) {
+	t.Helper()
+	tab := NewStateTable(1)
+	sA := tab.FindState([]uint8{uint8(RoundCode(Defect, Cooperate))})
+	sB := tab.FindState([]uint8{uint8(RoundCode(Cooperate, Defect))})
+	if sA != push(InitialState, 1, Defect, Cooperate) || sB != push(InitialState, 1, Cooperate, Defect) {
+		t.Fatalf("FindState and the rolling code disagree on the post-error states: %d/%d", sA, sB)
+	}
+	return sA, sB
+}
+
 func TestWSLSRecoversFromSingleError(t *testing.T) {
 	// The defining property of WSLS (Nowak & Sigmund 1993): after a single
 	// accidental defection between two WSLS players, both players defect the
-	// next round (both were "punished"/"tempted"... the defector won so it
-	// stays with defect, the sucker shifts to defect), then both switch back
-	// to cooperation together.  TFT instead locks into alternating
-	// defection.  We simulate the error by starting from the post-error
-	// state rather than injecting noise, keeping the test deterministic.
-	e := mustEngine(t, EngineConfig{Rounds: 3, MemorySteps: 1})
-
-	// Build explicit histories: round 0, A defected (error), B cooperated.
-	// For WSLS: A is in state DC -> defect again; B is in state CD -> defect.
-	// Round 2: both in DD -> both cooperate.  So within two rounds mutual
-	// cooperation is restored.
+	// next round (the defector won so it stays with defect, the sucker
+	// shifts to defect), then both switch back to cooperation together.
+	// TFT instead locks into alternating defection.  We simulate the error
+	// by starting from the post-error state rather than injecting noise,
+	// keeping the test deterministic.
 	a, b := wsls(), wsls()
-	histA, histB := NewHistory(1), NewHistory(1)
-	histA.Push(Defect, Cooperate)
-	histB.Push(Cooperate, Defect)
+	sA, sB := postErrorStates(t)
 
-	moveA := a.Move(histA.State(), nil)
-	moveB := b.Move(histB.State(), nil)
+	// For WSLS: A is in state DC -> defect again; B is in state CD ->
+	// defect.  Round 2: both in DD -> both cooperate.  So within two rounds
+	// mutual cooperation is restored.
+	moveA, moveB := a.Move(sA, nil), b.Move(sB, nil)
 	if moveA != Defect || moveB != Defect {
 		t.Fatalf("round 1 after error: moves %s/%s, want D/D", moveA, moveB)
 	}
-	histA.Push(moveA, moveB)
-	histB.Push(moveB, moveA)
-	moveA = a.Move(histA.State(), nil)
-	moveB = b.Move(histB.State(), nil)
+	sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
+	moveA, moveB = a.Move(sA, nil), b.Move(sB, nil)
 	if moveA != Cooperate || moveB != Cooperate {
 		t.Fatalf("round 2 after error: moves %s/%s, want C/C (WSLS recovers)", moveA, moveB)
 	}
-
-	_ = e // engine not needed beyond construction; kept for symmetry with other tests
 }
 
 func TestTFTDeathSpiralAfterError(t *testing.T) {
 	// Contrast with WSLS: two TFT players never recover from a single
 	// error — they alternate defections forever.
 	a, b := tft(), tft()
-	histA, histB := NewHistory(1), NewHistory(1)
-	histA.Push(Defect, Cooperate)
-	histB.Push(Cooperate, Defect)
+	sA, sB := postErrorStates(t)
 	mutualCooperation := false
 	for round := 0; round < 10; round++ {
-		moveA := a.Move(histA.State(), nil)
-		moveB := b.Move(histB.State(), nil)
+		moveA, moveB := a.Move(sA, nil), b.Move(sB, nil)
 		if moveA == Cooperate && moveB == Cooperate {
 			mutualCooperation = true
 		}
-		histA.Push(moveA, moveB)
-		histB.Push(moveB, moveA)
+		sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
 	}
 	if mutualCooperation {
 		t.Fatal("TFT vs TFT recovered mutual cooperation after an error; it should not")
@@ -359,17 +365,6 @@ func TestPlayFitness(t *testing.T) {
 	}
 }
 
-func TestResultAverages(t *testing.T) {
-	r := Result{FitnessA: 600, FitnessB: 300, Rounds: 200}
-	if r.AverageFitnessA() != 3 || r.AverageFitnessB() != 1.5 {
-		t.Fatalf("averages = %v/%v", r.AverageFitnessA(), r.AverageFitnessB())
-	}
-	empty := Result{}
-	if empty.AverageFitnessA() != 0 || empty.AverageFitnessB() != 0 {
-		t.Fatal("zero-round result should have zero averages")
-	}
-}
-
 // Property: total fitness of any deterministic memory-one game is bounded by
 // the number of rounds times the extreme payoffs, and fitness is never
 // negative for the standard matrix.
@@ -412,7 +407,7 @@ func TestQuickDeterministicReproducible(t *testing.T) {
 }
 
 func BenchmarkPlayMemoryOneRolling(b *testing.B) {
-	e, _ := NewEngine(EngineConfig{Rounds: DefaultRounds, MemorySteps: 1, StateMode: StateRolling, AccumMode: AccumLookup})
+	e, _ := NewEngine(EngineConfig{Rounds: DefaultRounds, MemorySteps: 1})
 	a, c := wsls(), tft()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

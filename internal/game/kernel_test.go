@@ -281,14 +281,15 @@ func TestCycleClosingGates(t *testing.T) {
 }
 
 // TestScalarLoopAllocationFree pins the round-by-round loop to zero heap
-// allocations in every configuration that reaches it: the full-replay
-// reference under both state modes, a noisy game and a mixed player.
+// allocations in every configuration that reaches it: full replay through
+// the production loop and the ablation reference loop, a noisy game and a
+// mixed player.
 func TestScalarLoopAllocationFree(t *testing.T) {
 	a := randomWordPlayer(MaxMemorySteps, rng.New(5))
 	b := randomWordPlayer(MaxMemorySteps, rng.New(6))
 	for _, cfg := range []EngineConfig{
 		{Rounds: DefaultRounds, MemorySteps: MaxMemorySteps, Kernel: KernelFullReplay, StateMode: StateRolling},
-		{Rounds: DefaultRounds, MemorySteps: MaxMemorySteps, Kernel: KernelFullReplay, StateMode: StateLinearSearch},
+		{Rounds: DefaultRounds, MemorySteps: MaxMemorySteps, Kernel: KernelFullReplay, StateMode: StateLinearSearch, AccumMode: AccumBranching},
 		{Rounds: DefaultRounds, MemorySteps: MaxMemorySteps, Noise: 0.05, StateMode: StateRolling, AccumMode: AccumLookup},
 	} {
 		e := mustEngine(t, cfg)
@@ -324,11 +325,11 @@ func TestNoisyDrawOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := rng.New(21)
-	histA, histB := NewHistory(1), NewHistory(1)
+	sA, sB := InitialState, InitialState
 	want := Result{Rounds: rounds}
 	for r := 0; r < rounds; r++ {
-		moveA := a.Move(histA.State(), src)
-		moveB := b.Move(histB.State(), src)
+		moveA := a.Move(sA, src)
+		moveB := b.Move(sB, src)
 		if src.Bool(noise) {
 			moveA = moveA.Flip()
 		}
@@ -343,8 +344,7 @@ func TestNoisyDrawOrder(t *testing.T) {
 		}
 		want.FitnessA += e.Payoff().Payoff(moveA, moveB)
 		want.FitnessB += e.Payoff().Payoff(moveB, moveA)
-		histA.Push(moveA, moveB)
-		histB.Push(moveB, moveA)
+		sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
 	}
 	if got != want {
 		t.Fatalf("noisy game %+v, reference draw order %+v", got, want)

@@ -96,7 +96,9 @@ func (m Matrix) Table() [4]float64 {
 }
 
 // MaxPerRound returns the largest payoff a single player can earn in one
-// round; used for normalising fitness and sizing accumulators.
+// round.
+//
+//lint:allow deadapi analysis.TestQuickExpectedPayoffBounds bounds exact payoffs with it
 func (m Matrix) MaxPerRound() float64 {
 	max := m.Reward
 	for _, v := range []float64{m.Sucker, m.Temptation, m.Punishment} {
@@ -109,6 +111,8 @@ func (m Matrix) MaxPerRound() float64 {
 
 // MinPerRound returns the smallest payoff a single player can earn in one
 // round.
+//
+//lint:allow deadapi analysis.TestQuickExpectedPayoffBounds bounds exact payoffs with it
 func (m Matrix) MinPerRound() float64 {
 	min := m.Reward
 	for _, v := range []float64{m.Sucker, m.Temptation, m.Punishment} {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Constraint is one inequality a payoff matrix must satisfy to be a valid
@@ -146,40 +145,17 @@ func Generic() Spec {
 	}
 }
 
-var (
-	specMu    sync.RWMutex
-	specsByID = map[string]Spec{
-		"ipd":       IPD(),
-		"snowdrift": Snowdrift(),
-		"staghunt":  StagHunt(),
-		"generic":   Generic(),
-	}
-)
-
-// RegisterSpec adds a scenario to the registry so it becomes addressable by
-// name from the facade, the CLI and checkpoints.  The spec's canonical
-// payoff must satisfy its own constraints and the name must be unused.
-func RegisterSpec(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("game: cannot register a spec with an empty name")
-	}
-	if err := s.Validate(s.Payoff); err != nil {
-		return fmt.Errorf("game: spec %q has an invalid canonical payoff: %w", s.Name, err)
-	}
-	specMu.Lock()
-	defer specMu.Unlock()
-	if _, ok := specsByID[s.Name]; ok {
-		return fmt.Errorf("game: spec %q already registered", s.Name)
-	}
-	specsByID[s.Name] = s
-	return nil
+// specsByID is the scenario registry, fixed at compile time.
+var specsByID = map[string]Spec{
+	"ipd":       IPD(),
+	"snowdrift": Snowdrift(),
+	"staghunt":  StagHunt(),
+	"generic":   Generic(),
 }
 
 // LookupSpec returns the registered scenario with the given name.
 func LookupSpec(name string) (Spec, error) {
-	specMu.RLock()
 	s, ok := specsByID[name]
-	specMu.RUnlock()
 	if !ok {
 		return Spec{}, fmt.Errorf("game: unknown game %q (want one of %v)", name, SpecNames())
 	}
@@ -188,8 +164,6 @@ func LookupSpec(name string) (Spec, error) {
 
 // SpecNames returns the sorted names of all registered scenarios.
 func SpecNames() []string {
-	specMu.RLock()
-	defer specMu.RUnlock()
 	names := make([]string, 0, len(specsByID))
 	for name := range specsByID {
 		names = append(names, name)

@@ -95,30 +95,6 @@ func TestSpecIDDistinguishesGames(t *testing.T) {
 	}
 }
 
-func TestRegisterSpec(t *testing.T) {
-	if err := RegisterSpec(Spec{Name: "ipd"}); err == nil {
-		t.Fatal("RegisterSpec accepted a duplicate name")
-	}
-	if err := RegisterSpec(Spec{}); err == nil {
-		t.Fatal("RegisterSpec accepted an empty name")
-	}
-	bad := Spec{
-		Name:        "bad-canon",
-		Payoff:      Standard(),
-		Constraints: []Constraint{{"R > T", func(m Matrix) bool { return m.Reward > m.Temptation }}},
-	}
-	if err := RegisterSpec(bad); err == nil {
-		t.Fatal("RegisterSpec accepted a spec whose canonical payoff violates its constraints")
-	}
-	ok := Spec{Name: "test-harmony", Title: "test", Payoff: Matrix{Reward: 2, Sucker: 1, Temptation: 1, Punishment: 0}}
-	if err := RegisterSpec(ok); err != nil {
-		t.Fatalf("RegisterSpec(valid): %v", err)
-	}
-	if _, err := LookupSpec("test-harmony"); err != nil {
-		t.Fatalf("registered spec not found: %v", err)
-	}
-}
-
 func TestMatrixIntegerValued(t *testing.T) {
 	if !Standard().IntegerValued() {
 		t.Error("Standard() should be integer-valued")
@@ -134,11 +110,11 @@ func TestEngineCarriesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine(snowdrift): %v", err)
 	}
-	if e.Game().Name != "snowdrift" || e.Payoff() != Snowdrift().Payoff {
-		t.Fatalf("engine game = %q payoff %+v", e.Game().Name, e.Payoff())
+	if e.GameID() != Snowdrift().ID()+"|rounds=10" || e.Payoff() != Snowdrift().Payoff {
+		t.Fatalf("engine game = %q payoff %+v", e.GameID(), e.Payoff())
 	}
-	if e2, _ := NewEngine(EngineConfig{Rounds: 10, MemorySteps: 1}); e2.Game().Name != "ipd" {
-		t.Fatalf("zero-value EngineConfig.Game = %q, want ipd", e2.Game().Name)
+	if e2, _ := NewEngine(EngineConfig{Rounds: 10, MemorySteps: 1}); e2.GameID() != IPD().ID()+"|rounds=10" {
+		t.Fatalf("zero-value EngineConfig.Game = %q, want ipd", e2.GameID())
 	}
 	// A payoff override must satisfy the spec's constraints.
 	if _, err := NewEngine(EngineConfig{Game: StagHunt(), Payoff: Standard(), Rounds: 10, MemorySteps: 1}); err == nil {
@@ -149,8 +125,8 @@ func TestEngineCarriesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine(staghunt, custom): %v", err)
 	}
-	if e3.Game().Payoff != custom {
-		t.Fatalf("engine spec payoff %+v, want the override %+v", e3.Game().Payoff, custom)
+	if want, _ := StagHunt().WithPayoff(custom); e3.GameID() != want.ID()+"|rounds=10" {
+		t.Fatalf("engine game %q, want the override %+v", e3.GameID(), custom)
 	}
 	if e3.GameID() == e.GameID() {
 		t.Error("different games must have different GameIDs")

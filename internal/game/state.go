@@ -3,6 +3,8 @@ package game
 import (
 	"fmt"
 	"strings"
+
+	"evogame/internal/rng"
 )
 
 // MaxMemorySteps is the largest memory depth supported by the framework.
@@ -54,11 +56,11 @@ func RoundCode(my, opp Move) int {
 type StateMode int
 
 const (
+	// StateRolling updates the state code in O(1) per round.
+	StateRolling StateMode = iota
 	// StateLinearSearch reproduces the paper's original find_state: the
 	// current view is compared against every row of the global state table.
-	StateLinearSearch StateMode = iota
-	// StateRolling updates the state code in O(1) per round.
-	StateRolling
+	StateLinearSearch
 )
 
 // String implements fmt.Stringer.
@@ -99,15 +101,6 @@ func NewStateTable(memSteps int) *StateTable {
 	return &StateTable{memSteps: memSteps, rows: rows}
 }
 
-// MemorySteps returns the memory depth of the table.
-func (t *StateTable) MemorySteps() int { return t.memSteps }
-
-// NumStates returns the number of rows.
-func (t *StateTable) NumStates() int { return len(t.rows) }
-
-// Row returns the per-round codes (most recent first) of state i.
-func (t *StateTable) Row(i int) []uint8 { return t.rows[i] }
-
 // FindState performs the paper's linear search: it scans the table for the
 // row matching the supplied view (most recent round first) and returns its
 // index.  The view must have exactly memSteps entries; FindState returns -1
@@ -128,77 +121,53 @@ search:
 	return -1
 }
 
-// String renders the table in the style of the paper's Table II, mostly for
-// debugging and the benchtables tool.
-func (t *StateTable) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "memory-%d state table (%d states)\n", t.memSteps, len(t.rows))
-	for i, row := range t.rows {
-		fmt.Fprintf(&sb, "%4d:", i)
-		for r := len(row) - 1; r >= 0; r-- {
-			fmt.Fprintf(&sb, " %s%s", Move(row[r]>>1), Move(row[r]&1))
+// playReference is the Figure 3 ablation's round loop, the paper's kernel
+// before its "Compiler" and "Instruction" optimizations.  Under
+// StateLinearSearch each player's state is found by FindState over an
+// explicit per-round view; under AccumBranching each payoff goes through
+// Matrix.Payoff.  Draw order, state sequence and sums match playRounds, so
+// the variants differ only in speed.
+func (e *Engine) playReference(a, b Player, src *rng.Source) Result {
+	n := e.memSteps
+	mask := NumStates(n) - 1
+	var viewA, viewB [MaxMemorySteps]uint8 // view[r] = RoundCode of round r, 0 = most recent
+	res := Result{Rounds: e.rounds}
+	sA, sB := InitialState, InitialState
+	for r := 0; r < e.rounds; r++ {
+		if e.states != nil {
+			sA, sB = e.states.FindState(viewA[:n]), e.states.FindState(viewB[:n])
 		}
-		sb.WriteByte('\n')
+		moveA := a.Move(sA, src)
+		moveB := b.Move(sB, src)
+		if e.noise > 0 {
+			if src.BoolT(e.flipT) {
+				moveA = moveA.Flip()
+			}
+			if src.BoolT(e.flipT) {
+				moveB = moveB.Flip()
+			}
+		}
+		if moveA == Cooperate {
+			res.CooperationsA++
+		}
+		if moveB == Cooperate {
+			res.CooperationsB++
+		}
+		codeA, codeB := RoundCode(moveA, moveB), RoundCode(moveB, moveA)
+		if e.accumMode == AccumLookup {
+			res.FitnessA += e.table[codeA]
+			res.FitnessB += e.table[codeB]
+		} else {
+			res.FitnessA += e.payoff.Payoff(moveA, moveB)
+			res.FitnessB += e.payoff.Payoff(moveB, moveA)
+		}
+		copy(viewA[1:n], viewA[:n-1])
+		copy(viewB[1:n], viewB[:n-1])
+		viewA[0], viewB[0] = uint8(codeA), uint8(codeB)
+		sA = (sA<<2 | codeA) & mask
+		sB = (sB<<2 | codeB) & mask
 	}
-	return sb.String()
-}
-
-// History tracks one player's view of the game: the packed state code, and,
-// for the linear-search path, the explicit per-round view array.  The view
-// is a fixed array, so a History held by value needs no heap allocation.
-type History struct {
-	memSteps int
-	mask     int
-	state    int
-	view     [MaxMemorySteps]uint8 // view[r] = RoundCode of round r, 0 = most recent
-}
-
-// NewHistory returns a History seeded with the all-cooperate initial state.
-func NewHistory(memSteps int) *History {
-	h := newHistory(memSteps)
-	return &h
-}
-
-func newHistory(memSteps int) History {
-	CheckMemorySteps(memSteps)
-	return History{memSteps: memSteps, mask: NumStates(memSteps) - 1, state: InitialState}
-}
-
-// Reset returns the history to the all-cooperate initial state.
-func (h *History) Reset() {
-	h.state = InitialState
-	h.view = [MaxMemorySteps]uint8{}
-}
-
-// MemorySteps returns the memory depth.
-func (h *History) MemorySteps() int { return h.memSteps }
-
-// State returns the packed state code maintained by the rolling encoder.
-func (h *History) State() int { return h.state }
-
-// View returns the explicit per-round view (most recent round first).  The
-// returned slice aliases internal state and must not be modified.
-func (h *History) View() []uint8 { return h.view[:h.memSteps] }
-
-// Push records one more round of play (my own move and the opponent's move)
-// into the history, updating both the rolling code and the explicit view.
-func (h *History) Push(my, opp Move) {
-	code := uint8(RoundCode(my, opp))
-	h.state = ((h.state << 2) | int(code)) & h.mask
-	// Shift the explicit view: round r becomes round r+1.
-	copy(h.view[1:h.memSteps], h.view[:h.memSteps-1])
-	h.view[0] = code
-}
-
-// StateVia returns the current state index using the requested mode,
-// consulting table for the linear-search path.  The two modes always agree;
-// the distinction exists so the Figure 3 ablation can measure the cost of
-// the original search.
-func (h *History) StateVia(mode StateMode, table *StateTable) int {
-	if mode == StateRolling {
-		return h.state
-	}
-	return table.FindState(h.view[:h.memSteps])
+	return res
 }
 
 // OpponentState returns the packed state as seen from the opponent's

@@ -46,44 +46,57 @@ func TestRoundCode(t *testing.T) {
 	}
 }
 
+// packedView returns the explicit view (most recent round first) of the
+// packed state code s.
+func packedView(s, mem int) []uint8 {
+	view := make([]uint8, mem)
+	for r := range view {
+		view[r] = uint8(s >> (2 * uint(r)) & 3)
+	}
+	return view
+}
+
 func TestStateTableMemoryOne(t *testing.T) {
 	// Table II of the paper: memory-one has exactly 4 states covering CC,
 	// CD, DC, DD.
 	tab := NewStateTable(1)
-	if tab.NumStates() != 4 {
-		t.Fatalf("memory-one table has %d states, want 4", tab.NumStates())
-	}
 	for i := 0; i < 4; i++ {
-		row := tab.Row(i)
-		if len(row) != 1 || int(row[0]) != i {
-			t.Errorf("row %d = %v, want single code %d", i, row, i)
+		if got := tab.FindState([]uint8{uint8(i)}); got != i {
+			t.Errorf("FindState(single code %d) = %d", i, got)
 		}
+	}
+	if got := tab.FindState([]uint8{4}); got != -1 {
+		t.Errorf("FindState found a fifth memory-one state at %d", got)
 	}
 }
 
 func TestStateTableRowsMatchPackedCodes(t *testing.T) {
-	for mem := 1; mem <= 3; mem++ {
+	// The row FindState returns for a view pushed round by round is the
+	// rolling code of the same rounds.
+	src := rng.New(42)
+	for mem := 1; mem <= 4; mem++ {
 		tab := NewStateTable(mem)
-		for i := 0; i < tab.NumStates(); i++ {
-			row := tab.Row(i)
-			packed := 0
-			for r, code := range row {
-				packed |= int(code) << (2 * uint(r))
+		view := make([]uint8, mem)
+		s := InitialState
+		for step := 0; step < 200; step++ {
+			if got := tab.FindState(view); got != s {
+				t.Fatalf("memory-%d step %d: FindState=%d rolling=%d", mem, step, got, s)
 			}
-			if packed != i {
-				t.Fatalf("memory-%d row %d packs to %d", mem, i, packed)
-			}
+			my, opp := Move(src.Intn(2)), Move(src.Intn(2))
+			copy(view[1:], view[:mem-1])
+			view[0] = uint8(RoundCode(my, opp))
+			s = push(s, mem, my, opp)
 		}
 	}
 }
 
 func TestFindStateFindsEveryRow(t *testing.T) {
-	tab := NewStateTable(2)
-	for i := 0; i < tab.NumStates(); i++ {
-		view := make([]uint8, 2)
-		copy(view, tab.Row(i))
-		if got := tab.FindState(view); got != i {
-			t.Fatalf("FindState(row %d) = %d", i, got)
+	for mem := 1; mem <= 3; mem++ {
+		tab := NewStateTable(mem)
+		for i := 0; i < NumStates(mem); i++ {
+			if got := tab.FindState(packedView(i, mem)); got != i {
+				t.Fatalf("memory-%d: the view of packed state %d is row %d", mem, i, got)
+			}
 		}
 	}
 }
@@ -95,68 +108,29 @@ func TestFindStateBadViewLength(t *testing.T) {
 	}
 }
 
-func TestHistoryInitialState(t *testing.T) {
-	for mem := 1; mem <= MaxMemorySteps; mem++ {
-		h := NewHistory(mem)
-		if h.State() != InitialState {
-			t.Errorf("memory-%d initial state = %d, want 0", mem, h.State())
-		}
-	}
-}
-
-func TestHistoryPushMemoryOne(t *testing.T) {
-	h := NewHistory(1)
-	h.Push(Defect, Cooperate)
-	if h.State() != RoundCode(Defect, Cooperate) {
-		t.Fatalf("state after (D,C) = %d, want %d", h.State(), RoundCode(Defect, Cooperate))
-	}
-	h.Push(Cooperate, Defect)
-	if h.State() != RoundCode(Cooperate, Defect) {
-		t.Fatalf("memory-one state did not forget older round: %d", h.State())
-	}
-}
-
-func TestHistoryPushMemoryTwo(t *testing.T) {
-	h := NewHistory(2)
-	h.Push(Defect, Defect)    // round code 3
-	h.Push(Cooperate, Defect) // round code 1, most recent
-	// Most recent round occupies the low bits: state = 3<<2 | 1 = 13.
-	if h.State() != 13 {
-		t.Fatalf("state = %d, want 13", h.State())
-	}
-	view := h.View()
-	if view[0] != 1 || view[1] != 3 {
-		t.Fatalf("view = %v, want [1 3]", view)
-	}
-}
-
-func TestHistoryReset(t *testing.T) {
-	h := NewHistory(3)
-	h.Push(Defect, Defect)
-	h.Push(Defect, Cooperate)
-	h.Reset()
-	if h.State() != InitialState {
-		t.Fatalf("state after Reset = %d", h.State())
-	}
-	for _, v := range h.View() {
-		if v != 0 {
-			t.Fatalf("view after Reset = %v", h.View())
-		}
-	}
-}
-
 func TestStateViaModesAgree(t *testing.T) {
+	// Identifying each round's state by FindState over the explicit view
+	// (StateLinearSearch) or by the rolling code (StateRolling) plays the
+	// same noisy game: same Result, same draws from the source.
 	src := rng.New(42)
 	for mem := 1; mem <= 4; mem++ {
-		tab := NewStateTable(mem)
-		h := NewHistory(mem)
-		for step := 0; step < 200; step++ {
-			rolling := h.StateVia(StateRolling, nil)
-			linear := h.StateVia(StateLinearSearch, tab)
-			if rolling != linear {
-				t.Fatalf("memory-%d step %d: rolling=%d linear=%d", mem, step, rolling, linear)
-			}
-			h.Push(Move(src.Intn(2)), Move(src.Intn(2)))
+		a, b := randomWordPlayer(mem, src), randomWordPlayer(mem, src)
+		base := EngineConfig{Rounds: 200, MemorySteps: mem, Noise: 0.05}
+		linearCfg, rollingCfg := base, base
+		linearCfg.StateMode, rollingCfg.StateMode = StateLinearSearch, StateRolling
+		linear, rolling := mustEngine(t, linearCfg), mustEngine(t, rollingCfg)
+		linearSrc, rollingSrc := rng.New(uint64(mem)), rng.New(uint64(mem))
+		r1, err := linear.Play(a, b, linearSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := rolling.Play(a, b, rollingSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1 != r2 || linearSrc.State() != rollingSrc.State() {
+			t.Fatalf("memory-%d: linear=%+v rolling=%+v (sources agree: %v)",
+				mem, r1, r2, linearSrc.State() == rollingSrc.State())
 		}
 	}
 }
@@ -187,18 +161,17 @@ func TestOpponentStateInvolution(t *testing.T) {
 }
 
 func TestHistoriesStayMirrored(t *testing.T) {
-	// If A's history is pushed with (a,b) and B's with (b,a) every round,
+	// If A's state is pushed with (a,b) and B's with (b,a) every round,
 	// then B's state must always equal OpponentState(A's state).
 	src := rng.New(7)
 	for mem := 1; mem <= 4; mem++ {
-		ha, hb := NewHistory(mem), NewHistory(mem)
+		sA, sB := InitialState, InitialState
 		for step := 0; step < 100; step++ {
-			if hb.State() != OpponentState(ha.State(), mem) {
+			if sB != OpponentState(sA, mem) {
 				t.Fatalf("memory-%d step %d: views not mirrored", mem, step)
 			}
 			a, b := Move(src.Intn(2)), Move(src.Intn(2))
-			ha.Push(a, b)
-			hb.Push(b, a)
+			sA, sB = push(sA, mem, a, b), push(sB, mem, b, a)
 		}
 	}
 }
@@ -210,13 +183,6 @@ func TestStateString(t *testing.T) {
 	}
 	if got := StateString(0, 1); got != "CC" {
 		t.Fatalf("StateString(0,1) = %q, want \"CC\"", got)
-	}
-}
-
-func TestStateTableString(t *testing.T) {
-	s := NewStateTable(1).String()
-	if len(s) == 0 {
-		t.Fatal("empty state table rendering")
 	}
 }
 
@@ -245,10 +211,14 @@ func TestQuickRollingEqualsLinear(t *testing.T) {
 	f := func(seed uint64, memSel uint8, steps uint8) bool {
 		mem := int(memSel%4) + 1
 		src := rng.New(seed)
-		h := NewHistory(mem)
+		view := make([]uint8, mem)
+		s := InitialState
 		for i := 0; i < int(steps); i++ {
-			h.Push(Move(src.Intn(2)), Move(src.Intn(2)))
-			if h.StateVia(StateRolling, nil) != h.StateVia(StateLinearSearch, tables[mem]) {
+			my, opp := Move(src.Intn(2)), Move(src.Intn(2))
+			copy(view[1:], view[:mem-1])
+			view[0] = uint8(RoundCode(my, opp))
+			s = push(s, mem, my, opp)
+			if s != tables[mem].FindState(view) {
 				return false
 			}
 		}
@@ -272,21 +242,82 @@ func TestQuickOpponentStateInvolution(t *testing.T) {
 	}
 }
 
-func BenchmarkHistoryPushRolling(b *testing.B) {
-	h := NewHistory(6)
+func BenchmarkFindStateLinearMemorySix(b *testing.B) {
+	tab := NewStateTable(6)
+	view := packedView(push(push(InitialState, 6, Defect, Cooperate), 6, Cooperate, Defect), 6)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Push(Move(i&1), Move((i>>1)&1))
-		_ = h.StateVia(StateRolling, nil)
+		_ = tab.FindState(view)
 	}
 }
 
-func BenchmarkFindStateLinearMemorySix(b *testing.B) {
-	tab := NewStateTable(6)
-	h := NewHistory(6)
-	h.Push(Defect, Cooperate)
-	h.Push(Cooperate, Defect)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = h.StateVia(StateLinearSearch, tab)
+// mixedPlayer is a memory-n mixed test player that cooperates in state s
+// with probability p[s].
+type mixedPlayer struct {
+	mem int
+	p   []float64
+}
+
+func (m *mixedPlayer) MemorySteps() int    { return m.mem }
+func (m *mixedPlayer) Deterministic() bool { return false }
+func (m *mixedPlayer) Move(state int, src *rng.Source) Move {
+	if src.Bool(m.p[state]) {
+		return Cooperate
+	}
+	return Defect
+}
+
+// TestAblationVariantsAgree compares the production kernel (the zero
+// EngineConfig modes) with every (StateMode, AccumMode, Kernel) combination
+// a parallel.OptLevel maps to.  Each game must give the same Result bit for
+// bit and leave its source in the same state, so the Figure 3 ablation
+// changes speed only.
+func TestAblationVariantsAgree(t *testing.T) {
+	variants := []EngineConfig{
+		// OptOriginal and OptNonBlockingComm.
+		{StateMode: StateLinearSearch, AccumMode: AccumBranching, Kernel: KernelFullReplay},
+		// OptStateLookup, under each requested kernel.
+		{AccumMode: AccumBranching},
+		{AccumMode: AccumBranching, Kernel: KernelFullReplay},
+		{AccumMode: AccumBranching, Kernel: KernelBatch},
+		// OptFusedFitness under the kernels other than the zero one.
+		{Kernel: KernelFullReplay},
+		{Kernel: KernelBatch},
+	}
+	payoffs := []Matrix{Standard(), {Reward: 3.3, Sucker: 0.1, Temptation: 4.7, Punishment: 1.2}}
+	src := rng.New(2013)
+	for mem := 1; mem <= 3; mem++ {
+		a, b := randomWordPlayer(mem, src), randomWordPlayer(mem, src)
+		mixed := &mixedPlayer{mem: mem, p: make([]float64, NumStates(mem))}
+		for s := range mixed.p {
+			mixed.p[s] = src.Float64()
+		}
+		pairs := [][2]Player{{a, b}, {a, a}, {a, mixed}, {mixed, b}, {mixed, mixed}}
+		for _, payoff := range payoffs {
+			for _, noise := range []float64{0, 0.05} {
+				base := EngineConfig{Payoff: payoff, Rounds: DefaultRounds, MemorySteps: mem, Noise: noise}
+				prod := mustEngine(t, base)
+				for _, v := range variants {
+					cfg := base
+					cfg.StateMode, cfg.AccumMode, cfg.Kernel = v.StateMode, v.AccumMode, v.Kernel
+					eng := mustEngine(t, cfg)
+					for i, pair := range pairs {
+						wantSrc, gotSrc := rng.New(uint64(100+i)), rng.New(uint64(100+i))
+						want, err := prod.Play(pair[0], pair[1], wantSrc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := eng.Play(pair[0], pair[1], gotSrc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want || gotSrc.State() != wantSrc.State() {
+							t.Errorf("memory-%d payoff %+v noise %v %v/%v/%v pair %d: %+v, production %+v (sources agree: %v)",
+								mem, payoff, noise, v.StateMode, v.AccumMode, v.Kernel, i, got, want, gotSrc.State() == wantSrc.State())
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -214,20 +214,3 @@ func BinaryPoints(rows [][]bool) [][]float64 {
 	}
 	return out
 }
-
-// DominantCluster returns the index and relative size of the largest
-// cluster.
-func (r Result) DominantCluster() (index int, fraction float64) {
-	total := 0
-	best, bestSize := 0, -1
-	for k, s := range r.Sizes {
-		total += s
-		if s > bestSize {
-			best, bestSize = k, s
-		}
-	}
-	if total == 0 {
-		return 0, 0
-	}
-	return best, float64(bestSize) / float64(total)
-}

@@ -60,9 +60,8 @@ func TestTwoWellSeparatedClusters(t *testing.T) {
 	if res.Inertia != 0 {
 		t.Fatalf("perfectly separable data should have zero inertia, got %v", res.Inertia)
 	}
-	idx, frac := res.DominantCluster()
-	if idx != first || frac != 20.0/30.0 {
-		t.Fatalf("dominant cluster = %d (%.2f), want %d (0.67)", idx, frac, first)
+	if res.Sizes[first] != 20 || res.Sizes[second] != 10 {
+		t.Fatalf("cluster sizes = %v, want 20 in cluster %d and 10 in cluster %d", res.Sizes, first, second)
 	}
 }
 
@@ -146,13 +145,6 @@ func TestBinaryPoints(t *testing.T) {
 	}
 	if len(BinaryPoints(nil)) != 0 {
 		t.Fatal("nil rows should give no points")
-	}
-}
-
-func TestDominantClusterEmptyResult(t *testing.T) {
-	var r Result
-	if _, frac := r.DominantCluster(); frac != 0 {
-		t.Fatal("empty result should have zero dominant fraction")
 	}
 }
 

@@ -40,6 +40,7 @@ var fixtureTrees = []struct {
 	{"envelopelock_version", "envelopelock"},
 	{"errstyle", "errstyle," + DirectiveAnalyzer},
 	{"pkgdoc", "pkgdoc"},
+	{"deadapi", "deadapi," + DirectiveAnalyzer},
 }
 
 func TestFixtures(t *testing.T) {

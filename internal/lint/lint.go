@@ -271,6 +271,7 @@ func All() []*Analyzer {
 		ErrStyle,
 		PkgDoc,
 		MDLinks,
+		DeadAPI,
 	}
 }
 

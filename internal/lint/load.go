@@ -57,6 +57,7 @@ func Load(root, module string) (*Context, error) {
 // store.
 func goDirs(root string) ([]string, error) {
 	var dirs []string
+	seen := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -71,7 +72,10 @@ func goDirs(root string) ([]string, error) {
 		}
 		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
 			dir := filepath.Dir(path)
-			if n := len(dirs); n == 0 || dirs[n-1] != dir {
+			// A directory's files and subdirectories interleave in walk
+			// order, so the root can come round again after its subtrees.
+			if !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}
@@ -138,6 +142,8 @@ type moduleImporter struct {
 	std types.ImporterFrom
 	mod map[string]*types.Package
 }
+
+var _ types.Importer = (*moduleImporter)(nil)
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.mod[path]; ok {

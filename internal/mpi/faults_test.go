@@ -274,25 +274,3 @@ func TestFaultPointInjectsCrash(t *testing.T) {
 		t.Fatalf("Run error %v, want wrapped CrashError{Rank:1, Gen:3}", err)
 	}
 }
-
-// TestAliveRanks pins the liveness accounting.
-func TestAliveRanks(t *testing.T) {
-	var mid int
-	err := Run(3, func(c *Comm) error {
-		if c.Rank() == 0 {
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			mid = c.AliveRanks()
-		} else if err := c.Barrier(); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid < 1 || mid > 3 {
-		t.Fatalf("AliveRanks mid-run = %d, want within [1,3]", mid)
-	}
-}

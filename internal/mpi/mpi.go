@@ -1,8 +1,8 @@
 // Package mpi provides an in-process message-passing runtime with the small
 // subset of MPI semantics the evolutionary game dynamics framework needs:
-// SPMD rank launch, point-to-point sends and receives with tag matching
-// (blocking and non-blocking), and the collective operations the Nature
-// Agent uses (broadcast, barrier, gather, reduce, all-reduce).
+// SPMD rank launch, point-to-point sends (blocking and non-blocking) and
+// blocking receives with tag matching, and the two collective operations
+// the Nature Agent uses (broadcast and barrier).
 //
 // The paper's implementation runs on Blue Gene/P and Blue Gene/Q with MPI
 // over the torus and collective networks.  This package substitutes
@@ -32,7 +32,7 @@ import (
 	"time"
 )
 
-// AnyTag matches a message with any tag in Recv and Irecv.
+// AnyTag matches a message with any tag in Recv.
 const AnyTag = -1
 
 // reservedTagBase is the start of the tag space used internally by the
@@ -217,15 +217,13 @@ func (m *mailbox) take(src, tag int, blockedNs *atomic.Int64) (message, error) {
 }
 
 // fabric is the shared state of one communicator: one mailbox per rank,
-// the failure-semantics options, and the liveness ledger.
+// the failure-semantics options, and the first recorded failure.
 type fabric struct {
 	size      int
 	mailboxes []*mailbox
 	opts      Options
 
 	mu         sync.Mutex
-	exited     []bool // liveness accounting: rank goroutines that returned
-	liveCount  int
 	failedRank int
 	failedGen  int
 	failedErr  error
@@ -236,8 +234,6 @@ func newFabric(size int, opts Options) *fabric {
 		size:      size,
 		opts:      opts,
 		mailboxes: make([]*mailbox, size),
-		exited:    make([]bool, size),
-		liveCount: size,
 	}
 	for i := range f.mailboxes {
 		f.mailboxes[i] = newMailbox(i, f)
@@ -270,24 +266,6 @@ func (f *fabric) failure() error {
 		return nil
 	}
 	return &RankError{Rank: f.failedRank, Gen: f.failedGen, Err: f.failedErr}
-}
-
-// markExited flips the liveness ledger when a rank goroutine returns,
-// whether it succeeded or failed.
-func (f *fabric) markExited(rank int) {
-	f.mu.Lock()
-	if !f.exited[rank] {
-		f.exited[rank] = true
-		f.liveCount--
-	}
-	f.mu.Unlock()
-}
-
-// aliveCount returns the number of rank goroutines still running.
-func (f *fabric) aliveCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.liveCount
 }
 
 // Stats aggregates per-rank communication counters; the scaling studies use
@@ -334,11 +312,8 @@ type Comm struct {
 	delayedMsgs  atomic.Int64
 }
 
-// Rank returns this rank's index in [0, Size).
+// Rank returns this rank's index, 0 to the communicator size minus one.
 func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return c.fabric.size }
 
 // Stats returns a snapshot of this rank's communication counters.
 func (c *Comm) Stats() Stats {
@@ -354,10 +329,6 @@ func (c *Comm) Stats() Stats {
 		DelayedMessages: c.delayedMsgs.Load(),
 	}
 }
-
-// AliveRanks returns the number of rank goroutines on this communicator
-// that have not yet returned (liveness accounting).
-func (c *Comm) AliveRanks() int { return c.fabric.aliveCount() }
 
 // FaultPoint marks this rank's entry into the given epoch (generation).
 // The epoch timestamps any later failure of this rank and scopes the fault
@@ -487,16 +458,6 @@ func (c *Comm) Isend(to, tag int, data []byte) *Request {
 	return req
 }
 
-// Irecv starts a non-blocking receive; Wait returns the payload.
-func (c *Comm) Irecv(from, tag int) *Request {
-	req := &Request{done: make(chan struct{})}
-	go func() {
-		req.data, req.err = c.Recv(from, tag)
-		close(req.done)
-	}()
-	return req
-}
-
 // Bcast broadcasts data from root to every rank.  Every rank must call it;
 // the root passes the payload, other ranks pass nil and receive the payload
 // as the return value.
@@ -520,35 +481,6 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	// recv accounts the time blocked waiting for the payload.
 	out, _, err := c.recv(root, tag)
 	return out, err
-}
-
-// Gather collects each rank's payload at root.  At root the result has Size
-// entries indexed by rank (root's own contribution included); other ranks
-// receive nil.
-func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
-	if err := c.checkRank(root); err != nil {
-		return nil, err
-	}
-	c.collectives.Add(1)
-	tag := reservedTagBase + 2
-	if c.rank != root {
-		return nil, c.send(root, tag, data)
-	}
-	out := make([][]byte, c.fabric.size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	out[root] = cp
-	for r := 0; r < c.fabric.size; r++ {
-		if r == root {
-			continue
-		}
-		payload, _, err := c.recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = payload
-	}
-	return out, nil
 }
 
 // Barrier blocks until every rank has entered it.
@@ -575,105 +507,6 @@ func (c *Comm) Barrier() error {
 	}
 	_, _, err := c.recv(root, tagOut)
 	return err
-}
-
-// ReduceOp is a binary reduction operator over float64.
-type ReduceOp func(a, b float64) float64
-
-// Common reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
-// Reduce combines each rank's value with op; the result is returned at root
-// (other ranks receive 0 and should ignore the value).
-func (c *Comm) Reduce(root int, value float64, op ReduceOp) (float64, error) {
-	if err := c.checkRank(root); err != nil {
-		return 0, err
-	}
-	if op == nil {
-		return 0, errors.New("mpi: nil reduce operator")
-	}
-	c.collectives.Add(1)
-	tag := reservedTagBase + 5
-	buf := encodeFloat64(value)
-	if c.rank != root {
-		return 0, c.send(root, tag, buf)
-	}
-	acc := value
-	for r := 0; r < c.fabric.size; r++ {
-		if r == root {
-			continue
-		}
-		payload, _, err := c.recv(r, tag)
-		if err != nil {
-			return 0, err
-		}
-		v, err := decodeFloat64(payload)
-		if err != nil {
-			return 0, err
-		}
-		acc = op(acc, v)
-	}
-	return acc, nil
-}
-
-// Allreduce combines each rank's value with op and returns the result on
-// every rank.
-func (c *Comm) Allreduce(value float64, op ReduceOp) (float64, error) {
-	total, err := c.Reduce(0, value, op)
-	if err != nil {
-		return 0, err
-	}
-	out, err := c.Bcast(0, encodeFloat64(total))
-	if err != nil {
-		return 0, err
-	}
-	return decodeFloat64(out)
-}
-
-// AllgatherFloat64 gathers one float64 from every rank and returns the full
-// vector (indexed by rank) on every rank.
-func (c *Comm) AllgatherFloat64(value float64) ([]float64, error) {
-	gathered, err := c.Gather(0, encodeFloat64(value))
-	if err != nil {
-		return nil, err
-	}
-	var packed []byte
-	if c.rank == 0 {
-		packed = make([]byte, 0, 8*c.fabric.size)
-		for _, g := range gathered {
-			packed = append(packed, g...)
-		}
-	}
-	packed, err = c.Bcast(0, packed)
-	if err != nil {
-		return nil, err
-	}
-	if len(packed) != 8*c.fabric.size {
-		return nil, fmt.Errorf("mpi: allgather payload has %d bytes, want %d", len(packed), 8*c.fabric.size)
-	}
-	out := make([]float64, c.fabric.size)
-	for i := range out {
-		v, err := decodeFloat64(packed[8*i : 8*i+8])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // Run launches size ranks, each executing fn with its own Comm, and waits
@@ -703,7 +536,6 @@ func RunWithOptions(size int, opts Options, fn func(c *Comm) error) error {
 		go func(rank int) {
 			c := &Comm{rank: rank, fabric: f}
 			defer wg.Done()
-			defer f.markExited(rank)
 			defer func() {
 				if p := recover(); p != nil {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, p)
@@ -727,35 +559,4 @@ func RunWithOptions(size int, opts Options, fn func(c *Comm) error) error {
 		}
 	}
 	return nil
-}
-
-// RunCollect behaves like Run but also collects a per-rank result value.
-func RunCollect[T any](size int, fn func(c *Comm) (T, error)) ([]T, error) {
-	results := make([]T, size)
-	err := Run(size, func(c *Comm) error {
-		v, err := fn(c)
-		results[c.Rank()] = v
-		return err
-	})
-	return results, err
-}
-
-func encodeFloat64(v float64) []byte {
-	bits := float64bits(v)
-	buf := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(bits >> (8 * uint(i)))
-	}
-	return buf
-}
-
-func decodeFloat64(buf []byte) (float64, error) {
-	if len(buf) != 8 {
-		return 0, fmt.Errorf("mpi: float64 payload has %d bytes", len(buf))
-	}
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(buf[i]) << (8 * uint(i))
-	}
-	return float64frombits(bits), nil
 }

@@ -6,8 +6,8 @@
 // Fermi function by default; see internal/dynamics for the rule registry),
 // and a mutation event, in which a randomly selected Strategy Set is
 // assigned a freshly generated random strategy.  The Nature Agent also acts
-// as the records keeper, maintaining the global strategy table and a history
-// of every event, which is what the paper's rank 0 writes to disk.
+// as the records keeper, maintaining the global strategy table and the
+// event counters, which is what the paper's rank 0 writes to disk.
 package nature
 
 import (
@@ -32,18 +32,6 @@ const DefaultMutationRate = 0.05
 // exercising the Fermi function.
 const DefaultBeta = 1.0
 
-// Fermi returns the probability that the learner adopts the teacher's
-// strategy given their payoffs, p = 1 / (1 + exp(-β (πT - πL))) (Equation 1
-// of the paper).  β = 0 gives 1/2 (random drift); β → ∞ approaches a step
-// function that always adopts the better strategy.  It is the adoption
-// probability of the default "fermi" update rule.
-func Fermi(beta, payoffTeacher, payoffLearner float64) float64 {
-	return dynamics.FermiProb(beta, payoffTeacher, payoffLearner)
-}
-
-// NewStrategyFunc generates the strategy assigned by a mutation event.
-type NewStrategyFunc func(src *rng.Source) strategy.Strategy
-
 // Config holds the Nature Agent's parameters.
 type Config struct {
 	// PCRate is the per-generation probability of a pairwise-comparison
@@ -57,11 +45,9 @@ type Config struct {
 	// Beta is the selection intensity of the Fermi function.  Defaults to
 	// DefaultBeta if zero.
 	Beta float64
-	// MemorySteps is the memory depth of strategies generated by mutations.
+	// MemorySteps is the memory depth of the uniformly random pure
+	// strategies mutations generate.
 	MemorySteps int
-	// NewStrategy overrides the mutation generator; the default draws a
-	// uniformly random pure strategy of MemorySteps memory.
-	NewStrategy NewStrategyFunc
 	// Rule is the update rule applied when a learner compares fitness with a
 	// teacher.  Nil selects the paper's Fermi pairwise-comparison rule,
 	// which keeps the agent's random stream bit-identical to the
@@ -104,37 +90,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MemorySteps < 1 || c.MemorySteps > 6 {
 		return c, fmt.Errorf("nature: memory steps %d out of range [1,6]", c.MemorySteps)
 	}
-	if c.NewStrategy == nil {
-		mem := c.MemorySteps
-		c.NewStrategy = func(src *rng.Source) strategy.Strategy { return strategy.RandomPure(mem, src) }
-	}
 	if c.Rule == nil {
 		c.Rule = dynamics.Fermi()
 	}
 	return c, nil
-}
-
-// PCEvent describes a pairwise-comparison learning event.
-type PCEvent struct {
-	Generation int
-	// Teacher and Learner are the SSet indices selected by the Nature Agent.
-	Teacher, Learner int
-	// FitnessTeacher and FitnessLearner are the relative fitness values the
-	// two SSets reported.
-	FitnessTeacher, FitnessLearner float64
-	// Prob is the Fermi adoption probability that was used.
-	Prob float64
-	// Adopted reports whether the learner adopted the teacher's strategy.
-	Adopted bool
-}
-
-// MutationEvent describes a mutation event.
-type MutationEvent struct {
-	Generation int
-	// Target is the SSet index that received a new strategy.
-	Target int
-	// Strategy is the newly generated strategy.
-	Strategy strategy.Strategy
 }
 
 // Agent is the Nature Agent.  It owns the randomness that drives the
@@ -162,10 +121,6 @@ func New(cfg Config, src *rng.Source) (*Agent, error) {
 	}
 	return &Agent{cfg: full, src: src}, nil
 }
-
-// Config returns the agent's effective configuration (with defaults filled
-// in).
-func (a *Agent) Config() Config { return a.cfg }
 
 // MaybeSelectPC decides whether a pairwise-comparison event occurs this
 // generation and, if so, selects the teacher and learner SSets: uniformly
@@ -226,7 +181,7 @@ func (a *Agent) MaybeMutation(numSSets int) (target int, strat strategy.Strategy
 		return 0, nil, false
 	}
 	a.mutations++
-	return a.src.Intn(numSSets), a.cfg.NewStrategy(a.src), true
+	return a.src.Intn(numSSets), strategy.RandomPure(a.cfg.MemorySteps, a.src), true
 }
 
 // EndGeneration marks the end of one generation; used only for statistics.
@@ -395,17 +350,4 @@ func (t *Table) Counts() map[string]int {
 		counts[s.String()]++
 	}
 	return counts
-}
-
-// MostAbundant returns the strategy rendering with the highest SSet count
-// and the fraction of the population it holds.
-func (t *Table) MostAbundant() (key string, fraction float64) {
-	counts := t.Counts()
-	best, bestCount := "", -1
-	for k, c := range counts {
-		if c > bestCount || (c == bestCount && k < best) {
-			best, bestCount = k, c
-		}
-	}
-	return best, float64(bestCount) / float64(len(t.strategies))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"evogame/internal/dynamics"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
 )
@@ -23,16 +24,16 @@ func newAgent(t *testing.T, cfg Config, seed uint64) *Agent {
 }
 
 func TestFermiValues(t *testing.T) {
-	if got := Fermi(1, 10, 10); got != 0.5 {
+	if got := dynamics.FermiProb(1, 10, 10); got != 0.5 {
 		t.Fatalf("Fermi with equal payoffs = %v, want 0.5", got)
 	}
-	if got := Fermi(0, 100, 0); got != 0.5 {
+	if got := dynamics.FermiProb(0, 100, 0); got != 0.5 {
 		t.Fatalf("Fermi with beta 0 = %v, want 0.5", got)
 	}
-	if got := Fermi(10, 100, 0); got < 0.999 {
+	if got := dynamics.FermiProb(10, 100, 0); got < 0.999 {
 		t.Fatalf("Fermi with large advantage = %v, want ~1", got)
 	}
-	if got := Fermi(10, 0, 100); got > 0.001 {
+	if got := dynamics.FermiProb(10, 0, 100); got > 0.001 {
 		t.Fatalf("Fermi with large disadvantage = %v, want ~0", got)
 	}
 }
@@ -40,7 +41,7 @@ func TestFermiValues(t *testing.T) {
 func TestFermiMonotoneInDifference(t *testing.T) {
 	prev := -1.0
 	for d := -50.0; d <= 50; d += 5 {
-		p := Fermi(0.5, d, 0)
+		p := dynamics.FermiProb(0.5, d, 0)
 		if p <= prev {
 			t.Fatalf("Fermi not strictly increasing at difference %v", d)
 		}
@@ -54,7 +55,7 @@ func TestFermiMonotoneInDifference(t *testing.T) {
 func TestFermiSymmetry(t *testing.T) {
 	// p(teacher,learner) + p(learner,teacher) == 1.
 	for _, d := range []float64{0, 1, 3.5, 100} {
-		sum := Fermi(1, d, 0) + Fermi(1, 0, d)
+		sum := dynamics.FermiProb(1, d, 0) + dynamics.FermiProb(1, 0, d)
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("Fermi(β,d,0)+Fermi(β,0,d) = %v, want 1", sum)
 		}
@@ -63,16 +64,13 @@ func TestFermiSymmetry(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	a := newAgent(t, Config{MemorySteps: 2}, 1)
-	cfg := a.Config()
+	cfg := a.cfg
 	if cfg.PCRate != DefaultPCRate || cfg.MutationRate != DefaultMutationRate || cfg.Beta != DefaultBeta {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.NewStrategy == nil {
-		t.Fatal("default NewStrategy not installed")
-	}
-	s := cfg.NewStrategy(rng.New(3))
-	if s.MemorySteps() != 2 {
-		t.Fatalf("default mutation generator produced memory-%d strategy", s.MemorySteps())
+	_, s, ok := newAgent(t, Config{MemorySteps: 2, MutationRate: 1}, 3).MaybeMutation(4)
+	if !ok || s.MemorySteps() != 2 {
+		t.Fatalf("mutation produced %v (ok=%v), want a memory-2 strategy", s, ok)
 	}
 }
 
@@ -217,26 +215,6 @@ func TestMaybeMutationEmptyPopulation(t *testing.T) {
 	}
 }
 
-func TestCustomNewStrategy(t *testing.T) {
-	called := 0
-	cfg := Config{
-		MemorySteps:  1,
-		MutationRate: 1,
-		NewStrategy: func(src *rng.Source) strategy.Strategy {
-			called++
-			return strategy.WSLS(1)
-		},
-	}
-	a := newAgent(t, cfg, 23)
-	_, strat, ok := a.MaybeMutation(5)
-	if !ok || called != 1 {
-		t.Fatal("custom NewStrategy not invoked")
-	}
-	if strat.String() != "0110" {
-		t.Fatal("custom NewStrategy result not returned")
-	}
-}
-
 func TestAgentDeterminism(t *testing.T) {
 	run := func() []int {
 		a := newAgent(t, Config{PCRate: 0.5, MutationRate: 0.3, MemorySteps: 1}, 99)
@@ -341,17 +319,13 @@ func TestTableSnapshotIsACopy(t *testing.T) {
 	}
 }
 
-func TestTableCountsAndMostAbundant(t *testing.T) {
+func TestTableCounts(t *testing.T) {
 	tab, _ := NewTable([]strategy.Strategy{
 		strategy.WSLS(1), strategy.WSLS(1), strategy.WSLS(1), strategy.AllD(1),
 	})
 	counts := tab.Counts()
 	if counts["0110"] != 3 || counts["1111"] != 1 {
 		t.Fatalf("counts = %v", counts)
-	}
-	key, frac := tab.MostAbundant()
-	if key != "0110" || frac != 0.75 {
-		t.Fatalf("MostAbundant = %q %v", key, frac)
 	}
 }
 
@@ -365,8 +339,8 @@ func TestQuickFermiProbability(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(beta) {
 			return true
 		}
-		p := Fermi(beta, a, b)
-		q := Fermi(beta, b, a)
+		p := dynamics.FermiProb(beta, a, b)
+		q := dynamics.FermiProb(beta, b, a)
 		return p >= 0 && p <= 1 && math.Abs(p+q-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -394,7 +368,7 @@ func TestQuickSelectPCBounds(t *testing.T) {
 
 func BenchmarkFermi(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = Fermi(1, float64(i%100), float64((i*7)%100))
+		_ = dynamics.FermiProb(1, float64(i%100), float64((i*7)%100))
 	}
 }
 

@@ -71,8 +71,6 @@ func Calibrate(gamesPerDepth int) (Calibration, error) {
 		eng, err := game.NewEngine(game.EngineConfig{
 			Rounds:      game.DefaultRounds,
 			MemorySteps: mem,
-			StateMode:   game.StateRolling,
-			AccumMode:   game.AccumLookup,
 			// The model prices per-round kernel work, so the calibration must
 			// replay every round; the cycle-closing kernel would execute only
 			// a fraction of them and understate SecondsPerRound.

@@ -172,8 +172,6 @@ func (c Config) EngineConfig() game.EngineConfig {
 		Rounds:      c.Rounds,
 		MemorySteps: c.MemorySteps,
 		Noise:       c.Noise,
-		StateMode:   game.StateRolling,
-		AccumMode:   game.AccumLookup,
 		Kernel:      c.Kernel,
 	}
 }
@@ -386,19 +384,8 @@ func Restore(cfg Config, snap checkpoint.Snapshot) (*Model, error) {
 	return m, nil
 }
 
-// Topology returns the interaction graph the model runs on (the complete
-// graph for a well-mixed population).
-func (m *Model) Topology() topology.Graph { return m.graph }
-
-// Config returns the model's configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Generation returns the number of generations simulated so far.
 func (m *Model) Generation() int { return m.gen }
-
-// PopulationSize returns the total number of agents (SSets × agents per
-// SSet); it is constant across generations.
-func (m *Model) PopulationSize() int { return m.cfg.NumSSets * m.cfg.AgentsPerSSet }
 
 // Strategies returns a snapshot of the current strategy table.
 func (m *Model) Strategies() []strategy.Strategy { return m.table.Snapshot() }

@@ -2,8 +2,10 @@ package population
 
 import (
 	"context"
+	"strings"
 	"testing"
 
+	"evogame/internal/fitness"
 	"evogame/internal/strategy"
 )
 
@@ -55,9 +57,6 @@ func TestNewValidation(t *testing.T) {
 func TestInitialPopulation(t *testing.T) {
 	cfg := baseConfig()
 	m := mustModel(t, cfg)
-	if m.PopulationSize() != 32 {
-		t.Fatalf("population size = %d, want 32", m.PopulationSize())
-	}
 	strats := m.Strategies()
 	if len(strats) != 16 {
 		t.Fatalf("strategy table has %d entries", len(strats))
@@ -97,9 +96,6 @@ func TestPopulationSizeConservedAcrossGenerations(t *testing.T) {
 		}
 		if len(m.Strategies()) != cfg.NumSSets {
 			t.Fatalf("generation %d: strategy table changed size", g)
-		}
-		if m.PopulationSize() != cfg.NumSSets*cfg.AgentsPerSSet {
-			t.Fatalf("generation %d: population size changed", g)
 		}
 	}
 	if m.Generation() != 200 {
@@ -366,6 +362,29 @@ func BenchmarkStepCachedMemoryOne(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := m.Step(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// foreignStrategy is a strategy implementation outside the strategy codec.
+type foreignStrategy struct{ *strategy.Pure }
+
+func (f foreignStrategy) Clone() strategy.Strategy {
+	return foreignStrategy{f.Pure.Clone().(*strategy.Pure)}
+}
+
+// TestNewRejectsStrategyOutsideCodec pins the behaviour for a strategy
+// implementation the codec cannot encode: every eval mode needs the table
+// interned, so New fails naming the entry instead of falling back.
+func TestNewRejectsStrategyOutsideCodec(t *testing.T) {
+	for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
+		cfg := baseConfig()
+		cfg.NumSSets = 2
+		cfg.EvalMode = mode
+		cfg.InitialStrategies = []strategy.Strategy{foreignStrategy{strategy.AllC(1)}, strategy.AllD(1)}
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "binding table entry 0") || !strings.Contains(err.Error(), "cannot encode") {
+			t.Errorf("%v: New = %v, want the binding error for entry 0", mode, err)
 		}
 	}
 }

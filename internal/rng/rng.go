@@ -15,9 +15,7 @@
 package rng
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 )
@@ -228,35 +226,15 @@ func (s *Source) FlipPairs(t uint64, lane uint, a, b []uint64) {
 }
 
 // Coin returns true with probability 1/2.
+//
+//lint:allow deadapi fitness.TestIncrementalMatrixUpdateStaysExact and the well-mixed matrix oracle draw their update sequences with it
 func (s *Source) Coin() bool {
 	return s.Uint64()&1 == 1
 }
 
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, generated with the polar (Marsaglia) method.
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := 2*s.Float64() - 1
-		v := 2*s.Float64() - 1
-		q := u*u + v*v
-		if q == 0 || q >= 1 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(q)/q)
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n) using Fisher-Yates.
+//
+//lint:allow deadapi checkpoint.TestSaveIsDurableAndCollisionFree shuffles its save order with it
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -312,49 +290,4 @@ func (s *Source) SetState(state [4]uint64) error {
 	}
 	s.s = state
 	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler: the four state words
-// in little-endian order, 32 bytes total.  Together with UnmarshalBinary it
-// is the checkpoint subsystem's export/import path for RNG streams.
-func (s *Source) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 32)
-	for i, w := range s.s {
-		binary.LittleEndian.PutUint64(buf[8*i:], w)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, restoring a state
-// previously produced by MarshalBinary.  It rejects malformed lengths and
-// the all-zero state (invalid for xoshiro256**).
-func (s *Source) UnmarshalBinary(data []byte) error {
-	if len(data) != 32 {
-		return fmt.Errorf("rng: state is %d bytes, want 32", len(data))
-	}
-	var state [4]uint64
-	for i := range state {
-		state[i] = binary.LittleEndian.Uint64(data[8*i:])
-	}
-	return s.SetState(state)
-}
-
-// Jump advances the generator by 2^128 steps, equivalent to calling Uint64
-// 2^128 times.  It can be used to generate non-overlapping subsequences for
-// parallel computations as an alternative to Split.
-func (s *Source) Jump() {
-	jump := [4]uint64{0x180EC6D33CFD0ABA, 0xD5A61266F0C9392C, 0xA9582618E03FC9AA, 0x39ABDC4529B1661C}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= s.s[0]
-				s1 ^= s.s[1]
-				s2 ^= s.s[2]
-				s3 ^= s.s[3]
-			}
-			s.Uint64()
-		}
-	}
-	s.s[0], s.s[1], s.s[2], s.s[3] = s0, s1, s2, s3
 }

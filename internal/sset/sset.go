@@ -84,12 +84,6 @@ func New(id, numAgents int, strat strategy.Strategy) (*SSet, error) {
 // ID returns the SSet's identifier within the population.
 func (s *SSet) ID() int { return s.id }
 
-// NumAgents returns the number of agents in the set.
-func (s *SSet) NumAgents() int { return s.numAgents }
-
-// Strategy returns the strategy currently shared by every agent in the set.
-func (s *SSet) Strategy() strategy.Strategy { return s.strat }
-
 // SetStrategy replaces the SSet's strategy; this is how the learning and
 // mutation phases of the population dynamics take effect.
 func (s *SSet) SetStrategy(strat strategy.Strategy) error {
@@ -98,12 +92,6 @@ func (s *SSet) SetStrategy(strat strategy.Strategy) error {
 	}
 	s.strat = strat
 	return nil
-}
-
-// Agents returns the opponent partition for this SSet against numOpponents
-// opponent strategies.
-func (s *SSet) Agents(numOpponents int) []Agent {
-	return PartitionOpponents(numOpponents, s.numAgents)
 }
 
 // FitnessOptions controls how an SSet evaluates its fitness.

@@ -107,10 +107,10 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ID() != 3 || s.NumAgents() != 4 {
+	if s.ID() != 3 || s.numAgents != 4 {
 		t.Fatal("accessors do not reflect construction")
 	}
-	if s.Strategy().String() != strategy.WSLS(1).String() {
+	if s.strat.String() != strategy.WSLS(1).String() {
 		t.Fatal("strategy accessor wrong")
 	}
 }
@@ -123,14 +123,14 @@ func TestSetStrategy(t *testing.T) {
 	if err := s.SetStrategy(strategy.AllD(1)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Strategy().String() != "1111" {
+	if s.strat.String() != "1111" {
 		t.Fatal("SetStrategy did not replace the strategy")
 	}
 }
 
 func TestAgentsPartition(t *testing.T) {
 	s, _ := New(0, 4, strategy.AllC(1))
-	agents := s.Agents(9)
+	agents := PartitionOpponents(9, s.numAgents)
 	if len(agents) != 4 {
 		t.Fatalf("got %d agents", len(agents))
 	}

@@ -18,30 +18,15 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the sample mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
@@ -57,12 +42,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 with no observations).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 with no observations).
-func (w *Welford) Max() float64 { return w.max }
 
 // Speedup returns the classic strong-scaling speedup t_base / t_parallel.
 // It returns 0 if the parallel time is not positive.
@@ -146,9 +125,6 @@ func (t *Table) AddRow(values ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

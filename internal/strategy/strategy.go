@@ -63,20 +63,6 @@ func RandomPure(memSteps int, src *rng.Source) *Pure {
 	return p
 }
 
-// PureFromMoves builds a pure strategy from an explicit move table indexed
-// by state.  It returns an error if the table length does not match the
-// number of states for the memory depth.
-func PureFromMoves(memSteps int, moves []game.Move) (*Pure, error) {
-	p := NewPure(memSteps)
-	if len(moves) != p.n {
-		return nil, fmt.Errorf("strategy: %d moves supplied, memory-%d needs %d", len(moves), memSteps, p.n)
-	}
-	for s, m := range moves {
-		p.SetMove(s, m)
-	}
-	return p, nil
-}
-
 // ParsePure builds a pure strategy from a string of '0' (cooperate) and '1'
 // (defect) characters, one per state, state 0 first — the format used in the
 // paper's strategy tables.
@@ -136,6 +122,8 @@ func (p *Pure) SetMove(state int, m game.Move) {
 
 // FlipMove inverts the move played in the given state; used by
 // point-mutation operators and tests.
+//
+//lint:allow deadapi intern.TestInternCanonicalInstanceIsIsolated mutates a strategy with it
 func (p *Pure) FlipMove(state int) {
 	if state < 0 || state >= p.n {
 		panic(fmt.Sprintf("strategy: state %d out of range [0,%d)", state, p.n))
@@ -174,19 +162,6 @@ func (p *Pure) DefectionCount() int {
 	return count
 }
 
-// Hamming returns the number of states in which p and q prescribe different
-// moves.  It returns an error if the memory depths differ.
-func (p *Pure) Hamming(q *Pure) (int, error) {
-	if p.mem != q.mem {
-		return 0, fmt.Errorf("strategy: memory mismatch %d vs %d", p.mem, q.mem)
-	}
-	d := 0
-	for i := range p.bits {
-		d += bits.OnesCount64(p.bits[i] ^ q.bits[i])
-	}
-	return d, nil
-}
-
 // moveChunks[b] renders the eight states packed in byte b as '0'/'1'
 // characters, lowest state first.
 var moveChunks = func() (t [256][8]byte) {
@@ -214,9 +189,6 @@ func (p *Pure) String() string {
 // feature extraction.  The returned slice must not be modified.
 func (p *Pure) Words() []uint64 { return p.bits }
 
-// Bit reports whether the strategy defects in the given state, as a raw bit.
-func (p *Pure) Bit(state int) bool { return p.Move(state, nil) == game.Defect }
-
 // Mixed is a probabilistic memory-n strategy: for every state it cooperates
 // with probability Probs[state] and defects otherwise (Section III-D).
 type Mixed struct {
@@ -238,6 +210,8 @@ func NewMixed(memSteps int) *Mixed {
 
 // MixedFromProbs builds a mixed strategy from explicit per-state cooperation
 // probabilities.  Probabilities must lie in [0,1].
+//
+//lint:allow deadapi intern.TestInternMixedAndErrors and population.TestEvalModesMixedStrategyBypassIdentical build mixed strategies with it
 func MixedFromProbs(memSteps int, probs []float64) (*Mixed, error) {
 	game.CheckMemorySteps(memSteps)
 	n := game.NumStates(memSteps)
@@ -256,6 +230,8 @@ func MixedFromProbs(memSteps int, probs []float64) (*Mixed, error) {
 
 // RandomMixed returns a mixed strategy whose per-state cooperation
 // probabilities are independent uniform draws from [0,1).
+//
+//lint:allow deadapi population.TestMergedEventMixedStrategies builds mixed populations with it
 func RandomMixed(memSteps int, src *rng.Source) *Mixed {
 	game.CheckMemorySteps(memSteps)
 	n := game.NumStates(memSteps)
@@ -266,29 +242,8 @@ func RandomMixed(memSteps int, src *rng.Source) *Mixed {
 	return &Mixed{mem: memSteps, probs: probs}
 }
 
-// Soften returns the mixed strategy obtained from a pure strategy by playing
-// the prescribed move with probability 1-epsilon and the opposite move with
-// probability epsilon ("trembling hand" version of the pure strategy).
-func Soften(p *Pure, epsilon float64) (*Mixed, error) {
-	if epsilon < 0 || epsilon > 1 {
-		return nil, fmt.Errorf("strategy: epsilon %v outside [0,1]", epsilon)
-	}
-	probs := make([]float64, p.NumStates())
-	for s := range probs {
-		if p.Move(s, nil) == game.Cooperate {
-			probs[s] = 1 - epsilon
-		} else {
-			probs[s] = epsilon
-		}
-	}
-	return &Mixed{mem: p.MemorySteps(), probs: probs}, nil
-}
-
 // MemorySteps implements game.Player.
 func (m *Mixed) MemorySteps() int { return m.mem }
-
-// NumStates returns the number of states in the strategy's domain.
-func (m *Mixed) NumStates() int { return len(m.probs) }
 
 // Deterministic implements game.Player; mixed strategies require a random
 // source.
@@ -300,21 +255,6 @@ func (m *Mixed) Move(state int, src *rng.Source) game.Move {
 		return game.Cooperate
 	}
 	return game.Defect
-}
-
-// Prob returns the cooperation probability in the given state.
-func (m *Mixed) Prob(state int) float64 { return m.probs[state] }
-
-// SetProb sets the cooperation probability in the given state; values are
-// clamped to [0,1].
-func (m *Mixed) SetProb(state int, p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	m.probs[state] = p
 }
 
 // Clone implements Strategy.
@@ -362,6 +302,8 @@ func (m *Mixed) String() string {
 // memory depth, 2^(4^n) — the quantity tabulated in the paper's Table IV.
 // The result does not fit in any machine integer for n ≥ 3, so it is
 // returned as a big.Int.
+//
+//lint:allow deadapi BenchmarkTable4StrategySpace (bench_test.go) times Table IV strategy-space accounting with it
 func NumPureStrategies(memSteps int) *big.Int {
 	game.CheckMemorySteps(memSteps)
 	exp := game.NumStates(memSteps)

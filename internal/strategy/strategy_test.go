@@ -82,12 +82,10 @@ func TestFlipMove(t *testing.T) {
 	}()
 }
 
-func TestPureFromMovesAndParse(t *testing.T) {
-	moves := []game.Move{game.Cooperate, game.Defect, game.Defect, game.Cooperate}
-	p, err := PureFromMoves(1, moves)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestParsePure(t *testing.T) {
+	p := NewPure(1)
+	p.SetMove(1, game.Defect)
+	p.SetMove(2, game.Defect)
 	if p.String() != "0110" {
 		t.Fatalf("String = %q, want 0110", p.String())
 	}
@@ -96,10 +94,7 @@ func TestPureFromMovesAndParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !p.Equal(q) {
-		t.Fatal("ParsePure(0110) differs from PureFromMoves")
-	}
-	if _, err := PureFromMoves(1, moves[:3]); err == nil {
-		t.Fatal("PureFromMoves accepted a short move table")
+		t.Fatal("ParsePure(0110) differs from the move table C,D,D,C")
 	}
 	if _, err := ParsePure(1, "01"); err == nil {
 		t.Fatal("ParsePure accepted a short string")
@@ -146,21 +141,6 @@ func TestRandomPureTailMasked(t *testing.T) {
 	p := RandomPure(1, rng.New(3))
 	if p.Words()[0]>>4 != 0 {
 		t.Fatalf("random memory-one strategy has bits beyond state 3: %x", p.Words()[0])
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	a := AllC(2)
-	b := AllD(2)
-	d, err := a.Hamming(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 16 {
-		t.Fatalf("Hamming(AllC, AllD) memory-2 = %d, want 16", d)
-	}
-	if _, err := a.Hamming(AllC(3)); err == nil {
-		t.Fatal("Hamming accepted mismatched memory")
 	}
 }
 
@@ -263,10 +243,10 @@ func TestGTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Prob(0) != 1 || g.Prob(2) != 1 {
+	if g.probs[0] != 1 || g.probs[2] != 1 {
 		t.Fatal("GTFT must always cooperate after opponent cooperation")
 	}
-	if g.Prob(1) != 0.25 || g.Prob(3) != 0.25 {
+	if g.probs[1] != 0.25 || g.probs[3] != 0.25 {
 		t.Fatal("GTFT must forgive with the requested probability")
 	}
 	if g.Deterministic() {
@@ -277,20 +257,11 @@ func TestGTFT(t *testing.T) {
 func TestMixedBasics(t *testing.T) {
 	m := NewMixed(1)
 	for s := 0; s < 4; s++ {
-		if m.Prob(s) != 0.5 {
-			t.Fatalf("NewMixed prob(%d) = %v", s, m.Prob(s))
+		if m.probs[s] != 0.5 {
+			t.Fatalf("NewMixed prob(%d) = %v", s, m.probs[s])
 		}
 	}
-	m.SetProb(2, 0.9)
-	if m.Prob(2) != 0.9 {
-		t.Fatal("SetProb failed")
-	}
-	m.SetProb(1, -4)
-	m.SetProb(3, 7)
-	if m.Prob(1) != 0 || m.Prob(3) != 1 {
-		t.Fatal("SetProb did not clamp")
-	}
-	if m.NumStates() != 4 || m.MemorySteps() != 1 {
+	if len(m.probs) != 4 || m.MemorySteps() != 1 {
 		t.Fatal("mixed dimensions wrong")
 	}
 	if m.String() == "" {
@@ -309,7 +280,7 @@ func TestMixedFromProbsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Prob(2) != 0.75 {
+	if m.probs[2] != 0.75 {
 		t.Fatal("probabilities not copied")
 	}
 }
@@ -320,8 +291,8 @@ func TestMixedCloneEqual(t *testing.T) {
 	if !m.Equal(c) {
 		t.Fatal("clone not equal")
 	}
-	c.SetProb(3, 0.123)
-	if m.Equal(c) && m.Prob(3) != 0.123 {
+	c.probs[3] = 0.123
+	if m.Equal(c) && m.probs[3] != 0.123 {
 		t.Fatal("clone shares storage with original")
 	}
 	if m.Equal(NewMixed(1)) {
@@ -353,26 +324,6 @@ func TestMixedMoveFrequencies(t *testing.T) {
 	frac := float64(coop) / n
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("prob-0.5 state cooperated %v of the time", frac)
-	}
-}
-
-func TestSoften(t *testing.T) {
-	w := WSLS(1)
-	m, err := Soften(w, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 4; s++ {
-		want := 0.1
-		if w.Move(s, nil) == game.Cooperate {
-			want = 0.9
-		}
-		if m.Prob(s) != want {
-			t.Fatalf("Soften prob(%d) = %v, want %v", s, m.Prob(s), want)
-		}
-	}
-	if _, err := Soften(w, -1); err == nil {
-		t.Fatal("Soften accepted invalid epsilon")
 	}
 }
 
@@ -538,30 +489,6 @@ func TestQuickStringParseRoundTrip(t *testing.T) {
 		p := RandomPure(mem, rng.New(seed))
 		q, err := ParsePure(mem, p.String())
 		return err == nil && p.Equal(q)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Hamming distance between random strategies equals the number of
-// states where their moves differ.
-func TestQuickHammingMatchesMoves(t *testing.T) {
-	f := func(seedA, seedB uint64, memSel uint8) bool {
-		mem := int(memSel%3) + 1
-		a := RandomPure(mem, rng.New(seedA))
-		b := RandomPure(mem, rng.New(seedB))
-		d, err := a.Hamming(b)
-		if err != nil {
-			return false
-		}
-		count := 0
-		for s := 0; s < a.NumStates(); s++ {
-			if a.Move(s, nil) != b.Move(s, nil) {
-				count++
-			}
-		}
-		return d == count
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"evogame/internal/rng"
 )
@@ -106,62 +105,38 @@ func buildWellMixed(_ Spec, n int, _ *rng.Source) (Graph, error) {
 	return complete{n: n}, nil
 }
 
-var (
-	specMu sync.RWMutex
-	specs  = map[string]Spec{
-		"wellmixed": {
-			Name:  "wellmixed",
-			Title: "complete graph: every SSet interacts with every other (the paper's model)",
-			build: buildWellMixed,
-		},
-		"ring": {
-			Name:   "ring",
-			Title:  "one-dimensional ring lattice, k/2 nearest neighbors per side",
-			Degree: DefaultDegree,
-			build:  buildRing,
-		},
-		"torus": {
-			Name:         "torus",
-			Title:        "two-dimensional periodic lattice (near-square rows x cols factorization)",
-			Neighborhood: NeighborhoodVonNeumann,
-			build:        buildTorus,
-		},
-		"smallworld": {
-			Name:   "smallworld",
-			Title:  "Watts-Strogatz ring with random edge rewiring",
-			Degree: DefaultDegree,
-			Rewire: DefaultRewire,
-			build:  buildSmallWorld,
-		},
-	}
-)
-
-// Register adds a topology family to the registry so it becomes addressable
-// by name from the facade, the CLI and checkpoints.  The name must be
-// unused and the spec must carry a builder registered via RegisterFunc.
-func Register(s Spec, build func(Spec, int, *rng.Source) (Graph, error)) error {
-	if s.Name == "" || build == nil {
-		return fmt.Errorf("topology: cannot register an unnamed spec or nil builder")
-	}
-	if strings.Contains(s.Name, ":") {
-		return fmt.Errorf("topology: spec name %q must not contain ':'", s.Name)
-	}
-	specMu.Lock()
-	defer specMu.Unlock()
-	if _, ok := specs[s.Name]; ok {
-		return fmt.Errorf("topology: spec %q already registered", s.Name)
-	}
-	s.build = build
-	specs[s.Name] = s
-	return nil
+// specs is the topology registry, fixed at compile time.
+var specs = map[string]Spec{
+	"wellmixed": {
+		Name:  "wellmixed",
+		Title: "complete graph: every SSet interacts with every other (the paper's model)",
+		build: buildWellMixed,
+	},
+	"ring": {
+		Name:   "ring",
+		Title:  "one-dimensional ring lattice, k/2 nearest neighbors per side",
+		Degree: DefaultDegree,
+		build:  buildRing,
+	},
+	"torus": {
+		Name:         "torus",
+		Title:        "two-dimensional periodic lattice (near-square rows x cols factorization)",
+		Neighborhood: NeighborhoodVonNeumann,
+		build:        buildTorus,
+	},
+	"smallworld": {
+		Name:   "smallworld",
+		Title:  "Watts-Strogatz ring with random edge rewiring",
+		Degree: DefaultDegree,
+		Rewire: DefaultRewire,
+		build:  buildSmallWorld,
+	},
 }
 
 // Lookup returns the registered topology family with the given name (no
 // parameter suffix) carrying its default parameters.
 func Lookup(name string) (Spec, error) {
-	specMu.RLock()
 	s, ok := specs[name]
-	specMu.RUnlock()
 	if !ok {
 		return Spec{}, fmt.Errorf("topology: unknown topology %q (want one of %v)", name, Names())
 	}
@@ -170,8 +145,6 @@ func Lookup(name string) (Spec, error) {
 
 // Names returns the sorted names of all registered topology families.
 func Names() []string {
-	specMu.RLock()
-	defer specMu.RUnlock()
 	names := make([]string, 0, len(specs))
 	for name := range specs {
 		names = append(names, name)

@@ -80,15 +80,6 @@ func Neighbors(g Graph, i int) []int {
 	return out
 }
 
-// Edges returns the number of undirected edges in the graph.
-func Edges(g Graph) int {
-	total := 0
-	for i := 0; i < g.Len(); i++ {
-		total += g.Degree(i)
-	}
-	return total / 2
-}
-
 // complete is the well-mixed population: every SSet is adjacent to every
 // other.  It is virtual — Neighbor maps k directly to the k-th index of
 // {0..n-1}\{i} — so the default topology stores nothing.

@@ -65,14 +65,6 @@ type Result struct {
 	Scores [][]float64
 }
 
-// Winner returns the name of the top-ranked entrant.
-func (r Result) Winner() string {
-	if len(r.Standings) == 0 {
-		return ""
-	}
-	return r.Standings[0].Name
-}
-
 // Run plays the round-robin tournament.
 func Run(entrants []Entrant, cfg Config) (Result, error) {
 	if len(entrants) < 2 {
@@ -111,8 +103,6 @@ func Run(entrants []Entrant, cfg Config) (Result, error) {
 		Rounds:      cfg.Rounds,
 		MemorySteps: cfg.MemorySteps,
 		Noise:       cfg.Noise,
-		StateMode:   game.StateRolling,
-		AccumMode:   game.AccumLookup,
 	})
 	if err != nil {
 		return Result{}, err

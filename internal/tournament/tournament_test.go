@@ -40,7 +40,7 @@ func TestTFTAndGRIMTopTheClassicNoiselessField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner := res.Winner()
+	winner := res.Standings[0].Name
 	if winner != "TFT" && winner != "GRIM" {
 		t.Fatalf("winner = %q, want TFT or GRIM; standings: %+v", winner, res.Standings)
 	}
@@ -173,7 +173,7 @@ func TestMemoryTwoField(t *testing.T) {
 	if len(res.Standings) != 7 {
 		t.Fatalf("standings has %d rows", len(res.Standings))
 	}
-	if res.Winner() == "ALLC" {
+	if res.Standings[0].Name == "ALLC" {
 		t.Fatal("ALLC should not win the memory-two field")
 	}
 }

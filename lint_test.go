@@ -1,8 +1,8 @@
 package evogame
 
 // The repository's own static-analysis gate: the full internal/lint suite
-// (randsource, maporder, atomicmix, envelopelock, errstyle, plus the
-// folded-in godoc and markdown-link disciplines) must come back clean over
+// (randsource, maporder, atomicmix, envelopelock, errstyle, deadapi, plus
+// the folded-in godoc and markdown-link disciplines) must come back clean over
 // the whole tree, so `go test ./...` enforces every determinism invariant
 // the analyzers encode.  cmd/evolint is the same suite as a CLI; CI runs
 // both.  See docs/STATIC_ANALYSIS.md for the catalogue.
