@@ -303,14 +303,17 @@ func (e *Engine) playChunk(as, bs []Player, srcs []*rng.Source, out []Result) er
 	// Pre-draw the noise flips in canonical scalar order: each lane consumes
 	// its own source exactly as the scalar loop would — two draws per round,
 	// focal player's flip first, against the same threshold — so the streams
-	// stay aligned with full replay.  A noiseless engine never writes the
-	// masks, so they stay zero.
+	// stay aligned with full replay.  rng.FlipLanes draws eight lanes per
+	// pass where it can, and keeps that order even when lanes share a
+	// source.  A noiseless engine never writes the masks, so they stay zero.
 	if e.noise > 0 {
 		clear(buf.flipA)
 		clear(buf.flipB)
+		var lane [BatchLanes]*rng.Source
 		for l := 0; l < lanes; l++ {
-			srcs[buf.lane2idx[l]].FlipPairs(e.flipT, uint(l), buf.flipA, buf.flipB)
+			lane[l] = srcs[buf.lane2idx[l]]
 		}
+		rng.FlipLanes(lane[:lanes], e.flipT, buf.flipA, buf.flipB)
 	}
 
 	if e.memSteps == 1 {

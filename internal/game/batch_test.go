@@ -329,6 +329,39 @@ func TestPlayPairsRandomDeeperMemory(t *testing.T) {
 	}
 }
 
+// TestPlayPairsSharedSourceMatchesSequentialPlay backs every lane with one
+// *rng.Source.  PlayPairs promises sequential Play's results, so each lane
+// must draw its flips only after the lane before it has finished, and the
+// shared source must end where twenty sequential games leave it.
+func TestPlayPairsSharedSourceMatchesSequentialPlay(t *testing.T) {
+	batch, scalar := newTestEngines(t, 1, 0.05)
+	players := rng.New(21)
+	as, bs := make([]Player, 20), make([]Player, 20)
+	shared := rng.New(2013)
+	srcs := make([]*rng.Source, len(as))
+	for i := range as {
+		as[i], bs[i] = randomWordPlayer(1, players), randomWordPlayer(1, players)
+		srcs[i] = shared
+	}
+	got := make([]Result, len(as))
+	if err := batch.PlayPairs(as, bs, srcs, got); err != nil {
+		t.Fatal(err)
+	}
+	seq := rng.New(2013)
+	for i := range as {
+		want, err := scalar.Play(as[i], bs[i], seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("pair %d: batch %+v, sequential Play %+v", i, got[i], want)
+		}
+	}
+	if shared.State() != seq.State() {
+		t.Fatalf("shared source left at %#x, sequential Play at %#x", shared.State(), seq.State())
+	}
+}
+
 func TestPlayPairsValidation(t *testing.T) {
 	batch, _ := newTestEngines(t, 1, 0)
 	p := randomWordPlayer(1, rng.New(1))

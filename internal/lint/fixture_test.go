@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -66,6 +67,34 @@ func TestFixtures(t *testing.T) {
 			}
 			matchWants(t, root, diags)
 		})
+	}
+}
+
+// TestLoadHonoursBuildConstraints: of a platform file pair (pick_amd64.go,
+// and pick_other.go behind //go:build !amd64) the loader keeps only the
+// file the host build selects, so the package type-checks cleanly.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	ctx, err := Load(filepath.Join("testdata", "src", "buildtags"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := ctx.PackageAt("internal/pick")
+	if pkg == nil {
+		t.Fatal("loader did not load internal/pick")
+	}
+	for _, err := range pkg.TypeErrors {
+		t.Errorf("type-checking %s: %v", pkg.ImportPath, err)
+	}
+	want := "pick_other.go"
+	if runtime.GOARCH == "amd64" {
+		want = "pick_amd64.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, filepath.Base(ctx.Fset.File(f.Pos()).Name()))
+	}
+	if len(got) != 2 || got[0] != "pick.go" || got[1] != want {
+		t.Errorf("loaded %v, want [pick.go %s]", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,11 +14,12 @@ import (
 	"strings"
 )
 
-// Load parses and type-checks every package under root and returns a
-// Context ready for Run.  module is the import-path prefix of the tree
-// ("evogame" for the repository; fixtures use a bare name).  Test files
-// (_test.go) are not loaded: the suite analyzes shipped code, and test
-// packages would drag external test deps into the type-check.
+// Load parses and type-checks every package under root, as built for the
+// host platform, and returns a Context ready for Run.  module is the
+// import-path prefix of the tree ("evogame" for the repository; fixtures
+// use a bare name).  Test files (_test.go) are not loaded: the suite
+// analyzes shipped code, and test packages would drag external test deps
+// into the type-check.
 //
 // Standard-library imports are resolved by the stdlib source importer
 // (parsed and type-checked from GOROOT, no compiled export data needed),
@@ -84,8 +86,11 @@ func goDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses the non-test .go files of one directory into a Package
-// (without type information; typecheck fills that in).
+// parseDir parses the non-test .go files of one directory that the default
+// build context selects (GOOS/GOARCH file suffixes and //go:build lines, as
+// `go build` with no -tags) into a Package, without type information;
+// typecheck fills that in.  Without the filter a file pair such as
+// x_amd64.go and x_other.go would both load and break the type-check.
 func parseDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -96,7 +101,13 @@ func parseDir(fset *token.FileSet, root, module, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		names = append(names, e.Name())
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if ok {
+			names = append(names, e.Name())
+		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {

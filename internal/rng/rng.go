@@ -12,6 +12,12 @@
 // The package intentionally does not use math/rand's global state: the
 // framework needs many independent generators (one per rank, one per worker
 // goroutine) with cheap construction and no locking.
+//
+// FlipLanes, the noisy batch kernel's flip pre-draw, holds the module's only
+// assembly: on amd64 with AVX-512F, flip_amd64.s steps eight streams per
+// pass.  Without AVX-512, under -tags purego and on any other GOARCH it runs
+// the per-lane FlipPairs loop instead; both paths consume every stream
+// identically, so results do not depend on the build.
 package rng
 
 import (

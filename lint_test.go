@@ -25,20 +25,26 @@ func loadRepo(t *testing.T) *lint.Context {
 }
 
 // TestRepositoryLintClean runs every analyzer over the repository and
-// fails on any finding.  Violations are either real bugs (fix them) or
-// justified exceptions (//lint:allow <analyzer> <reason> — the reason is
-// mandatory and itself linted).
+// fails on any finding or type error: analyzers run over a package that
+// does not type-check see incomplete type information.  Violations are
+// either real bugs (fix them) or justified exceptions (//lint:allow
+// <analyzer> <reason> — the reason is mandatory and itself linted).
 func TestRepositoryLintClean(t *testing.T) {
 	ctx := loadRepo(t)
+	for _, pkg := range ctx.Packages {
+		for _, err := range pkg.TypeErrors {
+			t.Errorf("type-checking %s: %v", pkg.ImportPath, err)
+		}
+	}
 	for _, d := range lint.Run(ctx, lint.All()) {
 		t.Errorf("%s", d)
 	}
 }
 
 // TestRepositoryLintCoverage pins the suite to the tree it is supposed to
-// guard: a loader regression that silently dropped packages, type
-// information or the markdown corpus would otherwise turn every analyzer
-// into a vacuous pass.
+// guard: a loader regression that silently dropped packages or the
+// markdown corpus would otherwise turn every analyzer into a vacuous pass
+// (TestRepositoryLintClean fails on dropped type information).
 func TestRepositoryLintCoverage(t *testing.T) {
 	ctx := loadRepo(t)
 	if n := len(ctx.Packages); n < 25 {
@@ -47,11 +53,6 @@ func TestRepositoryLintCoverage(t *testing.T) {
 	for _, want := range []string{".", "internal/checkpoint", "internal/fitness", "internal/parallel", "cmd/evolint"} {
 		if ctx.PackageAt(want) == nil {
 			t.Errorf("loader did not load %q", want)
-		}
-	}
-	for _, pkg := range ctx.Packages {
-		for _, err := range pkg.TypeErrors {
-			t.Errorf("type-checking %s: %v", pkg.ImportPath, err)
 		}
 	}
 	if mds := lint.MarkdownFiles("."); len(mds) < 5 {
