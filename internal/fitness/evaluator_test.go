@@ -256,14 +256,14 @@ func testAbundancePath(t *testing.T, n, lo, hi, distinct, steps int, evicts bool
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev == nil || ev.abund == nil {
+		if ev == nil || !ev.byAbundance {
 			t.Fatal("a well-mixed integer-payoff EvalCached evaluator must take the abundance path")
 		}
 		return ev
 	}
 	ev := newEval(nil)
 	a, b := newEval(abund), newEval(twin)
-	b.abund = nil // the twin sums in neighbour order
+	b.byAbundance = false // the twin sums in neighbour order
 
 	oracle := make(map[[2]strategy.Strategy]float64)
 	play := func(x, y strategy.Strategy) float64 {

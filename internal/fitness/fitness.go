@@ -36,9 +36,9 @@
 // lookup each: O(degree) lookups per fitness.  The abundance path cuts a
 // well-mixed population to O(k) lookups, where k is the number of distinct
 // strategies present (13–26 in a memory-six population of 128 SSets).  The
-// Evaluator keeps how many SSets hold each interned strategy and looks each
-// distinct opponent strategy up once, weighted by that count.  It runs
-// only when three gates hold:
+// Evaluator reads how many SSets hold each interned strategy from its
+// intern.Table and looks each distinct opponent strategy up once, weighted
+// by that count.  It runs only when three gates hold:
 //
 //   - the graph is complete (well-mixed),
 //   - the payoff matrix is integer-valued (DeltaExact), so every weighted

@@ -419,8 +419,8 @@ func TestIncrementalMatrixValidation(t *testing.T) {
 	if err := m.Update(0, nil); err == nil {
 		t.Fatal("accepted a nil strategy update")
 	}
-	if m.Len() != 4 {
-		t.Fatalf("Len() = %d", m.Len())
+	if m.table.Len() != 4 {
+		t.Fatalf("table Len() = %d", m.table.Len())
 	}
 }
 

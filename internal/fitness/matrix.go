@@ -3,6 +3,7 @@ package fitness
 import (
 	"fmt"
 
+	"evogame/internal/intern"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
 )
@@ -12,8 +13,8 @@ import (
 // strategy against every SSet it interacts with, the "relative fitness" the
 // Nature Agent compares during pairwise learning.
 //
-// Strategies are tracked as the dense interned IDs of the cache's registry,
-// so row builds and updates go through PairCache.PlayID — integer pair
+// Strategies are tracked in an intern.Table over the cache's registry, so
+// row builds and updates go through PairCache.PlayID — integer pair
 // lookups with no per-game encoding or string keys.  Interning happens once
 // per Update, which is O(events) over a run, not O(games).
 //
@@ -45,7 +46,7 @@ import (
 type IncrementalMatrix struct {
 	cache  *PairCache
 	graph  topology.Graph // nil means well-mixed (all pairs interact)
-	ids    []uint32       // interned strategy ID per SSet
+	table  *intern.Table
 	lo, hi int
 	built  []bool // built[r]: SSet lo+r is kept current
 
@@ -74,16 +75,9 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 	if g != nil && g.Len() != len(table) {
 		return nil, fmt.Errorf("fitness: graph spans %d SSets but the table has %d", g.Len(), len(table))
 	}
-	ids := make([]uint32, len(table))
-	for i, s := range table {
-		if s == nil {
-			return nil, fmt.Errorf("fitness: nil strategy at index %d", i)
-		}
-		id, err := cache.Interner().Intern(s)
-		if err != nil {
-			return nil, fmt.Errorf("fitness: interning strategy %d: %w", i, err)
-		}
-		ids[i] = id
+	tab, err := intern.NewTable(cache.Interner(), table)
+	if err != nil {
+		return nil, fmt.Errorf("fitness: %w", err)
 	}
 	if g != nil && g.Complete() {
 		// The complete graph is the well-mixed population.
@@ -92,15 +86,12 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 	m := &IncrementalMatrix{
 		cache: cache,
 		graph: g,
-		ids:   ids,
+		table: tab,
 		lo:    lo,
 		hi:    hi,
 		built: make([]bool, hi-lo),
 	}
 	if g == nil {
-		for _, id := range ids {
-			m.wm.abund.add(id)
-		}
 		return m, nil
 	}
 	m.pay = make([][]float64, hi-lo)
@@ -129,18 +120,16 @@ func neighborPos(g topology.Graph, i, j int) int {
 	return -1
 }
 
-// Len returns the number of SSets tracked.
-func (m *IncrementalMatrix) Len() int { return len(m.ids) }
-
 // buildGraphRow fills SSet i's degree-indexed row: O(degree) lookups.
 func (m *IncrementalMatrix) buildGraphRow(i int) error {
 	r := i - m.lo
-	my := m.ids[i]
+	ids := m.table.IDs()
+	my := ids[i]
 	sum := 0.0
 	deg := m.graph.Degree(i)
 	for k := 0; k < deg; k++ {
 		j := m.graph.Neighbor(i, k)
-		res, err := m.cache.PlayID(my, m.ids[j])
+		res, err := m.cache.PlayID(my, ids[j])
 		if err != nil {
 			return fmt.Errorf("fitness: row %d vs %d: %w", i, j, err)
 		}
@@ -168,13 +157,14 @@ func (m *IncrementalMatrix) Fitness(i int) (float64, error) {
 		}
 		return m.sums[r], nil
 	}
+	id := m.table.ID(i)
 	if !m.built[r] {
-		if err := m.wm.acquire(m.cache, m.ids[i]); err != nil {
+		if err := m.wm.acquire(m.cache, m.table, id); err != nil {
 			return 0, err
 		}
 		m.built[r] = true
 	}
-	return m.wm.row(m.ids[i]).sum, nil
+	return m.wm.row(id).sum, nil
 }
 
 // Update records that SSet idx now holds strategy s (an adoption or
@@ -184,33 +174,28 @@ func (m *IncrementalMatrix) Fitness(i int) (float64, error) {
 // distinct built strategy well-mixed — with new game kernels only for
 // pairs never seen before.
 func (m *IncrementalMatrix) Update(idx int, s strategy.Strategy) error {
-	if idx < 0 || idx >= len(m.ids) {
-		return fmt.Errorf("fitness: update index %d outside table of %d strategies", idx, len(m.ids))
-	}
-	if s == nil {
-		return fmt.Errorf("fitness: nil strategy in update")
-	}
-	id, err := m.cache.Interner().Intern(s)
+	ch, err := m.table.Set(idx, s)
 	if err != nil {
-		return fmt.Errorf("fitness: interning update: %w", err)
+		return fmt.Errorf("fitness: update: %w", err)
 	}
-	return m.updateID(idx, id)
+	return m.apply(idx, ch)
 }
 
-// updateID is Update for a strategy already interned as id; idx must lie
-// in [0, Len()).
-func (m *IncrementalMatrix) updateID(idx int, id uint32) error {
-	old := m.ids[idx]
-	m.ids[idx] = id
+// apply brings the rows up to date with the table change ch of SSet idx.
+// A nil matrix (EvalCached) has no rows.
+func (m *IncrementalMatrix) apply(idx int, ch intern.Change) error {
+	if m == nil {
+		return nil
+	}
 	wasBuilt := idx >= m.lo && idx < m.hi && m.built[idx-m.lo]
 	if wasBuilt {
 		m.built[idx-m.lo] = false
 	}
 	if m.graph == nil {
 		if wasBuilt {
-			m.wm.release(old)
+			m.wm.release(ch.Old)
 		}
-		return m.wm.change(m.cache, old, id)
+		return m.wm.change(m.cache, m.table, ch)
 	}
 	// Only idx's neighbors interact with it: walk the neighbor list
 	// (ascending) instead of scanning and adjacency-testing every
@@ -226,7 +211,7 @@ func (m *IncrementalMatrix) updateID(idx int, id uint32) error {
 			return fmt.Errorf("fitness: graph edge %d->%d has no reverse edge", idx, i)
 		}
 		r := i - m.lo
-		res, err := m.cache.PlayID(m.ids[i], id)
+		res, err := m.cache.PlayID(m.table.ID(i), ch.New)
 		if err != nil {
 			return fmt.Errorf("fitness: delta update row %d vs %d: %w", i, idx, err)
 		}
@@ -237,14 +222,13 @@ func (m *IncrementalMatrix) updateID(idx int, id uint32) error {
 }
 
 // strategyRows holds the well-mixed rows of an IncrementalMatrix, one per
-// interned strategy s held by at least one built SSet.  abund counts the
-// SSets of the whole table holding each strategy (mult(s,t) = count[t] −
-// [t=s] is then the number of opponents holding t that an SSet holding s
-// faces), and its present list numbers the columns of every row.  A live
-// row holds pay(s,t) for every present t with mult(s,t) ≥ 1 and keeps
-// sum = Σ_t mult(s,t)·pay(s,t).
+// interned strategy s held by at least one built SSet.  The matrix's table
+// counts the SSets of the whole population holding each strategy
+// (mult(s,t) = count[t] − [t=s] is then the number of opponents holding t
+// that an SSet holding s faces), and its present list numbers the columns
+// of every row.  A live row holds pay(s,t) for every present t with
+// mult(s,t) ≥ 1 and keeps sum = Σ_t mult(s,t)·pay(s,t).
 type strategyRows struct {
-	abund abundance
 	rowOf []int32 // rowOf[id]: 1 + index into rows of id's row, 0 for none
 	// rows holds the live rows; the slots past len(rows) keep the slices of
 	// dead rows for reuse.
@@ -256,7 +240,7 @@ type stratRow struct {
 	id   uint32
 	refs int32 // built SSets holding id
 	sum  float64
-	pay  []float64 // pay[p]: payoff of id against abund.present[p] ...
+	pay  []float64 // pay[p]: payoff of id against the table's Present()[p] ...
 	has  []bool    // ... valid where has[p] is set
 }
 
@@ -266,8 +250,8 @@ func (w *strategyRows) row(id uint32) *stratRow {
 }
 
 // acquire counts one more built SSet holding id, building id's row (one
-// lookup per distinct strategy it faces) if none is live.
-func (w *strategyRows) acquire(c *PairCache, id uint32) error {
+// lookup per distinct strategy it faces in tab) if none is live.
+func (w *strategyRows) acquire(c *PairCache, tab *intern.Table, id uint32) error {
 	if int(id) >= len(w.rowOf) {
 		w.rowOf = append(w.rowOf, make([]int32, int(id)+1-len(w.rowOf))...)
 	}
@@ -275,7 +259,7 @@ func (w *strategyRows) acquire(c *PairCache, id uint32) error {
 		w.row(id).refs++
 		return nil
 	}
-	a := &w.abund
+	present := tab.Present()
 	n := len(w.rows)
 	if n < cap(w.rows) {
 		w.rows = w.rows[:n+1] // reuse a dead row's slices
@@ -286,12 +270,12 @@ func (w *strategyRows) acquire(c *PairCache, id uint32) error {
 	*r = stratRow{
 		id:   id,
 		refs: 1,
-		pay:  append(r.pay[:0], make([]float64, len(a.present))...),
-		has:  append(r.has[:0], make([]bool, len(a.present))...),
+		pay:  append(r.pay[:0], make([]float64, len(present))...),
+		has:  append(r.has[:0], make([]bool, len(present))...),
 	}
 	w.rowOf[id] = int32(n + 1)
-	for p, t := range a.present {
-		mult := a.count[t]
+	for p, t := range present {
+		mult := tab.Count(t)
 		if t == id {
 			mult--
 		}
@@ -323,41 +307,34 @@ func (w *strategyRows) release(id uint32) {
 	w.rows = w.rows[:last]
 }
 
-// change moves one SSet from strategy a to strategy b and brings every
-// live row up to date: subtract pay(s,a), move the counts (and columns),
-// add pay(s,b) where an opponent now holds b, looking it up only if the
-// row lacks it.
-func (w *strategyRows) change(c *PairCache, a, b uint32) error {
-	ab := &w.abund
-	pa := ab.pos[a]
+// change brings every live row up to date with one SSet's move from
+// ch.Old to ch.New in tab: subtract pay(s,Old), move the columns as the
+// table's present list moved, and add pay(s,New) where an opponent now
+// holds New, looking it up only if the row lacks it.
+func (w *strategyRows) change(c *PairCache, tab *intern.Table, ch intern.Change) error {
 	for k := range w.rows {
-		// mult(s,a) ≥ 1 here: another SSet holds a, or s ≠ a.
-		w.rows[k].sum -= w.rows[k].pay[pa]
-	}
-	if p := ab.remove(a); p >= 0 {
-		last := len(ab.present)
-		for k := range w.rows {
-			r := &w.rows[k]
+		// mult(s,Old) ≥ 1 before the change: another SSet held Old, or s ≠ Old.
+		r := &w.rows[k]
+		r.sum -= r.pay[ch.OldPos]
+		if p := ch.Vacated; p >= 0 {
+			last := len(r.pay) - 1
 			r.pay[p], r.has[p] = r.pay[last], r.has[last]
 			r.pay, r.has = r.pay[:last], r.has[:last]
 		}
-	}
-	if ab.add(b) {
-		for k := range w.rows {
-			r := &w.rows[k]
+		if ch.Added {
 			r.pay, r.has = append(r.pay, 0), append(r.has, false)
 		}
 	}
-	pb, cb := ab.pos[b], ab.count[b]
+	pb, single := ch.NewPos, tab.Count(ch.New) == 1
 	for k := range w.rows {
 		r := &w.rows[k]
-		if r.id == b && cb == 1 {
+		if r.id == ch.New && single {
 			continue
 		}
 		if !r.has[pb] {
-			res, err := c.PlayID(r.id, b)
+			res, err := c.PlayID(r.id, ch.New)
 			if err != nil {
-				return fmt.Errorf("fitness: row of strategy %d vs %d: %w", r.id, b, err)
+				return fmt.Errorf("fitness: row of strategy %d vs %d: %w", r.id, ch.New, err)
 			}
 			r.pay[pb], r.has[pb] = res.FitnessA, true
 		}

@@ -26,6 +26,11 @@
 // this framework targets, and evicting registry entries would invalidate
 // IDs already stored in tables and caches, so the trade-off is documented
 // rather than engineered around.
+//
+// A Table is an engine's one record of which strategy each SSet holds: the
+// ID and canonical instance per SSet, the count of SSets per ID and the
+// IDs present.  The fitness evaluator reads its IDs and counts, and
+// abundance samples its counts.
 package intern
 
 import (
@@ -57,35 +62,46 @@ func NewRegistry() *Registry {
 // cannot encode; callers are expected to fall back to their un-interned
 // paths in that case.
 func (r *Registry) Intern(s strategy.Strategy) (uint32, error) {
+	id, _, err := r.intern(s)
+	return id, err
+}
+
+// intern is Intern that also returns the canonical instance behind the ID.
+func (r *Registry) intern(s strategy.Strategy) (uint32, strategy.Strategy, error) {
 	if s == nil {
-		return 0, fmt.Errorf("intern: nil strategy")
+		return 0, nil, fmt.Errorf("intern: nil strategy")
 	}
 	buf, err := strategy.Encode(s)
 	if err != nil {
-		return 0, fmt.Errorf("intern: %w", err)
+		return 0, nil, fmt.Errorf("intern: %w", err)
 	}
 	// Probe with r.ids[string(buf)], which the compiler does without
 	// copying buf; the key string is built only on insert.
 	r.mu.RLock()
 	id, ok := r.ids[string(buf)]
+	var canon strategy.Strategy
+	if ok {
+		canon = r.strategies[id]
+	}
 	r.mu.RUnlock()
 	if ok {
-		return id, nil
+		return id, canon, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id, ok := r.ids[string(buf)]; ok {
-		return id, nil
+		return id, r.strategies[id], nil
 	}
 	if len(r.strategies) >= math.MaxUint32 {
-		return 0, fmt.Errorf("intern: registry full (%d strategies)", len(r.strategies))
+		return 0, nil, fmt.Errorf("intern: registry full (%d strategies)", len(r.strategies))
 	}
 	id = uint32(len(r.strategies))
 	r.ids[string(buf)] = id
 	// Clone so a caller later mutating its Strategy value in place cannot
 	// corrupt the canonical instance the ID resolves to.
-	r.strategies = append(r.strategies, s.Clone())
-	return id, nil
+	canon = s.Clone()
+	r.strategies = append(r.strategies, canon)
+	return id, canon, nil
 }
 
 // Strategy returns the canonical strategy instance behind an ID issued by

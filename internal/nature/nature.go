@@ -5,16 +5,17 @@
 // teacher's strategy according to the configured update rule (the paper's
 // Fermi function by default; see internal/dynamics for the rule registry),
 // and a mutation event, in which a randomly selected Strategy Set is
-// assigned a freshly generated random strategy.  The Nature Agent also acts
-// as the records keeper, maintaining the global strategy table and the
-// event counters, which is what the paper's rank 0 writes to disk.
+// assigned a freshly generated random strategy.  The Nature Agent also
+// keeps the event counters, which the paper's rank 0 writes to disk.  The
+// strategy table itself is the engine's: an intern.Table in the serial
+// engine and on the cached SSet ranks, a plain slice on rank 0 and the
+// EvalFull SSet ranks.
 package nature
 
 import (
 	"fmt"
 
 	"evogame/internal/dynamics"
-	"evogame/internal/intern"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
@@ -244,110 +245,4 @@ func (a *Agent) Stats() Stats {
 		Adoptions:   a.adoptions,
 		Mutations:   a.mutations,
 	}
-}
-
-// Table is the Nature Agent's record of the strategy assigned to every SSet
-// (the global view all ranks must keep in sync).  It is a simple slice
-// wrapper with copy-on-read helpers used by both the serial and parallel
-// engines.  Binding a Table to an intern.Registry additionally tracks the
-// dense interned ID of every entry, re-interning on each Set, so fitness
-// evaluation can look pairs up by ID without ever re-encoding a strategy on
-// the hot path.
-type Table struct {
-	strategies []strategy.Strategy
-	reg        *intern.Registry // nil until Bind succeeds
-	ids        []uint32
-}
-
-// NewTable builds a Table from an initial assignment.  Every entry must be
-// non-nil.
-func NewTable(initial []strategy.Strategy) (*Table, error) {
-	if len(initial) == 0 {
-		return nil, fmt.Errorf("nature: empty strategy table")
-	}
-	cp := make([]strategy.Strategy, len(initial))
-	for i, s := range initial {
-		if s == nil {
-			return nil, fmt.Errorf("nature: nil strategy at index %d", i)
-		}
-		cp[i] = s
-	}
-	return &Table{strategies: cp}, nil
-}
-
-// Len returns the number of SSets in the table.
-func (t *Table) Len() int { return len(t.strategies) }
-
-// Get returns the strategy assigned to SSet i.
-func (t *Table) Get(i int) strategy.Strategy { return t.strategies[i] }
-
-// Set assigns strategy s to SSet i, re-interning it first when the table is
-// bound to a registry so ID(i) stays current.
-func (t *Table) Set(i int, s strategy.Strategy) error {
-	if i < 0 || i >= len(t.strategies) {
-		return fmt.Errorf("nature: SSet index %d out of range [0,%d)", i, len(t.strategies))
-	}
-	if s == nil {
-		return fmt.Errorf("nature: nil strategy")
-	}
-	if t.reg != nil {
-		id, err := t.reg.Intern(s)
-		if err != nil {
-			return fmt.Errorf("nature: %w", err)
-		}
-		t.ids[i] = id
-	}
-	t.strategies[i] = s
-	return nil
-}
-
-// Bind interns every current entry into reg and keeps the per-SSet IDs
-// current across future Sets.  Interning happens once per strategy-change
-// event (O(events) over a run), which is what lets per-game fitness lookups
-// stay free of strategy encoding.  It returns an error — leaving the table
-// unbound — if any entry's implementation is outside the strategy codec.
-func (t *Table) Bind(reg *intern.Registry) error {
-	if reg == nil {
-		return fmt.Errorf("nature: nil intern registry")
-	}
-	ids := make([]uint32, len(t.strategies))
-	for i, s := range t.strategies {
-		id, err := reg.Intern(s)
-		if err != nil {
-			return fmt.Errorf("nature: binding table entry %d: %w", i, err)
-		}
-		ids[i] = id
-	}
-	t.reg = reg
-	t.ids = ids
-	return nil
-}
-
-// ID returns the interned ID of SSet i's strategy.  It must only be called
-// on a bound table.
-func (t *Table) ID(i int) uint32 { return t.ids[i] }
-
-// IDs returns the interned ID of every SSet's strategy, indexed by SSet,
-// so a scan over all SSets needs no per-entry call.  It must only be called
-// on a bound table, and the slice must not be modified; it stays current
-// across Sets.
-func (t *Table) IDs() []uint32 { return t.ids }
-
-// Snapshot returns a copy of the table's strategy slice; callers may read it
-// without holding any reference to the live table.
-func (t *Table) Snapshot() []strategy.Strategy {
-	cp := make([]strategy.Strategy, len(t.strategies))
-	copy(cp, t.strategies)
-	return cp
-}
-
-// Counts returns the number of SSets assigned to each distinct strategy,
-// keyed by the strategy's String rendering; used for abundance statistics
-// and fixation detection.
-func (t *Table) Counts() map[string]int {
-	counts := make(map[string]int)
-	for _, s := range t.strategies {
-		counts[s.String()]++
-	}
-	return counts
 }

@@ -8,7 +8,6 @@ import (
 
 	"evogame/internal/dynamics"
 	"evogame/internal/rng"
-	"evogame/internal/strategy"
 )
 
 func newAgent(t *testing.T, cfg Config, seed uint64) *Agent {
@@ -269,63 +268,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.Adoptions < 8 {
 		t.Fatalf("adoptions = %d, expected nearly all with a large fitness gap", st.Adoptions)
-	}
-}
-
-func TestTableBasics(t *testing.T) {
-	strats := []strategy.Strategy{strategy.AllC(1), strategy.AllD(1), strategy.AllC(1)}
-	tab, err := NewTable(strats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 3 {
-		t.Fatalf("Len = %d", tab.Len())
-	}
-	if tab.Get(1).String() != "1111" {
-		t.Fatal("Get returned the wrong strategy")
-	}
-	if err := tab.Set(2, strategy.WSLS(1)); err != nil {
-		t.Fatal(err)
-	}
-	if tab.Get(2).String() != "0110" {
-		t.Fatal("Set did not take effect")
-	}
-	if err := tab.Set(5, strategy.WSLS(1)); err == nil {
-		t.Fatal("Set accepted an out-of-range index")
-	}
-	if err := tab.Set(-1, strategy.WSLS(1)); err == nil {
-		t.Fatal("Set accepted a negative index")
-	}
-	if err := tab.Set(0, nil); err == nil {
-		t.Fatal("Set accepted a nil strategy")
-	}
-}
-
-func TestTableValidation(t *testing.T) {
-	if _, err := NewTable(nil); err == nil {
-		t.Fatal("NewTable accepted an empty slice")
-	}
-	if _, err := NewTable([]strategy.Strategy{strategy.AllC(1), nil}); err == nil {
-		t.Fatal("NewTable accepted a nil entry")
-	}
-}
-
-func TestTableSnapshotIsACopy(t *testing.T) {
-	tab, _ := NewTable([]strategy.Strategy{strategy.AllC(1), strategy.AllD(1)})
-	snap := tab.Snapshot()
-	snap[0] = strategy.WSLS(1)
-	if tab.Get(0).String() != "0000" {
-		t.Fatal("mutating the snapshot changed the table")
-	}
-}
-
-func TestTableCounts(t *testing.T) {
-	tab, _ := NewTable([]strategy.Strategy{
-		strategy.WSLS(1), strategy.WSLS(1), strategy.WSLS(1), strategy.AllD(1),
-	})
-	counts := tab.Counts()
-	if counts["0110"] != 3 || counts["1111"] != 1 {
-		t.Fatalf("counts = %v", counts)
 	}
 }
 

@@ -548,13 +548,13 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 			initial[i] = strategy.RandomPure(cfg.MemorySteps, initSrc)
 		}
 	}
-	table, err := nature.NewTable(initial)
-	if err != nil {
-		return nil, nature.Stats{}, RankReport{}, err
-	}
+	// Rank 0 needs no interned IDs, so its table is a plain slice: a
+	// registry here would keep every mutant the run ever draws.  Strategies
+	// are immutable, so an adoption shares the teacher's value.
+	table := append([]strategy.Strategy(nil), initial...)
 
 	// Setup phase: broadcast the initial strategy table to all SSet ranks.
-	payload, err := encodeTable(table.Snapshot())
+	payload, err := encodeTable(table)
 	if err != nil {
 		return nil, nature.Stats{}, RankReport{}, err
 	}
@@ -607,10 +607,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 			adopted, _ := nat.DecideAdoption(fitTeacher, fitLearner)
 			nat.RecordPC(adopted)
 			if adopted {
-				newStrat := table.Get(teacher).Clone()
-				if err := table.Set(learner, newStrat); err != nil {
-					return nil, nature.Stats{}, RankReport{}, err
-				}
+				table[learner] = table[teacher]
 				update.learning = true
 				update.learner = learner
 				update.teacher = teacher
@@ -619,9 +616,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 
 		// Phase 3: mutation.
 		if target, newStrat, ok := nat.MaybeMutation(cfg.NumSSets); ok {
-			if err := table.Set(target, newStrat); err != nil {
-				return nil, nature.Stats{}, RankReport{}, err
-			}
+			table[target] = newStrat
 			update.mutation = true
 			update.target = target
 			update.targetStrategy = newStrat
@@ -671,7 +666,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		Comm:      rec.Total(trace.PhaseComm),
 		CommStats: c.Stats(),
 	}
-	return table.Snapshot(), nat.Stats(), rep, nil
+	return table, nat.Stats(), rep, nil
 }
 
 // natureSnapshot exports the Nature Agent's mid-run state at the given
@@ -680,7 +675,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 // the SSet ranks hold no persistent RNG streams — their noise sources are
 // derived per (Seed, generation, SSet id) — so the recorded generation
 // re-derives them exactly on resume.
-func natureSnapshot(cfg Config, nat *nature.Agent, table *nature.Table, absGen int) checkpoint.Snapshot {
+func natureSnapshot(cfg Config, nat *nature.Agent, table []strategy.Strategy, absGen int) checkpoint.Snapshot {
 	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
 	st := nat.ExportState()
 	return checkpoint.Snapshot{
@@ -691,7 +686,7 @@ func natureSnapshot(cfg Config, nat *nature.Agent, table *nature.Table, absGen i
 		Payoff:      id.Payoff,
 		UpdateRule:  id.UpdateRule,
 		Topology:    id.Topology,
-		Strategies:  table.Snapshot(),
+		Strategies:  table,
 		Label:       cfg.CheckpointLabel,
 		Resume:      true,
 		Engine:      checkpoint.EngineParallel,
@@ -749,36 +744,36 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 			c.Rank(), len(table), cfg.NumSSets)
 	}
 
-	// Build the local SSets.
-	locals := make([]*sset.SSet, 0, hi-lo)
-	for id := lo; id < hi; id++ {
-		s, err := sset.New(id, cfg.AgentsPerSSet, table[id])
-		if err != nil {
-			return RankReport{}, err
-		}
-		locals = append(locals, s)
-	}
-
 	games := int64(0)
 	fit := make([]float64, hi-lo)
 
 	// The cached evaluation modes read fitness from the rank's evaluator
 	// (nil on the EvalFull path, including the noise/mixed-strategy bypass),
 	// kept coherent by applying the Nature Agent's broadcast strategy-table
-	// updates to it.
+	// updates to it.  Its table is then the rank's only copy of the global
+	// table.
 	ev, err := fitness.NewEvaluator(engine, graph, table, lo, hi, cfg.EvalMode, cfg.SharedCache)
 	if err != nil {
 		return RankReport{}, fmt.Errorf("parallel: rank %d: %w", c.Rank(), err)
 	}
 
-	// EvalFull's per-local-SSet opponent buffers, allocated once and
-	// refilled per generation: the neighbor lists are static, only the
-	// strategies behind them change.
-	var oppStrats [][]strategy.Strategy
-	if ev == nil {
-		oppStrats = make([][]strategy.Strategy, len(locals))
-		for li, s := range locals {
-			oppStrats[li] = make([]strategy.Strategy, graph.Degree(s.ID()))
+	// EvalFull keeps the decoded table, the local SSets, and per-local-SSet
+	// opponent buffers allocated once and refilled per generation: the
+	// neighbor lists are static, only the strategies behind them change.
+	var (
+		locals    []*sset.SSet
+		oppStrats [][]strategy.Strategy
+	)
+	if ev != nil {
+		table = nil
+	} else {
+		for id := lo; id < hi; id++ {
+			s, err := sset.New(id, cfg.AgentsPerSSet, table[id])
+			if err != nil {
+				return RankReport{}, err
+			}
+			locals = append(locals, s)
+			oppStrats = append(oppStrats, make([]strategy.Strategy, graph.Degree(id)))
 		}
 	}
 
@@ -875,7 +870,7 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		}); err != nil {
 			return RankReport{}, err
 		}
-		update, err := decodeUpdate(upBuf, len(table))
+		update, err := decodeUpdate(upBuf, cfg.NumSSets)
 		if err != nil {
 			return RankReport{}, err
 		}
@@ -901,29 +896,31 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 }
 
 // applyUpdate installs a broadcast strategy-table update on an SSet rank:
-// the rank's copy of the global table, the local SSet if this rank owns a
-// changed index, and the rank's fitness evaluator when it has one.  An
-// adoption shares the teacher's strategy value, which is safe because a
-// strategy is never modified after construction, and lets the evaluator
-// copy the teacher's interned ID instead of re-interning.
+// through the rank's fitness evaluator when it has one, otherwise on the
+// rank's copy of the global table and the local SSet if this rank owns a
+// changed index.  An adoption shares the teacher's strategy value, which
+// is safe because a strategy is never modified after construction, and
+// lets the evaluator copy the teacher's interned ID instead of
+// re-interning.
 func applyUpdate(u updateMessage, table []strategy.Strategy, locals []*sset.SSet, ev *fitness.Evaluator, lo int) error {
-	if u.learning {
-		if err := setStrategy(table, locals, lo, u.learner, table[u.teacher]); err != nil {
-			return err
-		}
-		if ev != nil {
+	if ev != nil {
+		if u.learning {
 			if err := ev.Adopt(u.learner, u.teacher); err != nil {
 				return err
 			}
 		}
-	}
-	if u.mutation {
-		if err := setStrategy(table, locals, lo, u.target, u.targetStrategy); err != nil {
-			return err
-		}
-		if ev != nil {
+		if u.mutation {
 			return ev.Apply(u.target, u.targetStrategy)
 		}
+		return nil
+	}
+	if u.learning {
+		if err := setStrategy(table, locals, lo, u.learner, table[u.teacher]); err != nil {
+			return err
+		}
+	}
+	if u.mutation {
+		return setStrategy(table, locals, lo, u.target, u.targetStrategy)
 	}
 	return nil
 }

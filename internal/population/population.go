@@ -224,10 +224,12 @@ type Model struct {
 	engine *game.Engine
 	graph  topology.Graph
 	nat    *nature.Agent
-	table  *nature.Table
-	src    *rng.Source
-	gen    int
-	games  int64
+	// table is the run's one strategy table: the evaluator's in the cached
+	// modes, one over a private registry on the EvalFull path.
+	table *intern.Table
+	src   *rng.Source
+	gen   int
+	games int64
 	// ev evaluates fitness in the EvalCached / EvalIncremental modes; it is
 	// nil when the model runs on the EvalFull path (including the
 	// noise/mixed-strategy bypass).
@@ -277,23 +279,20 @@ func New(cfg Config) (*Model, error) {
 			initial[i] = strategy.RandomPure(cfg.MemorySteps, initSrc)
 		}
 	}
-	table, err := nature.NewTable(initial)
-	if err != nil {
-		return nil, err
-	}
 	ev, err := fitness.NewEvaluator(engine, graph, initial, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache)
 	if err != nil {
 		return nil, fmt.Errorf("population: %w", err)
 	}
-	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, table: table, src: gameSrc, ev: ev}
-	if ev == nil {
-		// The EvalFull path identifies the event's distinct pairs by
-		// interned ID, so its per-event cache is dense rows indexed by ID.
-		reg := intern.NewRegistry()
-		if err := table.Bind(reg); err != nil {
-			return nil, fmt.Errorf("population: %w", err)
-		}
-		m.pairs.reg = reg
+	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, src: gameSrc, ev: ev}
+	if ev != nil {
+		m.table = ev.Table()
+		return m, nil
+	}
+	// The EvalFull path identifies the event's distinct pairs by interned
+	// ID, so its per-event cache is dense rows indexed by ID.
+	m.pairs.reg = intern.NewRegistry()
+	if m.table, err = intern.NewTable(m.pairs.reg, initial); err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
 	return m, nil
 }
@@ -388,7 +387,7 @@ func Restore(cfg Config, snap checkpoint.Snapshot) (*Model, error) {
 func (m *Model) Generation() int { return m.gen }
 
 // Strategies returns a snapshot of the current strategy table.
-func (m *Model) Strategies() []strategy.Strategy { return m.table.Snapshot() }
+func (m *Model) Strategies() []strategy.Strategy { return m.table.Strategies() }
 
 // GamesPlayed returns the number of IPD games executed so far.  In the
 // cached evaluation modes every game runs through the pair cache, so the
@@ -398,18 +397,6 @@ func (m *Model) GamesPlayed() int64 {
 		return m.ev.Cache().Plays()
 	}
 	return m.games
-}
-
-// FractionOf returns the fraction of SSets currently holding a strategy
-// equal to s.
-func (m *Model) FractionOf(s strategy.Strategy) float64 {
-	count := 0
-	for i := 0; i < m.table.Len(); i++ {
-		if m.table.Get(i).Equal(s) {
-			count++
-		}
-	}
-	return float64(count) / float64(m.table.Len())
 }
 
 // fitnessPair evaluates the relative fitness of the two SSets selected for a
@@ -555,30 +542,25 @@ func (m *Model) sumRun(myID uint32, ids []uint32, total float64) float64 {
 	return total
 }
 
-// applyStrategyChange installs a new strategy for SSet idx everywhere the
-// engine tracks it: the authoritative table and, in the cached modes, the
-// fitness evaluator.
+// applyStrategyChange installs strategy s for SSet idx (a mutation):
+// through the evaluator in the cached modes, which keeps its rows current
+// with the table.
 func (m *Model) applyStrategyChange(idx int, s strategy.Strategy) error {
-	if err := m.table.Set(idx, s); err != nil {
-		return err
-	}
 	if m.ev != nil {
 		return m.ev.Apply(idx, s)
 	}
-	return nil
+	_, err := m.table.Set(idx, s)
+	return err
 }
 
-// adopt copies SSet teacher's strategy to SSet learner.  The fitness
-// evaluator copies the teacher's interned ID rather than re-interning the
-// copy.
+// adopt copies SSet teacher's strategy to SSet learner: the table copies
+// the teacher's interned ID and shares its strategy value.
 func (m *Model) adopt(learner, teacher int) error {
-	if err := m.table.Set(learner, m.table.Get(teacher).Clone()); err != nil {
-		return err
-	}
 	if m.ev != nil {
 		return m.ev.Adopt(learner, teacher)
 	}
-	return nil
+	_, err := m.table.Adopt(learner, teacher)
+	return err
 }
 
 // Step advances the simulation by one generation: a possible
@@ -611,41 +593,42 @@ func (m *Model) Step() error {
 	return nil
 }
 
-// Sample computes an abundance sample for the current generation.
+// Sample computes an abundance sample for the current generation from the
+// table's counts, one entry per distinct interned strategy.  It never
+// interns, so sampling cannot renumber the strategies a run goes on to
+// draw.
 func (m *Model) Sample() AbundanceSample {
-	counts := m.table.Counts()
-	top, topFrac := m.tableMostAbundant(counts)
+	t, mem := m.table, m.cfg.MemorySteps
+	n := float64(t.Len())
 	s := AbundanceSample{
 		Generation:   m.gen,
-		Distinct:     len(counts),
-		TopStrategy:  top,
-		TopFraction:  topFrac,
-		WSLSFraction: m.FractionOf(strategy.WSLS(m.cfg.MemorySteps)),
-		TFTFraction:  m.FractionOf(strategy.TFT(m.cfg.MemorySteps)),
-		AllDFraction: m.FractionOf(strategy.AllD(m.cfg.MemorySteps)),
+		Distinct:     len(t.Present()),
+		WSLSFraction: float64(t.CountOf(strategy.WSLS(mem))) / n,
+		TFTFraction:  float64(t.CountOf(strategy.TFT(mem))) / n,
+		AllDFraction: float64(t.CountOf(strategy.AllD(mem))) / n,
 	}
-	totalStates := 0
-	defecting := 0
-	for i := 0; i < m.table.Len(); i++ {
-		if p, ok := m.table.Get(i).(*strategy.Pure); ok {
-			totalStates += p.NumStates()
-			defecting += p.DefectionCount()
+	topCount, totalStates, defecting := 0, 0, 0
+	for _, id := range t.Present() {
+		c := t.Count(id)
+		topCount = max(topCount, c)
+		if p, ok := t.Strategy(id).(*strategy.Pure); ok {
+			totalStates += c * p.NumStates()
+			defecting += c * p.DefectionCount()
 		}
 	}
+	// Ties at the top go to the smallest rendering; only they are rendered.
+	for _, id := range t.Present() {
+		if t.Count(id) == topCount {
+			if r := t.Strategy(id).String(); s.TopStrategy == "" || r < s.TopStrategy {
+				s.TopStrategy = r
+			}
+		}
+	}
+	s.TopFraction = float64(topCount) / n
 	if totalStates > 0 {
 		s.MeanDefectingStates = float64(defecting) / float64(totalStates)
 	}
 	return s
-}
-
-func (m *Model) tableMostAbundant(counts map[string]int) (string, float64) {
-	best, bestCount := "", -1
-	for k, c := range counts {
-		if c > bestCount || (c == bestCount && k < best) {
-			best, bestCount = k, c
-		}
-	}
-	return best, float64(bestCount) / float64(m.table.Len())
 }
 
 // Run advances the simulation by generations generations (or until ctx is

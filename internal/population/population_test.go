@@ -41,6 +41,7 @@ func TestNewValidation(t *testing.T) {
 		func(c *Config) { c.Rounds = 0 },
 		func(c *Config) { c.SampleEvery = -1 },
 		func(c *Config) { c.InitialStrategies = []strategy.Strategy{strategy.AllC(1)} },
+		func(c *Config) { c.InitialStrategies = make([]strategy.Strategy, c.NumSSets) },
 		func(c *Config) { c.Noise = 2 },
 		func(c *Config) { c.Beta = -1 },
 		func(c *Config) { c.PCRate = 3 },
@@ -151,7 +152,7 @@ func TestAllDDefeatsAllC(t *testing.T) {
 	if _, err := m.Run(context.Background(), 400); err != nil {
 		t.Fatal(err)
 	}
-	if frac := m.FractionOf(strategy.AllD(1)); frac != 1 {
+	if frac := m.Sample().AllDFraction; frac != 1 {
 		t.Fatalf("ALLD fraction after selection = %v, want fixation at 1", frac)
 	}
 }
@@ -176,7 +177,7 @@ func TestWSLSMajorityResistsAllD(t *testing.T) {
 	if _, err := m.Run(context.Background(), 300); err != nil {
 		t.Fatal(err)
 	}
-	if frac := m.FractionOf(strategy.WSLS(1)); frac < 0.75 {
+	if frac := m.Sample().WSLSFraction; frac < 0.75 {
 		t.Fatalf("WSLS fraction dropped to %v; the cooperative majority should persist", frac)
 	}
 }
