@@ -254,6 +254,7 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 			return
 		}
 		res.Runs[k], res.Errors[k] = model.Run(ctx, generations)
+		model.Release()
 	})
 	res.WallClock = time.Since(start)
 	ok := completedSerial(res.Runs, res.Errors, cfg.Skip)

@@ -2,6 +2,7 @@ package fitness
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,12 +12,15 @@ import (
 	"evogame/internal/strategy"
 )
 
-// maxCacheBytes bounds the approximate memory a PairCache retains for
-// memoized results.  Long runs with high mutation rates generate an
-// unbounded stream of distinct strategies; once a shard reaches its slice
-// of the budget, a bounded fraction of its entries is evicted (see
-// cacheShard.evict), which at worst replays pairs that are still live —
-// results are pure functions of the pair, so correctness is unaffected.
+// maxCacheBytes sets the budget of a PairCache's memoized results.  The
+// budget counts stored ordered entries, hot and cold alike, at a nominal
+// 64 bytes each (see NewPairCache); what a stored pair actually occupies
+// is a 48-byte slot while it is hot and a 32-byte record once cold.  Long
+// runs with high mutation rates generate an unbounded stream of distinct
+// strategies; once a shard reaches its slice of the budget, a bounded
+// fraction of its entries is evicted (see cacheShard.evict), which at
+// worst replays pairs that are still live — results are pure functions of
+// the pair, so correctness is unaffected.
 const maxCacheBytes = 64 << 20
 
 // numShards is the number of independently locked segments of the pair
@@ -81,29 +85,19 @@ func (t *pairTable) put(tag, h uint64, res game.Result) {
 	}
 }
 
-// rebuild returns a table of n slots holding every entry of t whose tag
-// is above floor.  The new table is private until its pointer is
-// published, so readers of t keep seeing valid entries meanwhile.
-func (t *pairTable) rebuild(n int, floor uint64) *pairTable {
-	nt := newPairTable(n)
-	for i := range t.slots {
-		s := &t.slots[i]
-		if tag := s.tag.Load(); tag > floor {
-			nt.put(tag, pairHash(tag-1), s.res)
-		}
-	}
-	return nt
-}
-
-// cacheShard is one segment of the pair store.  Reads load the table
-// pointer and probe it without taking any lock; writes (misses) hold mu,
-// fill an empty slot of the live table or publish a rebuilt one.
+// cacheShard is one segment of the pair store: a hot table that lookups
+// probe and a cold log they never read.  Reads load the table pointer and
+// probe it without taking any lock; writes (misses) hold mu, fill an empty
+// slot of the current table or publish a rebuilt one.  A new table is
+// private until its pointer is published, so readers of the old one keep
+// seeing valid entries meanwhile.
 type cacheShard struct {
 	table atomic.Pointer[pairTable]
 
 	mu    sync.Mutex
-	pairs int // canonical entries; guarded by mu
-	n     int // ordered entries, 2 per pair and 1 per self pair; guarded by mu
+	pairs int     // canonical entries in table; guarded by mu
+	cold  coldLog // guarded by mu
+	n     int     // ordered entries hot and cold, 2 per pair and 1 per self pair; guarded by mu
 }
 
 // weight is the number of ordered pairs a canonical key stands for.
@@ -115,34 +109,107 @@ func weight(key uint64) int {
 }
 
 // evict removes roughly a quarter of the shard's ordered entries, whole
-// pairs at a time.  Victims are the numerically smallest canonical keys —
-// interned IDs are dense and issued in first-seen order, so low keys belong
-// to the oldest strategies, the ones most likely extinct — selected by
-// sorting so that which pairs later replay (and therefore the reported play
-// counts) stays deterministic for a given seed.  A pair's canonical key is
+// pairs at a time, hot and cold alike.  Victims are the numerically
+// smallest canonical keys — interned IDs are dense and issued in
+// first-seen order, so low keys belong to the oldest strategies, the ones
+// most likely extinct — selected by sorting so that which pairs later
+// replay (and therefore the reported play counts) stays deterministic for
+// a given seed, wherever liveness has put them.  A pair's canonical key is
 // the smaller of its two ordered keys, so this drops the same pairs as
 // walking the ordered keys in ascending order.  Called with mu held.
-func (sh *cacheShard) evict() int {
+func (sh *cacheShard) evict(st *pairStore) int {
 	quota := max(1, sh.n/evictDivisor)
 	t := sh.table.Load()
-	tags := make([]uint64, 0, sh.pairs)
+	keys := make([]uint64, 0, sh.pairs+sh.cold.n)
+	minHot := uint64(math.MaxUint64)
 	for i := range t.slots {
 		if tag := t.slots[i].tag.Load(); tag != 0 {
-			tags = append(tags, tag)
+			keys = append(keys, tag-1)
+			minHot = min(minHot, tag-1)
 		}
 	}
-	slices.Sort(tags)
+	for i := 0; i < sh.cold.n; i++ {
+		keys = append(keys, sh.cold.at(i).key)
+	}
+	slices.Sort(keys)
 	removed, cut := 0, 0
-	for removed < quota && cut < len(tags) {
-		removed += weight(tags[cut] - 1)
+	for removed < quota && cut < len(keys) {
+		removed += weight(keys[cut])
 		cut++
 	}
-	if cut > 0 {
-		sh.table.Store(t.rebuild(len(t.slots), tags[cut-1]))
+	if cut == 0 {
+		return 0
 	}
-	sh.pairs -= cut
+	floor := keys[cut-1]
+	if minHot <= floor {
+		nt, hot := newPairTable(len(t.slots)), 0
+		for i := range t.slots {
+			s := &t.slots[i]
+			if tag := s.tag.Load(); tag > floor+1 {
+				nt.put(tag, pairHash(tag-1), s.res)
+				hot++
+			}
+		}
+		sh.table.Store(nt)
+		sh.pairs = hot
+	}
+	kept := 0
+	for i := 0; i < sh.cold.n; i++ {
+		p := sh.cold.at(i)
+		if p.key <= floor {
+			st.live.addColdRefs(uint32(p.key>>32), uint32(p.key), -1)
+			continue
+		}
+		*sh.cold.at(kept) = *p
+		kept++
+	}
+	sh.cold.truncate(kept)
 	sh.n -= removed
 	return removed
+}
+
+// grow returns the shard's hot table with room for one more pair.  Once
+// that pair would take the table past 3/4 occupancy the shard compacts:
+// each pair that may go cold (see liveness.mayGoCold) moves to the cold
+// log, and
+// the live pairs go into the smallest table they fill at most half of, so
+// the table doubles only when its live pairs need it.  Called with mu
+// held.
+func (sh *cacheShard) grow(st *pairStore) *pairTable {
+	t := sh.table.Load()
+	if 4*(sh.pairs+1) <= 3*len(t.slots) {
+		return t
+	}
+	keep := make([]uint64, (len(t.slots)+63)/64)
+	live := 0
+	for i := range t.slots {
+		s := &t.slots[i]
+		tag := s.tag.Load()
+		if tag == 0 {
+			continue
+		}
+		if key := tag - 1; st.live.demote(uint32(key>>32), uint32(key)) {
+			sh.cold.push(newColdPair(key, s.res))
+			continue
+		}
+		keep[i/64] |= 1 << (i % 64)
+		live++
+	}
+	n := minTableSlots
+	for 2*(live+1) > n {
+		n *= 2
+	}
+	nt := newPairTable(n)
+	for i := range t.slots {
+		if keep[i/64]&(1<<(i%64)) != 0 {
+			s := &t.slots[i]
+			tag := s.tag.Load()
+			nt.put(tag, pairHash(tag-1), s.res)
+		}
+	}
+	sh.table.Store(nt)
+	sh.pairs = live
+	return nt
 }
 
 // pairHash mixes a canonical key.  Its low bits pick the shard and the
@@ -157,16 +224,30 @@ func pairHash(key uint64) uint64 {
 
 // pairStore is the shareable state behind one or more PairCache views: the
 // sharded result table, the interning registry issuing the dense IDs the
-// table is keyed by, and the game identity every memoized result belongs
-// to.  All of it is safe for concurrent use — shard reads are lock-free,
-// shard writes take the shard's mutex and the registry locks internally —
-// so independent runs (ensemble replicates) may warm a single store
-// concurrently through their own views.
+// table is keyed by, the liveness of every ID, and the game identity every
+// memoized result belongs to.  All of it is safe for concurrent use —
+// shard reads are lock-free, shard writes take the shard's mutex, liveness
+// counts are atomics and the registry locks internally — so independent
+// runs (ensemble replicates) may warm a single store concurrently through
+// their own views.
+//
+// Each shard keeps hot only the pairs that may be looked up.  Evaluator
+// enters the IDs its table holds and leaves those it no longer holds; a
+// pair whose endpoints were both entered and one of which no table holds
+// any more stays hot until its shard next compacts (see cacheShard.grow),
+// then moves to the shard's cold log.  A table entering an ID brings the
+// ID's cold pairs with the IDs it holds back (see enter) before it looks
+// anything up.  Lookups therefore probe only the hot table, and a pair
+// whose endpoints are both held is never cold.  A pair of an ID no table
+// ever entered stays hot, so a store driven without an evaluator keeps
+// every pair hot.
 type pairStore struct {
 	gameID      string
 	memorySteps int
+	rounds      int // every memoized result's Rounds
 	maxPerShard int
 	reg         *intern.Registry
+	live        liveness
 
 	// highWater is the largest entry count any shard has reached.  It is
 	// raised under the shard's lock in record and never lowered, so once a
@@ -228,7 +309,10 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 // the hot lookup path is integer arithmetic with no allocations.  The store
 // is sharded by unordered ID pair and holds one entry per pair: hits take no
 // lock and write no shared word, and the counters are per-view atomics, so
-// concurrent workers and replicates do not serialise on each other.
+// concurrent workers and replicates do not serialise on each other.  Only
+// pairs of live IDs are probed (see pairStore): a caller must look up only
+// pairs of IDs its Evaluator's table holds, or of IDs no table has ever
+// entered, which every store used without an evaluator does.
 // Results are pure functions of the pair; racing workers at worst replay a
 // pair once each and store the identical result (counted once, keeping the
 // play counter deterministic for a given seed).
@@ -255,6 +339,9 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("fitness: nil engine")
 	}
+	if uint64(eng.Rounds()) > math.MaxUint32 {
+		return nil, fmt.Errorf("fitness: %d rounds overflow a cold pair's cooperation counts", eng.Rounds())
+	}
 	// The per-shard budget counts ordered entries at 64 bytes each; it
 	// fixes the moments eviction fires, and with them the play counts of
 	// runs that overflow it.
@@ -266,6 +353,7 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 	st := &pairStore{
 		gameID:      eng.GameID(),
 		memorySteps: eng.MemorySteps(),
+		rounds:      eng.Rounds(),
 		maxPerShard: maxPerShard,
 		reg:         intern.NewRegistry(),
 	}
@@ -388,18 +476,13 @@ func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
 	}
 	c.misses.Add(1)
 	if sh.n >= c.store.maxPerShard {
-		c.evicted.Add(int64(sh.evict()))
-		t = sh.table.Load()
-	}
-	if 4*(sh.pairs+1) > 3*len(t.slots) {
-		t = t.rebuild(2*len(t.slots), 0)
-		sh.table.Store(t)
+		c.evicted.Add(int64(sh.evict(c.store)))
 	}
 	canon := res
 	if swapped {
 		canon = swap(res)
 	}
-	t.put(tag, h, canon)
+	sh.grow(c.store).put(tag, h, canon)
 	sh.pairs++
 	sh.n += weight(tag - 1)
 	c.store.raiseHighWater(sh.n)

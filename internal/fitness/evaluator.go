@@ -38,6 +38,12 @@ import (
 // the store has headroom for every pair the call looks up, and falls back
 // to the neighbour loop otherwise.
 //
+// The evaluator keeps the store's liveness (see pairStore): it enters
+// every ID its table holds, enters an ID before looking up any pair of it
+// and leaves an ID its table no longer holds, so the store may move pairs
+// of extinct strategies out of its probed table.  Release leaves them all
+// when the run is finished.
+//
 // An Evaluator is not safe for concurrent use; each engine (or rank) owns
 // one.  Evaluators over views of one shared store may run concurrently.
 type Evaluator struct {
@@ -93,13 +99,26 @@ func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy,
 			return nil, err
 		}
 		ev.table = ev.matrix.table
-		return ev, nil
+	} else {
+		if ev.table, err = intern.NewTable(cache.Interner(), table); err != nil {
+			return nil, fmt.Errorf("fitness: %w", err)
+		}
+		ev.byAbundance = g.Complete() && DeltaExact(eng)
 	}
-	if ev.table, err = intern.NewTable(cache.Interner(), table); err != nil {
-		return nil, fmt.Errorf("fitness: %w", err)
-	}
-	ev.byAbundance = g.Complete() && DeltaExact(eng)
+	cache.store.enter(ev.table.Present(), ev.table.Present())
 	return ev, nil
+}
+
+// Release leaves every ID the evaluator's table holds, so the store may
+// move their pairs out of its probed table.  Call it once, when the run is
+// finished, and use the evaluator no more.  A nil evaluator does nothing.
+func (e *Evaluator) Release() {
+	if e == nil {
+		return
+	}
+	for _, id := range e.table.Present() {
+		e.cache.store.leave(id)
+	}
 }
 
 // Cache returns the pair cache (or view) the evaluator plays through, for
@@ -194,7 +213,7 @@ func (e *Evaluator) Apply(idx int, s strategy.Strategy) error {
 	if err != nil {
 		return fmt.Errorf("fitness: update: %w", err)
 	}
-	return e.matrix.apply(idx, ch)
+	return e.follow(idx, ch)
 }
 
 // Adopt records that SSet learner now holds SSet teacher's strategy (a
@@ -206,5 +225,20 @@ func (e *Evaluator) Adopt(learner, teacher int) error {
 	if err != nil {
 		return fmt.Errorf("fitness: %w", err)
 	}
-	return e.matrix.apply(learner, ch)
+	return e.follow(learner, ch)
+}
+
+// follow brings the store's liveness and the matrix up to date with the
+// table change ch of SSet idx.  New is entered before the matrix looks any
+// of its pairs up and Old left afterwards, New first, so a change to the
+// ID an SSet already holds never drops it to zero tables.
+func (e *Evaluator) follow(idx int, ch intern.Change) error {
+	if ch.Added {
+		e.cache.store.enter([]uint32{ch.New}, e.table.Present())
+	}
+	err := e.matrix.apply(idx, ch)
+	if ch.Vacated >= 0 {
+		e.cache.store.leave(ch.Old)
+	}
+	return err
 }

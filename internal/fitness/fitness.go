@@ -11,10 +11,12 @@
 // strategy per generation.  The package provides two layers on top of the
 // game kernel:
 //
-//   - PairCache memoizes game.Result per canonical strategy-pair encoding,
-//     so each distinct pair is played at most once for the lifetime of the
-//     cache.  A pair is stored once and serves both orientations, since
-//     the opponent's fitness is usually requested next.
+//   - PairCache memoizes game.Result per interned strategy pair, so each
+//     distinct pair is played at most once for the lifetime of the cache.
+//     A pair is stored once and serves both orientations, since the
+//     opponent's fitness is usually requested next.  Lookups probe only
+//     the pairs whose two strategies some run still holds; the others wait
+//     in a compact cold log until a strategy returns.
 //   - IncrementalMatrix maintains fitness sums across generations: rows
 //     are built lazily through the cache and, when the Nature Agent changes
 //     the strategy of one SSet, every other row receives an O(1) delta

@@ -125,10 +125,14 @@ func (r *refStore) len() int {
 	return n
 }
 
-// storedPairs lists every ordered pair the cache's tables hold, with its
-// result, by scanning the canonical entries.
+// storedPairs lists every ordered pair the cache's store holds, hot or
+// cold, with its result, by scanning the canonical entries.
 func storedPairs(c *PairCache) map[uint64]game.Result {
 	out := make(map[uint64]game.Result)
+	for key, res := range coldPairs(c) {
+		out[key] = res
+		out[reversedKey(key)] = swap(res)
+	}
 	for si := range c.store.shards {
 		sh := &c.store.shards[si]
 		sh.mu.Lock()

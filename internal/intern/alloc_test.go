@@ -12,9 +12,9 @@ import (
 	"evogame/internal/strategy"
 )
 
-// TestInternHitAllocations pins re-interning a known memory-six strategy —
-// what every adoption does — to the one allocation of its Encode buffer:
-// the registry probe itself must not copy the 515-byte encoding.
+// TestInternHitAllocations pins re-interning a known memory-six strategy
+// to no allocation: the registry hashes the move words in place and never
+// builds an encoding.
 func TestInternHitAllocations(t *testing.T) {
 	r := NewRegistry()
 	s := strategy.RandomPure(6, rng.New(4))
@@ -27,7 +27,7 @@ func TestInternHitAllocations(t *testing.T) {
 			t.Fatalf("re-intern = %d, %v; want %d", id, err, want)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("re-interning a known memory-six strategy: %v allocations, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("re-interning a known memory-six strategy: %v allocations, want 0", allocs)
 	}
 }

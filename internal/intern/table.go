@@ -24,6 +24,7 @@ type Table struct {
 	strats  []strategy.Strategy // strats[i]: the canonical instance behind ids[i]
 	count   []int32             // count[id]: SSets holding id
 	pos     []int32             // pos[id]: index of id in present while count[id] > 0
+	canon   []strategy.Strategy // canon[id]: the canonical instance behind id while count[id] > 0
 	present []uint32            // IDs with count > 0, in no particular order
 }
 
@@ -66,7 +67,7 @@ func NewTable(reg *Registry, initial []strategy.Strategy) (*Table, error) {
 			return nil, fmt.Errorf("intern: binding table entry %d: %w", i, err)
 		}
 		t.ids[i], t.strats[i] = id, canon
-		t.add(id)
+		t.add(id, canon)
 	}
 	return t, nil
 }
@@ -93,10 +94,7 @@ func (t *Table) Strategies() []strategy.Strategy {
 
 // Strategy returns the canonical strategy behind id, which must be
 // present.
-func (t *Table) Strategy(id uint32) strategy.Strategy {
-	s, _ := t.reg.Strategy(id) // fails only for an ID the registry never issued
-	return s
-}
+func (t *Table) Strategy(id uint32) strategy.Strategy { return t.canon[id] }
 
 // Present returns the IDs held by at least one SSet.  The slice changes
 // with the table and must not be modified.
@@ -141,25 +139,26 @@ func (t *Table) Adopt(learner, teacher int) (Change, error) {
 func (t *Table) move(i int, id uint32, canon strategy.Strategy) Change {
 	old := t.ids[i]
 	ch := Change{Old: old, New: id, OldPos: int(t.pos[old]), Vacated: t.remove(old)}
-	ch.Added = t.add(id)
+	ch.Added = t.add(id, canon)
 	ch.NewPos = int(t.pos[id])
 	t.ids[i], t.strats[i] = id, canon
 	return ch
 }
 
-// add counts one more SSet holding id and reports whether id is newly
-// present (appended to present).
-func (t *Table) add(id uint32) bool {
+// add counts one more SSet holding id, whose canonical instance is canon,
+// and reports whether id is newly present (appended to present).
+func (t *Table) add(id uint32, canon strategy.Strategy) bool {
 	if int(id) >= len(t.count) {
 		grow := int(id) + 1 - len(t.count)
 		t.count = append(t.count, make([]int32, grow)...)
 		t.pos = append(t.pos, make([]int32, grow)...)
+		t.canon = append(t.canon, make([]strategy.Strategy, grow)...)
 	}
 	t.count[id]++
 	if t.count[id] > 1 {
 		return false
 	}
-	t.pos[id] = int32(len(t.present))
+	t.pos[id], t.canon[id] = int32(len(t.present)), canon
 	t.present = append(t.present, id)
 	return true
 }
@@ -174,6 +173,7 @@ func (t *Table) remove(id uint32) int {
 	}
 	p, last := t.pos[id], t.present[len(t.present)-1]
 	t.present[p], t.pos[last] = last, p
+	t.canon[id] = nil
 	t.present = t.present[:len(t.present)-1]
 	return int(p)
 }

@@ -756,6 +756,9 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	if err != nil {
 		return RankReport{}, fmt.Errorf("parallel: rank %d: %w", c.Rank(), err)
 	}
+	// A store shared with other ranks or replicates may then move the
+	// rank's pairs out of its probed table once nothing holds them.
+	defer ev.Release()
 
 	// EvalFull keeps the decoded table, the local SSets, and per-local-SSet
 	// opponent buffers allocated once and refilled per generation: the

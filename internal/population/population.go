@@ -237,6 +237,11 @@ type Model struct {
 	// pairs is the per-event distinct-pair cache of the EvalFull path; its
 	// rows are sized from the table's registry.
 	pairs pairRows
+	// classics holds WSLS, TFT and AllD at the run's memory depth, built
+	// by the first Sample; defects[id] is one more than the defecting
+	// states of the pure strategy behind id, 0 until Sample counts them.
+	classics []strategy.Strategy
+	defects  []int32
 }
 
 // New validates the configuration and builds a Model ready to run.
@@ -388,6 +393,12 @@ func (m *Model) Generation() int { return m.gen }
 
 // Strategies returns a snapshot of the current strategy table.
 func (m *Model) Strategies() []strategy.Strategy { return m.table.Strategies() }
+
+// Release tells a pair store shared with other runs (Config.SharedCache)
+// that this model's strategies are no longer held, so it may move their
+// pairs out of its probed table.  Call it once the model is finished; the
+// model must not step again.  It does nothing on the EvalFull path.
+func (m *Model) Release() { m.ev.Release() }
 
 // GamesPlayed returns the number of IPD games executed so far.  In the
 // cached evaluation modes every game runs through the pair cache, so the
@@ -599,13 +610,16 @@ func (m *Model) Step() error {
 // draw.
 func (m *Model) Sample() AbundanceSample {
 	t, mem := m.table, m.cfg.MemorySteps
+	if m.classics == nil {
+		m.classics = []strategy.Strategy{strategy.WSLS(mem), strategy.TFT(mem), strategy.AllD(mem)}
+	}
 	n := float64(t.Len())
 	s := AbundanceSample{
 		Generation:   m.gen,
 		Distinct:     len(t.Present()),
-		WSLSFraction: float64(t.CountOf(strategy.WSLS(mem))) / n,
-		TFTFraction:  float64(t.CountOf(strategy.TFT(mem))) / n,
-		AllDFraction: float64(t.CountOf(strategy.AllD(mem))) / n,
+		WSLSFraction: float64(t.CountOf(m.classics[0])) / n,
+		TFTFraction:  float64(t.CountOf(m.classics[1])) / n,
+		AllDFraction: float64(t.CountOf(m.classics[2])) / n,
 	}
 	topCount, totalStates, defecting := 0, 0, 0
 	for _, id := range t.Present() {
@@ -613,22 +627,57 @@ func (m *Model) Sample() AbundanceSample {
 		topCount = max(topCount, c)
 		if p, ok := t.Strategy(id).(*strategy.Pure); ok {
 			totalStates += c * p.NumStates()
-			defecting += c * p.DefectionCount()
+			defecting += c * m.defections(id, p)
 		}
 	}
-	// Ties at the top go to the smallest rendering; only they are rendered.
+	// Ties at the top go to the smallest rendering; only the winner is
+	// rendered.
+	var top strategy.Strategy
 	for _, id := range t.Present() {
 		if t.Count(id) == topCount {
-			if r := t.Strategy(id).String(); s.TopStrategy == "" || r < s.TopStrategy {
-				s.TopStrategy = r
+			if c := t.Strategy(id); top == nil || rendersBefore(c, top) {
+				top = c
 			}
 		}
 	}
+	s.TopStrategy = top.String()
 	s.TopFraction = float64(topCount) / n
 	if totalStates > 0 {
 		s.MeanDefectingStates = float64(defecting) / float64(totalStates)
 	}
 	return s
+}
+
+// defections returns p.DefectionCount() for p, the strategy behind id,
+// counting the move table once per ID.
+func (m *Model) defections(id uint32, p *strategy.Pure) int {
+	if int(id) >= len(m.defects) {
+		m.defects = append(m.defects, make([]int32, int(id)+1-len(m.defects))...)
+	}
+	if m.defects[id] == 0 {
+		m.defects[id] = int32(p.DefectionCount()) + 1
+	}
+	return int(m.defects[id]) - 1
+}
+
+// rendersBefore reports whether a's String sorts before b's.  Pure move
+// tables of one depth render as '0'/'1' strings of one length, state 0
+// first, so the lowest state where they differ decides, and the table
+// that cooperates there (a clear bit, '0') comes first; they are compared
+// word by word without rendering.  Any other pair compares renderings.
+func rendersBefore(a, b strategy.Strategy) bool {
+	pa, okA := a.(*strategy.Pure)
+	pb, okB := b.(*strategy.Pure)
+	if !okA || !okB || pa.MemorySteps() != pb.MemorySteps() {
+		return a.String() < b.String()
+	}
+	wb := pb.Words()
+	for k, w := range pa.Words() {
+		if d := w ^ wb[k]; d != 0 {
+			return w&(d&-d) == 0
+		}
+	}
+	return false
 }
 
 // Run advances the simulation by generations generations (or until ctx is

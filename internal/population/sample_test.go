@@ -100,8 +100,10 @@ func tiedPool(mem, k int, src *rng.Source) []strategy.Strategy {
 // TestSampleMatchesStringOracle compares every Sample field with the
 // String-keyed reference over seeded pure tables at memory 1, 2 and 6 whose
 // top count is a forced multi-way tie, then through runs that adopt and
-// mutate.  Sampling must never intern: an ID issued while sampling would
-// renumber every strategy the run goes on to draw.
+// mutate; over an S=512 memory-six table whose every strategy ties at the
+// top; and over tables where mixed and pure strategies tie.  Sampling must
+// never intern: an ID issued while sampling would renumber every strategy
+// the run goes on to draw.
 func TestSampleMatchesStringOracle(t *testing.T) {
 	for _, mem := range []int{1, 2, 6} {
 		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached} {
@@ -112,7 +114,113 @@ func TestSampleMatchesStringOracle(t *testing.T) {
 			}
 		}
 	}
+	for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached} {
+		t.Run(fmt.Sprintf("m6/all-tied/S512/%v", mode), func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.NumSSets, cfg.MemorySteps, cfg.Rounds = 512, 6, 20
+			cfg.EvalMode, cfg.MutationRate = mode, 0.5
+			cfg.InitialStrategies = allTiedTable(512, 6, rng.New(9))
+			m := mustModel(t, cfg)
+			for step := 0; step <= 4; step++ {
+				if step > 0 {
+					if err := m.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := m.Sample()
+				if want := stringSample(m); got != want {
+					t.Fatalf("step %d:\n got %+v\nwant %+v", step, got, want)
+				}
+				if step == 0 && got.TopFraction != 1.0/512 {
+					t.Fatalf("top fraction %v, want every strategy tied at 1/512", got.TopFraction)
+				}
+			}
+		})
+	}
+	// Mixed strategies render as "mixed(...)", after every pure rendering,
+	// and these differ in their first two decimals, so the String-keyed
+	// reference counts them apart.
+	mixed := func(p float64) strategy.Strategy {
+		s, err := strategy.MixedFromProbs(1, []float64{p, 0.5, 0.5, 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pureA, pureB := strategy.WSLS(1), strategy.TFT(1)
+	for name, table := range map[string][]strategy.Strategy{
+		"mixed-pure-ties": {mixed(0.25), pureA, mixed(0.75), pureB, mixed(0.25), pureA.Clone(), mixed(0.75), pureB.Clone()},
+		"mixed-ties":      {mixed(0.75), mixed(0.25), mixed(0.5), mixed(0.75), mixed(0.25), mixed(0.5)},
+		"pure-wins-tie":   {mixed(0.1), pureB, mixed(0.1), pureB.Clone(), pureA},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.NumSSets = len(table)
+			cfg.InitialStrategies = table
+			m := mustModel(t, cfg)
+			if got, want := m.Sample(), stringSample(m); got != want {
+				t.Fatalf("\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
 }
+
+// allTiedTable returns n distinct pure strategies of memory mem: a tiedPool
+// of near-identical strategies, so ties are decided deep in the move
+// table, filled up with random ones.
+func allTiedTable(n, mem int, src *rng.Source) []strategy.Strategy {
+	table := tiedPool(mem, 8, src)
+	for len(table) < n {
+		s := strategy.RandomPure(mem, src)
+		dup := false
+		for _, q := range table {
+			dup = dup || q.Equal(s)
+		}
+		if !dup {
+			table = append(table, s)
+		}
+	}
+	return table
+}
+
+// TestRendersBeforeMatchesStrings checks the word-wise tie-break against
+// comparing renderings over seeded pairs at memory 1, 2, 3 and 6, including
+// tables that differ in a single state.
+func TestRendersBeforeMatchesStrings(t *testing.T) {
+	src := rng.New(5)
+	for _, mem := range []int{1, 2, 3, 6} {
+		pool := tiedPool(mem, 5, src) // memory one has only 5 such tables
+		for i := 0; i < 8; i++ {
+			pool = append(pool, strategy.RandomPure(mem, src))
+		}
+		for _, a := range pool {
+			for _, b := range pool {
+				if got, want := rendersBefore(a, b), a.String() < b.String(); got != want {
+					t.Fatalf("memory %d: rendersBefore(%v, %v) = %v, want %v", mem, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSampleAllTied times Sample on an S=512 memory-six table whose
+// every strategy ties at the top, the state of a fresh random population.
+func BenchmarkSampleAllTied(b *testing.B) {
+	cfg := baseConfig()
+	cfg.NumSSets, cfg.MemorySteps = 512, 6
+	cfg.InitialStrategies = allTiedTable(512, 6, rng.New(9))
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sampleSink = m.Sample()
+	}
+}
+
+// sampleSink keeps BenchmarkSampleAllTied's calls from being optimised away.
+var sampleSink AbundanceSample
 
 func testSampleOracle(t *testing.T, mem int, mode fitness.EvalMode, seed uint64) {
 	const n, ties = 20, 4

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The codec packs strategies into self-describing byte slices so that the
@@ -68,6 +69,59 @@ func Encode(s Strategy) ([]byte, error) {
 		return buf, nil
 	default:
 		return nil, fmt.Errorf("strategy: cannot encode %T", s)
+	}
+}
+
+// EncodingHash returns a 64-bit hash of the words Encode writes for s:
+// the kind and memory depth, then the move words of a pure strategy or the
+// Float64bits of a mixed strategy's probabilities.  It allocates nothing.
+// Strategies that encode alike hash alike; the converse needs
+// SameEncoding.
+func EncodingHash(s Strategy) (uint64, error) {
+	h := uint64(0x9E3779B97F4A7C15)
+	mix := func(w uint64) {
+		h = (h ^ w) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
+	}
+	switch v := s.(type) {
+	case *Pure:
+		mix(kindPure<<8 | uint64(v.mem))
+		for _, w := range v.bits {
+			mix(w)
+		}
+	case *Mixed:
+		mix(kindMixed<<8 | uint64(v.mem))
+		for _, p := range v.probs {
+			mix(math.Float64bits(p))
+		}
+	default:
+		return 0, fmt.Errorf("strategy: cannot encode %T", s)
+	}
+	return h, nil
+}
+
+// SameEncoding reports whether Encode writes identical bytes for a and b:
+// the same kind and memory depth, and bit-identical move words or
+// probabilities.  Unlike Mixed.Equal it tells +0 from -0 and compares NaN
+// payloads bit for bit.
+func SameEncoding(a, b Strategy) bool {
+	switch x := a.(type) {
+	case *Pure:
+		y, ok := b.(*Pure)
+		return ok && x.mem == y.mem && slices.Equal(x.bits, y.bits)
+	case *Mixed:
+		y, ok := b.(*Mixed)
+		if !ok || x.mem != y.mem || len(x.probs) != len(y.probs) {
+			return false
+		}
+		for i, p := range x.probs {
+			if math.Float64bits(p) != math.Float64bits(y.probs[i]) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
 	}
 }
 

@@ -241,6 +241,9 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 	if err != nil {
 		return population.Result{}, rep, err
 	}
+	// Each model, abandoned or finished, releases its hold on a pair store
+	// shared with other runs.
+	defer func() { model.Release() }()
 	// kept accumulates trajectory samples from failed attempts up to the
 	// newest checkpoint; the portion past it is replayed after resume.
 	var kept []population.AbundanceSample
@@ -273,6 +276,7 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 					kept = append(kept, s)
 				}
 			}
+			model.Release()
 			model = restored
 			remaining = generations - snap.Generation
 		} else {
@@ -282,6 +286,7 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 				return population.Result{}, rep, newErr
 			}
 			kept = nil
+			model.Release()
 			model = fresh
 			remaining = generations
 		}
