@@ -30,9 +30,10 @@ type EnsembleConfig struct {
 	// selects min(Replicates, GOMAXPROCS); negative values are rejected.
 	EnsembleWorkers int
 	// PrivateCaches disables cross-run cache sharing: every replicate
-	// builds its own pair cache exactly as a solo run would.  Results are
-	// identical either way; the flag exists for benchmarking the sharing
-	// and for bounding memory per run.
+	// builds its own pair cache exactly as a solo run would (a distributed
+	// replicate one for all its SSet ranks).  Results are identical either
+	// way; the flag exists for benchmarking the sharing and for bounding
+	// memory per run.
 	PrivateCaches bool
 	// Simulation, when non-nil, runs the replicates on the serial engine.
 	Simulation *SimulationConfig

@@ -74,7 +74,7 @@ const (
 	EvalFull EvalMode = iota
 	// EvalCached memoizes each distinct strategy pair's game result across
 	// generations, so every distinct pair is played at most once per run
-	// (per rank, in the distributed engine).
+	// (the distributed engine's SSet ranks share one store per run).
 	EvalCached
 	// EvalIncremental additionally maintains per-SSet fitness sums across
 	// generations, invalidating only the row/column of the SSet whose
@@ -718,7 +718,10 @@ type ParallelConfig struct {
 	CommDeadlineSeconds float64
 }
 
-// RankSummary reports one rank's work and communication.
+// RankSummary reports one rank's work and communication.  On the cached
+// path GamesPlayed is this rank's share of the pairs the run stored: a
+// split of TotalGames that depends on which rank reached a pair first, so
+// it varies with scheduling while TotalGames does not.
 type RankSummary struct {
 	Rank             int
 	LocalSSets       int
@@ -739,13 +742,18 @@ type ParallelResult struct {
 	// SSet ranks (the breakdown of the paper's Figure 5).
 	ComputeSeconds float64
 	CommSeconds    float64
-	TotalGames     int64
-	PCEvents       int
-	Adoptions      int
-	Mutations      int
-	Ranks          []RankSummary
+	// TotalGames is the number of games played; on the cached path, the
+	// pairs the run stored, the same at every rank count while the store
+	// is under budget.
+	TotalGames int64
+	PCEvents   int
+	Adoptions  int
+	Mutations  int
+	Ranks      []RankSummary
 	// Metrics is the run's flat observability export, summed over the SSet
-	// ranks (see Metrics).
+	// ranks (see Metrics).  Its ScalarGames, CycleGames and BatchGames may
+	// exceed TotalGames by pairs two ranks played at the same moment, of
+	// which the store kept one.
 	Metrics Metrics
 }
 

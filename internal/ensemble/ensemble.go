@@ -51,10 +51,11 @@ type Config struct {
 	// min(Replicates, GOMAXPROCS); negative values are rejected.
 	Workers int
 	// PrivateCaches disables cross-run sharing: every replicate builds its
-	// own PairCache exactly as a solo run would.  Results are identical
-	// either way (the shared store only changes which lookups hit); the
-	// flag exists for benchmarking the sharing itself and for keeping
-	// memory bounded per run.
+	// own PairCache exactly as a solo run would (a distributed replicate one
+	// store for all its SSet ranks).  Results are identical either way (the
+	// shared store only changes which lookups hit); the flag exists for
+	// benchmarking the sharing itself and for keeping memory bounded per
+	// run.
 	PrivateCaches bool
 	// ReplicateCheckpoint, when non-nil, gives every replicate its own
 	// checkpoint destination: replicate k writes its final resumable (v4)
@@ -286,10 +287,10 @@ type ParallelResult struct {
 
 // RunParallel runs cfg.Replicates distributed-engine replicates of base
 // concurrently and aggregates them; the sharing, seed-derivation and
-// worker-budget rules match RunSerial (each replicate's ranks additionally
-// share that store among themselves, as they already shared one rank-set
-// cache's worth of results in spirit — every rank gets its own view), as
-// do the graceful-degradation and supervision rules (see RunSerial).
+// worker-budget rules match RunSerial (every SSet rank of every replicate
+// gets its own view of the one store, as a solo run's ranks share their
+// run's store), as do the graceful-degradation and supervision rules (see
+// RunSerial).
 func RunParallel(base parallel.Config, cfg Config) (ParallelResult, error) {
 	workers, err := cfg.resolveWorkers()
 	if err != nil {
@@ -307,18 +308,8 @@ func RunParallel(base parallel.Config, cfg Config) (ParallelResult, error) {
 	if base.WorkersPerRank == 0 {
 		base.WorkersPerRank = perRunWorkers(workers)
 	}
-	if !cfg.PrivateCaches && base.EvalMode != fitness.EvalFull && base.Noise == 0 {
-		eng, err := game.NewEngine(game.EngineConfig{
-			Game:        base.Game,
-			Rounds:      base.Rounds,
-			MemorySteps: base.MemorySteps,
-			Noise:       base.Noise,
-			Kernel:      base.Kernel,
-		})
-		if err != nil {
-			return ParallelResult{}, err
-		}
-		if base.SharedCache, err = fitness.NewPairCache(eng); err != nil {
+	if !cfg.PrivateCaches {
+		if base.SharedCache, err = parallel.NewSharedCache(base); err != nil {
 			return ParallelResult{}, err
 		}
 	}

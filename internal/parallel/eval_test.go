@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"evogame/internal/fitness"
@@ -46,19 +47,56 @@ func TestEvalModesIdenticalDynamics(t *testing.T) {
 	}
 }
 
+// TestEvalModesIdenticalAcrossRankCounts holds the cached modes to the
+// determinism contract across rank counts: the final table, and — since
+// every SSet rank of a run plays through one pair store — the games the
+// run stored, which the ranks racing on that store (under -race, in CI)
+// must not move.  Kernel games may exceed the stored ones by pairs two
+// ranks played at once, so only a single SSet rank pins them equal.
 func TestEvalModesIdenticalAcrossRankCounts(t *testing.T) {
-	var want []strategy.Strategy
-	for _, ranks := range []int{2, 3, 5} {
+	shapes := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"m2-mut0.5", func(c *Config) {
+			c.MemorySteps = 2
+			c.MutationRate = 0.5
+			c.Generations = 1000
+		}},
+		{"m6", func(c *Config) {
+			c.MemorySteps = 6
+			c.Generations = 400
+		}},
+	}
+	for _, sh := range shapes {
 		for _, mode := range []fitness.EvalMode{fitness.EvalCached, fitness.EvalIncremental} {
-			res := runMode(t, func(c *Config) {
-				c.Ranks = ranks
-				c.Generations = 40
-			}, mode)
-			if want == nil {
-				want = res.FinalStrategies
-				continue
-			}
-			assertSameTable(t, mode.String(), want, res.FinalStrategies)
+			t.Run(sh.name+"/"+mode.String(), func(t *testing.T) {
+				var want Result
+				for _, ranks := range []int{2, 3, 5, 9} {
+					for repeat := 0; repeat < 2; repeat++ {
+						res := runMode(t, func(c *Config) {
+							sh.mutate(c)
+							c.Ranks = ranks
+						}, mode)
+						m := res.Metrics
+						kernel := m.ScalarGames + m.CycleGames + m.BatchGames
+						if kernel < res.TotalGames || (ranks == 2 && kernel != res.TotalGames) {
+							t.Fatalf("ranks %d: kernels played %d games for %d stored", ranks, kernel, res.TotalGames)
+						}
+						if want.FinalStrategies == nil {
+							want = res
+							continue
+						}
+						assertSameTable(t, fmt.Sprintf("ranks %d", ranks), want.FinalStrategies, res.FinalStrategies)
+						if res.TotalGames != want.TotalGames {
+							t.Fatalf("ranks %d repeat %d: %d games stored, %d at 2 ranks", ranks, repeat, res.TotalGames, want.TotalGames)
+						}
+					}
+				}
+				if want.TotalGames == 0 {
+					t.Fatal("no games stored")
+				}
+			})
 		}
 	}
 }

@@ -173,11 +173,12 @@ type Config struct {
 	// shared internal/fitness subsystem.  The zero value, fitness.EvalFull,
 	// replays every game every generation exactly as the paper's
 	// implementation does (the workload the scaling studies measure).
-	// EvalCached keeps a rank-local pair cache across generations, and
-	// EvalIncremental additionally maintains the rank's block of the
-	// fitness matrix, invalidated by the Nature Agent's broadcast
-	// strategy-table updates.  Noisy or mixed populations fall back to the
-	// EvalFull path, keeping all modes bit-for-bit identical per seed.
+	// EvalCached plays each distinct pair once per run through a pair cache
+	// every SSet rank shares (see SharedCache), and EvalIncremental
+	// additionally maintains the rank's block of the fitness matrix,
+	// invalidated by the Nature Agent's broadcast strategy-table updates.
+	// Noisy or mixed populations fall back to the EvalFull path, keeping
+	// all modes bit-for-bit identical per seed.
 	EvalMode fitness.EvalMode
 
 	// CheckpointPath, when non-empty, makes the Nature Agent write a
@@ -205,14 +206,14 @@ type Config struct {
 	// (shape, seed, game, rule, topology) must match the Config.
 	Resume *checkpoint.Snapshot
 	// SharedCache, when non-nil, makes every SSet rank evaluate fitness
-	// through a view over the given cache's store instead of a rank-private
-	// PairCache, so independent runs of the same configuration (ensemble
-	// replicates) — and the ranks within each — share one interning
-	// registry and one memoized pair table.  It only takes effect when a
-	// rank would build a cache anyway (EvalMode != EvalFull and the
-	// noiseless/deterministic gate holds); the noise and mixed-strategy
-	// bypasses ignore it, so RNG streams never move and every run stays
-	// bit-identical per seed to the same run with private caches.  The
+	// through a view over the given cache's store instead of one the run
+	// builds for its own ranks (see NewSharedCache), so independent runs
+	// of the same configuration (ensemble replicates) share one interning
+	// registry and one memoized pair table too.  Either way a rank only
+	// uses it when it would evaluate through a cache at all (EvalMode !=
+	// EvalFull and the noiseless/deterministic gate holds); the noise and
+	// mixed-strategy bypasses ignore it, so RNG streams never move and
+	// every run stays bit-identical per seed whichever store it uses.  The
 	// cache must be bound to the identical game (same spec, payoff, rounds
 	// and memory depth) or the run fails.
 	SharedCache *fitness.PairCache
@@ -313,7 +314,11 @@ func (c Config) checkResumeIdentity() error {
 	return nil
 }
 
-// RankReport summarises one rank's work and communication.
+// RankReport summarises one rank's work and communication.  Compute and
+// Comm tile the rank's run from its start: each phase boundary charges the
+// interval just ended to one of them.  On the cached path GamesPlayed is
+// the pairs this rank stored in the run's shared store, a split of
+// TotalGames that depends on which rank reached a pair first.
 type RankReport struct {
 	Rank        int
 	LocalSSets  int
@@ -339,10 +344,14 @@ type Result struct {
 	Ranks []RankReport
 	// NatureStats counts evolutionary events.
 	NatureStats nature.Stats
-	// TotalGames is the number of IPD games played across all ranks.
+	// TotalGames is the number of IPD games played across all ranks; on the
+	// cached path, the number of pairs the run stored, which does not
+	// depend on the rank count while the store is under its budget.
 	TotalGames int64
 	// Metrics is the run's flat observability export: the rank-summed cache
-	// and kernel-mix counters plus the Nature Agent's event counts.
+	// and kernel-mix counters plus the Nature Agent's event counts.  The
+	// kernel-mix games may exceed TotalGames by pairs two ranks played at
+	// the same moment, of which the store kept one.
 	Metrics fitness.Metrics
 }
 
@@ -439,6 +448,15 @@ func Run(cfg Config) (Result, error) {
 	//lint:allow randsource wall-clock run duration for Result.WallClock reporting; never feeds simulation state
 	start := time.Now()
 
+	// Every SSet rank of the run evaluates through a view over one store,
+	// so a pair any rank has played is never played again by another.
+	if cfg.SharedCache == nil {
+		var err error
+		if cfg.SharedCache, err = NewSharedCache(cfg); err != nil {
+			return Result{}, err
+		}
+	}
+
 	reports := make([]RankReport, cfg.Ranks)
 	var finalTable []strategy.Strategy
 	var natStats nature.Stats
@@ -487,6 +505,26 @@ func Run(cfg Config) (Result, error) {
 	res.Metrics.Adoptions = natStats.Adoptions
 	res.Metrics.Mutations = natStats.Mutations
 	return res, nil
+}
+
+// NewSharedCache returns an empty pair cache bound to the game cfg plays,
+// for Config.SharedCache, or nil when no SSet rank of cfg evaluates through
+// one: EvalFull or a noisy game.  Run builds one per run when
+// Config.SharedCache is nil; an ensemble builds one for all its replicates.
+func NewSharedCache(cfg Config) (*fitness.PairCache, error) {
+	if cfg.EvalMode == fitness.EvalFull || cfg.Noise != 0 {
+		return nil, nil
+	}
+	eng, err := game.NewEngine(game.EngineConfig{
+		Game:        cfg.Game,
+		Rounds:      cfg.Rounds,
+		MemorySteps: cfg.MemorySteps,
+		Kernel:      cfg.Kernel,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fitness.NewPairCache(eng)
 }
 
 // natureRank runs the Nature Agent on rank 0: it owns the authoritative
@@ -558,12 +596,11 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 	if err != nil {
 		return nil, nature.Stats{}, RankReport{}, err
 	}
-	if err := rec.TimeErr(trace.PhaseComm, func() error {
-		_, err := c.Bcast(0, payload)
-		return err
-	}); err != nil {
+	rec.Lap(trace.PhaseCompute)
+	if _, err := c.Bcast(0, payload); err != nil {
 		return nil, nature.Stats{}, RankReport{}, err
 	}
+	rec.Lap(trace.PhaseComm)
 
 	for gen := 0; gen < cfg.Generations; gen++ {
 		// Mark the epoch (and give an installed fault plan its per-generation
@@ -575,36 +612,28 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		// Phase 1: pairwise-comparison selection broadcast.
 		teacher, learner, pcOK := nat.MaybeSelectPC(cfg.NumSSets)
 		sel := encodeSelection(pcOK, teacher, learner)
-		if err := rec.TimeErr(trace.PhaseComm, func() error {
-			_, err := c.Bcast(0, sel)
-			return err
-		}); err != nil {
+		rec.Lap(trace.PhaseCompute)
+		if _, err := c.Bcast(0, sel); err != nil {
 			return nil, nature.Stats{}, RankReport{}, err
 		}
 
 		// Phase 2: collect fitness from the owners of the selected SSets and
 		// decide adoption.
-		var update updateMessage
+		var tBuf, lBuf []byte
 		if pcOK {
 			teacherOwner, _ := blockOwner(teacher, cfg.NumSSets, cfg.Ranks)
 			learnerOwner, _ := blockOwner(learner, cfg.NumSSets, cfg.Ranks)
-			var fitTeacher, fitLearner float64
-			if err := rec.TimeErr(trace.PhaseComm, func() error {
-				tBuf, err := c.Recv(teacherOwner, tagFitnessTeacher)
-				if err != nil {
-					return err
-				}
-				lBuf, err := c.Recv(learnerOwner, tagFitnessLearner)
-				if err != nil {
-					return err
-				}
-				fitTeacher = decodeFitness(tBuf)
-				fitLearner = decodeFitness(lBuf)
-				return nil
-			}); err != nil {
+			if tBuf, err = c.Recv(teacherOwner, tagFitnessTeacher); err != nil {
 				return nil, nature.Stats{}, RankReport{}, err
 			}
-			adopted, _ := nat.DecideAdoption(fitTeacher, fitLearner)
+			if lBuf, err = c.Recv(learnerOwner, tagFitnessLearner); err != nil {
+				return nil, nature.Stats{}, RankReport{}, err
+			}
+		}
+		rec.Lap(trace.PhaseComm)
+		var update updateMessage
+		if pcOK {
+			adopted, _ := nat.DecideAdoption(decodeFitness(tBuf), decodeFitness(lBuf))
 			nat.RecordPC(adopted)
 			if adopted {
 				table[learner] = table[teacher]
@@ -627,12 +656,11 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		if err != nil {
 			return nil, nature.Stats{}, RankReport{}, err
 		}
-		if err := rec.TimeErr(trace.PhaseComm, func() error {
-			_, err := c.Bcast(0, buf)
-			return err
-		}); err != nil {
+		rec.Lap(trace.PhaseCompute)
+		if _, err := c.Bcast(0, buf); err != nil {
 			return nil, nature.Stats{}, RankReport{}, err
 		}
+		rec.Lap(trace.PhaseComm)
 		nat.EndGeneration()
 
 		// A failed periodic save must NOT abort the loop: the SSet ranks are
@@ -660,6 +688,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		}
 	}
 
+	rec.Lap(trace.PhaseCompute)
 	rep := RankReport{
 		Rank:      0,
 		Compute:   rec.Total(trace.PhaseCompute),
@@ -727,14 +756,12 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	}
 
 	// Setup phase: receive the initial strategy table.
-	var tableBytes []byte
-	if err := rec.TimeErr(trace.PhaseComm, func() error {
-		var err error
-		tableBytes, err = c.Bcast(0, nil)
-		return err
-	}); err != nil {
+	rec.Lap(trace.PhaseCompute)
+	tableBytes, err := c.Bcast(0, nil)
+	if err != nil {
 		return RankReport{}, err
 	}
+	rec.Lap(trace.PhaseComm)
 	table, err := decodeTable(tableBytes)
 	if err != nil {
 		return RankReport{}, err
@@ -780,6 +807,8 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		}
 	}
 
+	rec.Lap(trace.PhaseCompute)
+
 	// Resumed runs continue at the checkpointed absolute generation; the
 	// offset keeps the per-(generation, SSet) noise streams aligned with
 	// what an uninterrupted run would draw.
@@ -793,14 +822,11 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 
 		// Phase 1: receive the pairwise-comparison selection first so the
 		// rank can skip the game play on idle generations when configured to.
-		var sel []byte
-		if err := rec.TimeErr(trace.PhaseComm, func() error {
-			var err error
-			sel, err = c.Bcast(0, nil)
-			return err
-		}); err != nil {
+		sel, err := c.Bcast(0, nil)
+		if err != nil {
 			return RankReport{}, err
 		}
+		rec.Lap(trace.PhaseComm)
 		pcOK, teacher, learner := decodeSelection(sel)
 
 		// Phase 2: local game play (the dominant compute).  The evaluator
@@ -808,71 +834,52 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		// maintained row sums); EvalFull replays every game, fanned out over
 		// the rank's workers.
 		if !cfg.SkipFitnessWhenIdle || pcOK {
-			err := rec.TimeErr(trace.PhaseCompute, func() error {
-				if ev != nil {
-					for li := range fit {
-						f, err := ev.Fitness(lo + li)
-						if err != nil {
-							return err
-						}
-						fit[li] = f
+			if ev != nil {
+				for li := range fit {
+					if fit[li], err = ev.Fitness(lo + li); err != nil {
+						return RankReport{}, err
 					}
-					return nil
 				}
-				for li, s := range locals {
-					opponents := oppStrats[li]
-					for k := range opponents {
-						opponents[k] = table[graph.Neighbor(s.ID(), k)]
-					}
-					var src *rng.Source
-					if cfg.Noise > 0 {
-						src = rng.New(mixSeed(cfg.Seed, start+gen, s.ID()))
-					}
-					f, err := s.Fitness(engine, opponents, sset.FitnessOptions{
-						Workers: cfg.WorkersPerRank,
-						Source:  src,
-					})
-					if err != nil {
-						return err
-					}
-					fit[li] = f
-					games += int64(len(opponents))
+			}
+			for li, s := range locals {
+				opponents := oppStrats[li]
+				for k := range opponents {
+					opponents[k] = table[graph.Neighbor(s.ID(), k)]
 				}
-				return nil
-			})
-			if err != nil {
-				return RankReport{}, err
+				var src *rng.Source
+				if cfg.Noise > 0 {
+					src = rng.New(mixSeed(cfg.Seed, start+gen, s.ID()))
+				}
+				if fit[li], err = s.Fitness(engine, opponents, sset.FitnessOptions{
+					Workers: cfg.WorkersPerRank,
+					Source:  src,
+				}); err != nil {
+					return RankReport{}, err
+				}
+				games += int64(len(opponents))
 			}
 		}
+		rec.Lap(trace.PhaseCompute)
 
 		// Phase 3: return fitness for selected SSets.
-		if pcOK {
-			if err := rec.TimeErr(trace.PhaseComm, func() error {
-				if teacher >= lo && teacher < hi {
-					if err := sendFitness(c, cfg.OptLevel, tagFitnessTeacher, fit[teacher-lo]); err != nil {
-						return err
-					}
-				}
-				if learner >= lo && learner < hi {
-					if err := sendFitness(c, cfg.OptLevel, tagFitnessLearner, fit[learner-lo]); err != nil {
-						return err
-					}
-				}
-				return nil
-			}); err != nil {
+		if pcOK && teacher >= lo && teacher < hi {
+			if err := sendFitness(c, cfg.OptLevel, tagFitnessTeacher, fit[teacher-lo]); err != nil {
+				return RankReport{}, err
+			}
+		}
+		if pcOK && learner >= lo && learner < hi {
+			if err := sendFitness(c, cfg.OptLevel, tagFitnessLearner, fit[learner-lo]); err != nil {
 				return RankReport{}, err
 			}
 		}
 
-		// Phase 4: receive and apply the strategy-table update.
-		var upBuf []byte
-		if err := rec.TimeErr(trace.PhaseComm, func() error {
-			var err error
-			upBuf, err = c.Bcast(0, nil)
-			return err
-		}); err != nil {
+		// Phase 4: receive and apply the strategy-table update.  Applying
+		// it is compute: EvalIncremental maintains its rows here.
+		upBuf, err := c.Bcast(0, nil)
+		if err != nil {
 			return RankReport{}, err
 		}
+		rec.Lap(trace.PhaseComm)
 		update, err := decodeUpdate(upBuf, cfg.NumSSets)
 		if err != nil {
 			return RankReport{}, err
@@ -880,6 +887,7 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		if err := applyUpdate(update, table, locals, ev, lo); err != nil {
 			return RankReport{}, err
 		}
+		rec.Lap(trace.PhaseCompute)
 	}
 
 	if ev != nil {

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"evogame/internal/fitness"
+	"evogame/internal/game"
 	"evogame/internal/population"
 	"evogame/internal/strategy"
 )
@@ -602,4 +604,37 @@ func BenchmarkRunGeneration64SSets4Ranks(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDistributedReentry runs the case pair-store promotion serves: a
+// cached memory-two population at mutation 0.5, whose strategies die out
+// fast and whose pairs a mutant redrawing an extinct strategy brings back
+// from the cold log, with four SSet ranks entering and leaving the same
+// IDs of the run's one store at once.  One op is a whole 3000-generation
+// run.
+func BenchmarkDistributedReentry(b *testing.B) {
+	cfg := Config{
+		Ranks:         5,
+		NumSSets:      64,
+		AgentsPerSSet: 4,
+		MemorySteps:   2,
+		Rounds:        game.DefaultRounds,
+		PCRate:        1,
+		MutationRate:  0.5,
+		Generations:   3000,
+		Seed:          2013,
+		OptLevel:      OptFusedFitness,
+		EvalMode:      fitness.EvalCached,
+	}
+	b.ReportAllocs()
+	var games int64
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		games = res.TotalGames
+	}
+	b.ReportMetric(float64(games), "games/op")
+	b.ReportMetric(float64(cfg.Generations)*float64(b.N)/b.Elapsed().Seconds(), "gen/s")
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -32,18 +31,30 @@ func TestNegativeDurationsClamped(t *testing.T) {
 	}
 }
 
-func TestTimeHelpers(t *testing.T) {
+func TestLapChargesEachIntervalOnce(t *testing.T) {
 	r := NewRecorder()
-	err := r.TimeErr(PhaseCompute, func() error { time.Sleep(2 * time.Millisecond); return nil })
-	if err != nil {
-		t.Fatal(err)
+	time.Sleep(2 * time.Millisecond)
+	r.Lap(PhaseComm)
+	comm := r.Total(PhaseComm)
+	if comm < 2*time.Millisecond {
+		t.Fatalf("first lap charged %v, want the time since NewRecorder", comm)
 	}
-	if r.Total(PhaseCompute) < time.Millisecond {
-		t.Fatalf("TimeErr recorded %v", r.Total(PhaseCompute))
+	if r.Total(PhaseCompute) != 0 {
+		t.Fatalf("a comm lap charged compute %v", r.Total(PhaseCompute))
 	}
-	boom := errors.New("boom")
-	if err := r.TimeErr(PhaseComm, func() error { return boom }); err != boom {
-		t.Fatalf("TimeErr returned %v, want fn's error", err)
+	time.Sleep(2 * time.Millisecond)
+	r.Lap(PhaseCompute)
+	r.Lap(PhaseCompute)
+	if got := r.Total(PhaseComm); got != comm {
+		t.Fatalf("a compute lap moved comm %v -> %v", comm, got)
+	}
+	compute := r.Total(PhaseCompute)
+	if compute < 2*time.Millisecond {
+		t.Fatalf("second lap charged %v, want the time since the first", compute)
+	}
+	// Laps tile the time since NewRecorder: no interval is charged twice.
+	if total := r.Total(PhaseComm) + r.Total(PhaseCompute); total != r.mark {
+		t.Fatalf("laps charged %v, %v elapsed by the last mark", total, r.mark)
 	}
 }
 
