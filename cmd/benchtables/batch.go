@@ -10,7 +10,6 @@ import (
 	"evogame/internal/fitness"
 	"evogame/internal/game"
 	"evogame/internal/rng"
-	"evogame/internal/sset"
 	"evogame/internal/stats"
 	"evogame/internal/strategy"
 )
@@ -166,7 +165,7 @@ func tableBatch(opts options) error {
 }
 
 // measureBatch runs `sweeps` full fitness sweeps (every SSet in the table
-// against all S opponents through sset.Fitness) under the requested kernel
+// against all S opponents through fitness.PlayAll) under the requested kernel
 // mode and reports per-game cost, allocations and SWAR lane occupancy,
 // plus the engine's kernel-mix counters for the aggregate Metrics export.
 func measureBatch(mode string, table []strategy.Strategy, rounds, memSteps, sweeps int, noise float64, workers int, seed uint64) (batchRow, game.KernelStats, error) {
@@ -183,22 +182,15 @@ func measureBatch(mode string, table []strategy.Strategy, rounds, memSteps, swee
 	if err != nil {
 		return batchRow{}, game.KernelStats{}, err
 	}
-	ssets := make([]*sset.SSet, len(table))
-	for i, s := range table {
-		if ssets[i], err = sset.New(i, 1, s); err != nil {
-			return batchRow{}, game.KernelStats{}, err
-		}
-	}
-
 	sweep := func(sweepSrc *rng.Source) (int64, error) {
 		games := int64(0)
 		sink := 0.0
-		for _, s := range ssets {
-			opts := sset.FitnessOptions{Workers: workers}
+		for _, s := range table {
+			var src *rng.Source
 			if sweepSrc != nil {
-				opts.Source = sweepSrc.Split()
+				src = sweepSrc.Split()
 			}
-			f, err := s.Fitness(eng, table, opts)
+			f, err := fitness.PlayAll(eng, s, table, workers, src)
 			if err != nil {
 				return 0, err
 			}

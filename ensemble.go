@@ -19,9 +19,10 @@ import (
 // Worker budget: ensemble-level concurrency and per-run worker fan-out
 // multiply, so by default the two tiers split GOMAXPROCS instead of
 // oversubscribing it — EnsembleWorkers resolves to min(Replicates,
-// GOMAXPROCS), and an unset per-run Workers / WorkersPerRank resolves to
-// GOMAXPROCS divided by the resolved ensemble workers (floor 1).
-// Explicitly set values win on both tiers.
+// GOMAXPROCS), and a distributed replicate's unset WorkersPerRank resolves
+// to GOMAXPROCS divided by the resolved ensemble workers (floor 1).
+// Explicitly set values win on both tiers.  A serial replicate plays on
+// its own goroutine, so it has no per-run tier.
 type EnsembleConfig struct {
 	// Replicates is the number of independent runs (>= 1); replicate k runs
 	// with a seed derived deterministically from the base seed and k.
@@ -100,7 +101,9 @@ type EnsembleResult struct {
 	// Metrics merges every completed replicate's flat metrics (counters
 	// summed; see Metrics.Merge).
 	Metrics Metrics
-	// EnsembleWorkers and RunWorkers record the resolved worker budget.
+	// EnsembleWorkers records the resolved ensemble tier.  RunWorkers is the
+	// resolved WorkersPerRank of a distributed ensemble and 1 for a serial
+	// one, whose replicates each play on one goroutine.
 	EnsembleWorkers int
 	RunWorkers      int
 	// WallClockSeconds is the end-to-end ensemble time.

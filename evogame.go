@@ -649,10 +649,11 @@ func serialResultFromInternal(res population.Result) SimulationResult {
 type ParallelConfig struct {
 	// Ranks is the total number of ranks including the Nature Agent (>= 2).
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines each rank fans its
-	// EvalFull game play out to; the cached modes evaluate on the rank's own
-	// goroutine.  Zero selects GOMAXPROCS; negative values are rejected.
-	// The result is independent of the worker count.
+	// WorkersPerRank bounds the worker goroutines each SSet rank splits an
+	// SSet's EvalFull games across, in contiguous opponent ranges whose
+	// payoffs are summed in opponent order; the cached modes evaluate on
+	// the rank's own goroutine.  Zero selects GOMAXPROCS; negative values
+	// are rejected.  The result is independent of the worker count.
 	WorkersPerRank int
 	// OptimizationLevel selects the Figure 3 optimization level 0..3
 	// (0 = original, 1 = non-blocking comm, 2 = + state lookup,

@@ -81,3 +81,33 @@ func TestWellMixedNoisyBitIdentical(t *testing.T) {
 		t.Errorf("noisy serial events = %d/%d/%d, want 80/45/22", res.PCEvents, res.Adoptions, res.Mutations)
 	}
 }
+
+// goldenNoisyParallel pins the distributed engine's noisy EvalFull path per
+// topology: the per-(generation, SSet) noise streams, their per-opponent
+// splits and the worker fan-out.  The runs were captured before the SSet
+// ranks' thread tier moved into internal/fitness.
+var goldenNoisyParallel = map[string]goldenRun{
+	"wellmixed": {digest: "7a63ce05b9494c5e", pcEvents: 120, adoptions: 51, mutations: 34, games: 66240},
+	"ring:4":    {digest: "67bfbc76a86d7ac7", pcEvents: 120, adoptions: 67, mutations: 25, games: 11520},
+}
+
+// TestNoisyParallelFullGolden replays a noisy memory-one distributed run at
+// one and three workers per rank; the worker count must not move a bit.
+func TestNoisyParallelFullGolden(t *testing.T) {
+	for _, topo := range []string{"wellmixed", "ring:4"} {
+		for _, workers := range []int{1, 3} {
+			res, err := SimulateParallel(ParallelConfig{
+				Ranks: 4, WorkersPerRank: workers, OptimizationLevel: 3, NumSSets: 24, AgentsPerSSet: 2,
+				MemorySteps: 1, Rounds: 40, Noise: 0.05, PCRate: 1, MutationRate: 0.25, Beta: 1,
+				Generations: 120, Seed: 777, EvalMode: EvalFull, Topology: topo,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := goldenRun{strategiesDigest(res.FinalStrategies), res.PCEvents, res.Adoptions, res.Mutations, res.TotalGames, 0, 0}
+			if want := goldenNoisyParallel[topo]; got != want {
+				t.Errorf("noisy distributed %s workers=%d diverged from the recorded trajectory:\ngot  %+v\nwant %+v", topo, workers, got, want)
+			}
+		}
+	}
+}

@@ -18,9 +18,10 @@
 // Worker budget: ensemble-level concurrency and per-run worker fan-out
 // multiply, so by default the two tiers split GOMAXPROCS instead of
 // oversubscribing it — EnsembleWorkers resolves to min(Replicates,
-// GOMAXPROCS) and an unset per-run Workers/WorkersPerRank resolves to
-// GOMAXPROCS divided by the ensemble workers (floor 1).  Explicitly set
-// values win on both tiers.
+// GOMAXPROCS) and a distributed replicate's unset WorkersPerRank resolves
+// to GOMAXPROCS divided by the ensemble workers (floor 1).  Explicitly set
+// values win on both tiers.  A serial replicate plays on its own
+// goroutine, so it has no per-run tier.
 package ensemble
 
 import (
@@ -173,7 +174,9 @@ type SerialResult struct {
 	// Metrics merges every replicate's flat metrics (counters summed,
 	// batch-lane occupancy re-weighted by calls; see fitness.Metrics.Merge).
 	Metrics fitness.Metrics
-	// EnsembleWorkers and RunWorkers record the resolved worker budget.
+	// EnsembleWorkers records the resolved ensemble tier.  RunWorkers is
+	// always 1: a serial replicate plays every game on its own goroutine
+	// (population.Config.Workers bounds nothing).
 	EnsembleWorkers int
 	RunWorkers      int
 	// WallClock is the end-to-end ensemble time.
@@ -203,9 +206,6 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 	if base.SharedCache != nil {
 		return SerialResult{}, fmt.Errorf("ensemble: base.SharedCache must be unset; the ensemble manages the shared store")
 	}
-	if base.Workers == 0 {
-		base.Workers = perRunWorkers(workers)
-	}
 	if !cfg.PrivateCaches && base.EvalMode != fitness.EvalFull && base.Noise == 0 {
 		// Build the shared store from an engine configured exactly as the
 		// runs configure theirs, so the store identity (game ID + memory
@@ -225,7 +225,7 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 		Seeds:           make([]uint64, n),
 		Runs:            make([]population.Result, n),
 		EnsembleWorkers: workers,
-		RunWorkers:      base.Workers,
+		RunWorkers:      1,
 	}
 	for k := 0; k < n; k++ {
 		res.Seeds[k] = ReplicateSeed(base.Seed, k)
@@ -277,7 +277,8 @@ type ParallelResult struct {
 	Errors []error
 	// Metrics merges every completed replicate's flat metrics.
 	Metrics fitness.Metrics
-	// EnsembleWorkers and RunWorkers record the resolved worker budget.
+	// EnsembleWorkers and RunWorkers record the resolved worker budget:
+	// RunWorkers is each replicate's WorkersPerRank.
 	EnsembleWorkers int
 	RunWorkers      int
 	// WallClock is the end-to-end ensemble time.  Because replicates run

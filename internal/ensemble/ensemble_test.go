@@ -256,8 +256,9 @@ func TestSharedCacheHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EnsembleWorkers != 8 {
-		t.Fatalf("resolved %d ensemble workers, want the explicit 8", res.EnsembleWorkers)
+	if res.EnsembleWorkers != 8 || res.RunWorkers != 1 {
+		t.Fatalf("resolved %d ensemble x %d run workers, want the explicit 8 x 1 (a serial replicate plays on one goroutine)",
+			res.EnsembleWorkers, res.RunWorkers)
 	}
 	for k := range res.Runs {
 		solo := base

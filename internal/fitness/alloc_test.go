@@ -112,7 +112,7 @@ func TestPairCacheShardedConcurrentHammer(t *testing.T) {
 		}
 	}
 	// Every distinct unordered pair was played exactly once.
-	if plays, max := cache.Plays(), int64(len(table)*(len(table)+1)/2); plays > max {
+	if plays, max := cache.Misses(), int64(len(table)*(len(table)+1)/2); plays > max {
 		t.Fatalf("cache played %d games for %d distinct unordered pairs", plays, max)
 	}
 	if cache.Hits() == 0 {

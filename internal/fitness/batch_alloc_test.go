@@ -64,3 +64,27 @@ func TestPlayIDBatchMissAllocations(t *testing.T) {
 		t.Fatalf("PlayIDBatch over %d missing pairs: %v allocations per call, want 0", len(bs), allocs)
 	}
 }
+
+// TestPlayAllNoisyAllocations pins the distributed engine's noisy path to
+// one allocation per PlayAll call — the per-game source array — where one
+// heap Source per game used to be split.
+func TestPlayAllNoisyAllocations(t *testing.T) {
+	eng := newKernelEngine(t, 0.05, game.KernelAuto)
+	src := rng.New(3)
+	opponents := make([]strategy.Strategy, 511)
+	for i := range opponents {
+		opponents[i] = strategy.RandomPure(1, src)
+	}
+	focal, caller := strategy.WSLS(1), rng.New(9)
+	if _, err := PlayAll(eng, focal, opponents, 1, caller); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := PlayAll(eng, focal, opponents, 1, caller); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("noisy PlayAll over %d opponents: %v allocations per call, want at most 1", len(opponents), allocs)
+	}
+}

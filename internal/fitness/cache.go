@@ -604,16 +604,12 @@ func (c *PairCache) playIDChunk(a uint32, bs []uint32, out []game.Result) error 
 	return nil
 }
 
-// Plays returns the number of games actually executed by the engine through
-// this cache: one per miss.  This is the quantity the engines report as
-// "games played".
-func (c *PairCache) Plays() int64 { return c.misses.Load() }
-
 // Hits returns the number of lookups served from memory.
 func (c *PairCache) Hits() int64 { return c.hits.Load() }
 
 // Misses returns the number of cacheable lookups that executed the game
-// kernel and stored its result.
+// kernel and stored its result: the games actually played through this
+// cache, which the engines report as "games played".
 func (c *PairCache) Misses() int64 { return c.misses.Load() }
 
 // Evicted returns the number of memoized entries this view dropped by

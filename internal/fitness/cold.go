@@ -34,9 +34,13 @@ const coldChunkLen = 256
 // growing the log never copies the records it holds, and an
 // open-addressing index over their keys, so that a pair is found without
 // a scan.  The index is built by the first find and kept from then on, so
-// a log nothing is ever looked up in (a memory-six run, where no strategy
-// returns) costs neither its memory nor its upkeep.  It is guarded by its
-// shard's mutex.
+// a log nothing is ever looked up in costs neither its memory nor its
+// upkeep.  A single-table memory-six run is such a log: no strategy
+// returns.  Distributed SSet ranks sharing one store are not, at any
+// memory depth: ranks run up to a few generations apart, so a lagging rank
+// can enter a short-lived mutant after the leading ranks have left it and
+// demoted its pairs, and its promotion builds the index.  It is guarded by
+// its shard's mutex.
 type coldLog struct {
 	chunks []*[coldChunkLen]coldPair
 	n      int
@@ -256,7 +260,9 @@ func (l *liveness) demote(a, b uint32) bool {
 // table, so the table's lookups find it there.  That holds also for an
 // ID another table holds already: the table that brought it back may
 // still be promoting its pairs.  The entered IDs' cold references say
-// whether there is anything to promote; at memory six there never is.
+// whether there is anything to promote.  For a single table at memory six
+// there never is; tables that share a store and lag one another promote
+// at any memory depth (see coldLog).
 func (st *pairStore) enter(ids, partners []uint32) {
 	for _, id := range ids {
 		e := st.live.at(id)

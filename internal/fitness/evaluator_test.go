@@ -189,8 +189,8 @@ func TestNewEvaluatorSharedView(t *testing.T) {
 	if a.Cache() == shared || b.Cache() == shared {
 		t.Fatal("evaluators must play through views, not the shared cache itself")
 	}
-	if b.Cache().Plays() != 0 {
-		t.Fatalf("the second view played %d games; the first warmed every pair", b.Cache().Plays())
+	if b.Cache().Misses() != 0 {
+		t.Fatalf("the second view played %d games; the first warmed every pair", b.Cache().Misses())
 	}
 	other, err := game.NewEngine(game.EngineConfig{Rounds: 60, MemorySteps: 1})
 	if err != nil {
@@ -296,9 +296,9 @@ func testAbundancePath(t *testing.T, n, lo, hi, distinct, steps int, evicts bool
 			}
 		}
 		ca, cb := a.Cache(), b.Cache()
-		if ca.Plays() != cb.Plays() || ca.Misses() != cb.Misses() || ca.Evicted() != cb.Evicted() {
-			t.Fatalf("step %d: plays/misses/evicted %d/%d/%d, neighbour-order twin %d/%d/%d", step,
-				ca.Plays(), ca.Misses(), ca.Evicted(), cb.Plays(), cb.Misses(), cb.Evicted())
+		if ca.Misses() != cb.Misses() || ca.Evicted() != cb.Evicted() {
+			t.Fatalf("step %d: misses/evicted %d/%d, neighbour-order twin %d/%d", step,
+				ca.Misses(), ca.Evicted(), cb.Misses(), cb.Evicted())
 		}
 	}
 	check(0)

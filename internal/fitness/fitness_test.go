@@ -64,8 +64,8 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Plays() != 1 || cache.Hits() != 0 {
-		t.Fatalf("after first play: plays=%d hits=%d", cache.Plays(), cache.Hits())
+	if cache.Misses() != 1 || cache.Hits() != 0 {
+		t.Fatalf("after first play: misses=%d hits=%d", cache.Misses(), cache.Hits())
 	}
 	// Same ordered pair: a hit with the identical result.
 	again, err := cache.PlayID(tft, alld)
@@ -84,8 +84,8 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 		rev.CooperationsA != first.CooperationsB || rev.Rounds != first.Rounds {
 		t.Fatalf("mirrored result wrong: %+v vs %+v", rev, first)
 	}
-	if cache.Plays() != 1 || cache.Hits() != 2 {
-		t.Fatalf("after mirror hit: plays=%d hits=%d", cache.Plays(), cache.Hits())
+	if cache.Misses() != 1 || cache.Hits() != 2 {
+		t.Fatalf("after mirror hit: misses=%d hits=%d", cache.Misses(), cache.Hits())
 	}
 	if cache.storedPairs() != 2 {
 		t.Fatalf("cache holds %d ordered pairs, want 2", cache.storedPairs())
@@ -103,7 +103,7 @@ func TestPairCacheMemoizesAndMirrors(t *testing.T) {
 	if _, err := cache.PlayID(tft2, alld); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Plays() != 1 {
+	if cache.Misses() != 1 {
 		t.Fatal("equal move tables should share one cache entry")
 	}
 }
@@ -326,13 +326,13 @@ func TestIncrementalMatrixLazyRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Plays() != 0 {
+	if cache.Misses() != 0 {
 		t.Fatal("matrix construction should not play games")
 	}
 	if _, err := m.Fitness(2); err != nil {
 		t.Fatal(err)
 	}
-	plays := cache.Plays()
+	plays := cache.Misses()
 	if plays == 0 || plays > 3 {
 		t.Fatalf("one row of 3 opponents played %d games", plays)
 	}
@@ -340,8 +340,8 @@ func TestIncrementalMatrixLazyRows(t *testing.T) {
 	if err := m.Update(1, strategy.TFT(1)); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Plays() > plays+1 {
-		t.Fatalf("update of one column played %d extra games", cache.Plays()-plays)
+	if cache.Misses() > plays+1 {
+		t.Fatalf("update of one column played %d extra games", cache.Misses()-plays)
 	}
 }
 

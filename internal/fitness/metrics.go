@@ -12,8 +12,9 @@ type Metrics struct {
 	Generations int
 
 	// PairCache counters (zero when the run had no cache, e.g. EvalFull or a
-	// noisy population).  CachePlays = CacheMisses is the number of games
-	// the engine actually executed through the cache.  CacheHits counts
+	// noisy population).  CacheMisses is the number of games the engine
+	// actually executed through the cache; CachePlays repeats it for the
+	// exported metric schema.  CacheHits counts
 	// lookups served from memory; on the well-mixed abundance path (see
 	// Evaluator) one lookup stands for every SSet holding the opponent's
 	// strategy, so it counts distinct strategies, not neighbours.
@@ -64,7 +65,7 @@ func (m *Metrics) AddCache(c *PairCache) {
 	if c == nil {
 		return
 	}
-	m.CachePlays += c.Plays()
+	m.CachePlays += c.Misses()
 	m.CacheHits += c.Hits()
 	m.CacheMisses += c.Misses()
 	m.CacheEvicted += c.Evicted()

@@ -103,7 +103,7 @@ func TestEvalModesIdenticalAcrossRankCounts(t *testing.T) {
 
 // TestEvalModesMatchSerialEngine pins both engines, in every evaluation
 // mode, to the distributed EvalFull run, which plays every pair through
-// sset.Fitness: the exact all-pairs reference.
+// fitness.PlayAll: the exact all-pairs reference.
 func TestEvalModesMatchSerialEngine(t *testing.T) {
 	mutate := func(c *Config) {
 		c.Generations = 80

@@ -32,7 +32,6 @@ import (
 	"evogame/internal/mpi"
 	"evogame/internal/nature"
 	"evogame/internal/rng"
-	"evogame/internal/sset"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
 	"evogame/internal/trace"
@@ -111,10 +110,12 @@ type Config struct {
 	// Ranks is the total number of ranks including the Nature Agent at rank
 	// 0; it must be at least 2.
 	Ranks int
-	// WorkersPerRank bounds the worker goroutines each SSet rank fans its
-	// EvalFull game play out to; the cached modes evaluate on the rank's
-	// own goroutine.  Zero selects GOMAXPROCS (the default resolves in
-	// sset.FitnessOptions.Workers); negative values are rejected.
+	// WorkersPerRank bounds the worker goroutines each SSet rank splits an
+	// SSet's EvalFull games across (contiguous opponent ranges, summed in
+	// opponent order, so the count never changes a result); the cached
+	// modes evaluate on the rank's own goroutine.  Zero selects GOMAXPROCS
+	// (the default resolves in fitness.PlayAll); negative values are
+	// rejected.
 	WorkersPerRank int
 
 	// NumSSets, AgentsPerSSet, MemorySteps, Rounds and Noise describe the
@@ -636,7 +637,6 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 			adopted, _ := nat.DecideAdoption(decodeFitness(tBuf), decodeFitness(lBuf))
 			nat.RecordPC(adopted)
 			if adopted {
-				table[learner] = table[teacher]
 				update.learning = true
 				update.learner = learner
 				update.teacher = teacher
@@ -645,10 +645,12 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 
 		// Phase 3: mutation.
 		if target, newStrat, ok := nat.MaybeMutation(cfg.NumSSets); ok {
-			table[target] = newStrat
 			update.mutation = true
 			update.target = target
 			update.targetStrategy = newStrat
+		}
+		if err := applyUpdate(update, table, nil); err != nil {
+			return nil, nature.Stats{}, RankReport{}, err
 		}
 
 		// Phase 4: broadcast the strategy-table update.
@@ -787,24 +789,17 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	// rank's pairs out of its probed table once nothing holds them.
 	defer ev.Release()
 
-	// EvalFull keeps the decoded table, the local SSets, and per-local-SSet
-	// opponent buffers allocated once and refilled per generation: the
-	// neighbor lists are static, only the strategies behind them change.
-	var (
-		locals    []*sset.SSet
-		oppStrats [][]strategy.Strategy
-	)
+	// EvalFull keeps the decoded table and one opponents buffer, sized for
+	// the rank's largest degree and refilled from the table for each SSet.
+	var opponents []strategy.Strategy
 	if ev != nil {
 		table = nil
 	} else {
+		deg := 0
 		for id := lo; id < hi; id++ {
-			s, err := sset.New(id, cfg.AgentsPerSSet, table[id])
-			if err != nil {
-				return RankReport{}, err
-			}
-			locals = append(locals, s)
-			oppStrats = append(oppStrats, make([]strategy.Strategy, graph.Degree(id)))
+			deg = max(deg, graph.Degree(id))
 		}
+		opponents = make([]strategy.Strategy, deg)
 	}
 
 	rec.Lap(trace.PhaseCompute)
@@ -834,29 +829,26 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		// maintained row sums); EvalFull replays every game, fanned out over
 		// the rank's workers.
 		if !cfg.SkipFitnessWhenIdle || pcOK {
-			if ev != nil {
-				for li := range fit {
-					if fit[li], err = ev.Fitness(lo + li); err != nil {
+			for li := range fit {
+				id := lo + li
+				if ev != nil {
+					if fit[li], err = ev.Fitness(id); err != nil {
 						return RankReport{}, err
 					}
+					continue
 				}
-			}
-			for li, s := range locals {
-				opponents := oppStrats[li]
-				for k := range opponents {
-					opponents[k] = table[graph.Neighbor(s.ID(), k)]
+				opps := opponents[:graph.Degree(id)]
+				for k := range opps {
+					opps[k] = table[graph.Neighbor(id, k)]
 				}
 				var src *rng.Source
 				if cfg.Noise > 0 {
-					src = rng.New(mixSeed(cfg.Seed, start+gen, s.ID()))
+					src = rng.New(mixSeed(cfg.Seed, start+gen, id))
 				}
-				if fit[li], err = s.Fitness(engine, opponents, sset.FitnessOptions{
-					Workers: cfg.WorkersPerRank,
-					Source:  src,
-				}); err != nil {
+				if fit[li], err = fitness.PlayAll(engine, table[id], opps, cfg.WorkersPerRank, src); err != nil {
 					return RankReport{}, err
 				}
-				games += int64(len(opponents))
+				games += int64(len(opps))
 			}
 		}
 		rec.Lap(trace.PhaseCompute)
@@ -884,14 +876,14 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 		if err != nil {
 			return RankReport{}, err
 		}
-		if err := applyUpdate(update, table, locals, ev, lo); err != nil {
+		if err := applyUpdate(update, table, ev); err != nil {
 			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseCompute)
 	}
 
 	if ev != nil {
-		games = ev.Cache().Plays()
+		games = ev.Cache().Misses()
 	}
 	rep := RankReport{
 		Rank:        c.Rank(),
@@ -906,14 +898,14 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 	return rep, nil
 }
 
-// applyUpdate installs a broadcast strategy-table update on an SSet rank:
-// through the rank's fitness evaluator when it has one, otherwise on the
-// rank's copy of the global table and the local SSet if this rank owns a
-// changed index.  An adoption shares the teacher's strategy value, which
-// is safe because a strategy is never modified after construction, and
-// lets the evaluator copy the teacher's interned ID instead of
+// applyUpdate installs a broadcast strategy-table update: through an SSet
+// rank's fitness evaluator when it has one, otherwise on the plain table
+// (the Nature Agent's, or an EvalFull SSet rank's decoded copy), one write
+// per changed index.  An adoption shares the teacher's strategy value,
+// which is safe because a strategy is never modified after construction,
+// and lets the evaluator copy the teacher's interned ID instead of
 // re-interning.
-func applyUpdate(u updateMessage, table []strategy.Strategy, locals []*sset.SSet, ev *fitness.Evaluator, lo int) error {
+func applyUpdate(u updateMessage, table []strategy.Strategy, ev *fitness.Evaluator) error {
 	if ev != nil {
 		if u.learning {
 			if err := ev.Adopt(u.learner, u.teacher); err != nil {
@@ -926,22 +918,10 @@ func applyUpdate(u updateMessage, table []strategy.Strategy, locals []*sset.SSet
 		return nil
 	}
 	if u.learning {
-		if err := setStrategy(table, locals, lo, u.learner, table[u.teacher]); err != nil {
-			return err
-		}
+		table[u.learner] = table[u.teacher]
 	}
 	if u.mutation {
-		return setStrategy(table, locals, lo, u.target, u.targetStrategy)
-	}
-	return nil
-}
-
-// setStrategy points table entry idx, and the local SSet if this rank owns
-// idx, at s.
-func setStrategy(table []strategy.Strategy, locals []*sset.SSet, lo, idx int, s strategy.Strategy) error {
-	table[idx] = s
-	if li := idx - lo; li >= 0 && li < len(locals) {
-		return locals[li].SetStrategy(s)
+		table[u.target] = u.targetStrategy
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func (sc allPairsScenario) serialRun(t *testing.T, mode fitness.EvalMode) popula
 }
 
 // allPairsRun runs the same scenario on the distributed engine's EvalFull
-// path, which plays every neighbour pair through sset.Fitness: the exact
+// path, which plays every neighbour pair through fitness.PlayAll: the exact
 // all-pairs reference.  Without noise it follows the serial trajectory.
 func (sc allPairsScenario) allPairsRun(t *testing.T) parallel.Result {
 	t.Helper()

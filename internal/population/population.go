@@ -402,10 +402,10 @@ func (m *Model) Release() { m.ev.Release() }
 
 // GamesPlayed returns the number of IPD games executed so far.  In the
 // cached evaluation modes every game runs through the pair cache, so the
-// count is the cache's play counter (misses plus bypassed games).
+// count is the cache's miss counter: each miss plays its game once.
 func (m *Model) GamesPlayed() int64 {
 	if m.ev != nil {
-		return m.ev.Cache().Plays()
+		return m.ev.Cache().Misses()
 	}
 	return m.games
 }
