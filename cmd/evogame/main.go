@@ -9,6 +9,7 @@
 //	evogame -parallel -ranks 9 -ssets 256 -memory 6 -generations 100
 //	evogame -ssets 128 -generations 20000 -ckpt-every 5000 -checkpoint run.ckpt
 //	evogame -resume run.ckpt -generations 20000 -checkpoint run.ckpt
+//	evogame -resume run.ckpt -generations 20000 -max-restarts 3 -fault-spec crash@30000:r0
 //	evogame -game snowdrift -rule moran -ssets 128 -noise 0 -eval incremental
 //	evogame -game generic -payoff 5,1,6,2 -generations 10000
 //	evogame -topology torus:moore -ssets 256 -noise 0 -generations 50000

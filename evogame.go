@@ -554,23 +554,7 @@ func renderStrategies(strats []strategy.Strategy) []string {
 // failures are recovered from checkpoints and the result is bit-identical
 // to a fault-free run, with the recovery effort reported in Metrics.
 func Simulate(ctx context.Context, cfg SimulationConfig) (SimulationResult, error) {
-	internal, err := cfg.toInternal()
-	if err != nil {
-		return SimulationResult{}, err
-	}
-	if cfg.MaxRestarts > 0 {
-		pol := supervise.Policy{MaxRestarts: cfg.MaxRestarts, SegmentEvery: cfg.SegmentEvery}
-		res, _, err := supervise.RunSerial(ctx, internal, cfg.Generations, pol)
-		if err != nil {
-			return SimulationResult{}, err
-		}
-		return serialResultFromInternal(res), nil
-	}
-	model, err := population.New(internal)
-	if err != nil {
-		return SimulationResult{}, err
-	}
-	return runSerial(ctx, model, cfg.Generations)
+	return simulate(ctx, cfg, nil)
 }
 
 // ResumeSimulation continues a serial run from a checkpoint file for
@@ -580,7 +564,8 @@ func Simulate(ctx context.Context, cfg SimulationConfig) (SimulationResult, erro
 // parameters the snapshot does not record, such as noise and rounds, must
 // simply be passed identically), and InitialStrategies must be empty: the
 // strategy table comes from the checkpoint, typed, so mixed-strategy
-// populations survive the round trip.
+// populations survive the round trip.  The resumed run takes Simulate's
+// path, so cfg.MaxRestarts > 0 supervises it exactly as a fresh run.
 //
 // For a resumable checkpoint (format v4, written by the serial engine) the
 // continuation is bit-identical: checkpointing after N generations and
@@ -590,28 +575,31 @@ func Simulate(ctx context.Context, cfg SimulationConfig) (SimulationResult, erro
 // restores as a warm start — the typed strategy table and generation
 // counter carry over, but the random streams restart from cfg.Seed.
 func ResumeSimulation(ctx context.Context, path string, cfg SimulationConfig) (SimulationResult, error) {
-	if len(cfg.InitialStrategies) > 0 {
-		return SimulationResult{}, fmt.Errorf("evogame: ResumeSimulation takes the strategy table from the checkpoint; InitialStrategies must be empty")
-	}
-	internal, err := cfg.toInternal()
-	if err != nil {
-		return SimulationResult{}, err
-	}
 	snap, err := checkpoint.Load(path)
 	if err != nil {
 		return SimulationResult{}, fmt.Errorf("evogame: %w", err)
 	}
-	model, err := population.Restore(internal, snap)
-	if err != nil {
-		return SimulationResult{}, fmt.Errorf("evogame: %w", err)
-	}
-	return runSerial(ctx, model, cfg.Generations)
+	return simulate(ctx, cfg, &snap)
 }
 
-// runSerial drives a built serial model and maps its result onto the
-// facade's types; Simulate and ResumeSimulation share it.
-func runSerial(ctx context.Context, model *population.Model, generations int) (SimulationResult, error) {
-	res, err := model.Run(ctx, generations)
+// simulate runs a serial configuration, fresh or resuming the given
+// snapshot, supervised when cfg.MaxRestarts > 0.
+func simulate(ctx context.Context, cfg SimulationConfig, resume *checkpoint.Snapshot) (SimulationResult, error) {
+	internal, err := cfg.toInternal()
+	if err != nil {
+		return SimulationResult{}, err
+	}
+	internal.Resume = resume
+	var res population.Result
+	if cfg.MaxRestarts > 0 {
+		pol := supervise.Policy{MaxRestarts: cfg.MaxRestarts, SegmentEvery: cfg.SegmentEvery}
+		res, _, err = supervise.RunSerial(ctx, internal, cfg.Generations, pol)
+	} else {
+		var model *population.Model
+		if model, err = population.New(internal); err == nil {
+			res, err = model.Run(ctx, cfg.Generations)
+		}
+	}
 	if err != nil {
 		return SimulationResult{}, err
 	}
@@ -835,50 +823,41 @@ func (c ParallelConfig) toInternal() (parallel.Config, error) {
 // failures are recovered from checkpoints and the result is bit-identical
 // to a fault-free run, with the recovery effort reported in Metrics.
 func SimulateParallel(cfg ParallelConfig) (ParallelResult, error) {
-	internal, err := cfg.toInternal()
-	if err != nil {
-		return ParallelResult{}, err
-	}
-	if cfg.MaxRestarts > 0 {
-		pol := supervise.Policy{MaxRestarts: cfg.MaxRestarts, SegmentEvery: cfg.SegmentEvery}
-		res, _, err := supervise.RunParallel(internal, pol)
-		if err != nil {
-			return ParallelResult{}, err
-		}
-		return parallelResultFromInternal(res), nil
-	}
-	return runParallel(internal)
+	return simulateParallel(cfg, nil)
 }
 
 // ResumeParallelSimulation continues a distributed run from a checkpoint
 // file for cfg.Generations additional generations, with the same contract
 // as ResumeSimulation: the configuration must describe the original run,
-// InitialStrategies must be empty, and a resumable parallel-engine
+// InitialStrategies must be empty, cfg.MaxRestarts > 0 supervises the
+// resumed run as it does a fresh one, and a resumable parallel-engine
 // checkpoint continues bit-identically (the Nature Agent's stream and event
 // counters are restored, and the SSet ranks' per-generation noise streams
 // are re-derived from the recorded generation).  A final-only checkpoint
 // restores as a warm start from its typed strategy table.
 func ResumeParallelSimulation(path string, cfg ParallelConfig) (ParallelResult, error) {
-	if len(cfg.InitialStrategies) > 0 {
-		return ParallelResult{}, fmt.Errorf("evogame: ResumeParallelSimulation takes the strategy table from the checkpoint; InitialStrategies must be empty")
-	}
-	internal, err := cfg.toInternal()
-	if err != nil {
-		return ParallelResult{}, err
-	}
 	snap, err := checkpoint.Load(path)
 	if err != nil {
 		return ParallelResult{}, fmt.Errorf("evogame: %w", err)
 	}
-	internal.Resume = &snap
-	return runParallel(internal)
+	return simulateParallel(cfg, &snap)
 }
 
-// runParallel executes a resolved distributed configuration and maps the
-// result onto the facade's types; SimulateParallel and
-// ResumeParallelSimulation share it.
-func runParallel(internal parallel.Config) (ParallelResult, error) {
-	res, err := parallel.Run(internal)
+// simulateParallel runs a distributed configuration, fresh or resuming
+// the given snapshot, supervised when cfg.MaxRestarts > 0.
+func simulateParallel(cfg ParallelConfig, resume *checkpoint.Snapshot) (ParallelResult, error) {
+	internal, err := cfg.toInternal()
+	if err != nil {
+		return ParallelResult{}, err
+	}
+	internal.Resume = resume
+	var res parallel.Result
+	if cfg.MaxRestarts > 0 {
+		pol := supervise.Policy{MaxRestarts: cfg.MaxRestarts, SegmentEvery: cfg.SegmentEvery}
+		res, _, err = supervise.RunParallel(internal, pol)
+	} else {
+		res, err = parallel.Run(internal)
+	}
 	if err != nil {
 		return ParallelResult{}, err
 	}

@@ -160,29 +160,34 @@ func NewIdentity(numSSets, memorySteps int, seed uint64, spec game.Spec, rule dy
 
 // CheckIdentity verifies field by field that the snapshot was produced by a
 // run with the given identity, so a checkpoint cannot silently resume into
-// a run it does not describe.  Both engines route their resume validation
-// through here; pkg prefixes the error messages ("population", "parallel").
-func (s Snapshot) CheckIdentity(pkg string, id Identity) error {
+// a run it does not describe, and that a resumable snapshot was exported by
+// engine (EngineSerial or EngineParallel): the two engines consume
+// different stream sets.  A final-only snapshot warm starts either engine.
+// Both engines route their resume validation through here.
+func (s Snapshot) CheckIdentity(engine string, id Identity) error {
 	if len(s.Strategies) != id.NumSSets {
-		return fmt.Errorf("%s: checkpoint holds %d strategies, config has %d SSets", pkg, len(s.Strategies), id.NumSSets)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot holds %d strategies, config has %d SSets", engine, len(s.Strategies), id.NumSSets)
 	}
 	if s.MemorySteps != id.MemorySteps {
-		return fmt.Errorf("%s: checkpoint memory depth %d, config has %d", pkg, s.MemorySteps, id.MemorySteps)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot memory depth %d, config has %d", engine, s.MemorySteps, id.MemorySteps)
 	}
 	if s.Seed != id.Seed {
-		return fmt.Errorf("%s: checkpoint seed %d, config has %d", pkg, s.Seed, id.Seed)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot seed %d, config has %d", engine, s.Seed, id.Seed)
 	}
 	if s.Game != id.Game {
-		return fmt.Errorf("%s: checkpoint game %q, config plays %q", pkg, s.Game, id.Game)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot game %q, config plays %q", engine, s.Game, id.Game)
 	}
 	if s.Payoff != id.Payoff {
-		return fmt.Errorf("%s: checkpoint payoff %v, config uses %v", pkg, s.Payoff, id.Payoff)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot payoff %v, config uses %v", engine, s.Payoff, id.Payoff)
 	}
 	if s.UpdateRule != id.UpdateRule {
-		return fmt.Errorf("%s: checkpoint update rule %q, config uses %q", pkg, s.UpdateRule, id.UpdateRule)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot update rule %q, config uses %q", engine, s.UpdateRule, id.UpdateRule)
 	}
 	if s.Topology != id.Topology {
-		return fmt.Errorf("%s: checkpoint topology %q, config uses %q", pkg, s.Topology, id.Topology)
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot topology %q, config uses %q", engine, s.Topology, id.Topology)
+	}
+	if s.Resume && s.Engine != engine {
+		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot carries %q-engine resume state", engine, s.Engine)
 	}
 	return nil
 }

@@ -188,7 +188,8 @@ type SerialResult struct {
 // Seed=ReplicateSeed(base.Seed, k); for noiseless cached configurations all
 // replicates share one PairCache store unless cfg.PrivateCaches is set.
 // Checkpointing must be disabled in base — replicates would race on one
-// file — and base.SharedCache must be unset (the ensemble owns the store).
+// file — and base.SharedCache and base.Resume must be unset (the ensemble
+// owns the store, and a snapshot belongs to one seed).
 //
 // Failure degrades gracefully: a permanently-failed replicate is reported
 // in SerialResult.Errors at its index while the other replicates complete
@@ -205,6 +206,9 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 	}
 	if base.SharedCache != nil {
 		return SerialResult{}, fmt.Errorf("ensemble: base.SharedCache must be unset; the ensemble manages the shared store")
+	}
+	if base.Resume != nil {
+		return SerialResult{}, fmt.Errorf("ensemble: Resume is per-run; resume the single run it belongs to")
 	}
 	if !cfg.PrivateCaches && base.EvalMode != fitness.EvalFull && base.Noise == 0 {
 		// Build the shared store from an engine configured exactly as the

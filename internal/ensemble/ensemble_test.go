@@ -297,6 +297,20 @@ func TestEnsembleRejectsInvalidConfigs(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("checkpoint rejection %q does not name the problem", err)
 	}
+	// A snapshot of replicate 0's own run: it would resume replicate 0 and
+	// fail every other replicate's seed check, so it is refused up front.
+	m, err := population.New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	resumed := base
+	resumed.Resume = &snap
+	if _, err := RunSerial(context.Background(), resumed, 5, Config{Replicates: 2}); err == nil {
+		t.Fatal("Resume inside an ensemble accepted")
+	} else if !strings.Contains(err.Error(), "Resume is per-run") {
+		t.Fatalf("Resume rejection %q does not name the problem", err)
+	}
 	pcfg := parallel.Config{
 		Ranks: 3, NumSSets: 8, AgentsPerSSet: 2, MemorySteps: 1, Rounds: 10,
 		PCRate: 1, Beta: 1, Generations: 5, Seed: 1, OptLevel: parallel.OptFusedFitness,
@@ -308,6 +322,11 @@ func TestEnsembleRejectsInvalidConfigs(t *testing.T) {
 	bad.CheckpointPath = t.TempDir() + "/c.ckpt"
 	if _, err := RunParallel(bad, Config{Replicates: 2}); err == nil {
 		t.Fatal("checkpointing inside a parallel ensemble accepted")
+	}
+	bad = pcfg
+	bad.Resume = &snap
+	if _, err := RunParallel(bad, Config{Replicates: 2}); err == nil || !strings.Contains(err.Error(), "Resume is per-run") {
+		t.Fatalf("Resume inside a parallel ensemble: err = %v, want the per-run rejection", err)
 	}
 }
 

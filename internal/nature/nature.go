@@ -15,6 +15,7 @@ package nature
 import (
 	"fmt"
 
+	"evogame/internal/checkpoint"
 	"evogame/internal/dynamics"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
@@ -188,44 +189,54 @@ func (a *Agent) MaybeMutation(numSSets int) (target int, strat strategy.Strategy
 // EndGeneration marks the end of one generation; used only for statistics.
 func (a *Agent) EndGeneration() { a.generations++ }
 
-// State is the serializable mid-run state of a Nature Agent: the RNG stream
-// that drives every evolutionary event plus the cumulative event counters.
-// Exporting it at generation G and restoring it into a freshly constructed
-// Agent with the same Config replays exactly the events an uninterrupted
-// agent would have produced from generation G onward — the property the
-// checkpoint/resume subsystem is built on.
-type State struct {
-	// RNG is the xoshiro256** state of the agent's random source.
-	RNG [4]uint64
-	// Generations, PCEvents, Adoptions and Mutations mirror Stats.
-	Generations int
-	PCEvents    int
-	Adoptions   int
-	Mutations   int
-}
-
-// ExportState captures the agent's mid-run state for a checkpoint.
-func (a *Agent) ExportState() State {
-	return State{
-		RNG:         a.src.State(),
-		Generations: a.generations,
+// Snapshot exports the agent's part of a resumable (format v4) checkpoint
+// at generation gen: the run identity, the strategy table, the agent's
+// random stream as checkpoint.StreamNature and its cumulative event
+// counters, stamped with the exporting engine and label.  An engine with
+// streams of its own appends them.  Resume installs the state into a fresh
+// agent of the same Config, which then replays exactly the events an
+// uninterrupted agent would have produced from gen onward — the property
+// the checkpoint/resume subsystem is built on.
+func (a *Agent) Snapshot(id checkpoint.Identity, gen int, table []strategy.Strategy, engine, label string) checkpoint.Snapshot {
+	return checkpoint.Snapshot{
+		Generation:  gen,
+		Seed:        id.Seed,
+		MemorySteps: id.MemorySteps,
+		Game:        id.Game,
+		Payoff:      id.Payoff,
+		UpdateRule:  id.UpdateRule,
+		Topology:    id.Topology,
+		Strategies:  table,
+		Label:       label,
+		Resume:      true,
+		Engine:      engine,
+		Streams:     []checkpoint.Stream{{Name: checkpoint.StreamNature, State: a.src.State()}},
 		PCEvents:    a.pcEvents,
 		Adoptions:   a.adoptions,
 		Mutations:   a.mutations,
 	}
 }
 
-// RestoreState installs a state previously captured with ExportState,
-// overwriting the agent's RNG stream and event counters.  It returns an
-// error if the RNG state is invalid.
-func (a *Agent) RestoreState(st State) error {
-	if err := a.src.SetState(st.RNG); err != nil {
+// Resume installs the Nature Agent's state from a resume snapshot: its
+// random stream and event counters, with the generation counter at the
+// snapshot's.  A nil or final-only snapshot (Resume false) leaves the
+// fresh agent as it is, so the run warm starts from the snapshot's table.
+// It returns an error if the stream is missing or invalid.
+func (a *Agent) Resume(snap *checkpoint.Snapshot) error {
+	if snap == nil || !snap.Resume {
+		return nil
+	}
+	st, ok := snap.Stream(checkpoint.StreamNature)
+	if !ok {
+		return fmt.Errorf("nature: resume checkpoint is missing the %q stream", checkpoint.StreamNature)
+	}
+	if err := a.src.SetState(st); err != nil {
 		return fmt.Errorf("nature: restoring RNG state: %w", err)
 	}
-	a.generations = st.Generations
-	a.pcEvents = st.PCEvents
-	a.adoptions = st.Adoptions
-	a.mutations = st.Mutations
+	a.generations = snap.Generation
+	a.pcEvents = snap.PCEvents
+	a.adoptions = snap.Adoptions
+	a.mutations = snap.Mutations
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"evogame/internal/checkpoint"
 	"evogame/internal/dynamics"
 	"evogame/internal/rng"
 )
@@ -323,9 +324,9 @@ func BenchmarkMaybeMutationMemorySix(b *testing.B) {
 }
 
 // TestExportRestoreStateReplays is the Nature-Agent half of the resume
-// guarantee: an agent restored from ExportState into a fresh instance with
-// the same configuration must replay exactly the event sequence the
-// original produces from that point on, counters included.
+// guarantee: a fresh agent with the same configuration, resumed from the
+// original's Snapshot, must replay exactly the event sequence the original
+// produces from that point on, counters included.
 func TestExportRestoreStateReplays(t *testing.T) {
 	cfg := Config{PCRate: 0.8, MutationRate: 0.3, Beta: 1, MemorySteps: 1}
 	original, err := New(cfg, rng.New(7))
@@ -350,12 +351,12 @@ func TestExportRestoreStateReplays(t *testing.T) {
 	}
 	drive(original, 50)
 
-	st := original.ExportState()
+	snap := original.Snapshot(checkpoint.Identity{}, 50, nil, checkpoint.EngineSerial, "")
 	restored, err := New(cfg, rng.New(12345)) // different seed: must be overwritten
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(st); err != nil {
+	if err := restored.Resume(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Stats() != original.Stats() {
@@ -377,14 +378,22 @@ func TestExportRestoreStateReplays(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsZeroRNG ensures a corrupt (all-zero) stream state
-// cannot be installed.
+// TestRestoreStateRejectsZeroRNG ensures a corrupt (all-zero) or missing
+// nature stream cannot be installed, while a final-only snapshot leaves
+// the fresh agent untouched.
 func TestRestoreStateRejectsZeroRNG(t *testing.T) {
 	a, err := New(Config{MemorySteps: 1}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RestoreState(State{}); err == nil {
+	zero := checkpoint.Snapshot{Resume: true, Streams: []checkpoint.Stream{{Name: checkpoint.StreamNature}}}
+	if err := a.Resume(&zero); err == nil {
 		t.Fatal("accepted an all-zero RNG state")
+	}
+	if err := a.Resume(&checkpoint.Snapshot{Resume: true}); err == nil {
+		t.Fatal("accepted a resume snapshot without the nature stream")
+	}
+	if err := a.Resume(&checkpoint.Snapshot{Generation: 9, PCEvents: 3}); err != nil || a.Stats() != (Stats{}) {
+		t.Fatalf("final-only snapshot: err=%v stats=%+v, want a fresh agent", err, a.Stats())
 	}
 }

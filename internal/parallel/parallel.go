@@ -292,25 +292,10 @@ func (c Config) validate() error {
 		if c.InitialStrategies != nil {
 			return fmt.Errorf("parallel: Resume takes the strategy table from the checkpoint; InitialStrategies must be nil")
 		}
-		if err := c.checkResumeIdentity(); err != nil {
+		id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
+		if err := c.Resume.CheckIdentity(checkpoint.EngineParallel, id); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkResumeIdentity verifies that the Resume snapshot was produced by a
-// run with the same identity as the Config, via the shared
-// checkpoint.Identity comparison, plus the engine match for resumable
-// snapshots.
-func (c Config) checkResumeIdentity() error {
-	snap := c.Resume
-	id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
-	if err := snap.CheckIdentity("parallel", id); err != nil {
-		return err
-	}
-	if snap.Resume && snap.Engine != checkpoint.EngineParallel {
-		return fmt.Errorf("parallel: checkpoint carries %q-engine resume state; the parallel engine cannot restore it", snap.Engine)
 	}
 	return nil
 }
@@ -554,33 +539,22 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 	if err != nil {
 		return nil, nature.Stats{}, RankReport{}, err
 	}
+	// The table continues from the checkpoint.  For a resumable
+	// parallel-engine snapshot the Nature Agent's stream and counters are
+	// restored too, making the continuation bit-identical; a final-only
+	// snapshot warm starts with the fresh streams built above.
+	if err := nat.Resume(cfg.Resume); err != nil {
+		return nil, nature.Stats{}, RankReport{}, fmt.Errorf("parallel: %w", err)
+	}
 
 	start := cfg.startGeneration()
+	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
 	var ckptErr error
 	lastSaved := -1
 	initial := cfg.InitialStrategies
 	switch {
 	case cfg.Resume != nil:
-		// The table continues from the checkpoint.  For a resumable
-		// parallel-engine snapshot the Nature Agent's stream and counters are
-		// restored too, making the continuation bit-identical; a final-only
-		// snapshot warm starts with the fresh streams built above.
 		initial = cfg.Resume.Strategies
-		if cfg.Resume.Resume {
-			natState, ok := cfg.Resume.Stream(checkpoint.StreamNature)
-			if !ok {
-				return nil, nature.Stats{}, RankReport{}, fmt.Errorf("parallel: resume checkpoint is missing the %q stream", checkpoint.StreamNature)
-			}
-			if err := nat.RestoreState(nature.State{
-				RNG:         natState,
-				Generations: cfg.Resume.Generation,
-				PCEvents:    cfg.Resume.PCEvents,
-				Adoptions:   cfg.Resume.Adoptions,
-				Mutations:   cfg.Resume.Mutations,
-			}); err != nil {
-				return nil, nature.Stats{}, RankReport{}, fmt.Errorf("parallel: %w", err)
-			}
-		}
 	case initial == nil:
 		initial = make([]strategy.Strategy, cfg.NumSSets)
 		for i := range initial {
@@ -671,7 +645,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		// checkpointing, keep driving the protocol, and surface the error
 		// after the choreography completes.
 		if absGen := start + gen + 1; ckptErr == nil && cfg.CheckpointEvery > 0 && absGen%cfg.CheckpointEvery == 0 {
-			if err := checkpoint.Save(cfg.CheckpointPath, natureSnapshot(cfg, nat, table, absGen)); err != nil {
+			if err := checkpoint.Save(cfg.CheckpointPath, nat.Snapshot(id, absGen, table, checkpoint.EngineParallel, cfg.CheckpointLabel)); err != nil {
 				ckptErr = fmt.Errorf("parallel: generation %d: %w", absGen, err)
 			} else {
 				lastSaved = absGen
@@ -685,7 +659,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 	// Skip the final save when the last periodic write already captured the
 	// final generation — the snapshot would be byte-identical.
 	if final := start + cfg.Generations; cfg.CheckpointPath != "" && lastSaved != final {
-		if err := checkpoint.Save(cfg.CheckpointPath, natureSnapshot(cfg, nat, table, final)); err != nil {
+		if err := checkpoint.Save(cfg.CheckpointPath, nat.Snapshot(id, final, table, checkpoint.EngineParallel, cfg.CheckpointLabel)); err != nil {
 			return nil, nature.Stats{}, RankReport{}, err
 		}
 	}
@@ -698,36 +672,6 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		CommStats: c.Stats(),
 	}
 	return table, nat.Stats(), rep, nil
-}
-
-// natureSnapshot exports the Nature Agent's mid-run state at the given
-// absolute generation as a resumable (format v4) checkpoint.  The table and
-// the agent's stream are the complete resume state of a distributed run:
-// the SSet ranks hold no persistent RNG streams — their noise sources are
-// derived per (Seed, generation, SSet id) — so the recorded generation
-// re-derives them exactly on resume.
-func natureSnapshot(cfg Config, nat *nature.Agent, table []strategy.Strategy, absGen int) checkpoint.Snapshot {
-	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
-	st := nat.ExportState()
-	return checkpoint.Snapshot{
-		Generation:  absGen,
-		Seed:        id.Seed,
-		MemorySteps: id.MemorySteps,
-		Game:        id.Game,
-		Payoff:      id.Payoff,
-		UpdateRule:  id.UpdateRule,
-		Topology:    id.Topology,
-		Strategies:  table,
-		Label:       cfg.CheckpointLabel,
-		Resume:      true,
-		Engine:      checkpoint.EngineParallel,
-		Streams: []checkpoint.Stream{
-			{Name: checkpoint.StreamNature, State: st.RNG},
-		},
-		PCEvents:  st.PCEvents,
-		Adoptions: st.Adoptions,
-		Mutations: st.Mutations,
-	}
 }
 
 // ssetRank runs one Strategy-Set-owning rank: it plays the local games each

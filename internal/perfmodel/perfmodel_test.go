@@ -29,10 +29,23 @@ func TestDefaultCalibrationCoversAllDepths(t *testing.T) {
 	}
 }
 
+// TestCalibrateMeasuresPositiveCosts checks each depth's cheapest of
+// several calibrations: memory-one is timed first in every pass, so a
+// single pass charges it start-up costs (cold caches, a descheduled
+// thread) that the minimum over passes filters out.
 func TestCalibrateMeasuresPositiveCosts(t *testing.T) {
-	cal, err := Calibrate(3)
-	if err != nil {
-		t.Fatal(err)
+	const passes = 5
+	cal := Calibration{SecondsPerRound: map[int]float64{}}
+	for i := 0; i < passes; i++ {
+		pass, err := Calibrate(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mem, v := range pass.SecondsPerRound {
+			if best, ok := cal.SecondsPerRound[mem]; !ok || v < best {
+				cal.SecondsPerRound[mem] = v
+			}
+		}
 	}
 	for mem := 1; mem <= 6; mem++ {
 		v := cal.SecondsPerRound[mem]

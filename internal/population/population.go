@@ -95,7 +95,7 @@ type Config struct {
 	SampleEvery int
 	// CheckpointPath, when non-empty, makes Run write a resumable (format
 	// v4) checkpoint of the final state; combined with CheckpointEvery it
-	// also receives the periodic mid-run checkpoints.  Restore resumes a
+	// also receives the periodic mid-run checkpoints.  Resume continues a
 	// run from such a file bit-identically.
 	CheckpointPath string
 	// CheckpointEvery writes a mid-run checkpoint to CheckpointPath every
@@ -104,6 +104,17 @@ type Config struct {
 	CheckpointEvery int
 	// CheckpointLabel is recorded as the checkpoint's free-form Label.
 	CheckpointLabel string
+	// Resume, when non-nil, continues the run captured by the snapshot
+	// instead of starting fresh: the strategy table and the generation
+	// counter come from the checkpoint, and — for a resumable serial-engine
+	// snapshot — the Nature Agent's stream and event counters, the game
+	// stream and the game counter are restored, so running N more
+	// generations produces exactly what an uninterrupted run would have.  A
+	// final-only snapshot (pre-v4, or written without resume state) warm
+	// starts from its table with the streams fresh from Seed.  The
+	// snapshot's identity (shape, seed, game, rule, topology) must match
+	// the Config, and InitialStrategies must be nil.
+	Resume *checkpoint.Snapshot
 	// SharedCache, when non-nil, makes the run evaluate fitness through a
 	// view over the given cache's store instead of a private PairCache, so
 	// independent runs of the same configuration (ensemble replicates) share
@@ -155,6 +166,15 @@ func (c Config) validate() error {
 	}
 	if !c.EvalMode.Valid() {
 		return fmt.Errorf("population: invalid eval mode %v", c.EvalMode)
+	}
+	if c.Resume != nil {
+		if c.InitialStrategies != nil {
+			return fmt.Errorf("population: Resume takes the strategy table from the checkpoint; InitialStrategies must be nil")
+		}
+		id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
+		if err := c.Resume.CheckIdentity(checkpoint.EngineSerial, id); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -276,8 +296,14 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := nat.Resume(cfg.Resume); err != nil {
+		return nil, fmt.Errorf("population: %w", err)
+	}
 
 	initial := cfg.InitialStrategies
+	if cfg.Resume != nil {
+		initial = cfg.Resume.Strategies
+	}
 	if initial == nil {
 		initial = make([]strategy.Strategy, cfg.NumSSets)
 		for i := range initial {
@@ -291,101 +317,42 @@ func New(cfg Config) (*Model, error) {
 	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, src: gameSrc, ev: ev}
 	if ev != nil {
 		m.table = ev.Table()
-		return m, nil
+	} else {
+		// The EvalFull path identifies the event's distinct pairs by
+		// interned ID, so its per-event cache is dense rows indexed by ID.
+		m.pairs.reg = intern.NewRegistry()
+		if m.table, err = intern.NewTable(m.pairs.reg, initial); err != nil {
+			return nil, fmt.Errorf("population: %w", err)
+		}
 	}
-	// The EvalFull path identifies the event's distinct pairs by interned
-	// ID, so its per-event cache is dense rows indexed by ID.
-	m.pairs.reg = intern.NewRegistry()
-	if m.table, err = intern.NewTable(m.pairs.reg, initial); err != nil {
-		return nil, fmt.Errorf("population: %w", err)
+	if snap := cfg.Resume; snap != nil {
+		m.gen = snap.Generation
+		if snap.Resume {
+			st, ok := snap.Stream(checkpoint.StreamGame)
+			if !ok {
+				return nil, fmt.Errorf("population: resume checkpoint is missing the %q stream", checkpoint.StreamGame)
+			}
+			if err := m.src.SetState(st); err != nil {
+				return nil, fmt.Errorf("population: restoring game stream: %w", err)
+			}
+			m.games = snap.GamesPlayed
+		}
 	}
 	return m, nil
 }
 
 // Snapshot exports the model's mid-run state as a resumable (format v4)
-// checkpoint: the typed strategy table, the Nature Agent's RNG stream and
-// event counters, and the game-play stream.  Restore rebuilds a Model from
-// it that continues the run bit-identically.
+// checkpoint: the Nature Agent's part (typed strategy table, stream and
+// event counters) plus the game-play stream and game counter.  A Model
+// built with the snapshot as Config.Resume continues the run
+// bit-identically.
 func (m *Model) Snapshot() checkpoint.Snapshot {
 	c := m.cfg
 	id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
-	st := m.nat.ExportState()
-	return checkpoint.Snapshot{
-		Generation:  m.gen,
-		Seed:        id.Seed,
-		MemorySteps: id.MemorySteps,
-		Game:        id.Game,
-		Payoff:      id.Payoff,
-		UpdateRule:  id.UpdateRule,
-		Topology:    id.Topology,
-		Strategies:  m.Strategies(),
-		Label:       m.cfg.CheckpointLabel,
-		Resume:      true,
-		Engine:      checkpoint.EngineSerial,
-		Streams: []checkpoint.Stream{
-			{Name: checkpoint.StreamNature, State: st.RNG},
-			{Name: checkpoint.StreamGame, State: m.src.State()},
-		},
-		PCEvents:    st.PCEvents,
-		Adoptions:   st.Adoptions,
-		Mutations:   st.Mutations,
-		GamesPlayed: m.games,
-	}
-}
-
-// Restore rebuilds a Model from a checkpoint so the run continues where the
-// snapshot was taken.  For a resumable (format v4, serial-engine) snapshot
-// the continuation is bit-identical: the strategy table, generation
-// counter, event counters and both RNG streams are restored, so running N
-// more generations produces exactly what an uninterrupted run would have.
-// For a final-only snapshot (pre-v4, or written without resume state) the
-// restore is a warm start: the typed strategy table and generation counter
-// carry over but the RNG streams restart from cfg.Seed, so the continuation
-// is a valid run from that population, not a replay.  The config must
-// describe the original run (same shape, seed and scenario identity);
-// Config.InitialStrategies must be nil — the table comes from the snapshot.
-func Restore(cfg Config, snap checkpoint.Snapshot) (*Model, error) {
-	if cfg.InitialStrategies != nil {
-		return nil, fmt.Errorf("population: Restore takes the strategy table from the checkpoint; InitialStrategies must be nil")
-	}
-	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
-	if err := snap.CheckIdentity("population", id); err != nil {
-		return nil, err
-	}
-	cfg.InitialStrategies = snap.Strategies
-	m, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.gen = snap.Generation
-	if !snap.Resume {
-		return m, nil
-	}
-	if snap.Engine != checkpoint.EngineSerial {
-		return nil, fmt.Errorf("population: checkpoint carries %q-engine resume state; the serial engine cannot restore it", snap.Engine)
-	}
-	natState, ok := snap.Stream(checkpoint.StreamNature)
-	if !ok {
-		return nil, fmt.Errorf("population: resume checkpoint is missing the %q stream", checkpoint.StreamNature)
-	}
-	gameState, ok := snap.Stream(checkpoint.StreamGame)
-	if !ok {
-		return nil, fmt.Errorf("population: resume checkpoint is missing the %q stream", checkpoint.StreamGame)
-	}
-	if err := m.nat.RestoreState(nature.State{
-		RNG:         natState,
-		Generations: snap.Generation,
-		PCEvents:    snap.PCEvents,
-		Adoptions:   snap.Adoptions,
-		Mutations:   snap.Mutations,
-	}); err != nil {
-		return nil, fmt.Errorf("population: %w", err)
-	}
-	if err := m.src.SetState(gameState); err != nil {
-		return nil, fmt.Errorf("population: restoring game stream: %w", err)
-	}
-	m.games = snap.GamesPlayed
-	return m, nil
+	snap := m.nat.Snapshot(id, m.gen, m.Strategies(), checkpoint.EngineSerial, c.CheckpointLabel)
+	snap.Streams = append(snap.Streams, checkpoint.Stream{Name: checkpoint.StreamGame, State: m.src.State()})
+	snap.GamesPlayed = m.games
+	return snap
 }
 
 // Generation returns the number of generations simulated so far.

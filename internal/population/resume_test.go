@@ -1,7 +1,7 @@
 package population
 
-// Engine-level tests of the checkpoint/resume state: Snapshot/Restore must
-// round-trip a mid-run model bit-identically — including populations with
+// Engine-level tests of the checkpoint/resume state: Snapshot and
+// Config.Resume must round-trip a mid-run model bit-identically — including populations with
 // mixed (probabilistic) strategies, which the old CLI snapshot path lost by
 // re-parsing rendered move-table strings — and Run's periodic cadence must
 // leave a resumable file behind.
@@ -82,7 +82,8 @@ func TestSnapshotRestoreMidRunMixed(t *testing.T) {
 
 	restoreCfg := mixedResumeConfig(t)
 	restoreCfg.InitialStrategies = nil
-	restored, err := Restore(restoreCfg, snap)
+	restoreCfg.Resume = &snap
+	restored, err := New(restoreCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,9 @@ func TestInterruptedRunResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, err := Restore(refCfg, snap)
+	resumeCfg := refCfg
+	resumeCfg.Resume = &snap
+	restored, err := New(resumeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

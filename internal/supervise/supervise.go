@@ -47,8 +47,8 @@ type Policy struct {
 	// SegmentEvery is the checkpoint cadence in generations: the run is
 	// segmented by a periodic save every SegmentEvery generations, and
 	// recovery resumes from the newest complete segment.  Zero keeps the
-	// config's own CheckpointEvery (recovery then restarts from scratch if
-	// the run never checkpoints).
+	// config's own CheckpointEvery (recovery then relaunches the config as
+	// given if the run never checkpoints).
 	SegmentEvery int
 	// BackoffBase is the delay before the first relaunch, doubling per
 	// restart; zero selects DefaultBackoffBase.
@@ -121,68 +121,49 @@ func Transient(err error) bool {
 		errors.Is(err, faults.ErrInjected)
 }
 
-// scratchCheckpoint creates an empty scratch path for a supervised run
-// that did not configure its own checkpoint file, returning the path and
-// a cleanup function.
-func scratchCheckpoint() (string, func(), error) {
-	f, err := os.CreateTemp("", "evogame-supervised-*.ckpt")
-	if err != nil {
-		return "", nil, fmt.Errorf("supervise: creating scratch checkpoint: %w", err)
+// segment points a supervised run's checkpoint fields at the file its
+// segments go to: the run's own CheckpointPath, or else a scratch file
+// (labelled "supervised") that the returned cleanup removes; a positive
+// SegmentEvery replaces the run's cadence.
+func (p Policy) segment(path, label *string, every *int) (func(), error) {
+	cleanup := func() {}
+	if *path == "" {
+		f, err := os.CreateTemp("", "evogame-supervised-*.ckpt")
+		if err != nil {
+			return nil, fmt.Errorf("supervise: creating scratch checkpoint: %w", err)
+		}
+		scratch := f.Name()
+		f.Close()
+		// Remove the empty placeholder so a pre-first-segment failure sees
+		// "no checkpoint yet" instead of a truncated envelope.
+		os.Remove(scratch)
+		cleanup = func() {
+			os.Remove(scratch)
+			checkpoint.RemoveStaleTemps(scratch)
+		}
+		*path = scratch
+		if *label == "" {
+			*label = "supervised"
+		}
 	}
-	path := f.Name()
-	f.Close()
-	// Remove the empty placeholder so a pre-first-segment failure sees "no
-	// checkpoint yet" instead of a truncated envelope.
-	os.Remove(path)
-	cleanup := func() {
-		os.Remove(path)
-		checkpoint.RemoveStaleTemps(path)
+	if p.SegmentEvery > 0 {
+		*every = p.SegmentEvery
 	}
-	return path, cleanup, nil
+	return cleanup, nil
 }
 
-// RunParallel executes parallel.Run under supervision: the run is
-// checkpointed every Policy.SegmentEvery generations, and when it fails
-// transiently (see Transient) it is relaunched from the newest complete
-// envelope — resumed bit-identically — up to Policy.MaxRestarts times
-// with capped exponential backoff.  If the config names no
-// CheckpointPath, a scratch file is used and removed afterwards.  The
-// returned Result carries the supervisor's recovery counters in its
-// Metrics (Restarts, RecoveryNanos).
-func RunParallel(cfg parallel.Config, pol Policy) (parallel.Result, Report, error) {
-	var rep Report
-	if err := pol.validate(); err != nil {
-		return parallel.Result{}, rep, err
-	}
-	run := cfg
-	if run.CheckpointPath == "" {
-		path, cleanup, err := scratchCheckpoint()
-		if err != nil {
-			return parallel.Result{}, rep, err
-		}
-		defer cleanup()
-		run.CheckpointPath = path
-		if run.CheckpointLabel == "" {
-			run.CheckpointLabel = "supervised"
-		}
-	}
-	if pol.SegmentEvery > 0 {
-		run.CheckpointEvery = pol.SegmentEvery
-	}
-	// The absolute generation horizon: recovery always resumes toward it.
-	total := cfg.Generations
-	if cfg.Resume != nil {
-		total += cfg.Resume.Generation
-	}
+// retry is the recovery loop both engines share.  It runs attempt until
+// it succeeds, fails fatally (see Transient) or has been relaunched
+// MaxRestarts times, backing off between launches.  The first attempt gets
+// nil; each relaunch gets the newest complete segment at path, or nil
+// when none has been written yet — either way the attempt continues the
+// run from there.
+func retry[R any](pol Policy, path string, rep *Report, attempt func(seg *checkpoint.Snapshot) (R, error)) (R, error) {
+	var seg *checkpoint.Snapshot
 	for {
-		res, err := parallel.Run(run)
-		if err == nil {
-			res.Metrics.Restarts += rep.Restarts
-			res.Metrics.RecoveryNanos += int64(rep.Recovery)
-			return res, rep, nil
-		}
-		if !Transient(err) || rep.Restarts >= pol.MaxRestarts {
-			return parallel.Result{}, rep, err
+		res, err := attempt(seg)
+		if err == nil || !Transient(err) || rep.Restarts >= pol.MaxRestarts {
+			return res, err
 		}
 		rep.Restarts++
 		rep.Recovered = append(rep.Recovered, err)
@@ -190,30 +171,72 @@ func RunParallel(cfg parallel.Config, pol Policy) (parallel.Result, Report, erro
 		began := time.Now()
 		// An injected crash can strike between checkpoint.Save's temporary
 		// write and its rename; drop any stranded partials before resuming.
-		if _, rmErr := checkpoint.RemoveStaleTemps(run.CheckpointPath); rmErr != nil {
-			return parallel.Result{}, rep, rmErr
+		if _, rmErr := checkpoint.RemoveStaleTemps(path); rmErr != nil {
+			var zero R
+			return zero, rmErr
 		}
-		if snap, loadErr := checkpoint.Load(run.CheckpointPath); loadErr == nil {
-			run.Resume = &snap
-			run.InitialStrategies = nil
-			run.Generations = total - snap.Generation
-		} else {
-			// No complete segment yet: relaunch from the original config.
-			run.Resume = cfg.Resume
-			run.InitialStrategies = cfg.InitialStrategies
-			run.Generations = cfg.Generations
+		seg = nil
+		if snap, loadErr := checkpoint.Load(path); loadErr == nil {
+			seg = &snap
 		}
 		time.Sleep(pol.backoff(rep.Restarts))
 		rep.Recovery += time.Since(began)
 	}
 }
 
+// resumeGeneration is the generation a run resuming from snap starts at.
+func resumeGeneration(snap *checkpoint.Snapshot) int {
+	if snap == nil {
+		return 0
+	}
+	return snap.Generation
+}
+
+// RunParallel executes parallel.Run under supervision: the run is
+// checkpointed every Policy.SegmentEvery generations, and when it fails
+// transiently (see Transient) it is relaunched from the newest complete
+// segment through Config.Resume — resumed bit-identically — up to
+// Policy.MaxRestarts times with capped exponential backoff.  The config
+// may itself resume a checkpoint.  If it names no CheckpointPath, a
+// scratch file is used and removed afterwards.  The returned Result
+// carries the supervisor's recovery counters in its Metrics (Restarts,
+// RecoveryNanos).
+func RunParallel(cfg parallel.Config, pol Policy) (parallel.Result, Report, error) {
+	var rep Report
+	if err := pol.validate(); err != nil {
+		return parallel.Result{}, rep, err
+	}
+	run := cfg
+	cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
+	if err != nil {
+		return parallel.Result{}, rep, err
+	}
+	defer cleanup()
+	// The absolute generation horizon: recovery always resumes toward it.
+	total := resumeGeneration(cfg.Resume) + cfg.Generations
+	res, err := retry(pol, run.CheckpointPath, &rep, func(seg *checkpoint.Snapshot) (parallel.Result, error) {
+		attempt := run
+		if seg != nil {
+			attempt.Resume, attempt.InitialStrategies, attempt.Generations = seg, nil, total-seg.Generation
+		}
+		return parallel.Run(attempt)
+	})
+	if err != nil {
+		return parallel.Result{}, rep, err
+	}
+	res.Metrics.Restarts += rep.Restarts
+	res.Metrics.RecoveryNanos += int64(rep.Recovery)
+	return res, rep, nil
+}
+
 // RunSerial executes the serial engine under supervision, mirroring
-// RunParallel for population.Model runs: segments are checkpointed every
-// Policy.SegmentEvery generations, transient failures (injected crashes)
-// are recovered by restoring the newest envelope, and the trajectory
-// samples of all attempts are stitched into the exact sample sequence an
-// uninterrupted run records.
+// RunParallel for population.Model runs of generations generations
+// (counted from cfg.Resume's generation when the config resumes a
+// checkpoint): segments are checkpointed every Policy.SegmentEvery
+// generations, transient failures (injected crashes) are recovered by
+// relaunching from the newest segment through Config.Resume, and the
+// trajectory samples of all attempts are stitched into the exact sample
+// sequence an uninterrupted run records.
 func RunSerial(ctx context.Context, cfg population.Config, generations int, pol Policy) (population.Result, Report, error) {
 	var rep Report
 	if err := pol.validate(); err != nil {
@@ -223,74 +246,40 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 		return population.Result{}, rep, fmt.Errorf("supervise: negative generation count %d", generations)
 	}
 	run := cfg
-	if run.CheckpointPath == "" {
-		path, cleanup, err := scratchCheckpoint()
-		if err != nil {
-			return population.Result{}, rep, err
-		}
-		defer cleanup()
-		run.CheckpointPath = path
-		if run.CheckpointLabel == "" {
-			run.CheckpointLabel = "supervised"
-		}
-	}
-	if pol.SegmentEvery > 0 {
-		run.CheckpointEvery = pol.SegmentEvery
-	}
-	model, err := population.New(run)
+	cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
 	if err != nil {
 		return population.Result{}, rep, err
 	}
-	// Each model, abandoned or finished, releases its hold on a pair store
-	// shared with other runs.
-	defer func() { model.Release() }()
-	// kept accumulates trajectory samples from failed attempts up to the
-	// newest checkpoint; the portion past it is replayed after resume.
-	var kept []population.AbundanceSample
-	remaining := generations
-	for {
-		res, err := model.Run(ctx, remaining)
-		if err == nil {
-			res.Samples = append(kept, res.Samples...)
-			res.Metrics.Restarts += rep.Restarts
-			res.Metrics.RecoveryNanos += int64(rep.Recovery)
-			return res, rep, nil
+	defer cleanup()
+	total := resumeGeneration(cfg.Resume) + generations
+	// samples accumulates the trajectory across attempts; each attempt
+	// first drops what lies past its resume point, which it replays.
+	var samples []population.AbundanceSample
+	res, err := retry(pol, run.CheckpointPath, &rep, func(seg *checkpoint.Snapshot) (population.Result, error) {
+		attempt := run
+		if seg != nil {
+			attempt.Resume, attempt.InitialStrategies = seg, nil
 		}
-		if !Transient(err) || rep.Restarts >= pol.MaxRestarts {
-			return population.Result{}, rep, err
+		model, err := population.New(attempt)
+		if err != nil {
+			return population.Result{}, err
 		}
-		rep.Restarts++
-		rep.Recovered = append(rep.Recovered, err)
-		//lint:allow randsource wall-clock recovery-time accounting for Report.Recovery; never feeds simulation state
-		began := time.Now()
-		if _, rmErr := checkpoint.RemoveStaleTemps(run.CheckpointPath); rmErr != nil {
-			return population.Result{}, rep, rmErr
+		// Each model, abandoned or finished, releases its hold on a pair
+		// store shared with other runs.
+		defer model.Release()
+		kept := 0
+		for kept < len(samples) && samples[kept].Generation <= model.Generation() {
+			kept++
 		}
-		if snap, loadErr := checkpoint.Load(run.CheckpointPath); loadErr == nil {
-			restored, restErr := population.Restore(run, snap)
-			if restErr != nil {
-				return population.Result{}, rep, restErr
-			}
-			for _, s := range res.Samples {
-				if s.Generation <= snap.Generation {
-					kept = append(kept, s)
-				}
-			}
-			model.Release()
-			model = restored
-			remaining = generations - snap.Generation
-		} else {
-			// No complete segment yet: restart from scratch.
-			fresh, newErr := population.New(run)
-			if newErr != nil {
-				return population.Result{}, rep, newErr
-			}
-			kept = nil
-			model.Release()
-			model = fresh
-			remaining = generations
-		}
-		time.Sleep(pol.backoff(rep.Restarts))
-		rep.Recovery += time.Since(began)
+		res, err := model.Run(ctx, total-model.Generation())
+		samples = append(samples[:kept], res.Samples...)
+		res.Samples = samples
+		return res, err
+	})
+	if err != nil {
+		return population.Result{}, rep, err
 	}
+	res.Metrics.Restarts += rep.Restarts
+	res.Metrics.RecoveryNanos += int64(rep.Recovery)
+	return res, rep, nil
 }

@@ -259,6 +259,45 @@ func TestSerialCrashBeforeFirstCheckpointRestartsFresh(t *testing.T) {
 	compareSerial(t, golden, res)
 }
 
+// TestSerialResumedRunRecoversBitIdentical pins RunSerial on a config that
+// already resumes a checkpoint: the generation horizon counts from the
+// resume point, a crash after it recovers from the supervisor's own
+// segment, and the stitched samples, table and counters equal the
+// uninterrupted resumed run's.
+func TestSerialResumedRunRecoversBitIdentical(t *testing.T) {
+	const gens = 30
+	first, err := population.New(serialCfg(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Run(context.Background(), gens); err != nil {
+		t.Fatal(err)
+	}
+	snap := first.Snapshot()
+	resumed := serialCfg(0.05)
+	resumed.Resume = &snap
+	ref, err := population.New(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := ref.Run(context.Background(), gens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Segments land at 35 and 42; the crash at 47 resumes from 42 and
+	// replays the samples at 45 and beyond.
+	cfg := resumed
+	cfg.Faults = faults.NewPlan(faults.Event{Kind: faults.Crash, Gen: 47, Rank: 0})
+	res, rep, err := RunSerial(context.Background(), cfg, gens, Policy{MaxRestarts: 2, SegmentEvery: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Restarts != 1 {
+		t.Fatalf("Restarts = %d, want 1", rep.Restarts)
+	}
+	compareSerial(t, golden, res)
+}
+
 // TestSupervisorGivesUpAfterMaxRestarts pins the bounded-retry contract: a
 // permanent fault exhausts MaxRestarts and surfaces the transient error.
 func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {

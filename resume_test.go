@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"evogame/internal/checkpoint"
@@ -257,8 +258,85 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	if _, err := ResumeSimulation(context.Background(), ckpt, withTable); err == nil {
 		t.Error("resume accepted caller-supplied InitialStrategies")
 	}
-	// A serial resume snapshot must not restore into the parallel engine.
-	if _, err := ResumeParallelSimulation(ckpt, parallelResumeConfig(10, 0, "ring:4", EvalFull, "")); err == nil {
-		t.Error("parallel engine accepted a serial-engine resume snapshot")
+}
+
+// TestResumeRejectsOtherEnginesSnapshot pins the engine match: the two
+// engines record different stream sets, so each refuses the other's
+// resume snapshot with an error naming both engines.
+func TestResumeRejectsOtherEnginesSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	serialCkpt, parallelCkpt := filepath.Join(dir, "serial.ckpt"), filepath.Join(dir, "parallel.ckpt")
+	if _, err := Simulate(context.Background(), serialResumeConfig(20, 0, "ring:4", EvalFull, serialCkpt)); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := SimulateParallel(parallelResumeConfig(20, 0, "ring:4", EvalFull, parallelCkpt)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ResumeParallelSimulation(serialCkpt, parallelResumeConfig(10, 0, "ring:4", EvalFull, ""))
+	if err == nil || !strings.Contains(err.Error(), "parallel engine") || !strings.Contains(err.Error(), `"serial"`) {
+		t.Errorf("parallel resume of a serial snapshot: err = %v, want a rejection naming both engines", err)
+	}
+	_, err = ResumeSimulation(context.Background(), parallelCkpt, serialResumeConfig(10, 0, "ring:4", EvalFull, ""))
+	if err == nil || !strings.Contains(err.Error(), "serial engine") || !strings.Contains(err.Error(), `"parallel"`) {
+		t.Errorf("serial resume of a parallel snapshot: err = %v, want a rejection naming both engines", err)
+	}
+}
+
+// TestResumeFaultPlanSupervised pins that a resumed run takes the same
+// supervised path as a fresh one: resuming a 50-generation checkpoint under
+// a crash at generation 60 with MaxRestarts 3 recovers from the
+// supervisor's segments and ends on the fault-free resume's final table,
+// event counts and (serial) samples.
+func TestResumeFaultPlanSupervised(t *testing.T) {
+	const n = 50
+	t.Run("serial", func(t *testing.T) {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		first := serialResumeConfig(n, 0.05, "wellmixed", EvalFull, ckpt)
+		first.SampleEvery = 10
+		if _, err := Simulate(context.Background(), first); err != nil {
+			t.Fatal(err)
+		}
+		cfg := serialResumeConfig(n, 0.05, "wellmixed", EvalFull, "")
+		cfg.SampleEvery = 10
+		golden, err := ResumeSimulation(context.Background(), ckpt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FaultPlan, cfg.MaxRestarts, cfg.SegmentEvery = "crash@60:r0", 3, 5
+		res, err := ResumeSimulation(context.Background(), ckpt, cfg)
+		if err != nil {
+			t.Fatalf("supervised resume did not recover: %v", err)
+		}
+		if res.Metrics.Restarts < 1 || res.Generations != 2*n {
+			t.Fatalf("Metrics.Restarts = %d, Generations = %d; want >= 1 and %d", res.Metrics.Restarts, res.Generations, 2*n)
+		}
+		compareRuns(t, golden.FinalStrategies, res.FinalStrategies,
+			[3]int{golden.PCEvents, golden.Adoptions, golden.Mutations},
+			[3]int{res.PCEvents, res.Adoptions, res.Mutations})
+		if fmt.Sprint(golden.Samples) != fmt.Sprint(res.Samples) {
+			t.Fatalf("samples diverged after recovery:\n%v\nvs\n%v", res.Samples, golden.Samples)
+		}
+	})
+	t.Run("parallel", func(t *testing.T) {
+		ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+		if _, err := SimulateParallel(parallelResumeConfig(n, 0.05, "wellmixed", EvalFull, ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		cfg := parallelResumeConfig(n, 0.05, "wellmixed", EvalFull, "")
+		golden, err := ResumeParallelSimulation(ckpt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.FaultPlan, cfg.MaxRestarts, cfg.SegmentEvery = "crash@60:r1", 3, 5
+		res, err := ResumeParallelSimulation(ckpt, cfg)
+		if err != nil {
+			t.Fatalf("supervised resume did not recover: %v", err)
+		}
+		if res.Metrics.Restarts < 1 || res.Generations != 2*n {
+			t.Fatalf("Metrics.Restarts = %d, Generations = %d; want >= 1 and %d", res.Metrics.Restarts, res.Generations, 2*n)
+		}
+		compareRuns(t, golden.FinalStrategies, res.FinalStrategies,
+			[3]int{golden.PCEvents, golden.Adoptions, golden.Mutations},
+			[3]int{res.PCEvents, res.Adoptions, res.Mutations})
+	})
 }
