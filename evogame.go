@@ -410,54 +410,12 @@ func (m *Metrics) Merge(o Metrics) {
 	*m = metricsFromInternal(a)
 }
 
-// toInternal maps the facade metrics back onto the internal flat struct.
-func (m Metrics) toInternal() fitness.Metrics {
-	return fitness.Metrics{
-		Generations:   m.Generations,
-		CachePlays:    m.CachePlays,
-		CacheHits:     m.CacheHits,
-		CacheMisses:   m.CacheMisses,
-		CacheBypassed: m.CacheBypassed,
-		CacheEvicted:  m.CacheEvicted,
-		ScalarGames:   m.ScalarGames,
-		CycleGames:    m.CycleGames,
-		BatchGames:    m.BatchGames,
-		BatchCalls:    m.BatchCalls,
-		PCEvents:      m.PCEvents,
-		Adoptions:     m.Adoptions,
-		Mutations:     m.Mutations,
+// toInternal and metricsFromInternal convert between the facade metrics
+// and the internal flat struct: the two declare the same fields in the
+// same order, which the conversions make the compiler check.
+func (m Metrics) toInternal() fitness.Metrics { return fitness.Metrics(m) }
 
-		Restarts:        m.Restarts,
-		RetriedSends:    m.RetriedSends,
-		DroppedMessages: m.DroppedMessages,
-		DelayedMessages: m.DelayedMessages,
-		RecoveryNanos:   m.RecoveryNanos,
-	}
-}
-
-func metricsFromInternal(m fitness.Metrics) Metrics {
-	return Metrics{
-		Generations:   m.Generations,
-		CachePlays:    m.CachePlays,
-		CacheHits:     m.CacheHits,
-		CacheMisses:   m.CacheMisses,
-		CacheBypassed: m.CacheBypassed,
-		CacheEvicted:  m.CacheEvicted,
-		ScalarGames:   m.ScalarGames,
-		CycleGames:    m.CycleGames,
-		BatchGames:    m.BatchGames,
-		BatchCalls:    m.BatchCalls,
-		PCEvents:      m.PCEvents,
-		Adoptions:     m.Adoptions,
-		Mutations:     m.Mutations,
-
-		Restarts:        m.Restarts,
-		RetriedSends:    m.RetriedSends,
-		DroppedMessages: m.DroppedMessages,
-		DelayedMessages: m.DelayedMessages,
-		RecoveryNanos:   m.RecoveryNanos,
-	}
-}
+func metricsFromInternal(m fitness.Metrics) Metrics { return Metrics(m) }
 
 // WSLSFraction returns the final fraction of SSets holding the canonical
 // Win-Stay Lose-Shift strategy.

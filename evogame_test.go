@@ -83,6 +83,36 @@ func TestNoiseOutsideUnitIntervalRejected(t *testing.T) {
 	}
 }
 
+// TestNaNRatesRejected: both engines refuse a NaN PCRate, MutationRate or
+// Beta — NaN fails every range check, and used to run silently with no
+// learning, no mutation or no adoption — with an error naming the field.
+func TestNaNRatesRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		field         string
+		pc, mut, beta float64
+	}{
+		{"PCRate", nan, 0, 0},
+		{"MutationRate", 0, nan, 0},
+		{"Beta", 0, 0, nan},
+	} {
+		_, err := Simulate(context.Background(), SimulationConfig{
+			NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2,
+			PCRate: tc.pc, MutationRate: tc.mut, Beta: tc.beta,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("Simulate with NaN %s: err = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+		_, err = SimulateParallel(ParallelConfig{
+			Ranks: 2, NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2,
+			PCRate: tc.pc, MutationRate: tc.mut, Beta: tc.beta,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("SimulateParallel with NaN %s: err = %v, want an error naming %s", tc.field, err, tc.field)
+		}
+	}
+}
+
 func TestSimulateInitialStrategiesAndWSLSFraction(t *testing.T) {
 	wsls, err := NamedStrategy("wsls", 1)
 	if err != nil {

@@ -8,7 +8,7 @@
 package baseline
 
 import (
-	"fmt"
+	"evogame/internal/checkpoint"
 
 	"evogame/internal/game"
 	"evogame/internal/nature"
@@ -46,11 +46,15 @@ type Model struct {
 //
 //lint:allow deadapi BenchmarkAblationSSetVsBaseline (bench_test.go) builds the traditional baseline to time against
 func New(cfg Config) (*Model, error) {
-	if cfg.NumAgents < 2 {
-		return nil, fmt.Errorf("baseline: need at least 2 agents, got %d", cfg.NumAgents)
-	}
-	if cfg.InitialStrategies != nil && len(cfg.InitialStrategies) != cfg.NumAgents {
-		return nil, fmt.Errorf("baseline: %d initial strategies for %d agents", len(cfg.InitialStrategies), cfg.NumAgents)
+	// Each agent is a Strategy Set of one; a baseline run neither
+	// checkpoints nor resumes.
+	run, err := nature.Start(nature.Run{
+		Name: "baseline", NumSSets: cfg.NumAgents, AgentsPerSSet: 1, MemorySteps: cfg.MemorySteps, Rounds: cfg.Rounds,
+		Seed: cfg.Seed, InitialStrategies: cfg.InitialStrategies,
+		Nature: nature.Config{PCRate: cfg.PCRate, MutationRate: cfg.MutationRate, Beta: cfg.Beta},
+	})
+	if err != nil {
+		return nil, err
 	}
 	engine, err := game.NewEngine(game.EngineConfig{
 		Rounds:      cfg.Rounds,
@@ -64,29 +68,8 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	root := rng.New(cfg.Seed)
-	natSrc := root.Split()
-	initSrc := root.Split()
-	gameSrc := root.Split()
-	nat, err := nature.New(nature.Config{
-		PCRate:       cfg.PCRate,
-		MutationRate: cfg.MutationRate,
-		Beta:         cfg.Beta,
-		MemorySteps:  cfg.MemorySteps,
-	}, natSrc)
-	if err != nil {
-		return nil, err
-	}
-	agents := cfg.InitialStrategies
-	if agents == nil {
-		agents = make([]strategy.Strategy, cfg.NumAgents)
-		for i := range agents {
-			agents[i] = strategy.RandomPure(cfg.MemorySteps, initSrc)
-		}
-	} else {
-		agents = append([]strategy.Strategy(nil), agents...)
-	}
-	return &Model{cfg: cfg, engine: engine, nat: nat, agents: agents, src: gameSrc}, nil
+	src, _ := run.Stream(checkpoint.StreamGame) // fails only when resuming
+	return &Model{cfg: cfg, engine: engine, nat: run.Agent, agents: run.Table, src: src}, nil
 }
 
 // fitness plays agent i serially against every other agent, exactly as the

@@ -137,8 +137,9 @@ type Identity struct {
 
 // NewIdentity resolves the identity of a run from its configuration,
 // mapping the zero-value Game to the paper's IPD and the nil rule to
-// "fermi" exactly as the engines resolve them.  Both engines build the
-// identity they check resumes against and stamp into snapshots here.
+// "fermi" exactly as the engines resolve them.  nature.Start builds each
+// run's identity here once; resumes are checked against it and snapshots
+// stamped with it.
 func NewIdentity(numSSets, memorySteps int, seed uint64, spec game.Spec, rule dynamics.Rule, topo topology.Spec) Identity {
 	if spec.Name == "" {
 		spec = game.IPD()
@@ -163,7 +164,7 @@ func NewIdentity(numSSets, memorySteps int, seed uint64, spec game.Spec, rule dy
 // a run it does not describe, and that a resumable snapshot was exported by
 // engine (EngineSerial or EngineParallel): the two engines consume
 // different stream sets.  A final-only snapshot warm starts either engine.
-// Both engines route their resume validation through here.
+// Every engine's resume is validated here, by nature.Start.
 func (s Snapshot) CheckIdentity(engine string, id Identity) error {
 	if len(s.Strategies) != id.NumSSets {
 		return fmt.Errorf("checkpoint: resuming the %s engine: snapshot holds %d strategies, config has %d SSets", engine, len(s.Strategies), id.NumSSets)

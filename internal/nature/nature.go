@@ -6,17 +6,25 @@
 // Fermi function by default; see internal/dynamics for the rule registry),
 // and a mutation event, in which a randomly selected Strategy Set is
 // assigned a freshly generated random strategy.  The Nature Agent also
-// keeps the event counters, which the paper's rank 0 writes to disk.  The
-// strategy table itself is the engine's: an intern.Table in the serial
-// engine and on the cached SSet ranks, a plain slice on rank 0 and the
-// EvalFull SSet ranks.
+// keeps the event counters, which the paper's rank 0 writes to disk.
+//
+// The agent also owns every engine's run lifecycle (Start): the validation
+// of the fields the engines share, the layout of the seed's random
+// streams, the initial strategy table, the run identity a checkpoint
+// records and the checkpoint cadence.  The strategy table itself is the
+// engine's: an intern.Table in the serial engine and on the cached SSet
+// ranks, a plain slice on rank 0 and the EvalFull SSet ranks.
 package nature
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"evogame/internal/checkpoint"
 	"evogame/internal/dynamics"
+	"evogame/internal/fitness"
+	"evogame/internal/game"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
 	"evogame/internal/topology"
@@ -65,6 +73,16 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
+	// NaN fails every comparison below, so it would run as a silent zero
+	// rate (or, for Beta, as a rule that never adopts).
+	switch {
+	case math.IsNaN(c.PCRate):
+		return c, fmt.Errorf("nature: PCRate must be a number, got NaN")
+	case math.IsNaN(c.MutationRate):
+		return c, fmt.Errorf("nature: MutationRate must be a number, got NaN")
+	case math.IsNaN(c.Beta):
+		return c, fmt.Errorf("nature: Beta must be a number, got NaN")
+	}
 	if c.PCRate == 0 {
 		c.PCRate = DefaultPCRate
 	}
@@ -109,6 +127,155 @@ type Agent struct {
 	pcEvents    int
 	adoptions   int
 	mutations   int
+
+	// run, its identity, the generation last saved and the first failed
+	// save are the run's checkpoint state, set by Start.
+	run       Run
+	id        checkpoint.Identity
+	lastSaved int
+	saveErr   error
+}
+
+// Run describes one engine run as the Nature Agent owns its lifecycle:
+// the paper's rank 0 sets up the population, drives every event and
+// writes the records to disk (Section IV-E).  Each engine maps its
+// configuration onto a Run and gets the rest from Start.
+type Run struct {
+	// Name is the engine's package name, which prefixes every error;
+	// Engine is the checkpoint.Engine* name its snapshots record.
+	Name, Engine string
+	// The remaining fields mean what they do in the engines' configs.
+	NumSSets, AgentsPerSSet, MemorySteps, Rounds int
+	Seed                                         uint64
+	Game                                         game.Spec
+	Topology                                     topology.Spec
+	EvalMode                                     fitness.EvalMode
+	Kernel                                       game.KernelMode
+	InitialStrategies                            []strategy.Strategy
+	Resume                                       *checkpoint.Snapshot
+	CheckpointPath, CheckpointLabel              string
+	CheckpointEvery                              int
+	// Nature configures the agent; Start sets its MemorySteps and Topology.
+	Nature Config
+}
+
+func (r Run) validate() error {
+	if r.NumSSets < 2 {
+		return fmt.Errorf("%s: need at least 2 SSets, got %d", r.Name, r.NumSSets)
+	}
+	if r.AgentsPerSSet < 1 {
+		return fmt.Errorf("%s: agents per SSet must be positive, got %d", r.Name, r.AgentsPerSSet)
+	}
+	if r.MemorySteps < 1 || r.MemorySteps > game.MaxMemorySteps {
+		return fmt.Errorf("%s: memory steps %d out of range [1,%d]", r.Name, r.MemorySteps, game.MaxMemorySteps)
+	}
+	if r.Rounds <= 0 {
+		return fmt.Errorf("%s: rounds must be positive, got %d", r.Name, r.Rounds)
+	}
+	if r.InitialStrategies != nil && len(r.InitialStrategies) != r.NumSSets {
+		return fmt.Errorf("%s: %d initial strategies for %d SSets", r.Name, len(r.InitialStrategies), r.NumSSets)
+	}
+	if !r.EvalMode.Valid() {
+		return fmt.Errorf("%s: invalid eval mode %v", r.Name, r.EvalMode)
+	}
+	if !r.Kernel.Valid() {
+		return fmt.Errorf("%s: invalid kernel mode %v", r.Name, r.Kernel)
+	}
+	if r.CheckpointEvery < 0 {
+		return fmt.Errorf("%s: CheckpointEvery must be non-negative, got %d", r.Name, r.CheckpointEvery)
+	}
+	if r.CheckpointEvery > 0 && r.CheckpointPath == "" {
+		return fmt.Errorf("%s: CheckpointEvery requires CheckpointPath", r.Name)
+	}
+	if r.Resume != nil && r.InitialStrategies != nil {
+		return fmt.Errorf("%s: Resume takes the strategy table from the checkpoint; InitialStrategies must be nil", r.Name)
+	}
+	return nil
+}
+
+// Setup is a started run, as Start hands it to the engine.
+type Setup struct {
+	Agent *Agent
+	// Graph is the interaction graph, built from the seed directly (not
+	// from a stream), so the topology layer moves no pre-topology stream.
+	Graph topology.Graph
+	// Table is the initial strategy table, the engine's own copy: the
+	// resume snapshot's, else InitialStrategies, else a uniformly random
+	// pure strategy per SSet drawn from the init stream.
+	Table []strategy.Strategy
+	// Generation is the absolute generation the run starts at: the resume
+	// snapshot's, else 0.
+	Generation int
+
+	root   *rng.Source
+	resume *checkpoint.Snapshot
+}
+
+// Start validates the run and sets it up.  rng.New(Seed) is split into the
+// agent's stream, then the init stream; the engine splits its own streams
+// after that (see Setup.Stream).  A resume snapshot's identity is checked
+// against the run's, and a resumable one continues the agent's stream and
+// counters; a final-only one warm starts from its table with the streams
+// fresh from Seed.
+func Start(r Run) (Setup, error) {
+	if err := r.validate(); err != nil {
+		return Setup{}, err
+	}
+	id := checkpoint.NewIdentity(r.NumSSets, r.MemorySteps, r.Seed, r.Game, r.Nature.Rule, r.Topology)
+	s := Setup{Table: r.InitialStrategies, resume: r.Resume, root: rng.New(r.Seed)}
+	if snap := r.Resume; snap != nil {
+		if err := snap.CheckIdentity(r.Engine, id); err != nil {
+			return Setup{}, err
+		}
+		s.Table, s.Generation = snap.Strategies, snap.Generation
+	}
+	var err error
+	if s.Graph, err = r.Topology.Build(r.NumSSets, r.Seed); err != nil {
+		return Setup{}, err
+	}
+	cfg := r.Nature
+	cfg.MemorySteps, cfg.Topology = r.MemorySteps, s.Graph
+	if s.Agent, err = New(cfg, s.root.Split()); err != nil {
+		return Setup{}, err
+	}
+	r.InitialStrategies, r.Resume = nil, nil
+	s.Agent.run, s.Agent.id, s.Agent.lastSaved = r, id, -1
+	if err := s.Agent.Resume(s.resume); err != nil {
+		return Setup{}, fmt.Errorf("%s: %w", r.Name, err)
+	}
+	initSrc := s.root.Split()
+	if s.Table == nil {
+		s.Table = make([]strategy.Strategy, r.NumSSets)
+		for i := range s.Table {
+			s.Table[i] = strategy.RandomPure(r.MemorySteps, initSrc)
+		}
+	} else {
+		s.Table = slices.Clone(s.Table)
+	}
+	return s, nil
+}
+
+// Stream splits the engine's next stream from the seed's and, when the run
+// resumes a resumable snapshot, continues it from the snapshot's stream
+// called name.
+func (s Setup) Stream(name string) (*rng.Source, error) {
+	src := s.root.Split()
+	if s.resume == nil || !s.resume.Resume {
+		return src, nil
+	}
+	return src, restore(s.resume, name, src)
+}
+
+// restore sets src to the state of snap's stream called name.
+func restore(snap *checkpoint.Snapshot, name string, src *rng.Source) error {
+	st, ok := snap.Stream(name)
+	if !ok {
+		return fmt.Errorf("nature: resume checkpoint is missing the %q stream", name)
+	}
+	if err := src.SetState(st); err != nil {
+		return fmt.Errorf("nature: restoring the %q stream: %w", name, err)
+	}
+	return nil
 }
 
 // New validates the configuration and returns a Nature Agent using the
@@ -192,12 +359,13 @@ func (a *Agent) EndGeneration() { a.generations++ }
 // Snapshot exports the agent's part of a resumable (format v4) checkpoint
 // at generation gen: the run identity, the strategy table, the agent's
 // random stream as checkpoint.StreamNature and its cumulative event
-// counters, stamped with the exporting engine and label.  An engine with
+// counters, stamped with the run's engine and label.  An engine with
 // streams of its own appends them.  Resume installs the state into a fresh
 // agent of the same Config, which then replays exactly the events an
 // uninterrupted agent would have produced from gen onward — the property
 // the checkpoint/resume subsystem is built on.
-func (a *Agent) Snapshot(id checkpoint.Identity, gen int, table []strategy.Strategy, engine, label string) checkpoint.Snapshot {
+func (a *Agent) Snapshot(gen int, table []strategy.Strategy) checkpoint.Snapshot {
+	id, r := a.id, &a.run
 	return checkpoint.Snapshot{
 		Generation:  gen,
 		Seed:        id.Seed,
@@ -207,9 +375,9 @@ func (a *Agent) Snapshot(id checkpoint.Identity, gen int, table []strategy.Strat
 		UpdateRule:  id.UpdateRule,
 		Topology:    id.Topology,
 		Strategies:  table,
-		Label:       label,
+		Label:       r.CheckpointLabel,
 		Resume:      true,
-		Engine:      engine,
+		Engine:      r.Engine,
 		Streams:     []checkpoint.Stream{{Name: checkpoint.StreamNature, State: a.src.State()}},
 		PCEvents:    a.pcEvents,
 		Adoptions:   a.adoptions,
@@ -226,17 +394,41 @@ func (a *Agent) Resume(snap *checkpoint.Snapshot) error {
 	if snap == nil || !snap.Resume {
 		return nil
 	}
-	st, ok := snap.Stream(checkpoint.StreamNature)
-	if !ok {
-		return fmt.Errorf("nature: resume checkpoint is missing the %q stream", checkpoint.StreamNature)
-	}
-	if err := a.src.SetState(st); err != nil {
-		return fmt.Errorf("nature: restoring RNG state: %w", err)
+	if err := restore(snap, checkpoint.StreamNature, a.src); err != nil {
+		return err
 	}
 	a.generations = snap.Generation
 	a.pcEvents = snap.PCEvents
 	a.adoptions = snap.Adoptions
 	a.mutations = snap.Mutations
+	return nil
+}
+
+// Checkpoint writes snap(gen) to the run's CheckpointPath when the cadence
+// calls for a save at absolute generation gen: periodically at every
+// multiple of CheckpointEvery, and at the end of a run (final), unless
+// the last periodic save already captured gen — that snapshot would be
+// byte-identical.  snap is only called to save.  The first failed save is
+// kept: no later checkpoint is written and every later call returns the
+// failure, so an engine whose ranks must finish the generation's
+// choreography can go on and report it at the final call.
+func (a *Agent) Checkpoint(gen int, final bool, snap func(gen int) checkpoint.Snapshot) error {
+	r := &a.run
+	if a.saveErr != nil || r.CheckpointPath == "" {
+		return a.saveErr
+	}
+	due := r.CheckpointEvery > 0 && gen%r.CheckpointEvery == 0
+	if final {
+		due = a.lastSaved != gen
+	}
+	if !due {
+		return nil
+	}
+	if err := checkpoint.Save(r.CheckpointPath, snap(gen)); err != nil {
+		a.saveErr = fmt.Errorf("%s: generation %d: %w", r.Name, gen, err)
+		return a.saveErr
+	}
+	a.lastSaved = gen
 	return nil
 }
 

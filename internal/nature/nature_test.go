@@ -3,6 +3,9 @@ package nature
 import (
 	"fmt"
 	"math"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -351,7 +354,7 @@ func TestExportRestoreStateReplays(t *testing.T) {
 	}
 	drive(original, 50)
 
-	snap := original.Snapshot(checkpoint.Identity{}, 50, nil, checkpoint.EngineSerial, "")
+	snap := original.Snapshot(50, nil)
 	restored, err := New(cfg, rng.New(12345)) // different seed: must be overwritten
 	if err != nil {
 		t.Fatal(err)
@@ -395,5 +398,58 @@ func TestRestoreStateRejectsZeroRNG(t *testing.T) {
 	}
 	if err := a.Resume(&checkpoint.Snapshot{Generation: 9, PCEvents: 3}); err != nil || a.Stats() != (Stats{}) {
 		t.Fatalf("final-only snapshot: err=%v stats=%+v, want a fresh agent", err, a.Stats())
+	}
+}
+
+// TestCheckpointCadence pins the one save rule every engine follows: a
+// periodic save at each multiple of CheckpointEvery, a final save unless
+// the last periodic save captured that generation, and after a failed save
+// no further write, with every later call returning the failure.
+func TestCheckpointCadence(t *testing.T) {
+	start := func(path string) (*Agent, func(int) checkpoint.Snapshot, *[]int) {
+		run, err := Start(Run{
+			Name: "engine", Engine: checkpoint.EngineSerial, NumSSets: 4, AgentsPerSSet: 1,
+			MemorySteps: 1, Rounds: 1, Seed: 1, CheckpointPath: path, CheckpointEvery: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved []int
+		return run.Agent, func(gen int) checkpoint.Snapshot {
+			saved = append(saved, gen)
+			return run.Agent.Snapshot(gen, run.Table)
+		}, &saved
+	}
+
+	a, snap, saved := start(filepath.Join(t.TempDir(), "run.ckpt"))
+	for gen := 1; gen <= 12; gen++ {
+		if err := a.Checkpoint(gen, false, snap); err != nil {
+			t.Fatal(err)
+		}
+		if gen == 10 {
+			if err := a.Checkpoint(gen, true, snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := a.Checkpoint(12, true, snap); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{5, 10, 12}; !reflect.DeepEqual(*saved, want) {
+		t.Fatalf("saved at %v, want %v (final at 10 skipped, final at 12 written)", *saved, want)
+	}
+
+	a, snap, saved = start(filepath.Join(t.TempDir(), "missing", "run.ckpt"))
+	first := a.Checkpoint(5, false, snap)
+	if first == nil || !strings.Contains(first.Error(), "engine: generation 5") {
+		t.Fatalf("failed save: err = %v, want one naming the engine and generation 5", first)
+	}
+	for _, final := range []bool{false, true} {
+		if err := a.Checkpoint(10, final, snap); err != first {
+			t.Fatalf("after a failed save (final=%v): err = %v, want the first failure %v", final, err, first)
+		}
+	}
+	if len(*saved) != 1 {
+		t.Fatalf("snapshots built after a failed save: %v", *saved)
 	}
 }

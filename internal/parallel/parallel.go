@@ -233,36 +233,14 @@ type Config struct {
 	CommDeadline time.Duration
 }
 
-// startGeneration returns the absolute generation the run begins at: zero
-// for a fresh run, the checkpointed generation for a resumed one.  The
-// absolute index matters beyond bookkeeping — the per-(generation, SSet)
-// noise streams are derived from it, so a resumed noisy run replays the
-// exact streams an uninterrupted run would use.
-func (c Config) startGeneration() int {
-	if c.Resume != nil {
-		return c.Resume.Generation
-	}
-	return 0
-}
-
+// validate checks the fields only the distributed engine has; nature.Start
+// checks the ones both engines share.
 func (c Config) validate() error {
 	if c.Ranks < 2 {
 		return fmt.Errorf("parallel: need at least 2 ranks (Nature + 1 SSet rank), got %d", c.Ranks)
 	}
-	if c.NumSSets < 2 {
-		return fmt.Errorf("parallel: need at least 2 SSets, got %d", c.NumSSets)
-	}
 	if c.NumSSets < c.Ranks-1 {
 		return fmt.Errorf("parallel: %d SSets cannot occupy %d SSet ranks", c.NumSSets, c.Ranks-1)
-	}
-	if c.AgentsPerSSet < 1 {
-		return fmt.Errorf("parallel: agents per SSet must be positive, got %d", c.AgentsPerSSet)
-	}
-	if c.MemorySteps < 1 || c.MemorySteps > game.MaxMemorySteps {
-		return fmt.Errorf("parallel: memory steps %d out of range [1,%d]", c.MemorySteps, game.MaxMemorySteps)
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("parallel: rounds must be positive, got %d", c.Rounds)
 	}
 	if c.WorkersPerRank < 0 {
 		return fmt.Errorf("parallel: WorkersPerRank must be non-negative, got %d (0 selects GOMAXPROCS)", c.WorkersPerRank)
@@ -270,32 +248,8 @@ func (c Config) validate() error {
 	if c.Generations < 0 {
 		return fmt.Errorf("parallel: negative generation count %d", c.Generations)
 	}
-	if c.InitialStrategies != nil && len(c.InitialStrategies) != c.NumSSets {
-		return fmt.Errorf("parallel: %d initial strategies for %d SSets", len(c.InitialStrategies), c.NumSSets)
-	}
-	if !c.EvalMode.Valid() {
-		return fmt.Errorf("parallel: invalid eval mode %v", c.EvalMode)
-	}
-	if !c.Kernel.Valid() {
-		return fmt.Errorf("parallel: invalid kernel mode %v", c.Kernel)
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("parallel: CheckpointEvery must be non-negative, got %d", c.CheckpointEvery)
-	}
 	if c.CommDeadline < 0 {
 		return fmt.Errorf("parallel: CommDeadline must be non-negative, got %v", c.CommDeadline)
-	}
-	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
-		return fmt.Errorf("parallel: CheckpointEvery requires CheckpointPath")
-	}
-	if c.Resume != nil {
-		if c.InitialStrategies != nil {
-			return fmt.Errorf("parallel: Resume takes the strategy table from the checkpoint; InitialStrategies must be nil")
-		}
-		id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
-		if err := c.Resume.CheckIdentity(checkpoint.EngineParallel, id); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -433,48 +387,49 @@ func Run(cfg Config) (Result, error) {
 	}
 	//lint:allow randsource wall-clock run duration for Result.WallClock reporting; never feeds simulation state
 	start := time.Now()
+	// The Nature Agent is set up before any rank runs, so a run that fails
+	// validation or its resume checks never starts the fabric.
+	run, err := nature.Start(nature.Run{
+		Name: "parallel", Engine: checkpoint.EngineParallel,
+		NumSSets: cfg.NumSSets, AgentsPerSSet: cfg.AgentsPerSSet, MemorySteps: cfg.MemorySteps, Rounds: cfg.Rounds,
+		Seed: cfg.Seed, Game: cfg.Game, Topology: cfg.Topology, EvalMode: cfg.EvalMode, Kernel: cfg.Kernel,
+		InitialStrategies: cfg.InitialStrategies, Resume: cfg.Resume,
+		CheckpointPath: cfg.CheckpointPath, CheckpointEvery: cfg.CheckpointEvery, CheckpointLabel: cfg.CheckpointLabel,
+		Nature: nature.Config{PCRate: cfg.PCRate, MutationRate: cfg.MutationRate, Beta: cfg.Beta, Rule: cfg.UpdateRule},
+	})
+	if err != nil {
+		return Result{}, err
+	}
 
 	// Every SSet rank of the run evaluates through a view over one store,
 	// so a pair any rank has played is never played again by another.
 	if cfg.SharedCache == nil {
-		var err error
 		if cfg.SharedCache, err = NewSharedCache(cfg); err != nil {
 			return Result{}, err
 		}
 	}
 
 	reports := make([]RankReport, cfg.Ranks)
-	var finalTable []strategy.Strategy
-	var natStats nature.Stats
-
-	err := mpi.RunWithOptions(cfg.Ranks, mpi.Options{
+	err = mpi.RunWithOptions(cfg.Ranks, mpi.Options{
 		Injector: cfg.Faults,
 		Deadline: cfg.CommDeadline,
-	}, func(c *mpi.Comm) error {
+	}, func(c *mpi.Comm) (err error) {
 		if c.Rank() == 0 {
-			table, stats, rep, err := natureRank(c, cfg)
-			if err != nil {
-				return err
-			}
-			finalTable = table
-			natStats = stats
-			reports[0] = rep
-			return nil
+			reports[0], err = natureRank(c, cfg, run)
+		} else {
+			reports[c.Rank()], err = ssetRank(c, cfg, run.Generation)
 		}
-		rep, err := ssetRank(c, cfg)
-		if err != nil {
-			return err
-		}
-		reports[c.Rank()] = rep
-		return nil
+		return err
 	})
 	if err != nil {
 		return Result{}, err
 	}
 
+	// Rank 0 has updated the table in place and the agent holds its counters.
+	natStats := run.Agent.Stats()
 	res := Result{
-		FinalStrategies: finalTable,
-		Generations:     cfg.startGeneration() + cfg.Generations,
+		FinalStrategies: run.Table,
+		Generations:     run.Generation + cfg.Generations,
 		WallClock:       time.Since(start),
 		Ranks:           reports,
 		NatureStats:     natStats,
@@ -514,66 +469,25 @@ func NewSharedCache(cfg Config) (*fitness.PairCache, error) {
 }
 
 // natureRank runs the Nature Agent on rank 0: it owns the authoritative
-// strategy table, selects the evolutionary events, and broadcasts updates.
-func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, RankReport, error) {
+// strategy table (run.Table, updated in place), selects the evolutionary
+// events, and broadcasts updates.
+func natureRank(c *mpi.Comm, cfg Config, run nature.Setup) (RankReport, error) {
 	rec := trace.NewRecorder()
-	// Built from the seed directly (not from the root stream), so the
-	// topology layer leaves the nature/init streams — and therefore every
-	// pre-topology trajectory — untouched.
-	graph, err := cfg.Topology.Build(cfg.NumSSets, cfg.Seed)
-	if err != nil {
-		return nil, nature.Stats{}, RankReport{}, err
-	}
-	root := rng.New(cfg.Seed)
-	natSrc := root.Split()
-	initSrc := root.Split()
-
-	nat, err := nature.New(nature.Config{
-		PCRate:       cfg.PCRate,
-		MutationRate: cfg.MutationRate,
-		Beta:         cfg.Beta,
-		MemorySteps:  cfg.MemorySteps,
-		Rule:         cfg.UpdateRule,
-		Topology:     graph,
-	}, natSrc)
-	if err != nil {
-		return nil, nature.Stats{}, RankReport{}, err
-	}
-	// The table continues from the checkpoint.  For a resumable
-	// parallel-engine snapshot the Nature Agent's stream and counters are
-	// restored too, making the continuation bit-identical; a final-only
-	// snapshot warm starts with the fresh streams built above.
-	if err := nat.Resume(cfg.Resume); err != nil {
-		return nil, nature.Stats{}, RankReport{}, fmt.Errorf("parallel: %w", err)
-	}
-
-	start := cfg.startGeneration()
-	id := checkpoint.NewIdentity(cfg.NumSSets, cfg.MemorySteps, cfg.Seed, cfg.Game, cfg.UpdateRule, cfg.Topology)
-	var ckptErr error
-	lastSaved := -1
-	initial := cfg.InitialStrategies
-	switch {
-	case cfg.Resume != nil:
-		initial = cfg.Resume.Strategies
-	case initial == nil:
-		initial = make([]strategy.Strategy, cfg.NumSSets)
-		for i := range initial {
-			initial[i] = strategy.RandomPure(cfg.MemorySteps, initSrc)
-		}
-	}
+	nat, start := run.Agent, run.Generation
 	// Rank 0 needs no interned IDs, so its table is a plain slice: a
 	// registry here would keep every mutant the run ever draws.  Strategies
 	// are immutable, so an adoption shares the teacher's value.
-	table := append([]strategy.Strategy(nil), initial...)
+	table := run.Table
+	snap := func(gen int) checkpoint.Snapshot { return nat.Snapshot(gen, table) }
 
 	// Setup phase: broadcast the initial strategy table to all SSet ranks.
 	payload, err := encodeTable(table)
 	if err != nil {
-		return nil, nature.Stats{}, RankReport{}, err
+		return RankReport{}, err
 	}
 	rec.Lap(trace.PhaseCompute)
 	if _, err := c.Bcast(0, payload); err != nil {
-		return nil, nature.Stats{}, RankReport{}, err
+		return RankReport{}, err
 	}
 	rec.Lap(trace.PhaseComm)
 
@@ -581,7 +495,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		// Mark the epoch (and give an installed fault plan its per-generation
 		// crash point) before any choreography of the generation runs.
 		if err := c.FaultPoint(start + gen); err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
+			return RankReport{}, err
 		}
 
 		// Phase 1: pairwise-comparison selection broadcast.
@@ -589,7 +503,7 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 		sel := encodeSelection(pcOK, teacher, learner)
 		rec.Lap(trace.PhaseCompute)
 		if _, err := c.Bcast(0, sel); err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
+			return RankReport{}, err
 		}
 
 		// Phase 2: collect fitness from the owners of the selected SSets and
@@ -599,10 +513,10 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 			teacherOwner, _ := blockOwner(teacher, cfg.NumSSets, cfg.Ranks)
 			learnerOwner, _ := blockOwner(learner, cfg.NumSSets, cfg.Ranks)
 			if tBuf, err = c.Recv(teacherOwner, tagFitnessTeacher); err != nil {
-				return nil, nature.Stats{}, RankReport{}, err
+				return RankReport{}, err
 			}
 			if lBuf, err = c.Recv(learnerOwner, tagFitnessLearner); err != nil {
-				return nil, nature.Stats{}, RankReport{}, err
+				return RankReport{}, err
 			}
 		}
 		rec.Lap(trace.PhaseComm)
@@ -624,60 +538,44 @@ func natureRank(c *mpi.Comm, cfg Config) ([]strategy.Strategy, nature.Stats, Ran
 			update.targetStrategy = newStrat
 		}
 		if err := applyUpdate(update, table, nil); err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
+			return RankReport{}, err
 		}
 
 		// Phase 4: broadcast the strategy-table update.
 		buf, err := encodeUpdate(update)
 		if err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
+			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseCompute)
 		if _, err := c.Bcast(0, buf); err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
+			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseComm)
 		nat.EndGeneration()
 
 		// A failed periodic save must NOT abort the loop: the SSet ranks are
 		// blocked on the next phase-1 broadcast, and rank 0 returning early
-		// would deadlock the whole fabric.  Record the first failure, stop
-		// checkpointing, keep driving the protocol, and surface the error
-		// after the choreography completes.
-		if absGen := start + gen + 1; ckptErr == nil && cfg.CheckpointEvery > 0 && absGen%cfg.CheckpointEvery == 0 {
-			if err := checkpoint.Save(cfg.CheckpointPath, nat.Snapshot(id, absGen, table, checkpoint.EngineParallel, cfg.CheckpointLabel)); err != nil {
-				ckptErr = fmt.Errorf("parallel: generation %d: %w", absGen, err)
-			} else {
-				lastSaved = absGen
-			}
-		}
+		// would deadlock the whole fabric.  The agent keeps the failure and
+		// the final call below reports it once the choreography completes.
+		_ = nat.Checkpoint(start+gen+1, false, snap)
 	}
-
-	if ckptErr != nil {
-		return nil, nature.Stats{}, RankReport{}, ckptErr
-	}
-	// Skip the final save when the last periodic write already captured the
-	// final generation — the snapshot would be byte-identical.
-	if final := start + cfg.Generations; cfg.CheckpointPath != "" && lastSaved != final {
-		if err := checkpoint.Save(cfg.CheckpointPath, nat.Snapshot(id, final, table, checkpoint.EngineParallel, cfg.CheckpointLabel)); err != nil {
-			return nil, nature.Stats{}, RankReport{}, err
-		}
+	if err := nat.Checkpoint(start+cfg.Generations, true, snap); err != nil {
+		return RankReport{}, err
 	}
 
 	rec.Lap(trace.PhaseCompute)
-	rep := RankReport{
+	return RankReport{
 		Rank:      0,
 		Compute:   rec.Total(trace.PhaseCompute),
 		Comm:      rec.Total(trace.PhaseComm),
 		CommStats: c.Stats(),
-	}
-	return table, nat.Stats(), rep, nil
+	}, nil
 }
 
 // ssetRank runs one Strategy-Set-owning rank: it plays the local games each
 // generation, answers the Nature Agent's fitness requests, and applies the
 // broadcast strategy-table updates.
-func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
+func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 	rec := trace.NewRecorder()
 	lo, hi := blockRange(c.Rank(), cfg.NumSSets, cfg.Ranks)
 
@@ -748,10 +646,9 @@ func ssetRank(c *mpi.Comm, cfg Config) (RankReport, error) {
 
 	rec.Lap(trace.PhaseCompute)
 
-	// Resumed runs continue at the checkpointed absolute generation; the
-	// offset keeps the per-(generation, SSet) noise streams aligned with
-	// what an uninterrupted run would draw.
-	start := cfg.startGeneration()
+	// Resumed runs continue at the checkpointed absolute generation start;
+	// the offset keeps the per-(generation, SSet) noise streams aligned
+	// with what an uninterrupted run would draw.
 	for gen := 0; gen < cfg.Generations; gen++ {
 		// Mark the epoch (and give an installed fault plan its per-generation
 		// crash point) before any choreography of the generation runs.

@@ -136,45 +136,14 @@ type Config struct {
 	Faults *faults.Plan
 }
 
+// validate checks the fields only the serial engine has; nature.Start
+// checks the ones both engines share.
 func (c Config) validate() error {
-	if c.NumSSets < 2 {
-		return fmt.Errorf("population: need at least 2 SSets, got %d", c.NumSSets)
-	}
-	if c.AgentsPerSSet < 1 {
-		return fmt.Errorf("population: agents per SSet must be positive, got %d", c.AgentsPerSSet)
-	}
-	if c.MemorySteps < 1 || c.MemorySteps > game.MaxMemorySteps {
-		return fmt.Errorf("population: memory steps %d out of range [1,%d]", c.MemorySteps, game.MaxMemorySteps)
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("population: rounds must be positive, got %d", c.Rounds)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("population: Workers must be non-negative, got %d (0 selects GOMAXPROCS)", c.Workers)
 	}
-	if c.InitialStrategies != nil && len(c.InitialStrategies) != c.NumSSets {
-		return fmt.Errorf("population: %d initial strategies for %d SSets", len(c.InitialStrategies), c.NumSSets)
-	}
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("population: SampleEvery must be non-negative, got %d", c.SampleEvery)
-	}
-	if c.CheckpointEvery < 0 {
-		return fmt.Errorf("population: CheckpointEvery must be non-negative, got %d", c.CheckpointEvery)
-	}
-	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
-		return fmt.Errorf("population: CheckpointEvery requires CheckpointPath")
-	}
-	if !c.EvalMode.Valid() {
-		return fmt.Errorf("population: invalid eval mode %v", c.EvalMode)
-	}
-	if c.Resume != nil {
-		if c.InitialStrategies != nil {
-			return fmt.Errorf("population: Resume takes the strategy table from the checkpoint; InitialStrategies must be nil")
-		}
-		id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
-		if err := c.Resume.CheckIdentity(checkpoint.EngineSerial, id); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -269,73 +238,41 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	run, err := nature.Start(nature.Run{
+		Name: "population", Engine: checkpoint.EngineSerial,
+		NumSSets: cfg.NumSSets, AgentsPerSSet: cfg.AgentsPerSSet, MemorySteps: cfg.MemorySteps, Rounds: cfg.Rounds,
+		Seed: cfg.Seed, Game: cfg.Game, Topology: cfg.Topology, EvalMode: cfg.EvalMode, Kernel: cfg.Kernel,
+		InitialStrategies: cfg.InitialStrategies, Resume: cfg.Resume,
+		CheckpointPath: cfg.CheckpointPath, CheckpointEvery: cfg.CheckpointEvery, CheckpointLabel: cfg.CheckpointLabel,
+		Nature: nature.Config{PCRate: cfg.PCRate, MutationRate: cfg.MutationRate, Beta: cfg.Beta, Rule: cfg.UpdateRule},
+	})
+	if err != nil {
+		return nil, err
+	}
 	engine, err := game.NewEngine(cfg.EngineConfig())
 	if err != nil {
 		return nil, err
 	}
-	// The graph is built from the seed directly (not from the root stream)
-	// so adding the topology layer leaves the nature/init/game streams — and
-	// therefore every pre-topology trajectory — untouched.
-	graph, err := cfg.Topology.Build(cfg.NumSSets, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	root := rng.New(cfg.Seed)
-	natSrc := root.Split()
-	initSrc := root.Split()
-	gameSrc := root.Split()
-
-	nat, err := nature.New(nature.Config{
-		PCRate:       cfg.PCRate,
-		MutationRate: cfg.MutationRate,
-		Beta:         cfg.Beta,
-		MemorySteps:  cfg.MemorySteps,
-		Rule:         cfg.UpdateRule,
-		Topology:     graph,
-	}, natSrc)
-	if err != nil {
-		return nil, err
-	}
-	if err := nat.Resume(cfg.Resume); err != nil {
-		return nil, fmt.Errorf("population: %w", err)
-	}
-
-	initial := cfg.InitialStrategies
-	if cfg.Resume != nil {
-		initial = cfg.Resume.Strategies
-	}
-	if initial == nil {
-		initial = make([]strategy.Strategy, cfg.NumSSets)
-		for i := range initial {
-			initial[i] = strategy.RandomPure(cfg.MemorySteps, initSrc)
-		}
-	}
-	ev, err := fitness.NewEvaluator(engine, graph, initial, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache)
+	ev, err := fitness.NewEvaluator(engine, run.Graph, run.Table, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache)
 	if err != nil {
 		return nil, fmt.Errorf("population: %w", err)
 	}
-	m := &Model{cfg: cfg, engine: engine, graph: graph, nat: nat, src: gameSrc, ev: ev}
+	src, err := run.Stream(checkpoint.StreamGame)
+	if err != nil {
+		return nil, fmt.Errorf("population: %w", err)
+	}
+	m := &Model{cfg: cfg, engine: engine, graph: run.Graph, nat: run.Agent, src: src, gen: run.Generation, ev: ev}
+	if snap := cfg.Resume; snap != nil && snap.Resume {
+		m.games = snap.GamesPlayed
+	}
 	if ev != nil {
 		m.table = ev.Table()
 	} else {
 		// The EvalFull path identifies the event's distinct pairs by
 		// interned ID, so its per-event cache is dense rows indexed by ID.
 		m.pairs.reg = intern.NewRegistry()
-		if m.table, err = intern.NewTable(m.pairs.reg, initial); err != nil {
+		if m.table, err = intern.NewTable(m.pairs.reg, run.Table); err != nil {
 			return nil, fmt.Errorf("population: %w", err)
-		}
-	}
-	if snap := cfg.Resume; snap != nil {
-		m.gen = snap.Generation
-		if snap.Resume {
-			st, ok := snap.Stream(checkpoint.StreamGame)
-			if !ok {
-				return nil, fmt.Errorf("population: resume checkpoint is missing the %q stream", checkpoint.StreamGame)
-			}
-			if err := m.src.SetState(st); err != nil {
-				return nil, fmt.Errorf("population: restoring game stream: %w", err)
-			}
-			m.games = snap.GamesPlayed
 		}
 	}
 	return m, nil
@@ -347,9 +284,7 @@ func New(cfg Config) (*Model, error) {
 // built with the snapshot as Config.Resume continues the run
 // bit-identically.
 func (m *Model) Snapshot() checkpoint.Snapshot {
-	c := m.cfg
-	id := checkpoint.NewIdentity(c.NumSSets, c.MemorySteps, c.Seed, c.Game, c.UpdateRule, c.Topology)
-	snap := m.nat.Snapshot(id, m.gen, m.Strategies(), checkpoint.EngineSerial, c.CheckpointLabel)
+	snap := m.nat.Snapshot(m.gen, m.Strategies())
 	snap.Streams = append(snap.Streams, checkpoint.Stream{Name: checkpoint.StreamGame, State: m.src.State()})
 	snap.GamesPlayed = m.games
 	return snap
@@ -661,7 +596,7 @@ func (m *Model) Run(ctx context.Context, generations int) (Result, error) {
 	partial := func() Result {
 		return Result{Generations: m.gen, Samples: samples}
 	}
-	lastSaved := -1
+	snap := func(int) checkpoint.Snapshot { return m.Snapshot() }
 	for g := 0; g < generations; g++ {
 		select {
 		case <-ctx.Done():
@@ -680,22 +615,15 @@ func (m *Model) Run(ctx context.Context, generations int) (Result, error) {
 		if m.cfg.SampleEvery > 0 && m.gen%m.cfg.SampleEvery == 0 {
 			samples = append(samples, m.Sample())
 		}
-		if m.cfg.CheckpointEvery > 0 && m.gen%m.cfg.CheckpointEvery == 0 {
-			if err := checkpoint.Save(m.cfg.CheckpointPath, m.Snapshot()); err != nil {
-				return partial(), fmt.Errorf("population: generation %d: %w", m.gen, err)
-			}
-			lastSaved = m.gen
+		if err := m.nat.Checkpoint(m.gen, false, snap); err != nil {
+			return partial(), err
 		}
 	}
 	if len(samples) == 0 || samples[len(samples)-1].Generation != m.gen {
 		samples = append(samples, m.Sample())
 	}
-	// Skip the final save when the last periodic write already captured this
-	// generation — the snapshot would be byte-identical.
-	if m.cfg.CheckpointPath != "" && lastSaved != m.gen {
-		if err := checkpoint.Save(m.cfg.CheckpointPath, m.Snapshot()); err != nil {
-			return partial(), err
-		}
+	if err := m.nat.Checkpoint(m.gen, true, snap); err != nil {
+		return partial(), err
 	}
 	return Result{
 		Generations:      m.gen,

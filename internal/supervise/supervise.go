@@ -19,7 +19,9 @@
 package supervise
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -121,16 +123,41 @@ func Transient(err error) bool {
 		errors.Is(err, faults.ErrInjected)
 }
 
+// segments is a supervised run's segment file and the SHA-256 of the file
+// that sat at its path before the run began (zero when there was none).
+type segments struct {
+	path  string
+	stale [sha256.Size]byte
+}
+
+// newest returns the newest complete segment the run has written, or nil
+// when it has written none.  A file that sat at the path before the run
+// began is an earlier run's checkpoint, never a segment: resuming it would
+// continue that run under this run's parameters.  (Should a segment's
+// bytes equal that file's, rejecting it only relaunches from further
+// back.)
+func (s segments) newest() *checkpoint.Snapshot {
+	b, err := os.ReadFile(s.path)
+	if err != nil || sha256.Sum256(b) == s.stale {
+		return nil
+	}
+	snap, err := checkpoint.Read(bytes.NewReader(b))
+	if err != nil {
+		return nil
+	}
+	return &snap
+}
+
 // segment points a supervised run's checkpoint fields at the file its
 // segments go to: the run's own CheckpointPath, or else a scratch file
 // (labelled "supervised") that the returned cleanup removes; a positive
 // SegmentEvery replaces the run's cadence.
-func (p Policy) segment(path, label *string, every *int) (func(), error) {
+func (p Policy) segment(path, label *string, every *int) (segments, func(), error) {
 	cleanup := func() {}
 	if *path == "" {
 		f, err := os.CreateTemp("", "evogame-supervised-*.ckpt")
 		if err != nil {
-			return nil, fmt.Errorf("supervise: creating scratch checkpoint: %w", err)
+			return segments{}, nil, fmt.Errorf("supervise: creating scratch checkpoint: %w", err)
 		}
 		scratch := f.Name()
 		f.Close()
@@ -149,16 +176,20 @@ func (p Policy) segment(path, label *string, every *int) (func(), error) {
 	if p.SegmentEvery > 0 {
 		*every = p.SegmentEvery
 	}
-	return cleanup, nil
+	segs := segments{path: *path}
+	if b, err := os.ReadFile(*path); err == nil {
+		segs.stale = sha256.Sum256(b)
+	}
+	return segs, cleanup, nil
 }
 
 // retry is the recovery loop both engines share.  It runs attempt until
 // it succeeds, fails fatally (see Transient) or has been relaunched
 // MaxRestarts times, backing off between launches.  The first attempt gets
-// nil; each relaunch gets the newest complete segment at path, or nil
-// when none has been written yet — either way the attempt continues the
+// nil; each relaunch gets the newest complete segment the run has written,
+// or nil when it has written none — either way the attempt continues the
 // run from there.
-func retry[R any](pol Policy, path string, rep *Report, attempt func(seg *checkpoint.Snapshot) (R, error)) (R, error) {
+func retry[R any](pol Policy, segs segments, rep *Report, attempt func(seg *checkpoint.Snapshot) (R, error)) (R, error) {
 	var seg *checkpoint.Snapshot
 	for {
 		res, err := attempt(seg)
@@ -171,14 +202,11 @@ func retry[R any](pol Policy, path string, rep *Report, attempt func(seg *checkp
 		began := time.Now()
 		// An injected crash can strike between checkpoint.Save's temporary
 		// write and its rename; drop any stranded partials before resuming.
-		if _, rmErr := checkpoint.RemoveStaleTemps(path); rmErr != nil {
+		if _, rmErr := checkpoint.RemoveStaleTemps(segs.path); rmErr != nil {
 			var zero R
 			return zero, rmErr
 		}
-		seg = nil
-		if snap, loadErr := checkpoint.Load(path); loadErr == nil {
-			seg = &snap
-		}
+		seg = segs.newest()
 		time.Sleep(pol.backoff(rep.Restarts))
 		rep.Recovery += time.Since(began)
 	}
@@ -207,14 +235,14 @@ func RunParallel(cfg parallel.Config, pol Policy) (parallel.Result, Report, erro
 		return parallel.Result{}, rep, err
 	}
 	run := cfg
-	cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
+	segs, cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
 	if err != nil {
 		return parallel.Result{}, rep, err
 	}
 	defer cleanup()
 	// The absolute generation horizon: recovery always resumes toward it.
 	total := resumeGeneration(cfg.Resume) + cfg.Generations
-	res, err := retry(pol, run.CheckpointPath, &rep, func(seg *checkpoint.Snapshot) (parallel.Result, error) {
+	res, err := retry(pol, segs, &rep, func(seg *checkpoint.Snapshot) (parallel.Result, error) {
 		attempt := run
 		if seg != nil {
 			attempt.Resume, attempt.InitialStrategies, attempt.Generations = seg, nil, total-seg.Generation
@@ -246,7 +274,7 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 		return population.Result{}, rep, fmt.Errorf("supervise: negative generation count %d", generations)
 	}
 	run := cfg
-	cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
+	segs, cleanup, err := pol.segment(&run.CheckpointPath, &run.CheckpointLabel, &run.CheckpointEvery)
 	if err != nil {
 		return population.Result{}, rep, err
 	}
@@ -255,7 +283,7 @@ func RunSerial(ctx context.Context, cfg population.Config, generations int, pol 
 	// samples accumulates the trajectory across attempts; each attempt
 	// first drops what lies past its resume point, which it replays.
 	var samples []population.AbundanceSample
-	res, err := retry(pol, run.CheckpointPath, &rep, func(seg *checkpoint.Snapshot) (population.Result, error) {
+	res, err := retry(pol, segs, &rep, func(seg *checkpoint.Snapshot) (population.Result, error) {
 		attempt := run
 		if seg != nil {
 			attempt.Resume, attempt.InitialStrategies = seg, nil

@@ -298,6 +298,62 @@ func TestSerialResumedRunRecoversBitIdentical(t *testing.T) {
 	compareSerial(t, golden, res)
 }
 
+// TestStaleCheckpointIsNotASegment pins that a file left at CheckpointPath
+// by an earlier run is never resumed as a segment: that run recorded the
+// same identity under different parameters (noise is not recorded), so a
+// crash before this run's first segment must relaunch from the start, for
+// both engines, and still end bit-identical to the fault-free run.
+func TestStaleCheckpointIsNotASegment(t *testing.T) {
+	const gens = 30
+	pol := Policy{MaxRestarts: 1, SegmentEvery: 20}
+	t.Run("serial", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		stale := serialCfg(0.05)
+		stale.CheckpointPath = path
+		if _, _, err := RunSerial(context.Background(), stale, gens, Policy{}); err != nil {
+			t.Fatal(err)
+		}
+		golden, _, err := RunSerial(context.Background(), serialCfg(0), gens, Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := serialCfg(0)
+		cfg.CheckpointPath = path
+		cfg.Faults = faults.NewPlan(faults.Event{Kind: faults.Crash, Gen: 2, Rank: 0})
+		res, rep, err := RunSerial(context.Background(), cfg, gens, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Restarts != 1 {
+			t.Fatalf("Restarts = %d, want 1", rep.Restarts)
+		}
+		compareSerial(t, golden, res)
+	})
+	t.Run("parallel", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		stale := parallelCfg(t, gens, 0.05, "wellmixed", "auto")
+		stale.CheckpointPath = path
+		if _, err := parallel.Run(stale); err != nil {
+			t.Fatal(err)
+		}
+		golden, err := parallel.Run(parallelCfg(t, gens, 0, "wellmixed", "auto"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := parallelCfg(t, gens, 0, "wellmixed", "auto")
+		cfg.CheckpointPath = path
+		cfg.Faults = faults.NewPlan(faults.Event{Kind: faults.Crash, Gen: 2, Rank: 1})
+		res, rep, err := RunParallel(cfg, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Restarts != 1 {
+			t.Fatalf("Restarts = %d, want 1", rep.Restarts)
+		}
+		compareParallel(t, golden, res)
+	})
+}
+
 // TestSupervisorGivesUpAfterMaxRestarts pins the bounded-retry contract: a
 // permanent fault exhausts MaxRestarts and surfaces the transient error.
 func TestSupervisorGivesUpAfterMaxRestarts(t *testing.T) {
