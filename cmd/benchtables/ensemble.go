@@ -135,7 +135,7 @@ func tableEnsemble(opts options) error {
 				Cache:           cache,
 				Replicates:      replicates,
 				Seconds:         res.WallClock.Seconds(),
-				Games:           res.Metrics.ScalarGames + res.Metrics.CycleGames + res.Metrics.BatchGames,
+				Games:           res.Metrics.ScalarGames + res.Metrics.CycleGames + res.Metrics.BatchGames + res.Metrics.VectorGames,
 				CacheHits:       res.Metrics.CacheHits,
 				CacheMisses:     res.Metrics.CacheMisses,
 			}

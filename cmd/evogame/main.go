@@ -369,7 +369,7 @@ func runEnsemble(o runOptions) error {
 	}
 	m := res.Metrics
 	fmt.Printf("\nmerged metrics: %d cache hits, %d misses, %d bypassed, %d games executed\n",
-		m.CacheHits, m.CacheMisses, m.CacheBypassed, m.ScalarGames+m.CycleGames+m.BatchGames)
+		m.CacheHits, m.CacheMisses, m.CacheBypassed, m.ScalarGames+m.CycleGames+m.BatchGames+m.VectorGames)
 	printFaultSummary(m)
 	for k, rerr := range res.Errors {
 		if rerr != nil {

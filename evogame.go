@@ -368,14 +368,17 @@ type Metrics struct {
 	CacheMisses   int64
 	CacheBypassed int64
 	CacheEvicted  int64
-	// ScalarGames, CycleGames and BatchGames split the executed games by
-	// kernel; BatchCalls counts SWAR batch invocations, so
-	// BatchGames/BatchCalls/64 is the mean lane occupancy (see
-	// BatchLaneOccupancy).
+	// ScalarGames, CycleGames, BatchGames and VectorGames split the
+	// executed games by kernel; BatchCalls counts SWAR batch invocations,
+	// so BatchGames/BatchCalls/64 is the mean lane occupancy (see
+	// BatchLaneOccupancy).  VectorGames counts the games the AVX-512 gather
+	// lanes replayed past their gate (memory four to six, noiseless; 0 on
+	// CPUs without AVX-512 and under the purego build tag).
 	ScalarGames int64
 	CycleGames  int64
 	BatchGames  int64
 	BatchCalls  int64
+	VectorGames int64
 	// PCEvents, Adoptions and Mutations count the evolutionary events.
 	PCEvents  int
 	Adoptions int
@@ -698,9 +701,9 @@ type ParallelResult struct {
 	Mutations  int
 	Ranks      []RankSummary
 	// Metrics is the run's flat observability export, summed over the SSet
-	// ranks (see Metrics).  Its ScalarGames, CycleGames and BatchGames may
-	// exceed TotalGames by pairs two ranks played at the same moment, of
-	// which the store kept one.
+	// ranks (see Metrics).  Its ScalarGames, CycleGames, BatchGames and
+	// VectorGames may exceed TotalGames by pairs two ranks played at the
+	// same moment, of which the store kept one.
 	Metrics Metrics
 }
 

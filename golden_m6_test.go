@@ -32,16 +32,24 @@ func strategiesDigest(final []string) string {
 // state before the last round, and as a scalar game otherwise.  (Brent's
 // search, which the captured engines ran, gave up after 2*rounds steps, so
 // it also replayed some games whose long cycle closes behind a short
-// prefix; the recorded splits were 660/19, 696/9 and 7780/156.)
+// prefix; the recorded splits were 660/19, 696/9 and 7780/156.)  Where the
+// AVX-512 gather lanes run, batches split their games differently — cycle
+// games closed by the lanes' gate or by Play, scalar games, and vector
+// games the lanes replayed to the end — so lanes pins that split.
 type goldenRun struct {
 	digest                         string
 	pcEvents, adoptions, mutations int
 	games, cycleGames, scalarGames int64
+	lanes                          [3]int64 // cycle, scalar and vector games where the lanes ran
 }
 
 func (g goldenRun) check(t *testing.T, name string, final []string, pc, adopt, mut int, games int64, m Metrics) {
 	t.Helper()
-	got := goldenRun{strategiesDigest(final), pc, adopt, mut, games, m.CycleGames, m.ScalarGames}
+	got := goldenRun{strategiesDigest(final), pc, adopt, mut, games, m.CycleGames, m.ScalarGames, g.lanes}
+	if m.VectorGames != 0 {
+		got.cycleGames, got.scalarGames = g.cycleGames, g.scalarGames
+		got.lanes = [3]int64{m.CycleGames, m.ScalarGames, m.VectorGames}
+	}
 	if got != g {
 		t.Errorf("%s diverged from the recorded memory-six trajectory:\ngot  %+v\nwant %+v", name, got, g)
 	}
@@ -51,11 +59,11 @@ var (
 	// goldenM6Ensemble is replicate k of a two-replicate serial EvalCached
 	// ensemble shaped like the averaged-figure workload.
 	goldenM6Ensemble = []goldenRun{
-		{"f6d3c26940629662", 600, 302, 24, 679, 670, 9},
-		{"941654ae6d666969", 600, 265, 26, 705, 697, 8},
+		{"f6d3c26940629662", 600, 302, 24, 679, 670, 9, [3]int64{510, 6, 163}},
+		{"941654ae6d666969", 600, 265, 26, 705, 697, 8, [3]int64{531, 4, 170}},
 	}
 	// goldenM6Parallel is a distributed opt-level-3 EvalFull run.
-	goldenM6Parallel = goldenRun{"4543ba150f34e498", 8, 4, 1, 7936, 7888, 48}
+	goldenM6Parallel = goldenRun{"4543ba150f34e498", 8, 4, 1, 7936, 7888, 48, [3]int64{4636, 24, 3276}}
 )
 
 // TestMemorySixSerialCachedGolden pins a serial EvalCached ensemble at

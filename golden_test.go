@@ -104,7 +104,7 @@ func TestNoisyParallelFullGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := goldenRun{strategiesDigest(res.FinalStrategies), res.PCEvents, res.Adoptions, res.Mutations, res.TotalGames, 0, 0}
+			got := goldenRun{strategiesDigest(res.FinalStrategies), res.PCEvents, res.Adoptions, res.Mutations, res.TotalGames, 0, 0, [3]int64{}}
 			if want := goldenNoisyParallel[topo]; got != want {
 				t.Errorf("noisy distributed %s workers=%d diverged from the recorded trajectory:\ngot  %+v\nwant %+v", topo, workers, got, want)
 			}

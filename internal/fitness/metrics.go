@@ -28,11 +28,13 @@ type Metrics struct {
 
 	// Kernel-mode mix: how many games each inner-loop implementation played
 	// (see game.KernelStats).  BatchGames/BatchCalls give the mean SWAR lane
-	// occupancy via BatchLaneOccupancy.
+	// occupancy via BatchLaneOccupancy; VectorGames counts the games the
+	// AVX-512 gather lanes replayed past their gate.
 	ScalarGames int64
 	CycleGames  int64
 	BatchGames  int64
 	BatchCalls  int64
+	VectorGames int64
 
 	// Nature events.
 	PCEvents  int
@@ -57,6 +59,7 @@ func (m *Metrics) AddEngine(s game.KernelStats) {
 	m.CycleGames += s.CycleGames
 	m.BatchGames += s.BatchGames
 	m.BatchCalls += s.BatchCalls
+	m.VectorGames += s.VectorGames
 }
 
 // AddCache folds a pair cache's counters into m.  A nil cache adds nothing,
@@ -86,6 +89,7 @@ func (m *Metrics) Merge(o Metrics) {
 	m.CycleGames += o.CycleGames
 	m.BatchGames += o.BatchGames
 	m.BatchCalls += o.BatchCalls
+	m.VectorGames += o.VectorGames
 	m.PCEvents += o.PCEvents
 	m.Adoptions += o.Adoptions
 	m.Mutations += o.Mutations

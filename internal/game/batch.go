@@ -51,9 +51,9 @@ const BatchLanes = bitvec.Lanes
 
 // batchAutoMaxMemory is the largest memory depth at which KernelAuto routes
 // eligible batches through the SWAR kernel.  The multiplexer tree costs
-// ~4^n word operations per round, so past memory-3 the scalar loop (and the
-// cycle-closing kernel) win; KernelBatch overrides the bound for
-// measurement.
+// ~4^n word operations per round, so past memory-3 the gather lanes (where
+// the CPU has AVX-512, see walksEnabled) or the per-game cycle-closing
+// kernel win; KernelBatch overrides the bound for measurement.
 const batchAutoMaxMemory = 3
 
 // KernelStats is a snapshot of how many games each kernel implementation
@@ -68,6 +68,9 @@ type KernelStats struct {
 	// number of batches; together they give the mean lane occupancy.
 	BatchGames int64
 	BatchCalls int64
+	// VectorGames counts games the AVX-512 gather lanes replayed to the end
+	// after their gate left them running (see walkGateRounds).
+	VectorGames int64
 }
 
 // BatchLaneOccupancy returns the mean fraction of the 64 lanes occupied per
@@ -85,6 +88,7 @@ type kernelCounters struct {
 	cycleGames  atomic.Int64
 	batchGames  atomic.Int64
 	batchCalls  atomic.Int64
+	vectorGames atomic.Int64
 }
 
 // KernelStats returns a snapshot of the engine's kernel-mix counters.
@@ -94,6 +98,7 @@ func (e *Engine) KernelStats() KernelStats {
 		CycleGames:  e.stats.cycleGames.Load(),
 		BatchGames:  e.stats.batchGames.Load(),
 		BatchCalls:  e.stats.batchCalls.Load(),
+		VectorGames: e.stats.vectorGames.Load(),
 	}
 }
 
@@ -243,9 +248,13 @@ func chunkSources(srcs []*rng.Source, lo, hi int) []*rng.Source {
 
 // playChunk plays the games (as[i], bs[i]) of one chunk of at most
 // BatchLanes pairs; it is the one batch routine behind PlayBatch and
-// PlayPairs.  Pairs the SWAR kernel cannot replay exactly fall back to the
-// scalar Play path individually.
+// PlayPairs.  At memory four to six it hands the chunk to the gather lanes
+// where they run (see walksEnabled).  Pairs the SWAR kernel cannot replay
+// exactly fall back to the scalar Play path individually.
 func (e *Engine) playChunk(as, bs []Player, srcs []*rng.Source, out []Result) error {
+	if e.walksEnabled() {
+		return e.playWalks(as, bs, srcs, out)
+	}
 	var buf *batchBuffers
 	if e.batchEnabled() {
 		buf = e.getBatchBuffers()

@@ -171,7 +171,10 @@ func TestPlayBatchKernelRouting(t *testing.T) {
 	if s := play(mkEngine(1, KernelAuto), 1); s.BatchGames != 10 || s.BatchCalls != 1 {
 		t.Fatalf("auto mode at memory-1 did not batch: %+v", s)
 	}
-	if s := play(mkEngine(4, KernelAuto), 4); s.BatchCalls != 0 || s.CycleGames+s.ScalarGames != 10 {
+	// Memory 4 under auto never takes the SWAR batch; its games close their
+	// cycle, run to the end, or finish on the gather lanes where the CPU has
+	// them.
+	if s := play(mkEngine(4, KernelAuto), 4); s.BatchCalls != 0 || s.CycleGames+s.ScalarGames+s.VectorGames != 10 {
 		t.Fatalf("auto mode at memory-4 batched anyway: %+v", s)
 	}
 	if s := play(mkEngine(4, KernelBatch), 4); s.BatchGames != 10 || s.BatchCalls != 1 {
@@ -215,27 +218,36 @@ func TestPlayBatchValidation(t *testing.T) {
 }
 
 // TestPlayBatchSteadyStateZeroAllocs is the alloc gate on the batch hot
-// path: once the engine's buffer pool is warm, a full-occupancy noiseless
-// batch must not allocate.
+// paths: once the engine's buffer pools are warm, a full-occupancy
+// noiseless batch must not allocate, on the SWAR kernel at memory one and
+// on the gather lanes (where the CPU has them) at memory six.
 func TestPlayBatchSteadyStateZeroAllocs(t *testing.T) {
-	batch, _ := newTestEngines(t, 1, 0)
-	src := rng.New(11)
-	opps := make([]Player, BatchLanes)
-	for i := range opps {
-		opps[i] = randomWordPlayer(1, src)
-	}
-	focal := randomWordPlayer(1, src)
-	out := make([]Result, len(opps))
-	if err := batch.PlayBatch(focal, opps, nil, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := batch.PlayBatch(focal, opps, nil, out); err != nil {
+	swar, _ := newTestEngines(t, 1, 0)
+	for _, tc := range []struct {
+		e   *Engine
+		mem int
+	}{{swar, 1}, {mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: 6}), 6}} {
+		src := rng.New(11)
+		opps := make([]Player, BatchLanes)
+		for i := range opps {
+			opps[i] = randomWordPlayer(tc.mem, src)
+		}
+		focal := randomWordPlayer(tc.mem, src)
+		out := make([]Result, len(opps))
+		if err := tc.e.PlayBatch(focal, opps, nil, out); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 && !raceEnabled {
-		t.Fatalf("steady-state PlayBatch allocates %v times per call, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := tc.e.PlayBatch(focal, opps, nil, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Fatalf("memory-%d steady-state PlayBatch allocates %v times per call, want 0", tc.mem, allocs)
+		}
+		if s := tc.e.KernelStats(); tc.mem == 6 && walkLanesUsable && s.VectorGames == 0 {
+			t.Fatalf("memory-six batch never reached the gather lanes: %+v", s)
+		}
 	}
 }
 

@@ -52,7 +52,8 @@ func (m AccumMode) String() string {
 // configuration is immutable after construction and it is safe for
 // concurrent use by multiple goroutines as long as each call supplies its
 // own rng.Source; the only mutable state is the atomic kernel-mix counters
-// (KernelStats) and the pooled cycle-closing and batch scratch buffers.
+// (KernelStats) and the pooled cycle-closing, batch and gather-lane scratch
+// buffers.
 type Engine struct {
 	spec      Spec
 	payoff    Matrix
@@ -72,6 +73,7 @@ type Engine struct {
 	stats     kernelCounters
 	cyclePool sync.Pool // of *cycleBuffers
 	batchPool sync.Pool // of *batchBuffers
+	lanePool  sync.Pool // of *laneBuffers
 }
 
 // EngineConfig collects the knobs of the IPD kernel.  The zero value is not

@@ -23,6 +23,12 @@ const (
 	// game qualifies: noiseless, both players deterministic with packed move
 	// tables (see MoveTable), and an integer-valued payoff matrix.  Games
 	// that do not qualify replay every round exactly as KernelFullReplay.
+	// Batches (Engine.PlayBatch, PlayPairs) of qualifying games take the
+	// SWAR kernel up to memory three (batchAutoMaxMemory); at memory four to
+	// six, on an amd64 CPU with AVX-512, a chunk of at least minVectorLanes
+	// of them takes the gather lanes instead (see walksEnabled): a vector
+	// gate closes the short walks, and the games still running after it
+	// replay their remaining rounds sixteen to a vector.
 	KernelAuto KernelMode = iota
 	// KernelFullReplay always replays all rounds; it is the pre-optimization
 	// reference kernel and the baseline the perf tables compare against.
@@ -30,10 +36,10 @@ const (
 	// KernelBatch behaves like KernelAuto for single games but forces
 	// Engine.PlayBatch to use the bit-sliced SWAR kernel at every memory
 	// depth for eligible lanes (KernelAuto only batches up to memory-3,
-	// where the multiplexer tree is cheaper than the scalar loop).  Like the
-	// other fast paths it is bit-identical per seed, so the mode exists for
-	// forcing the batch path in measurements and tests rather than for
-	// changing outcomes.
+	// where the multiplexer tree is cheaper than the scalar loop, and takes
+	// the gather lanes past it).  Like the other fast paths it is
+	// bit-identical per seed, so the mode exists for forcing the batch path
+	// in measurements and tests rather than for changing outcomes.
 	KernelBatch
 )
 

@@ -79,7 +79,7 @@ func TestEvalModesIdenticalAcrossRankCounts(t *testing.T) {
 							c.Ranks = ranks
 						}, mode)
 						m := res.Metrics
-						kernel := m.ScalarGames + m.CycleGames + m.BatchGames
+						kernel := m.ScalarGames + m.CycleGames + m.BatchGames + m.VectorGames
 						if kernel < res.TotalGames || (ranks == 2 && kernel != res.TotalGames) {
 							t.Fatalf("ranks %d: kernels played %d games for %d stored", ranks, kernel, res.TotalGames)
 						}

@@ -1,5 +1,13 @@
 package rng
 
+import "evogame/internal/cpuid"
+
+// useFlip8 reports whether FlipLanes draws through the AVX-512 kernel.  It
+// is set once, at package init, from cpuid.AVX512, which is always false
+// where the kernel is not built (the purego tag, every GOARCH but amd64);
+// tests clear it to run the plain FlipPairs loop.
+var useFlip8 = cpuid.AVX512()
+
 // FlipLanes fills lane l of the batch flip words a and b from srcs[l],
 // exactly as calling srcs[l].FlipPairs(t, uint(l), a, b) for l = 0, 1, …
 // in order would: every stream is consumed identically and every other bit

@@ -27,7 +27,7 @@ func TestSerialMetricsPopulated(t *testing.T) {
 		t.Errorf("Metrics events %d/%d/%d disagree with result %d/%d/%d",
 			m.PCEvents, m.Adoptions, m.Mutations, res.PCEvents, res.Adoptions, res.Mutations)
 	}
-	if got := m.ScalarGames + m.CycleGames + m.BatchGames; got != res.GamesPlayed {
+	if got := m.ScalarGames + m.CycleGames + m.BatchGames + m.VectorGames; got != res.GamesPlayed {
 		t.Errorf("kernel mix sums to %d games, result played %d", got, res.GamesPlayed)
 	}
 	if m.BatchGames <= 0 || m.BatchCalls <= 0 {
