@@ -430,54 +430,32 @@ func (r SimulationResult) WSLSFraction() float64 {
 }
 
 func (c SimulationConfig) toInternal() (population.Config, error) {
-	rounds := c.Rounds
-	if rounds == 0 {
-		rounds = game.DefaultRounds
-	}
-	evalMode, err := c.EvalMode.toInternal()
+	k, err := resolveKnobs(c.Rounds, c.EvalMode, c.Game, c.Payoff, c.UpdateRule, c.Topology, c.Kernel, c.MemorySteps, c.InitialStrategies)
 	if err != nil {
 		return population.Config{}, err
-	}
-	spec, rule, err := resolveScenario(c.Game, c.Payoff, c.UpdateRule)
-	if err != nil {
-		return population.Config{}, err
-	}
-	topo, err := topology.Parse(c.Topology)
-	if err != nil {
-		return population.Config{}, fmt.Errorf("evogame: %w", err)
-	}
-	kernel, err := game.ParseKernelMode(c.Kernel)
-	if err != nil {
-		return population.Config{}, fmt.Errorf("evogame: %w", err)
 	}
 	cfg := population.Config{
-		NumSSets:      c.NumSSets,
-		AgentsPerSSet: c.AgentsPerSSet,
-		MemorySteps:   c.MemorySteps,
-		Rounds:        rounds,
-		Noise:         c.Noise,
-		Game:          spec,
-		UpdateRule:    rule,
-		Topology:      topo,
-		PCRate:        c.PCRate,
-		MutationRate:  c.MutationRate,
-		Beta:          c.Beta,
-		Seed:          c.Seed,
-		SampleEvery:   c.SampleEvery,
-		EvalMode:      evalMode,
-		Kernel:        kernel,
-		Workers:       c.Workers,
+		NumSSets:          c.NumSSets,
+		AgentsPerSSet:     c.AgentsPerSSet,
+		MemorySteps:       c.MemorySteps,
+		Rounds:            k.rounds,
+		Noise:             c.Noise,
+		Game:              k.spec,
+		UpdateRule:        k.rule,
+		Topology:          k.topo,
+		PCRate:            c.PCRate,
+		MutationRate:      c.MutationRate,
+		Beta:              c.Beta,
+		Seed:              c.Seed,
+		SampleEvery:       c.SampleEvery,
+		EvalMode:          k.evalMode,
+		Kernel:            k.kernel,
+		Workers:           c.Workers,
+		InitialStrategies: k.initial,
 
 		CheckpointPath:  c.CheckpointPath,
 		CheckpointEvery: c.CheckpointEvery,
 		CheckpointLabel: c.CheckpointLabel,
-	}
-	if len(c.InitialStrategies) > 0 {
-		strats, err := parseStrategies(c.MemorySteps, c.InitialStrategies)
-		if err != nil {
-			return population.Config{}, err
-		}
-		cfg.InitialStrategies = strats
 	}
 	if c.FaultPlan != "" {
 		// The serial engine is the fault model's single rank (rank 0).
@@ -488,6 +466,46 @@ func (c SimulationConfig) toInternal() (population.Config, error) {
 		cfg.Faults = plan
 	}
 	return cfg, nil
+}
+
+// knobs are the engine settings both facade configurations resolve alike.
+type knobs struct {
+	rounds   int
+	evalMode fitness.EvalMode
+	spec     game.Spec
+	rule     dynamics.Rule
+	topo     topology.Spec
+	kernel   game.KernelMode
+	initial  []strategy.Strategy // nil when no initial table is given
+}
+
+// resolveKnobs resolves the settings SimulationConfig and ParallelConfig
+// share: the Rounds default, the evaluation mode, the scenario, the
+// topology, the kernel and the initial strategy table, in that order.
+func resolveKnobs(rounds int, mode EvalMode, gameName string, payoff []float64, ruleName, topoName, kernelName string, memSteps int, initial []string) (knobs, error) {
+	k := knobs{rounds: rounds}
+	if k.rounds == 0 {
+		k.rounds = game.DefaultRounds
+	}
+	var err error
+	if k.evalMode, err = mode.toInternal(); err != nil {
+		return knobs{}, err
+	}
+	if k.spec, k.rule, err = resolveScenario(gameName, payoff, ruleName); err != nil {
+		return knobs{}, err
+	}
+	if k.topo, err = topology.Parse(topoName); err != nil {
+		return knobs{}, fmt.Errorf("evogame: %w", err)
+	}
+	if k.kernel, err = game.ParseKernelMode(kernelName); err != nil {
+		return knobs{}, fmt.Errorf("evogame: %w", err)
+	}
+	if len(initial) > 0 {
+		if k.initial, err = parseStrategies(memSteps, initial); err != nil {
+			return knobs{}, err
+		}
+	}
+	return k, nil
 }
 
 func parseStrategies(memSteps int, moves []string) ([]strategy.Strategy, error) {
@@ -713,38 +731,22 @@ func (c ParallelConfig) toInternal() (parallel.Config, error) {
 	if c.OptimizationLevel < 0 || c.OptimizationLevel > int(parallel.OptFusedFitness) {
 		return parallel.Config{}, fmt.Errorf("evogame: optimization level %d out of range [0,3]", c.OptimizationLevel)
 	}
-	rounds := c.Rounds
-	if rounds == 0 {
-		rounds = game.DefaultRounds
-	}
-	evalMode, err := c.EvalMode.toInternal()
+	k, err := resolveKnobs(c.Rounds, c.EvalMode, c.Game, c.Payoff, c.UpdateRule, c.Topology, c.Kernel, c.MemorySteps, c.InitialStrategies)
 	if err != nil {
 		return parallel.Config{}, err
-	}
-	spec, rule, err := resolveScenario(c.Game, c.Payoff, c.UpdateRule)
-	if err != nil {
-		return parallel.Config{}, err
-	}
-	topo, err := topology.Parse(c.Topology)
-	if err != nil {
-		return parallel.Config{}, fmt.Errorf("evogame: %w", err)
-	}
-	kernel, err := game.ParseKernelMode(c.Kernel)
-	if err != nil {
-		return parallel.Config{}, fmt.Errorf("evogame: %w", err)
 	}
 	internal := parallel.Config{
 		Ranks:               c.Ranks,
 		WorkersPerRank:      c.WorkersPerRank,
-		EvalMode:            evalMode,
-		Kernel:              kernel,
-		Game:                spec,
-		UpdateRule:          rule,
-		Topology:            topo,
+		EvalMode:            k.evalMode,
+		Kernel:              k.kernel,
+		Game:                k.spec,
+		UpdateRule:          k.rule,
+		Topology:            k.topo,
 		NumSSets:            c.NumSSets,
 		AgentsPerSSet:       c.AgentsPerSSet,
 		MemorySteps:         c.MemorySteps,
-		Rounds:              rounds,
+		Rounds:              k.rounds,
 		Noise:               c.Noise,
 		PCRate:              c.PCRate,
 		MutationRate:        c.MutationRate,
@@ -753,17 +755,11 @@ func (c ParallelConfig) toInternal() (parallel.Config, error) {
 		Seed:                c.Seed,
 		OptLevel:            parallel.OptLevel(c.OptimizationLevel),
 		SkipFitnessWhenIdle: c.SkipFitnessWhenIdle,
+		InitialStrategies:   k.initial,
 
 		CheckpointPath:  c.CheckpointPath,
 		CheckpointEvery: c.CheckpointEvery,
 		CheckpointLabel: c.CheckpointLabel,
-	}
-	if len(c.InitialStrategies) > 0 {
-		strats, err := parseStrategies(c.MemorySteps, c.InitialStrategies)
-		if err != nil {
-			return parallel.Config{}, err
-		}
-		internal.InitialStrategies = strats
 	}
 	if c.CommDeadlineSeconds < 0 {
 		return parallel.Config{}, fmt.Errorf("evogame: CommDeadlineSeconds must be non-negative, got %v", c.CommDeadlineSeconds)

@@ -201,14 +201,8 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 	if err != nil {
 		return SerialResult{}, err
 	}
-	if base.CheckpointPath != "" || base.CheckpointEvery != 0 {
-		return SerialResult{}, fmt.Errorf("ensemble: checkpointing is per-run (replicates would race on %q); use Config.ReplicateCheckpoint for per-replicate snapshots", base.CheckpointPath)
-	}
-	if base.SharedCache != nil {
-		return SerialResult{}, fmt.Errorf("ensemble: base.SharedCache must be unset; the ensemble manages the shared store")
-	}
-	if base.Resume != nil {
-		return SerialResult{}, fmt.Errorf("ensemble: Resume is per-run; resume the single run it belongs to")
+	if err := checkBase(base.CheckpointPath, base.CheckpointEvery, base.SharedCache != nil, base.Resume != nil); err != nil {
+		return SerialResult{}, err
 	}
 	if !cfg.PrivateCaches && base.EvalMode != fitness.EvalFull && base.Noise == 0 {
 		// Build the shared store from an engine configured exactly as the
@@ -301,14 +295,8 @@ func RunParallel(base parallel.Config, cfg Config) (ParallelResult, error) {
 	if err != nil {
 		return ParallelResult{}, err
 	}
-	if base.CheckpointPath != "" || base.CheckpointEvery != 0 {
-		return ParallelResult{}, fmt.Errorf("ensemble: checkpointing is per-run (replicates would race on %q); use Config.ReplicateCheckpoint for per-replicate snapshots", base.CheckpointPath)
-	}
-	if base.Resume != nil {
-		return ParallelResult{}, fmt.Errorf("ensemble: Resume is per-run; resume the single run it belongs to")
-	}
-	if base.SharedCache != nil {
-		return ParallelResult{}, fmt.Errorf("ensemble: base.SharedCache must be unset; the ensemble manages the shared store")
+	if err := checkBase(base.CheckpointPath, base.CheckpointEvery, base.SharedCache != nil, base.Resume != nil); err != nil {
+		return ParallelResult{}, err
 	}
 	if base.WorkersPerRank == 0 {
 		base.WorkersPerRank = perRunWorkers(workers)
@@ -362,6 +350,20 @@ func RunParallel(base parallel.Config, cfg Config) (ParallelResult, error) {
 	}
 	res.Metrics = mergeMetrics(mets)
 	return res, firstReplicateError(res.Errors, res.Seeds)
+}
+
+// checkBase rejects the base-config settings that belong to one run, not
+// to an ensemble: a checkpoint file, a pair store and a snapshot to resume.
+func checkBase(checkpoint string, checkpointEvery int, sharedCache, resume bool) error {
+	switch {
+	case checkpoint != "" || checkpointEvery != 0:
+		return fmt.Errorf("ensemble: checkpointing is per-run (replicates would race on %q); use Config.ReplicateCheckpoint for per-replicate snapshots", checkpoint)
+	case sharedCache:
+		return fmt.Errorf("ensemble: base.SharedCache must be unset; the ensemble manages the shared store")
+	case resume:
+		return fmt.Errorf("ensemble: Resume is per-run; resume the single run it belongs to")
+	}
+	return nil
 }
 
 // runReplicates executes fn(0..n-1) on a pool of `workers` goroutines.

@@ -170,11 +170,11 @@ func (sh *cacheShard) evict(st *pairStore) int {
 
 // grow returns the shard's hot table with room for one more pair.  Once
 // that pair would take the table past 3/4 occupancy the shard compacts:
-// each pair that may go cold (see liveness.mayGoCold) moves to the cold
-// log, and
-// the live pairs go into the smallest table they fill at most half of, so
-// the table doubles only when its live pairs need it.  Called with mu
-// held.
+// each pair with a retired endpoint is dropped, each pair that may go cold
+// (see pairStore.mayGoCold) moves to the cold log — in a store that
+// retires IDs, only a pair of two pinned IDs (see runClock) — and the
+// pairs left go into the smallest table they fill at most half of, so the
+// table doubles only when they need it.  Called with mu held.
 func (sh *cacheShard) grow(st *pairStore) *pairTable {
 	t := sh.table.Load()
 	if 4*(sh.pairs+1) <= 3*len(t.slots) {
@@ -188,7 +188,13 @@ func (sh *cacheShard) grow(st *pairStore) *pairTable {
 		if tag == 0 {
 			continue
 		}
-		if key := tag - 1; st.live.demote(uint32(key>>32), uint32(key)) {
+		key := tag - 1
+		a, b := uint32(key>>32), uint32(key)
+		if st.retires && (st.reg.Held(a) < 0 || st.reg.Held(b) < 0) {
+			sh.n -= weight(key)
+			continue
+		}
+		if (!st.retires || st.reg.Pinned(a) && st.reg.Pinned(b)) && st.demote(a, b) {
 			sh.cold.push(newColdPair(key, s.res))
 			continue
 		}
@@ -224,23 +230,27 @@ func pairHash(key uint64) uint64 {
 
 // pairStore is the shareable state behind one or more PairCache views: the
 // sharded result table, the interning registry issuing the dense IDs the
-// table is keyed by, the liveness of every ID, and the game identity every
-// memoized result belongs to.  All of it is safe for concurrent use —
-// shard reads are lock-free, shard writes take the shard's mutex, liveness
-// counts are atomics and the registry locks internally — so independent
-// runs (ensemble replicates) may warm a single store concurrently through
-// their own views.
+// table is keyed by, the cold references of every ID, and the game
+// identity every memoized result belongs to.  All of it is safe for
+// concurrent use — shard reads are lock-free, shard writes take the
+// shard's mutex, cold references are atomics and the registry locks
+// internally — so independent runs (ensemble replicates) may warm a single
+// store concurrently through their own views.
 //
-// Each shard keeps hot only the pairs that may be looked up.  Evaluator
-// enters the IDs its table holds and leaves those it no longer holds; a
-// pair whose endpoints were both entered and one of which no table holds
-// any more stays hot until its shard next compacts (see cacheShard.grow),
-// then moves to the shard's cold log.  A table entering an ID brings the
-// ID's cold pairs with the IDs it holds back (see enter) before it looks
-// anything up.  Lookups therefore probe only the hot table, and a pair
-// whose endpoints are both held is never cold.  A pair of an ID no table
-// ever entered stays hot, so a store driven without an evaluator keeps
-// every pair hot.
+// Each shard keeps hot only the pairs that may be looked up.  An
+// evaluator's table holds the IDs its SSets hold in the registry (see
+// intern.Table); a pair whose endpoints were both held and one of which no
+// table holds any more stays hot until its shard next compacts (see
+// cacheShard.grow).  Below memory retireFrom it then moves to the shard's
+// cold log, and a table taking up an ID brings the ID's cold pairs with
+// the IDs it holds back (see bringBack) before it looks anything up.  From
+// memory retireFrom up the run retires an ID once no table of it can look
+// the ID up again (see runClock), and compaction drops the pairs of
+// retired IDs; only a pair of two pinned IDs, which a later run may look
+// up, goes cold.  Lookups therefore probe only the hot table, and a pair
+// whose endpoints are both held is never cold or dropped.  A pair of an
+// ID no table ever held stays hot, so a store driven without an evaluator
+// keeps every pair hot.
 type pairStore struct {
 	gameID      string
 	memorySteps int
@@ -248,6 +258,10 @@ type pairStore struct {
 	maxPerShard int
 	reg         *intern.Registry
 	live        liveness
+	// retires is set from memory retireFrom up: IDs no table holds are
+	// retired (see runClock) and their pairs dropped, and only pairs of
+	// two pinned IDs go cold.
+	retires bool
 
 	// highWater is the largest entry count any shard has reached.  It is
 	// raised under the shard's lock in record and never lowered, so once a
@@ -327,6 +341,9 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 type PairCache struct {
 	eng   *game.Engine
 	store *pairStore
+	// run is the clock of the run whose evaluators play through the view
+	// (see ForRun), nil for a view no run owns.
+	run *runClock
 
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -356,6 +373,7 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 		rounds:      eng.Rounds(),
 		maxPerShard: maxPerShard,
 		reg:         intern.NewRegistry(),
+		retires:     eng.MemorySteps() >= retireFrom,
 	}
 	for i := range st.shards {
 		st.shards[i].table.Store(newPairTable(minTableSlots))
@@ -374,7 +392,21 @@ func (c *PairCache) NewView(eng *game.Engine) (*PairCache, error) {
 	if err := c.store.compatible(eng); err != nil {
 		return nil, err
 	}
-	return &PairCache{eng: eng, store: c.store}, nil
+	return &PairCache{eng: eng, store: c.store, run: c.run}, nil
+}
+
+// ForRun returns a view over c's store for the evaluators of one run, of
+// which there are members: one per SSet rank of a distributed run, one
+// for a serial run.  The run's evaluators advance one generation clock
+// (see Evaluator.EndGeneration), from which the store learns when an ID
+// none of them holds may be retired.  acrossRuns reports that other runs
+// share the store, so the IDs the run's initial table interns are never
+// retired.  A nil c gives nil.
+func (c *PairCache) ForRun(members int, acrossRuns bool) *PairCache {
+	if c == nil {
+		return nil
+	}
+	return &PairCache{eng: c.eng, store: c.store, run: newRunClock(c.store, members, acrossRuns)}
 }
 
 // CacheUsable reports whether the cache-validity conditions hold for a

@@ -35,12 +35,13 @@ const coldChunkLen = 256
 // open-addressing index over their keys, so that a pair is found without
 // a scan.  The index is built by the first find and kept from then on, so
 // a log nothing is ever looked up in costs neither its memory nor its
-// upkeep.  A single-table memory-six run is such a log: no strategy
-// returns.  Distributed SSet ranks sharing one store are not, at any
-// memory depth: ranks run up to a few generations apart, so a lagging rank
-// can enter a short-lived mutant after the leading ranks have left it and
-// demoted its pairs, and its promotion builds the index.  It is guarded by
-// its shard's mutex.
+// upkeep.  Below memory three a log serves the extinct strategies that
+// re-enter, which is common there, and distributed SSet ranks sharing one
+// store also promote the pairs a leading rank demoted before a lagging
+// rank entered them.  From memory three up a store retires extinct IDs
+// instead (see runClock), and only a store shared across runs keeps a
+// log, for the pairs among the initial tables' pinned IDs.  It is guarded
+// by its shard's mutex.
 type coldLog struct {
 	chunks []*[coldChunkLen]coldPair
 	n      int
@@ -160,12 +161,9 @@ func (l *coldLog) reindex() {
 	}
 }
 
-// idLiveness is one ID's standing in a store.
+// idLiveness is one ID's cold standing in a store.  Whether a table holds
+// the ID is the registry's (see intern.Registry.Held).
 type idLiveness struct {
-	// held is 0 for an ID no table has entered, whose pairs never go cold,
-	// and otherwise one more than the number of tables holding the ID: 1
-	// means no table holds it any more.
-	held atomic.Int32
 	// coldRefs counts the store's cold pairs with the ID as an endpoint
 	// (a self pair once).
 	coldRefs atomic.Int32
@@ -176,14 +174,15 @@ const livenessChunkLen = 1024
 
 // liveness is a store's idLiveness per ID, in chunks that never move, so
 // that a reader holding any published directory reads current counts
-// without a lock.
+// without a lock.  A store that retires IDs demotes only pairs of pinned
+// IDs, so it makes chunks only up to the highest such ID.
 type liveness struct {
 	mu  sync.Mutex // serialises growth of dir; never held while taking a shard lock
 	dir atomic.Pointer[[]*[livenessChunkLen]idLiveness]
 }
 
-// get returns id's entry, or nil when none has been made: no table has
-// entered id and no cold pair names it.
+// get returns id's entry, or nil when none has been made: no cold pair
+// has named id.
 func (l *liveness) get(id uint32) *idLiveness {
 	d := l.dir.Load()
 	if d == nil || int(id/livenessChunkLen) >= len(*d) {
@@ -212,21 +211,12 @@ func (l *liveness) at(id uint32) *idLiveness {
 	return &d[id/livenessChunkLen][id%livenessChunkLen]
 }
 
-// held returns id's held count as stored: 0 if no table ever entered it.
-func (l *liveness) held(id uint32) int32 {
+// coldRefs returns the number of cold pairs naming id.
+func (l *liveness) coldRefs(id uint32) int32 {
 	if e := l.get(id); e != nil {
-		return e.held.Load()
+		return e.coldRefs.Load()
 	}
 	return 0
-}
-
-// mayGoCold reports whether the pair (a, b) may leave the hot table: both
-// endpoints were entered by some table and one of them is held by none.
-// A pair of an ID no table ever entered stays hot, so a store used
-// without an evaluator never demotes.
-func (l *liveness) mayGoCold(a, b uint32) bool {
-	ha, hb := l.held(a), l.held(b)
-	return ha != 0 && hb != 0 && (ha == 1 || hb == 1)
 }
 
 // addColdRefs adds d to the cold-pair counts of a and b.
@@ -237,58 +227,44 @@ func (l *liveness) addColdRefs(a, b uint32, d int32) {
 	}
 }
 
+// mayGoCold reports whether the pair (a, b) may leave the hot table: both
+// endpoints were held by some table and one of them is held by none.  A
+// pair of an ID no table ever held stays hot, so a store used without an
+// evaluator never demotes.
+func (st *pairStore) mayGoCold(a, b uint32) bool {
+	ha, hb := st.reg.Held(a), st.reg.Held(b)
+	return ha != 0 && hb != 0 && (ha == 1 || hb == 1)
+}
+
 // demote reports whether the pair (a, b) goes cold, counting it in both
 // endpoints' cold references when it does.  The references are raised
-// before liveness is read again, and enter raises liveness before it
-// reads the references, so an endpoint entering concurrently either keeps
-// the pair hot here or sees the reference and promotes it.
-func (l *liveness) demote(a, b uint32) bool {
-	if !l.mayGoCold(a, b) {
+// before the held counts are read again, and a table holds an ID before
+// its evaluator reads the references (see bringBack), so an endpoint
+// taken up concurrently either keeps the pair hot here or sees the
+// reference and promotes it.
+func (st *pairStore) demote(a, b uint32) bool {
+	if !st.mayGoCold(a, b) {
 		return false
 	}
-	l.addColdRefs(a, b, 1)
-	if !l.mayGoCold(a, b) {
-		l.addColdRefs(a, b, -1)
+	st.live.addColdRefs(a, b, 1)
+	if !st.mayGoCold(a, b) {
+		st.live.addColdRefs(a, b, -1)
 		return false
 	}
 	return true
 }
 
-// enter counts one more table holding each of ids; partners are the IDs
-// that table holds, ids among them.  Before enter returns, every cold
-// pair of an entered ID with a partner moves back to its shard's hot
-// table, so the table's lookups find it there.  That holds also for an
-// ID another table holds already: the table that brought it back may
-// still be promoting its pairs.  The entered IDs' cold references say
-// whether there is anything to promote.  For a single table at memory six
-// there never is; tables that share a store and lag one another promote
-// at any memory depth (see coldLog).
-func (st *pairStore) enter(ids, partners []uint32) {
+// bringBack moves every cold pair of the IDs a table has just taken up
+// (ids, which it holds already) with a partner, one of the IDs that table
+// holds, back to its shard's hot table, before the table's lookups look
+// for it there.  That holds also for an ID another table holds already:
+// the table that brought it back may still be promoting its pairs.  The
+// IDs' cold references say whether there is anything to promote.
+func (st *pairStore) bringBack(ids, partners []uint32) {
 	for _, id := range ids {
-		e := st.live.at(id)
-		for {
-			v := e.held.Load()
-			nv := v + 1
-			if v == 0 {
-				nv = 2
-			}
-			if e.held.CompareAndSwap(v, nv) {
-				break
-			}
-		}
-	}
-	for _, id := range ids {
-		if st.live.at(id).coldRefs.Load() > 0 {
+		if st.live.coldRefs(id) > 0 {
 			st.promote(id, partners)
 		}
-	}
-}
-
-// leave counts one table fewer holding id, which the table entered.  Its
-// pairs stay where they are until their shard next compacts.
-func (st *pairStore) leave(id uint32) {
-	if st.live.at(id).held.Add(-1) < 1 {
-		panic("fitness: a table left an ID it never entered")
 	}
 }
 
@@ -298,7 +274,7 @@ func (st *pairStore) leave(id uint32) {
 // skipped without a lock.
 func (st *pairStore) promote(x uint32, partners []uint32) {
 	for _, p := range partners {
-		if st.live.at(p).coldRefs.Load() == 0 {
+		if st.live.coldRefs(p) == 0 {
 			continue
 		}
 		sh, tag, h, _ := st.locate(x, p)

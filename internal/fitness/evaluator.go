@@ -38,16 +38,19 @@ import (
 // the store has headroom for every pair the call looks up, and falls back
 // to the neighbour loop otherwise.
 //
-// The evaluator keeps the store's liveness (see pairStore): it enters
-// every ID its table holds, enters an ID before looking up any pair of it
-// and leaves an ID its table no longer holds, so the store may move pairs
-// of extinct strategies out of its probed table.  Release leaves them all
-// when the run is finished.
+// The evaluator keeps the store's liveness (see pairStore): its table
+// holds every ID its SSets hold, it brings an ID's cold pairs back before
+// looking up any pair of it, and it tells the run's clock (see runClock)
+// when its table leaves an ID, so the store may move pairs of extinct
+// strategies out of its probed table or retire their IDs.  A distributed
+// rank's evaluator also ends each generation on that clock
+// (EndGeneration).  Release leaves every ID when the run is finished.
 //
 // An Evaluator is not safe for concurrent use; each engine (or rank) owns
 // one.  Evaluators over views of one shared store may run concurrently.
 type Evaluator struct {
 	cache  *PairCache
+	member int // index on the run's clock
 	graph  topology.Graph
 	table  *intern.Table
 	matrix *IncrementalMatrix // EvalIncremental
@@ -69,8 +72,10 @@ type Evaluator struct {
 // EvalFull.
 //
 // When shared is non-nil the evaluator plays through a view over its store
-// (see PairCache.NewView), otherwise through a private PairCache.  Strategy
-// IDs are interned in table order, then one per Apply.
+// (see PairCache.NewView) and joins the run shared was made for (see
+// PairCache.ForRun), or runs alone in a store shared across runs if it was
+// made for none.  Otherwise it plays through a private PairCache, alone.
+// Strategy IDs are interned in table order, then one per Apply.
 func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy, lo, hi int, mode EvalMode, shared *PairCache) (*Evaluator, error) {
 	mode = EffectiveMode(eng, mode)
 	if mode == EvalFull || !CacheUsable(eng, table) {
@@ -90,10 +95,19 @@ func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy,
 		if cache, err = shared.NewView(eng); err != nil {
 			return nil, fmt.Errorf("fitness: shared cache: %w", err)
 		}
+		if cache.run == nil {
+			cache.run = newRunClock(cache.store, 1, true)
+		}
 	} else if cache, err = NewPairCache(eng); err != nil {
 		return nil, err
+	} else {
+		cache.run = newRunClock(cache.store, 1, false)
 	}
-	ev := &Evaluator{cache: cache, graph: g}
+	member, err := cache.run.join()
+	if err != nil {
+		return nil, err
+	}
+	ev := &Evaluator{cache: cache, member: member, graph: g}
 	if mode == EvalIncremental {
 		if ev.matrix, err = NewIncrementalMatrix(cache, g, table, lo, hi); err != nil {
 			return nil, err
@@ -105,20 +119,38 @@ func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy,
 		}
 		ev.byAbundance = g.Complete() && DeltaExact(eng)
 	}
-	cache.store.enter(ev.table.Present(), ev.table.Present())
+	if cache.run.pin {
+		for _, id := range ev.table.Present() {
+			cache.store.reg.Pin(id)
+		}
+	}
+	cache.store.bringBack(ev.table.Present(), ev.table.Present())
 	return ev, nil
 }
 
+// EndGeneration tells the run's clock that the evaluator has applied every
+// strategy change of one more generation.  A distributed rank calls it
+// once per generation; a run of one evaluator need not.  A nil evaluator
+// does nothing.
+func (e *Evaluator) EndGeneration() {
+	if e != nil {
+		e.cache.run.advance(e.member)
+	}
+}
+
 // Release leaves every ID the evaluator's table holds, so the store may
-// move their pairs out of its probed table.  Call it once, when the run is
-// finished, and use the evaluator no more.  A nil evaluator does nothing.
+// move their pairs out of its probed table or retire them.  Call it once,
+// when the run is finished, and use the evaluator no more.  A nil
+// evaluator does nothing.
 func (e *Evaluator) Release() {
 	if e == nil {
 		return
 	}
+	e.table.Release()
 	for _, id := range e.table.Present() {
-		e.cache.store.leave(id)
+		e.cache.run.left(e.member, id)
 	}
+	e.cache.run.release(e.member)
 }
 
 // Cache returns the pair cache (or view) the evaluator plays through, for
@@ -229,16 +261,16 @@ func (e *Evaluator) Adopt(learner, teacher int) error {
 }
 
 // follow brings the store's liveness and the matrix up to date with the
-// table change ch of SSet idx.  New is entered before the matrix looks any
-// of its pairs up and Old left afterwards, New first, so a change to the
-// ID an SSet already holds never drops it to zero tables.
+// table change ch of SSet idx.  New's cold pairs come back before the
+// matrix looks any of its pairs up, and the run learns that the table left
+// Old afterwards.
 func (e *Evaluator) follow(idx int, ch intern.Change) error {
 	if ch.Added {
-		e.cache.store.enter([]uint32{ch.New}, e.table.Present())
+		e.cache.store.bringBack([]uint32{ch.New}, e.table.Present())
 	}
 	err := e.matrix.apply(idx, ch)
 	if ch.Vacated >= 0 {
-		e.cache.store.leave(ch.Old)
+		e.cache.run.left(e.member, ch.Old)
 	}
 	return err
 }

@@ -44,7 +44,7 @@ func checkLiveness(t *testing.T, c *PairCache, step int) {
 	refs := make(map[uint32]int32)
 	for key := range coldPairs(c) {
 		a, b := uint32(key>>32), uint32(key)
-		if ha, hb := c.store.live.held(a), c.store.live.held(b); ha == 0 || hb == 0 || ha > 1 && hb > 1 {
+		if ha, hb := c.store.reg.Held(a), c.store.reg.Held(b); ha == 0 || hb == 0 || ha > 1 && hb > 1 {
 			t.Fatalf("step %d: pair (%d, %d) is cold with held counts %d and %d", step, a, b, ha-1, hb-1)
 		}
 		refs[a]++
@@ -53,15 +53,25 @@ func checkLiveness(t *testing.T, c *PairCache, step int) {
 		}
 	}
 	for id := uint32(0); int(id) < c.Interner().Len(); id++ {
-		got := int32(0)
-		if e := c.store.live.get(id); e != nil {
-			got = e.coldRefs.Load()
-		}
+		got := c.store.live.coldRefs(id)
 		if got != refs[id] {
 			t.Fatalf("step %d: ID %d counts %d cold references, the cold log holds %d", step, id, got, refs[id])
 		}
 	}
 }
+
+// enter stands in for a table taking up ids, partners being every ID it
+// holds, ids among them: it holds each, then brings their cold pairs back,
+// as an intern.Table and its Evaluator do.
+func (st *pairStore) enter(ids, partners []uint32) {
+	for _, id := range ids {
+		st.reg.Hold(id)
+	}
+	st.bringBack(ids, partners)
+}
+
+// leave stands in for a table dropping id, which it holds.
+func (st *pairStore) leave(id uint32) { st.reg.Drop(id) }
 
 // FuzzStoreLiveness drives a tiny-budget store through random sequences of
 // enter, leave, re-enter, PlayID and PlayIDBatch that look up only live

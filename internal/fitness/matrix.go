@@ -90,6 +90,7 @@ func NewIncrementalMatrix(cache *PairCache, g topology.Graph, table []strategy.S
 		lo:    lo,
 		hi:    hi,
 		built: make([]bool, hi-lo),
+		wm:    strategyRows{rowOf: intern.NewPages[int32](cache.Interner())},
 	}
 	if g == nil {
 		return m, nil
@@ -229,7 +230,7 @@ func (m *IncrementalMatrix) apply(idx int, ch intern.Change) error {
 // of every row.  A live row holds pay(s,t) for every present t with
 // mult(s,t) ≥ 1 and keeps sum = Σ_t mult(s,t)·pay(s,t).
 type strategyRows struct {
-	rowOf []int32 // rowOf[id]: 1 + index into rows of id's row, 0 for none
+	rowOf intern.Pages[int32] // rowOf[id]: 1 + index into rows of id's row, 0 for none
 	// rows holds the live rows; the slots past len(rows) keep the slices of
 	// dead rows for reuse.
 	rows []stratRow
@@ -246,16 +247,14 @@ type stratRow struct {
 
 // row returns id's live row; id must be held by a built SSet.
 func (w *strategyRows) row(id uint32) *stratRow {
-	return &w.rows[w.rowOf[id]-1]
+	return &w.rows[w.rowOf.Get(id)-1]
 }
 
 // acquire counts one more built SSet holding id, building id's row (one
 // lookup per distinct strategy it faces in tab) if none is live.
 func (w *strategyRows) acquire(c *PairCache, tab *intern.Table, id uint32) error {
-	if int(id) >= len(w.rowOf) {
-		w.rowOf = append(w.rowOf, make([]int32, int(id)+1-len(w.rowOf))...)
-	}
-	if w.rowOf[id] != 0 {
+	rowOf := w.rowOf.At(id)
+	if *rowOf != 0 {
 		w.row(id).refs++
 		return nil
 	}
@@ -273,7 +272,7 @@ func (w *strategyRows) acquire(c *PairCache, tab *intern.Table, id uint32) error
 		pay:  append(r.pay[:0], make([]float64, len(present))...),
 		has:  append(r.has[:0], make([]bool, len(present))...),
 	}
-	w.rowOf[id] = int32(n + 1)
+	*rowOf = int32(n + 1)
 	for p, t := range present {
 		mult := tab.Count(t)
 		if t == id {
@@ -300,10 +299,10 @@ func (w *strategyRows) release(id uint32) {
 	if r.refs--; r.refs > 0 {
 		return
 	}
-	i, last := int(w.rowOf[id]-1), len(w.rows)-1
+	i, last := int(w.rowOf.Get(id)-1), len(w.rows)-1
 	w.rows[i], w.rows[last] = w.rows[last], w.rows[i]
-	w.rowOf[w.rows[i].id] = int32(i + 1)
-	w.rowOf[id] = 0
+	*w.rowOf.At(w.rows[i].id) = int32(i + 1)
+	*w.rowOf.At(id) = 0
 	w.rows = w.rows[:last]
 }
 

@@ -17,15 +17,25 @@ import (
 // later modifies a value it passed in changes nothing here.  Set interns
 // once; Adopt copies an ID and a pointer and encodes nothing.
 //
+// The table holds every ID one of its SSets holds in the registry (see
+// Registry.Hold), from interning it until no SSet holds it, so the
+// registry never retires an ID under it; Release drops those holds when
+// the table is finished.
+//
 // A Table is not safe for concurrent use.
 type Table struct {
 	reg     *Registry
 	ids     []uint32            // ids[i]: ID of SSet i's strategy
 	strats  []strategy.Strategy // strats[i]: the canonical instance behind ids[i]
-	count   []int32             // count[id]: SSets holding id
-	pos     []int32             // pos[id]: index of id in present while count[id] > 0
-	canon   []strategy.Strategy // canon[id]: the canonical instance behind id while count[id] > 0
+	byID    Pages[tableEntry]   // byID[id]: id's entry while count > 0
 	present []uint32            // IDs with count > 0, in no particular order
+}
+
+// tableEntry is a Table's state for one ID.
+type tableEntry struct {
+	count int32             // SSets holding the ID
+	pos   int32             // index of the ID in present while count > 0
+	canon strategy.Strategy // the canonical instance behind the ID while count > 0
 }
 
 // Change describes one Set or Adopt so that a caller keeping one column
@@ -60,16 +70,29 @@ func NewTable(reg *Registry, initial []strategy.Strategy) (*Table, error) {
 		reg:    reg,
 		ids:    make([]uint32, len(initial)),
 		strats: make([]strategy.Strategy, len(initial)),
+		byID:   NewPages[tableEntry](reg),
 	}
 	for i, s := range initial {
-		id, canon, err := reg.intern(s)
+		id, canon, err := reg.intern(s, true)
 		if err != nil {
+			t.Release()
 			return nil, fmt.Errorf("intern: binding table entry %d: %w", i, err)
 		}
 		t.ids[i], t.strats[i] = id, canon
-		t.add(id, canon)
+		if !t.add(id, canon) {
+			reg.Drop(id)
+		}
 	}
 	return t, nil
+}
+
+// Release drops the table's hold on every ID its SSets hold, so that the
+// registry may retire them.  Call it once, when the table is finished, and
+// change the table no more.
+func (t *Table) Release() {
+	for _, id := range t.present {
+		t.reg.Drop(id)
+	}
 }
 
 // Len returns the number of SSets.
@@ -94,14 +117,14 @@ func (t *Table) Strategies() []strategy.Strategy {
 
 // Strategy returns the canonical strategy behind id, which must be
 // present.
-func (t *Table) Strategy(id uint32) strategy.Strategy { return t.canon[id] }
+func (t *Table) Strategy(id uint32) strategy.Strategy { return t.byID.Get(id).canon }
 
 // Present returns the IDs held by at least one SSet.  The slice changes
 // with the table and must not be modified.
 func (t *Table) Present() []uint32 { return t.present }
 
-// Count returns the number of SSets holding id, an ID the table has held.
-func (t *Table) Count(id uint32) int { return int(t.count[id]) }
+// Count returns the number of SSets holding id.
+func (t *Table) Count(id uint32) int { return int(t.byID.Get(id).count) }
 
 // CountOf returns the number of SSets holding a strategy equal to s.  It
 // compares s with the present strategies and never interns it: an ID
@@ -109,7 +132,7 @@ func (t *Table) Count(id uint32) int { return int(t.count[id]) }
 func (t *Table) CountOf(s strategy.Strategy) int {
 	for _, id := range t.present {
 		if t.Strategy(id).Equal(s) {
-			return int(t.count[id])
+			return t.Count(id)
 		}
 	}
 	return 0
@@ -120,7 +143,7 @@ func (t *Table) Set(i int, s strategy.Strategy) (Change, error) {
 	if i < 0 || i >= len(t.ids) {
 		return Change{}, fmt.Errorf("intern: SSet index %d out of range [0,%d)", i, len(t.ids))
 	}
-	id, canon, err := t.reg.intern(s)
+	id, canon, err := t.reg.intern(s, true)
 	if err != nil {
 		return Change{}, err
 	}
@@ -132,48 +155,94 @@ func (t *Table) Adopt(learner, teacher int) (Change, error) {
 	if n := len(t.ids); learner < 0 || learner >= n || teacher < 0 || teacher >= n {
 		return Change{}, fmt.Errorf("intern: adoption %d <- %d outside table of %d SSets", learner, teacher, n)
 	}
+	t.reg.Hold(t.ids[teacher])
 	return t.move(learner, t.ids[teacher], t.strats[teacher]), nil
 }
 
-// move points SSet i at id, whose canonical instance is canon.
+// move points SSet i at id, whose canonical instance is canon.  The caller
+// has taken a hold on id, which keeps it live across the move even when
+// SSet i was the last holder of the same ID; move keeps that hold as the
+// table's when id is newly present and drops it otherwise.
 func (t *Table) move(i int, id uint32, canon strategy.Strategy) Change {
 	old := t.ids[i]
-	ch := Change{Old: old, New: id, OldPos: int(t.pos[old]), Vacated: t.remove(old)}
-	ch.Added = t.add(id, canon)
-	ch.NewPos = int(t.pos[id])
+	ch := Change{Old: old, New: id, OldPos: int(t.byID.Get(old).pos), Vacated: t.remove(old)}
+	if ch.Added = t.add(id, canon); !ch.Added {
+		t.reg.Drop(id)
+	}
+	ch.NewPos = int(t.byID.Get(id).pos)
 	t.ids[i], t.strats[i] = id, canon
 	return ch
 }
 
 // add counts one more SSet holding id, whose canonical instance is canon,
-// and reports whether id is newly present (appended to present).
+// and reports whether id is newly present (appended to present).  The
+// caller holds id in the registry.
 func (t *Table) add(id uint32, canon strategy.Strategy) bool {
-	if int(id) >= len(t.count) {
-		grow := int(id) + 1 - len(t.count)
-		t.count = append(t.count, make([]int32, grow)...)
-		t.pos = append(t.pos, make([]int32, grow)...)
-		t.canon = append(t.canon, make([]strategy.Strategy, grow)...)
-	}
-	t.count[id]++
-	if t.count[id] > 1 {
+	e := t.byID.At(id)
+	if e.count++; e.count > 1 {
 		return false
 	}
-	t.pos[id], t.canon[id] = int32(len(t.present)), canon
+	e.pos, e.canon = int32(len(t.present)), canon
 	t.present = append(t.present, id)
 	return true
 }
 
 // remove counts one SSet fewer holding id.  When none is left, id leaves
-// present by swap-remove: it returns the position id vacated, which the
-// last entry now fills, or -1 while id is still present.
+// present by swap-remove and the table drops its hold: it returns the
+// position id vacated, which the last entry now fills, or -1 while id is
+// still present.
 func (t *Table) remove(id uint32) int {
-	t.count[id]--
-	if t.count[id] > 0 {
+	e := t.byID.At(id)
+	if e.count--; e.count > 0 {
 		return -1
 	}
-	p, last := t.pos[id], t.present[len(t.present)-1]
-	t.present[p], t.pos[last] = last, p
-	t.canon[id] = nil
+	p, last := e.pos, t.present[len(t.present)-1]
+	t.present[p], t.byID.At(last).pos = last, p
+	e.canon = nil
 	t.present = t.present[:len(t.present)-1]
+	t.reg.Drop(id)
 	return int(p)
+}
+
+// Pages is a dense array of per-ID values kept beside a registry's IDs, in
+// pages of pageLen IDs.  A page is made by the first At of one of its IDs,
+// and pages whose IDs the registry has all retired are freed whenever a
+// new page is made, so the array takes memory for the pages of live IDs,
+// not for every ID issued.  Write only IDs some table holds: a retired
+// ID's page may be gone.  The zero value holds nothing and frees nothing.
+type Pages[T any] struct {
+	reg *Registry
+	dir []*[pageLen]T
+}
+
+// NewPages returns an empty array over reg's IDs.
+func NewPages[T any](reg *Registry) Pages[T] { return Pages[T]{reg: reg} }
+
+// Get returns id's value, the zero value if none has been written.
+func (p *Pages[T]) Get(id uint32) T {
+	if k := int(id / pageLen); k < len(p.dir) && p.dir[k] != nil {
+		return p.dir[k][id%pageLen]
+	}
+	var zero T
+	return zero
+}
+
+// At returns id's value for writing, making its page if needed.
+func (p *Pages[T]) At(id uint32) *T {
+	k := int(id / pageLen)
+	if k < len(p.dir) && p.dir[k] != nil {
+		return &p.dir[k][id%pageLen]
+	}
+	for k >= len(p.dir) {
+		p.dir = append(p.dir, nil)
+	}
+	if p.reg != nil {
+		for j, pg := range p.dir {
+			if pg != nil && p.reg.pageFreed(j) {
+				p.dir[j] = nil
+			}
+		}
+	}
+	p.dir[k] = new([pageLen]T)
+	return &p.dir[k][id%pageLen]
 }

@@ -402,12 +402,17 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Every SSet rank of the run evaluates through a view over one store,
-	// so a pair any rank has played is never played again by another.
-	if cfg.SharedCache == nil {
-		if cfg.SharedCache, err = NewSharedCache(cfg); err != nil {
+	// so a pair any rank has played is never played again by another.  The
+	// ranks share the run's clock on that store: an ID is retired once the
+	// slowest rank has passed the generation its last holder left it.  A
+	// store the caller passed in is shared with other runs.
+	store := cfg.SharedCache
+	if store == nil {
+		if store, err = NewSharedCache(cfg); err != nil {
 			return Result{}, err
 		}
 	}
+	cfg.SharedCache = store.ForRun(cfg.Ranks-1, store == cfg.SharedCache)
 
 	reports := make([]RankReport, cfg.Ranks)
 	err = mpi.RunWithOptions(cfg.Ranks, mpi.Options{
@@ -628,7 +633,8 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 		return RankReport{}, fmt.Errorf("parallel: rank %d: %w", c.Rank(), err)
 	}
 	// A store shared with other ranks or replicates may then move the
-	// rank's pairs out of its probed table once nothing holds them.
+	// rank's pairs out of its probed table, or retire its IDs, once nothing
+	// holds them.
 	defer ev.Release()
 
 	// EvalFull keeps the decoded table and one opponents buffer, sized for
@@ -720,6 +726,7 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 		if err := applyUpdate(update, table, ev); err != nil {
 			return RankReport{}, err
 		}
+		ev.EndGeneration()
 		rec.Lap(trace.PhaseCompute)
 	}
 

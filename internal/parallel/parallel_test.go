@@ -606,14 +606,10 @@ func BenchmarkRunGeneration64SSets4Ranks(b *testing.B) {
 	}
 }
 
-// BenchmarkDistributedReentry runs the case pair-store promotion serves: a
-// cached memory-two population at mutation 0.5, whose strategies die out
-// fast and whose pairs a mutant redrawing an extinct strategy brings back
-// from the cold log, with four SSet ranks entering and leaving the same
-// IDs of the run's one store at once.  One op is a whole 3000-generation
-// run.
-func BenchmarkDistributedReentry(b *testing.B) {
-	cfg := Config{
+// reentryConfig is a cached memory-two run whose mutation stream makes
+// extinct strategies re-enter often.
+func reentryConfig() Config {
+	return Config{
 		Ranks:         5,
 		NumSSets:      64,
 		AgentsPerSSet: 4,
@@ -626,6 +622,16 @@ func BenchmarkDistributedReentry(b *testing.B) {
 		OptLevel:      OptFusedFitness,
 		EvalMode:      fitness.EvalCached,
 	}
+}
+
+// BenchmarkDistributedReentry runs the case pair-store promotion serves: a
+// cached memory-two population at mutation 0.5, whose strategies die out
+// fast and whose pairs a mutant redrawing an extinct strategy brings back
+// from the cold log, with four SSet ranks entering and leaving the same
+// IDs of the run's one store at once.  One op is a whole 3000-generation
+// run.
+func BenchmarkDistributedReentry(b *testing.B) {
+	cfg := reentryConfig()
 	b.ReportAllocs()
 	var games int64
 	for i := 0; i < b.N; i++ {

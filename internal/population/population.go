@@ -230,7 +230,7 @@ type Model struct {
 	// by the first Sample; defects[id] is one more than the defecting
 	// states of the pure strategy behind id, 0 until Sample counts them.
 	classics []strategy.Strategy
-	defects  []int32
+	defects  intern.Pages[int32]
 }
 
 // New validates the configuration and builds a Model ready to run.
@@ -253,7 +253,9 @@ func New(cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := fitness.NewEvaluator(engine, run.Graph, run.Table, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache)
+	// A store passed in is shared with other runs; the model is one run of
+	// one evaluator on it.
+	ev, err := fitness.NewEvaluator(engine, run.Graph, run.Table, 0, cfg.NumSSets, cfg.EvalMode, cfg.SharedCache.ForRun(1, true))
 	if err != nil {
 		return nil, fmt.Errorf("population: %w", err)
 	}
@@ -267,6 +269,7 @@ func New(cfg Config) (*Model, error) {
 	}
 	if ev != nil {
 		m.table = ev.Table()
+		m.defects = intern.NewPages[int32](ev.Cache().Interner())
 	} else {
 		// The EvalFull path identifies the event's distinct pairs by
 		// interned ID, so its per-event cache is dense rows indexed by ID.
@@ -553,13 +556,11 @@ func (m *Model) Sample() AbundanceSample {
 // defections returns p.DefectionCount() for p, the strategy behind id,
 // counting the move table once per ID.
 func (m *Model) defections(id uint32, p *strategy.Pure) int {
-	if int(id) >= len(m.defects) {
-		m.defects = append(m.defects, make([]int32, int(id)+1-len(m.defects))...)
+	d := m.defects.At(id)
+	if *d == 0 {
+		*d = int32(p.DefectionCount()) + 1
 	}
-	if m.defects[id] == 0 {
-		m.defects[id] = int32(p.DefectionCount()) + 1
-	}
-	return int(m.defects[id]) - 1
+	return int(*d) - 1
 }
 
 // rendersBefore reports whether a's String sorts before b's.  Pure move
