@@ -277,9 +277,9 @@ func run(o runOptions) error {
 	}
 
 	// The engines write the checkpoint themselves: the typed strategy table
-	// (mixed strategies survive, unlike the old re-parse of the rendered
-	// strings), the generation counter actually reached, and the RNG stream
-	// states that make -resume bit-identical.
+	// (pure move tables, which -resume checks entry by entry), the
+	// generation counter actually reached, and the RNG stream states that
+	// make -resume bit-identical.
 	if o.ckptPath != "" {
 		fmt.Printf("\ncheckpoint written to %s\n", o.ckptPath)
 	}

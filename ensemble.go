@@ -114,9 +114,9 @@ type EnsembleResult struct {
 // simulation concurrently and aggregates them.  Each replicate is
 // bit-identical to running its derived seed solo: for noiseless cached
 // configurations all replicates share one pair-cache store (replicate k is
-// served every pair any earlier replicate already played), while noisy or
-// mixed configurations keep the engines' existing bypass so RNG streams
-// never move.  Checkpointing is per-run and must be disabled in the base
+// served every pair any earlier replicate already played), while noisy
+// configurations keep the engines' existing bypass so RNG streams never
+// move.  Checkpointing is per-run and must be disabled in the base
 // configuration.
 //
 // Failure degrades gracefully: a permanently-failed replicate is reported

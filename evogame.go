@@ -60,11 +60,11 @@ const MaxMemorySteps = game.MaxMemorySteps
 // EvalMode selects how the engines evaluate Strategy-Set fitness; it is the
 // knob over the shared incremental-fitness subsystem.
 //
-// Noiseless games between deterministic strategies are pure functions of
-// the strategy pair, so their results can be reused instead of replayed.
-// All three modes produce bit-identical results for identical seeds: when
-// the reuse conditions fail (Noise > 0 or mixed strategies), the cached
-// modes transparently fall back to the full evaluation path.
+// The engines evolve pure move tables, so a noiseless game is a pure
+// function of the strategy pair and its result can be reused instead of
+// replayed.  All three modes produce bit-identical results for identical
+// seeds: with Noise > 0 the cached modes transparently fall back to the
+// full evaluation path.
 type EvalMode int
 
 const (
@@ -362,7 +362,7 @@ type Metrics struct {
 	// describe persistent pair-cache traffic; all zero when no cache ran.
 	// On a well-mixed EvalCached run with integer payoffs a hit stands for
 	// one distinct opponent strategy, not one neighbour.  CacheBypassed is
-	// always 0 (noisy and mixed runs never build a cache).
+	// always 0 (noisy runs never build a cache).
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64
@@ -542,8 +542,10 @@ func Simulate(ctx context.Context, cfg SimulationConfig) (SimulationResult, erro
 // seed, game, payoff, update rule and topology — is verified against it;
 // parameters the snapshot does not record, such as noise and rounds, must
 // simply be passed identically), and InitialStrategies must be empty: the
-// strategy table comes from the checkpoint, typed, so mixed-strategy
-// populations survive the round trip.  The resumed run takes Simulate's
+// strategy table comes from the checkpoint, typed.  The engines play pure
+// strategies of the configured memory depth only, so a checkpoint whose
+// table holds any other strategy (a mixed one, say) is rejected, naming
+// the entry.  The resumed run takes Simulate's
 // path, so cfg.MaxRestarts > 0 supervises it exactly as a fresh run.
 //
 // For a resumable checkpoint (format v4, written by the serial engine) the

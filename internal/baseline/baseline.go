@@ -74,15 +74,17 @@ func New(cfg Config) (*Model, error) {
 
 // fitness plays agent i serially against every other agent, exactly as the
 // traditional algorithm prescribes — no redundancy elimination, no
-// thread-level fan-out.
+// thread-level fan-out.  The agents hold pure strategies, so only a noisy
+// game draws randomness.
 func (m *Model) fitness(i int) (float64, error) {
 	total := 0.0
+	noisy := m.engine.Noise() > 0
 	for j, opp := range m.agents {
 		if j == i {
 			continue
 		}
 		var src *rng.Source
-		if m.engine.Noise() > 0 || !m.agents[i].Deterministic() || !opp.Deterministic() {
+		if noisy {
 			src = m.src.Split()
 		}
 		fit, err := m.engine.PlayFitness(m.agents[i], opp, src)

@@ -105,8 +105,8 @@ const (
 const (
 	// StreamNature is the Nature Agent's event stream (both engines).
 	StreamNature = "nature"
-	// StreamGame is the serial engine's game-play stream, split per noisy or
-	// mixed-strategy fitness evaluation.
+	// StreamGame is the serial engine's game-play stream, split per noisy
+	// game of a fitness evaluation.
 	StreamGame = "game"
 )
 

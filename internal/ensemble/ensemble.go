@@ -7,13 +7,13 @@
 // Each replicate k runs the underlying engine (serial or distributed)
 // unchanged with a seed derived by ReplicateSeed, so its trajectory is
 // bit-identical to running that seed solo.  The throughput win is
-// cross-run sharing: for noiseless deterministic configurations all
-// replicates evaluate fitness through per-run views over one shared
-// fitness.PairCache store (one interning registry, 64 lock-free shards
-// of memoized pair results), so replicate k starts with every pair any earlier replicate
-// already played served as a cache hit.  Noisy or mixed configurations
-// keep the engines' existing bypass — the shared store is simply never
-// consulted — so RNG streams never move.
+// cross-run sharing: for noiseless cached configurations all replicates
+// evaluate fitness through per-run views over one shared fitness.PairCache
+// store (one interning registry, 64 lock-free shards of memoized pair
+// results; see fitness.NewStore), so replicate k starts with every pair
+// any earlier replicate already played served as a cache hit.  Noisy
+// configurations keep the engines' existing bypass — no store is built —
+// so RNG streams never move.
 //
 // Worker budget: ensemble-level concurrency and per-run worker fan-out
 // multiply, so by default the two tiers split GOMAXPROCS instead of
@@ -33,7 +33,6 @@ import (
 
 	"evogame/internal/faults"
 	"evogame/internal/fitness"
-	"evogame/internal/game"
 	"evogame/internal/parallel"
 	"evogame/internal/population"
 	"evogame/internal/stats"
@@ -204,16 +203,8 @@ func RunSerial(ctx context.Context, base population.Config, generations int, cfg
 	if err := checkBase(base.CheckpointPath, base.CheckpointEvery, base.SharedCache != nil, base.Resume != nil); err != nil {
 		return SerialResult{}, err
 	}
-	if !cfg.PrivateCaches && base.EvalMode != fitness.EvalFull && base.Noise == 0 {
-		// Build the shared store from an engine configured exactly as the
-		// runs configure theirs, so the store identity (game ID + memory
-		// depth) matches every replicate's view.  The master engine itself
-		// never plays a game: misses go through each replicate's own engine.
-		eng, err := game.NewEngine(base.EngineConfig())
-		if err != nil {
-			return SerialResult{}, err
-		}
-		if base.SharedCache, err = fitness.NewPairCache(eng); err != nil {
+	if !cfg.PrivateCaches {
+		if base.SharedCache, err = fitness.NewStore(base.EngineConfig(), base.EvalMode); err != nil {
 			return SerialResult{}, err
 		}
 	}
@@ -302,7 +293,7 @@ func RunParallel(base parallel.Config, cfg Config) (ParallelResult, error) {
 		base.WorkersPerRank = perRunWorkers(workers)
 	}
 	if !cfg.PrivateCaches {
-		if base.SharedCache, err = parallel.NewSharedCache(base); err != nil {
+		if base.SharedCache, err = fitness.NewStore(base.EngineConfig(), base.EvalMode); err != nil {
 			return ParallelResult{}, err
 		}
 	}

@@ -9,7 +9,6 @@ import (
 
 	"evogame/internal/game"
 	"evogame/internal/intern"
-	"evogame/internal/strategy"
 )
 
 // maxCacheBytes sets the budget of a PairCache's memoized results.  The
@@ -241,10 +240,10 @@ func pairHash(key uint64) uint64 {
 // evaluator's table holds the IDs its SSets hold in the registry (see
 // intern.Table); a pair whose endpoints were both held and one of which no
 // table holds any more stays hot until its shard next compacts (see
-// cacheShard.grow).  Below memory retireFrom it then moves to the shard's
+// cacheShard.grow).  Below memory RetireFrom it then moves to the shard's
 // cold log, and a table taking up an ID brings the ID's cold pairs with
 // the IDs it holds back (see bringBack) before it looks anything up.  From
-// memory retireFrom up the run retires an ID once no table of it can look
+// memory RetireFrom up the run retires an ID once no table of it can look
 // the ID up again (see runClock), and compaction drops the pairs of
 // retired IDs; only a pair of two pinned IDs, which a later run may look
 // up, goes cold.  Lookups therefore probe only the hot table, and a pair
@@ -258,7 +257,7 @@ type pairStore struct {
 	maxPerShard int
 	reg         *intern.Registry
 	live        liveness
-	// retires is set from memory retireFrom up: IDs no table holds are
+	// retires is set from memory RetireFrom up: IDs no table holds are
 	// retired (see runClock) and their pairs dropped, and only pairs of
 	// two pinned IDs go cold.
 	retires bool
@@ -328,8 +327,9 @@ func (st *pairStore) compatible(eng *game.Engine) error {
 // pairs of IDs its Evaluator's table holds, or of IDs no table has ever
 // entered, which every store used without an evaluator does.
 // Results are pure functions of the pair; racing workers at worst replay a
-// pair once each and store the identical result (counted once, keeping the
-// play counter deterministic for a given seed).
+// pair once each and store the identical result (one miss, keeping the
+// play counter deterministic for a given seed, and a hit for every other
+// racer).
 //
 // A PairCache is a view: the result table and registry live in a pairStore
 // that additional views may share (see NewView), while the engine used to
@@ -373,7 +373,7 @@ func NewPairCache(eng *game.Engine) (*PairCache, error) {
 		rounds:      eng.Rounds(),
 		maxPerShard: maxPerShard,
 		reg:         intern.NewRegistry(),
-		retires:     eng.MemorySteps() >= retireFrom,
+		retires:     eng.MemorySteps() >= RetireFrom,
 	}
 	for i := range st.shards {
 		st.shards[i].table.Store(newPairTable(minTableSlots))
@@ -409,25 +409,6 @@ func (c *PairCache) ForRun(members int, acrossRuns bool) *PairCache {
 	return &PairCache{eng: c.eng, store: c.store, run: newRunClock(c.store, members, acrossRuns)}
 }
 
-// CacheUsable reports whether the cache-validity conditions hold for a
-// whole run over the given strategy table: a noiseless engine and an
-// all-deterministic table of codec-encodable strategies (so every entry can
-// be interned).  Learning only copies strategies and the mutation operator
-// only generates pure ones, so a table that starts deterministic stays
-// deterministic; NewEvaluator uses this gate to decide whether a run's
-// evaluation goes through the subsystem or stays on the engine's full path.
-func CacheUsable(eng *game.Engine, table []strategy.Strategy) bool {
-	if eng == nil || eng.Noise() > 0 {
-		return false
-	}
-	for _, s := range table {
-		if s == nil || !s.Deterministic() || !strategy.Encodable(s) {
-			return false
-		}
-	}
-	return true
-}
-
 // Interner returns the registry issuing the dense strategy IDs PlayID
 // accepts.  Engines intern their strategy tables through it once per
 // strategy-change event, so the per-game path never touches the codec.
@@ -438,25 +419,12 @@ func (c *PairCache) Interner() *intern.Registry { return c.store.reg }
 // DeltaExact reports whether the IncrementalMatrix's delta updates are
 // bit-exact for the engine's game: with an integer-valued payoff matrix
 // every fitness sum is an exactly-representable integer, so subtracting and
-// re-adding pair payoffs reproduces a fresh evaluation bit for bit.  The
-// engines downgrade EvalIncremental to EvalCached when this fails (for
+// re-adding pair payoffs reproduces a fresh evaluation bit for bit.
+// NewEvaluator downgrades EvalIncremental to EvalCached when this fails (for
 // example a generic 2x2 game with fractional payoffs), preserving the
 // all-modes-identical guarantee.
 func DeltaExact(eng *game.Engine) bool {
 	return eng != nil && eng.Payoff().IntegerValued()
-}
-
-// EffectiveMode returns the evaluation mode an engine should actually run
-// for the requested mode: EvalIncremental downgrades to EvalCached when the
-// engine's game cannot guarantee bit-exact delta updates (see DeltaExact).
-// NewEvaluator resolves both engines' modes through it, so a new
-// cache-validity condition cannot be applied to one engine and missed in
-// the other.
-func EffectiveMode(eng *game.Engine, mode EvalMode) EvalMode {
-	if mode == EvalIncremental && !DeltaExact(eng) {
-		return EvalCached
-	}
-	return mode
 }
 
 // swap returns the result seen from the opposite side of the board.
@@ -491,16 +459,19 @@ func (c *PairCache) lookup(a, b uint32, dst *game.Result) bool {
 
 // record stores res, the freshly played result of (a, b), unless a racing
 // call stored the pair first, and returns the stored result oriented as
-// (a, b).  Only the call that stores the pair counts a miss: two workers
-// racing on the same uncached pair replay the identical game, and counting
-// it once keeps the reported game totals deterministic for a given seed
-// regardless of scheduling.
+// (a, b).  Only the call that stores the pair counts a miss; a call that
+// finds the pair stored meanwhile — by another view or worker racing on
+// it, replaying the identical game — counts a hit, as its lookup would
+// have had it come a moment later.  Every lookup but a chunk duplicate
+// (see PlayIDBatch) thus counts one hit or one miss, whichever view
+// reaches the pair first.
 func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
 	sh, tag, h, swapped := c.store.locate(a, b)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t := sh.table.Load()
 	if s := t.find(tag, h); s != nil {
+		c.hits.Add(1)
 		if swapped {
 			return swap(s.res)
 		}

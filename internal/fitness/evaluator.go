@@ -62,14 +62,14 @@ type Evaluator struct {
 	res         []game.Result
 }
 
-// NewEvaluator returns the evaluator for a run over the given strategy table
-// and interaction graph, materialising rows [lo, hi).  The requested mode
-// is resolved once through EffectiveMode and CacheUsable.  It returns nil,
-// nil when the run must stay on the engine's own EvalFull path: mode
-// EvalFull, a noisy engine, or a table that is not all deterministic and
-// encodable (mixed strategies).  Keeping those runs off the cache leaves
-// their random-number streams, and so their trajectories, exactly those of
-// EvalFull.
+// NewEvaluator returns the evaluator for a run over the given strategy
+// table, pure strategies of the engine's memory depth, and interaction
+// graph, materialising rows [lo, hi).  It returns nil, nil when the run
+// does not memoize (see Memoizes): mode EvalFull or a noisy engine.
+// Keeping those runs off the cache leaves their random-number streams, and
+// so their trajectories, exactly those of EvalFull.  EvalIncremental runs
+// as EvalCached when the game's delta updates are not bit-exact (see
+// DeltaExact).
 //
 // When shared is non-nil the evaluator plays through a view over its store
 // (see PairCache.NewView) and joins the run shared was made for (see
@@ -77,9 +77,11 @@ type Evaluator struct {
 // made for none.  Otherwise it plays through a private PairCache, alone.
 // Strategy IDs are interned in table order, then one per Apply.
 func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy, lo, hi int, mode EvalMode, shared *PairCache) (*Evaluator, error) {
-	mode = EffectiveMode(eng, mode)
-	if mode == EvalFull || !CacheUsable(eng, table) {
+	if !Memoizes(mode, eng.Noise()) {
 		return nil, nil
+	}
+	if mode == EvalIncremental && !DeltaExact(eng) {
+		mode = EvalCached
 	}
 	if g == nil || g.Len() != len(table) {
 		return nil, fmt.Errorf("fitness: evaluator needs a graph spanning the %d-strategy table", len(table))

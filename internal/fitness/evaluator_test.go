@@ -128,7 +128,6 @@ func TestNewEvaluatorStaysOffTheCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	pure := []strategy.Strategy{strategy.TFT(1), strategy.WSLS(1), strategy.AllD(1)}
-	mixed := []strategy.Strategy{strategy.TFT(1), strategy.NewMixed(1), strategy.AllD(1)}
 	for _, tc := range []struct {
 		name  string
 		noise float64
@@ -138,8 +137,6 @@ func TestNewEvaluatorStaysOffTheCache(t *testing.T) {
 		{"full", 0, pure, EvalFull},
 		{"noisy cached", 0.05, pure, EvalCached},
 		{"noisy incremental", 0.05, pure, EvalIncremental},
-		{"mixed cached", 0, mixed, EvalCached},
-		{"mixed incremental", 0, mixed, EvalIncremental},
 	} {
 		ev, err := NewEvaluator(newEngine(t, tc.noise), g, tc.table, 0, len(tc.table), tc.mode, nil)
 		if err != nil {

@@ -54,15 +54,14 @@
 // # Cache validity conditions
 //
 // A pair result may be memoized if and only if the game is a pure function
-// of the strategy pair:
-//
-//   - the engine is noiseless (game.Engine.Noise() == 0), and
-//   - both strategies are deterministic (pure, not mixed).
-//
-// CacheUsable checks both for a whole run.  NewEvaluator returns nil for
-// noisy or mixed populations, so the engines stay on their full evaluation
-// paths and the random-number streams — and therefore the trajectories —
-// are bit-for-bit identical to EvalFull.
+// of the strategy pair.  The engines' strategy tables hold pure move tables
+// only (nature.Start rejects anything else, mutation draws pure ones and
+// learning copies present ones), so that is the case exactly when the game
+// is noiseless.  Memoizes is that one decision for a run: NewStore builds
+// no store and NewEvaluator returns nil for a noisy run or EvalFull, so the
+// engines stay on their full evaluation paths and the random-number
+// streams — and therefore the trajectories — are bit-for-bit identical to
+// EvalFull.
 //
 // The delta update of IncrementalMatrix subtracts and re-adds float64 pair
 // payoffs.  With the standard Prisoner's Dilemma payoff matrix (and any
@@ -72,7 +71,11 @@
 // EvalIncremental produce identical dynamics for identical seeds.
 package fitness
 
-import "fmt"
+import (
+	"fmt"
+
+	"evogame/internal/game"
+)
 
 // EvalMode selects how an engine evaluates Strategy-Set fitness.
 type EvalMode int
@@ -125,4 +128,28 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	default:
 		return EvalFull, fmt.Errorf("fitness: unknown eval mode %q (want full, cached or incremental)", s)
 	}
+}
+
+// Memoizes reports whether a run in mode whose games have per-move error
+// probability noise evaluates fitness through a pair store.  Every engine
+// table is pure, so noise alone takes a cached mode off the store.
+func Memoizes(mode EvalMode, noise float64) bool {
+	return mode != EvalFull && noise == 0
+}
+
+// NewStore returns an empty pair store for runs of the game cfg describes
+// in mode, or nil when such a run does not memoize (see Memoizes).  Runs
+// evaluate through views over it (see PairCache.ForRun): one run's
+// evaluators, or the replicates of an ensemble.  The store's own engine
+// never plays a game; each view plays its misses through the engine of the
+// evaluator that made it.
+func NewStore(cfg game.EngineConfig, mode EvalMode) (*PairCache, error) {
+	if !Memoizes(mode, cfg.Noise) {
+		return nil, nil
+	}
+	eng, err := game.NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewPairCache(eng)
 }

@@ -204,23 +204,39 @@ func TestNewPairCacheNilEngine(t *testing.T) {
 	}
 }
 
-func TestCacheUsable(t *testing.T) {
-	pure := []strategy.Strategy{strategy.TFT(1), strategy.WSLS(1)}
-	if !CacheUsable(newEngine(t, 0), pure) {
-		t.Fatal("noiseless deterministic table should be cache-usable")
+// TestMemoizes pins the one decision that takes a run off the pair
+// store: EvalFull or noise.  NewStore builds a store exactly when it
+// holds, bound to the configured game.
+func TestMemoizes(t *testing.T) {
+	for _, tc := range []struct {
+		mode  EvalMode
+		noise float64
+		want  bool
+	}{
+		{EvalFull, 0, false},
+		{EvalFull, 0.05, false},
+		{EvalCached, 0, true},
+		{EvalCached, 0.05, false},
+		{EvalIncremental, 0, true},
+		{EvalIncremental, 0.05, false},
+	} {
+		if got := Memoizes(tc.mode, tc.noise); got != tc.want {
+			t.Errorf("Memoizes(%v, %v) = %v, want %v", tc.mode, tc.noise, got, tc.want)
+		}
+		cfg := game.EngineConfig{Rounds: 10, MemorySteps: 2, Noise: tc.noise}
+		store, err := NewStore(cfg, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (store != nil) != tc.want {
+			t.Fatalf("NewStore(noise %v, %v) = %v, want a store: %v", tc.noise, tc.mode, store, tc.want)
+		}
+		if store != nil && store.store.memorySteps != 2 {
+			t.Fatalf("store bound to memory %d, want 2", store.store.memorySteps)
+		}
 	}
-	if CacheUsable(newEngine(t, 0.05), pure) {
-		t.Fatal("noisy engine must not be cache-usable")
-	}
-	if CacheUsable(nil, pure) {
-		t.Fatal("nil engine must not be cache-usable")
-	}
-	mixed := append([]strategy.Strategy{strategy.NewMixed(1)}, pure...)
-	if CacheUsable(newEngine(t, 0), mixed) {
-		t.Fatal("mixed strategies must not be cache-usable")
-	}
-	if CacheUsable(newEngine(t, 0), []strategy.Strategy{nil}) {
-		t.Fatal("nil strategies must not be cache-usable")
+	if _, err := NewStore(game.EngineConfig{Rounds: 10, MemorySteps: 9}, EvalCached); err == nil {
+		t.Fatal("NewStore accepted an invalid engine config")
 	}
 }
 

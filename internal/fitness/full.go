@@ -93,12 +93,12 @@ func sumRange(eng *game.Engine, focal strategy.Strategy, opponents []strategy.St
 // games).  Workers zero selects GOMAXPROCS — the single point where that
 // default resolves; negative values are rejected.
 //
-// src provides the randomness of noisy or mixed games and may be nil when
-// every game is deterministic.  It is split once per opponent, in opponent
-// order, before any game runs, and the payoffs are summed in opponent
-// order, so the result is bit-identical for a given src seed whatever the
-// worker count, even for payoffs whose float sums depend on the order of
-// addition.
+// The strategies are the engines' pure move tables.  src provides the
+// randomness of a noisy engine's games and may be nil for a noiseless
+// one.  It is split once per opponent, in opponent order, before any game
+// runs, and the payoffs are summed in opponent order, so the result is
+// bit-identical for a given src seed whatever the worker count, even for
+// payoffs whose float sums depend on the order of addition.
 func PlayAll(eng *game.Engine, focal strategy.Strategy, opponents []strategy.Strategy, workers int, src *rng.Source) (float64, error) {
 	if eng == nil {
 		return 0, fmt.Errorf("fitness: nil engine")
@@ -120,22 +120,10 @@ func PlayAll(eng *game.Engine, focal strategy.Strategy, opponents []strategy.Str
 	// Pre-derive one source per opponent so that the schedule (which worker
 	// plays which game) cannot change the stream a game sees.  The sources
 	// are values in one array: a noisy call allocates once, not per game.
-	needRandom := eng.Noise() > 0 || !focal.Deterministic()
-	if !needRandom {
-		for _, o := range opponents {
-			if o == nil {
-				return 0, fmt.Errorf("fitness: nil opponent strategy")
-			}
-			if !o.Deterministic() {
-				needRandom = true
-				break
-			}
-		}
-	}
 	var perGame []rng.Source
-	if needRandom {
+	if eng.Noise() > 0 {
 		if src == nil {
-			return 0, fmt.Errorf("fitness: randomness required (noise or mixed strategies) but no source provided")
+			return 0, fmt.Errorf("fitness: a noisy engine needs a source")
 		}
 		perGame = make([]rng.Source, len(opponents))
 		for i := range perGame {

@@ -199,13 +199,6 @@ func TestPlayAllRequiresSourceWhenNoisy(t *testing.T) {
 	}
 }
 
-func TestPlayAllRequiresSourceWhenMixedOpponent(t *testing.T) {
-	gtft, _ := strategy.GTFT(1, 0.3)
-	if _, err := PlayAll(newEngine(t, 0), strategy.TFT(1), []strategy.Strategy{gtft}, 0, nil); err == nil {
-		t.Fatal("fitness against a mixed opponent accepted a nil source")
-	}
-}
-
 func TestPlayAllDefaultWorkers(t *testing.T) {
 	opponents := []strategy.Strategy{strategy.AllC(1), strategy.AllD(1), strategy.WSLS(1)}
 	if _, err := PlayAll(newEngine(t, 0), strategy.TFT(1), opponents, 0, nil); err != nil {

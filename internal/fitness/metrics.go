@@ -18,8 +18,8 @@ type Metrics struct {
 	// lookups served from memory; on the well-mixed abundance path (see
 	// Evaluator) one lookup stands for every SSet holding the opponent's
 	// strategy, so it counts distinct strategies, not neighbours.
-	// CacheBypassed is always 0: noisy and mixed runs never build a cache
-	// (see CacheUsable); the field stays for the exported metric schema.
+	// CacheBypassed is always 0: noisy runs never build a cache (see
+	// Memoizes); the field stays for the exported metric schema.
 	CachePlays    int64
 	CacheHits     int64
 	CacheMisses   int64

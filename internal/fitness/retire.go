@@ -7,15 +7,16 @@ import (
 	"sync/atomic"
 )
 
-// retireFrom is the memory depth from which a store retires the IDs of
+// RetireFrom is the memory depth from which a store retires the IDs of
 // extinct strategies instead of demoting their pairs to the cold log.
 // From memory three up a strategy's move table has at least 64 bits, and
 // mutation draws a uniformly random one while adoption copies a present
 // one, so a strategy no table holds any more practically never returns;
 // if it does, it gets a fresh ID and replays to the same noiseless result.
 // Below that, extinct strategies re-enter often and the cold log serves
-// them.
-const retireFrom = 3
+// them.  The serial engine's EvalFull path retires the IDs its private
+// registry's table vacates from the same depth.
+const RetireFrom = 3
 
 // runClock is the generation clock of the evaluators of one run (one
 // member for a serial run or ensemble replicate, one per SSet rank for a
@@ -33,7 +34,7 @@ const retireFrom = 3
 // run's initial table interns are pinned instead (intern.Registry.Pin):
 // another run may start from the same table and must find the pairs among
 // them as it would have.  Such a pair goes cold once the run leaves one
-// of its endpoints, exactly as below memory retireFrom, and comes back
+// of its endpoints, exactly as below memory RetireFrom, and comes back
 // when a run takes the ID up again; a pair of a pinned ID with an
 // unpinned one stays hot until the unpinned one is retired.
 type runClock struct {

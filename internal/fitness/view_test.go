@@ -131,3 +131,47 @@ func TestNewViewRejectsIncompatibleEngines(t *testing.T) {
 		t.Fatal("NewView accepted a nil engine")
 	}
 }
+
+// TestRecordCountsPairStoredMeanwhile stores a pair through view B between
+// view A's probe and view A's record, the interleaving of two SSet ranks
+// racing on one pair.  A's record finds the pair stored and counts a hit,
+// so each lookup counts once, whichever view reaches the pair first: one
+// hit for A, one miss for B, and A gets B's result.
+func TestRecordCountsPairStoredMeanwhile(t *testing.T) {
+	cfg := game.EngineConfig{Rounds: 30, MemorySteps: 2}
+	a, err := NewPairCache(testEngine(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := a.NewView(testEngine(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tft, err := a.Interner().Intern(strategy.TFT(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alld, err := a.Interner().Intern(strategy.AllD(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probe game.Result
+	if a.lookup(tft, alld, &probe) {
+		t.Fatal("the pair is stored before any view played it")
+	}
+	want, err := b.PlayID(alld, tft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	played, err := a.eng.Play(strategy.TFT(2), strategy.AllD(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.record(tft, alld, played); got != swap(want) {
+		t.Fatalf("record returned %+v, want the stored %+v", got, swap(want))
+	}
+	if a.Hits() != 1 || a.Misses() != 0 || b.Hits() != 0 || b.Misses() != 1 {
+		t.Fatalf("view A hits %d misses %d, view B hits %d misses %d; want 1 0 0 1",
+			a.Hits(), a.Misses(), b.Hits(), b.Misses())
+	}
+}

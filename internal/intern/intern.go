@@ -106,8 +106,7 @@ func (r *Registry) pageFreed(p int) bool {
 // Intern returns the dense ID of s, assigning a fresh one if no live
 // strategy with the same encoding has been interned.  Strategies with equal
 // move tables receive equal IDs while the ID is live.  It returns an error
-// for strategy implementations the codec cannot encode; callers are
-// expected to fall back to their un-interned paths in that case.
+// for strategy implementations the codec cannot encode.
 func (r *Registry) Intern(s strategy.Strategy) (uint32, error) {
 	id, _, err := r.intern(s, false)
 	return id, err

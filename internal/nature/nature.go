@@ -193,6 +193,27 @@ func (r Run) validate() error {
 	return nil
 }
 
+// checkPure checks that every entry of table, the run's initial or resumed
+// strategy table, is a pure strategy of the run's memory depth.  The
+// engines evolve the paper's pure move tables only: mutation draws pure
+// ones and learning copies present ones, so with a pure initial table
+// noise alone decides whether a game needs randomness and whether its
+// result can be memoized.
+func (r Run) checkPure(table []strategy.Strategy) error {
+	for i, s := range table {
+		p, ok := s.(*strategy.Pure)
+		switch {
+		case s == nil || ok && p == nil:
+			return fmt.Errorf("%s: strategy table entry %d is nil", r.Name, i)
+		case !ok:
+			return fmt.Errorf("%s: strategy table entry %d is a %T, not a pure strategy", r.Name, i, s)
+		case p.MemorySteps() != r.MemorySteps:
+			return fmt.Errorf("%s: strategy table entry %d has memory %d, want %d", r.Name, i, p.MemorySteps(), r.MemorySteps)
+		}
+	}
+	return nil
+}
+
 // Setup is a started run, as Start hands it to the engine.
 type Setup struct {
 	Agent *Agent
@@ -201,7 +222,8 @@ type Setup struct {
 	Graph topology.Graph
 	// Table is the initial strategy table, the engine's own copy: the
 	// resume snapshot's, else InitialStrategies, else a uniformly random
-	// pure strategy per SSet drawn from the init stream.
+	// pure strategy per SSet drawn from the init stream.  Every entry is a
+	// *strategy.Pure of the run's memory depth.
 	Table []strategy.Strategy
 	// Generation is the absolute generation the run starts at: the resume
 	// snapshot's, else 0.
@@ -216,7 +238,8 @@ type Setup struct {
 // after that (see Setup.Stream).  A resume snapshot's identity is checked
 // against the run's, and a resumable one continues the agent's stream and
 // counters; a final-only one warm starts from its table with the streams
-// fresh from Seed.
+// fresh from Seed.  A table entry that is not a pure strategy of the run's
+// memory depth fails the run, named by its index.
 func Start(r Run) (Setup, error) {
 	if err := r.validate(); err != nil {
 		return Setup{}, err
@@ -228,6 +251,9 @@ func Start(r Run) (Setup, error) {
 			return Setup{}, err
 		}
 		s.Table, s.Generation = snap.Strategies, snap.Generation
+	}
+	if err := r.checkPure(s.Table); err != nil {
+		return Setup{}, err
 	}
 	var err error
 	if s.Graph, err = r.Topology.Build(r.NumSSets, r.Seed); err != nil {

@@ -161,8 +161,9 @@ type Config struct {
 	// modes produce identical trajectories per seed.
 	Kernel game.KernelMode
 	// InitialStrategies optionally fixes the initial strategy table (length
-	// NumSSets); when nil the table is drawn uniformly at random, matching
-	// the serial engine's initialisation for the same Seed.
+	// NumSSets, each entry a *strategy.Pure of depth MemorySteps; see
+	// nature.Start); when nil the table is drawn uniformly at random,
+	// matching the serial engine's initialisation for the same Seed.
 	InitialStrategies []strategy.Strategy
 	// SkipFitnessWhenIdle, when true, evaluates fitness only on generations
 	// with a pairwise-comparison event instead of every generation.  The
@@ -178,8 +179,8 @@ type Config struct {
 	// every SSet rank shares (see SharedCache), and EvalIncremental
 	// additionally maintains the rank's block of the fitness matrix,
 	// invalidated by the Nature Agent's broadcast strategy-table updates.
-	// Noisy or mixed populations fall back to the EvalFull path, keeping
-	// all modes bit-for-bit identical per seed.
+	// A noisy run falls back to the EvalFull path, keeping all modes
+	// bit-for-bit identical per seed.
 	EvalMode fitness.EvalMode
 
 	// CheckpointPath, when non-empty, makes the Nature Agent write a
@@ -208,15 +209,14 @@ type Config struct {
 	Resume *checkpoint.Snapshot
 	// SharedCache, when non-nil, makes every SSet rank evaluate fitness
 	// through a view over the given cache's store instead of one the run
-	// builds for its own ranks (see NewSharedCache), so independent runs
+	// builds for its own ranks (see fitness.NewStore), so independent runs
 	// of the same configuration (ensemble replicates) share one interning
 	// registry and one memoized pair table too.  Either way a rank only
-	// uses it when it would evaluate through a cache at all (EvalMode !=
-	// EvalFull and the noiseless/deterministic gate holds); the noise and
-	// mixed-strategy bypasses ignore it, so RNG streams never move and
-	// every run stays bit-identical per seed whichever store it uses.  The
-	// cache must be bound to the identical game (same spec, payoff, rounds
-	// and memory depth) or the run fails.
+	// uses it when the run memoizes (see fitness.Memoizes); EvalFull and
+	// the noise bypass ignore it, so RNG streams never move and every run
+	// stays bit-identical per seed whichever store it uses.  The cache must
+	// be bound to the identical game (same spec, payoff, rounds and memory
+	// depth) or the run fails.
 	SharedCache *fitness.PairCache
 
 	// Faults installs a deterministic fault injector on the communicator
@@ -231,6 +231,21 @@ type Config struct {
 	// longer than this returns mpi.ErrDeadline instead of hanging.  Zero
 	// (the default) disables the deadline.
 	CommDeadline time.Duration
+}
+
+// EngineConfig is the game engine configuration every SSet rank of a run
+// with this Config plays on: the optimization level's state and
+// accumulation modes and its kernel.
+func (c Config) EngineConfig() game.EngineConfig {
+	return game.EngineConfig{
+		Game:        c.Game,
+		Rounds:      c.Rounds,
+		MemorySteps: c.MemorySteps,
+		Noise:       c.Noise,
+		StateMode:   c.OptLevel.stateMode(),
+		AccumMode:   c.OptLevel.accumMode(),
+		Kernel:      c.OptLevel.kernelMode(c.Kernel),
+	}
 }
 
 // validate checks the fields only the distributed engine has; nature.Start
@@ -408,7 +423,7 @@ func Run(cfg Config) (Result, error) {
 	// store the caller passed in is shared with other runs.
 	store := cfg.SharedCache
 	if store == nil {
-		if store, err = NewSharedCache(cfg); err != nil {
+		if store, err = fitness.NewStore(cfg.EngineConfig(), cfg.EvalMode); err != nil {
 			return Result{}, err
 		}
 	}
@@ -451,26 +466,6 @@ func Run(cfg Config) (Result, error) {
 	res.Metrics.Adoptions = natStats.Adoptions
 	res.Metrics.Mutations = natStats.Mutations
 	return res, nil
-}
-
-// NewSharedCache returns an empty pair cache bound to the game cfg plays,
-// for Config.SharedCache, or nil when no SSet rank of cfg evaluates through
-// one: EvalFull or a noisy game.  Run builds one per run when
-// Config.SharedCache is nil; an ensemble builds one for all its replicates.
-func NewSharedCache(cfg Config) (*fitness.PairCache, error) {
-	if cfg.EvalMode == fitness.EvalFull || cfg.Noise != 0 {
-		return nil, nil
-	}
-	eng, err := game.NewEngine(game.EngineConfig{
-		Game:        cfg.Game,
-		Rounds:      cfg.Rounds,
-		MemorySteps: cfg.MemorySteps,
-		Kernel:      cfg.Kernel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return fitness.NewPairCache(eng)
 }
 
 // natureRank runs the Nature Agent on rank 0: it owns the authoritative
@@ -591,15 +586,7 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 		return RankReport{}, err
 	}
 
-	engine, err := game.NewEngine(game.EngineConfig{
-		Game:        cfg.Game,
-		Rounds:      cfg.Rounds,
-		MemorySteps: cfg.MemorySteps,
-		Noise:       cfg.Noise,
-		StateMode:   cfg.OptLevel.stateMode(),
-		AccumMode:   cfg.OptLevel.accumMode(),
-		Kernel:      cfg.OptLevel.kernelMode(cfg.Kernel),
-	})
+	engine, err := game.NewEngine(cfg.EngineConfig())
 	if err != nil {
 		return RankReport{}, err
 	}
@@ -624,7 +611,7 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 	fit := make([]float64, hi-lo)
 
 	// The cached evaluation modes read fitness from the rank's evaluator
-	// (nil on the EvalFull path, including the noise/mixed-strategy bypass),
+	// (nil on the EvalFull path, including the noise bypass),
 	// kept coherent by applying the Nature Agent's broadcast strategy-table
 	// updates to it.  Its table is then the rank's only copy of the global
 	// table.

@@ -462,6 +462,48 @@ func TestInitialStrategiesRespectedAndConserved(t *testing.T) {
 	}
 }
 
+// foreignStrategy is a strategy implementation outside the strategy codec.
+type foreignStrategy struct{ *strategy.Pure }
+
+func (f foreignStrategy) Clone() strategy.Strategy {
+	return foreignStrategy{f.Pure.Clone().(*strategy.Pure)}
+}
+
+// TestRunRejectsNonPureTables puts each kind of entry the engines cannot
+// play at index 4 of the initial table: nil, a strategy outside the codec,
+// a mixed strategy and a pure one of another memory depth.  Run must fail
+// before the fabric starts, with an error naming the engine and the entry,
+// in every eval mode and with or without noise.
+func TestRunRejectsNonPureTables(t *testing.T) {
+	gtft, err := strategy.GTFT(1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		entry strategy.Strategy
+		want  string
+	}{
+		{"nil", nil, "parallel: strategy table entry 4 is nil"},
+		{"foreign", foreignStrategy{strategy.TFT(1)}, "parallel: strategy table entry 4 is a parallel.foreignStrategy, not a pure strategy"},
+		{"mixed", gtft, "parallel: strategy table entry 4 is a *strategy.Mixed, not a pure strategy"},
+		{"memory-two", strategy.TFT(2), "parallel: strategy table entry 4 has memory 2, want 1"},
+	} {
+		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
+			for _, noise := range []float64{0, 0.05} {
+				cfg := baseConfig()
+				cfg.NumSSets, cfg.EvalMode, cfg.Noise, cfg.Generations = 6, mode, noise, 5
+				cfg.InitialStrategies = []strategy.Strategy{
+					strategy.AllC(1), strategy.AllD(1), strategy.WSLS(1), strategy.TFT(1), tc.entry, strategy.GRIM(1),
+				}
+				if _, err := Run(cfg); err == nil || err.Error() != tc.want {
+					t.Errorf("%s/%v/noise %v: Run = %v, want %q", tc.name, mode, noise, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 func TestSkipFitnessWhenIdleReducesGames(t *testing.T) {
 	full := baseConfig()
 	full.PCRate = 0.2

@@ -75,7 +75,7 @@ func TestLaggingRanksKeepGameCounts(t *testing.T) {
 func TestRunReleasesItsStrategies(t *testing.T) {
 	cfg := laggingConfig(5, fitness.EvalIncremental)
 	cfg.MemorySteps = 6
-	store, err := NewSharedCache(cfg)
+	store, err := fitness.NewStore(cfg.EngineConfig(), cfg.EvalMode)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func twoBatchPair(t *testing.T, m *Model, a, b int) (float64, float64, []splitRe
 			}
 			opp := m.table.Get(j)
 			var src *rng.Source
-			if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
+			if m.engine.Noise() > 0 {
 				src = m.src.Split()
 				needSrcs = true
 			}
@@ -97,7 +97,7 @@ func mergedOrder(t *testing.T, m *Model) []splitRecord {
 	}
 	order := make([]splitRecord, p.misses)
 	for k := range order {
-		order[k] = splitRecord{id(p.missFocal[k]), id(p.missOpps[k]), p.needSrcs && p.srcPtrs[k] != nil}
+		order[k] = splitRecord{id(p.missFocal[k]), id(p.missOpps[k]), p.noisy}
 	}
 	return order
 }
@@ -211,32 +211,6 @@ func TestMergedEventRing(t *testing.T) {
 	cfg := noisyPoolConfig(40, 19)
 	cfg.Topology = spec
 	checkMergedEvents(t, cfg, 200, 5, randomPureOf(1))
-}
-
-// TestMergedEventMixedStrategies puts mixed strategies in the table, so
-// some lanes of the merged batch take the scalar fallback and only the
-// games with a mixed player split sources when the engine is noiseless.
-func TestMergedEventMixedStrategies(t *testing.T) {
-	mix := func(src *rng.Source) strategy.Strategy {
-		if src.Intn(3) == 0 {
-			return strategy.RandomMixed(1, src)
-		}
-		return strategy.RandomPure(1, src)
-	}
-	for _, noise := range []float64{0, 0.05} {
-		t.Run(fmt.Sprintf("noise%v", noise), func(t *testing.T) {
-			src := rng.New(23)
-			initial := make([]strategy.Strategy, 30)
-			for i := range initial {
-				initial[i] = mix(src)
-			}
-			initial[0] = strategy.RandomMixed(1, src)
-			cfg := noisyPoolConfig(len(initial), 29)
-			cfg.Noise = noise
-			cfg.InitialStrategies = initial
-			checkMergedEvents(t, cfg, 150, 9, mix)
-		})
-	}
 }
 
 // TestMergedEventChunks draws memory-two strategies at random, so nearly

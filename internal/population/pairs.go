@@ -24,6 +24,10 @@ import (
 //
 // The event's miss list, per-miss sources and results live here too, so
 // the steady-state noisy path allocates nothing.
+//
+// The rows are dense over every ID the registry has issued, so they still
+// grow by about 32 bytes per ID even though the model retires vacated IDs
+// from memory fitness.RetireFrom up (retired IDs are never reissued).
 type pairRows struct {
 	reg    *intern.Registry // sizes the rows: IDs are dense below reg.Len()
 	epoch  uint32
@@ -34,7 +38,7 @@ type pairRows struct {
 
 	ids       [2][]uint32 // each focal SSet's neighbour IDs off the complete graph
 	misses    int         // games queued so far this event
-	needSrcs  bool        // some queued game needs randomness
+	noisy     bool        // the run's games draw randomness: each queued game takes a source
 	missFocal []game.Player
 	missOpps  []game.Player
 	srcs      []rng.Source
@@ -54,7 +58,7 @@ func (p *pairRows) begin(a, b uint32) {
 	}
 	p.epoch += 2
 	p.focal = [2]uint32{a, b}
-	p.misses, p.needSrcs = 0, false
+	p.misses = 0
 	// New IDs appear with every adoption and mutation; grow with headroom.
 	// Fresh rows need no copy: every old stamp is below the new epoch.
 	if n := p.reg.Len(); len(p.stamp[0]) < n {

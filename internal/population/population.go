@@ -74,9 +74,9 @@ type Config struct {
 	// (the paper's Section IV-A redundancy reduction); EvalCached memoizes
 	// each distinct strategy pair across generations, and EvalIncremental
 	// additionally maintains per-SSet fitness sums with row/column
-	// invalidation (see fitness.Evaluator).  Noisy or mixed populations
-	// transparently fall back to the EvalFull path so that all three modes
-	// stay bit-for-bit identical for a given seed.
+	// invalidation (see fitness.Evaluator).  A noisy run transparently
+	// falls back to the EvalFull path so that all three modes stay
+	// bit-for-bit identical for a given seed.
 	EvalMode fitness.EvalMode
 	// Kernel selects the deterministic-game inner loop; the zero value,
 	// game.KernelAuto, closes the joint-state cycle in closed form whenever
@@ -85,7 +85,8 @@ type Config struct {
 	// trajectories per seed.
 	Kernel game.KernelMode
 	// InitialStrategies optionally fixes the initial strategy of each SSet;
-	// it must have exactly NumSSets entries.  When nil, every SSet starts
+	// it must have exactly NumSSets entries, each a *strategy.Pure of
+	// depth MemorySteps (see nature.Start).  When nil, every SSet starts
 	// with an independent uniformly random pure strategy, as in the paper's
 	// validation study.
 	InitialStrategies []strategy.Strategy
@@ -119,10 +120,9 @@ type Config struct {
 	// view over the given cache's store instead of a private PairCache, so
 	// independent runs of the same configuration (ensemble replicates) share
 	// one interning registry and one memoized pair table.  It only takes
-	// effect when the run would build a cache anyway (EvalMode != EvalFull
-	// and the noiseless/deterministic gate holds); the noise and mixed-
-	// strategy bypasses ignore it, so RNG streams never move and every run
-	// stays bit-identical per seed to the same run with a private cache.
+	// effect when the run memoizes (see fitness.Memoizes); EvalFull and the
+	// noise bypass ignore it, so RNG streams never move and every run stays
+	// bit-identical per seed to the same run with a private cache.
 	// The cache must be bound to the identical game (same spec, payoff,
 	// rounds and memory depth) or New fails.
 	SharedCache *fitness.PairCache
@@ -220,12 +220,16 @@ type Model struct {
 	gen   int
 	games int64
 	// ev evaluates fitness in the EvalCached / EvalIncremental modes; it is
-	// nil when the model runs on the EvalFull path (including the
-	// noise/mixed-strategy bypass).
+	// nil when the model runs on the EvalFull path (including the noise
+	// bypass).
 	ev *fitness.Evaluator
 	// pairs is the per-event distinct-pair cache of the EvalFull path; its
 	// rows are sized from the table's registry.
 	pairs pairRows
+	// retires is set on the EvalFull path from memory fitness.RetireFrom
+	// up: an ID the table vacates is retired at once, since nothing else
+	// holds the private registry's IDs.
+	retires bool
 	// classics holds WSLS, TFT and AllD at the run's memory depth, built
 	// by the first Sample; defects[id] is one more than the defecting
 	// states of the pure strategy behind id, 0 until Sample counts them.
@@ -273,10 +277,13 @@ func New(cfg Config) (*Model, error) {
 	} else {
 		// The EvalFull path identifies the event's distinct pairs by
 		// interned ID, so its per-event cache is dense rows indexed by ID.
-		m.pairs.reg = intern.NewRegistry()
+		// Noise alone decides whether its games draw randomness.
+		m.pairs.reg, m.pairs.noisy = intern.NewRegistry(), cfg.Noise > 0
+		m.retires = cfg.MemorySteps >= fitness.RetireFrom
 		if m.table, err = intern.NewTable(m.pairs.reg, run.Table); err != nil {
 			return nil, fmt.Errorf("population: %w", err)
 		}
+		m.defects = intern.NewPages[int32](m.pairs.reg)
 	}
 	return m, nil
 }
@@ -345,7 +352,7 @@ func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 	m.collect(1, b)
 	if n := p.misses; n > 0 {
 		var srcs []*rng.Source
-		if p.needSrcs {
+		if p.noisy {
 			srcs = p.srcPtrs[:n]
 		}
 		if err := m.engine.PlayPairs(p.missFocal[:n], p.missOpps[:n], srcs, p.results[:n]); err != nil {
@@ -403,11 +410,9 @@ func (m *Model) queue(side, i, k int, oppID uint32) {
 	my, myID := m.table.Get(i), m.table.ID(i)
 	opp := m.table.Get(m.graph.Neighbor(i, k))
 	n := p.misses
-	p.srcPtrs[n] = nil
-	if m.engine.Noise() > 0 || !my.Deterministic() || !opp.Deterministic() {
+	if p.noisy {
 		m.src.SplitInto(&p.srcs[n])
 		p.srcPtrs[n] = &p.srcs[n]
-		p.needSrcs = true
 	}
 	p.missFocal[n], p.missOpps[n] = my, opp
 	r := p.row(myID)
@@ -465,7 +470,8 @@ func (m *Model) applyStrategyChange(idx int, s strategy.Strategy) error {
 	if m.ev != nil {
 		return m.ev.Apply(idx, s)
 	}
-	_, err := m.table.Set(idx, s)
+	ch, err := m.table.Set(idx, s)
+	m.retire(ch)
 	return err
 }
 
@@ -475,8 +481,19 @@ func (m *Model) adopt(learner, teacher int) error {
 	if m.ev != nil {
 		return m.ev.Adopt(learner, teacher)
 	}
-	_, err := m.table.Adopt(learner, teacher)
+	ch, err := m.table.Adopt(learner, teacher)
+	m.retire(ch)
 	return err
+}
+
+// retire retires the ID the EvalFull table change ch vacated, if any, so
+// the private registry keeps the strategies present, not every one the
+// run has drawn.  A vacated strategy that returns gets a fresh ID; the
+// per-event pair rows never carry an ID from one event to the next.
+func (m *Model) retire(ch intern.Change) {
+	if m.retires && ch.Vacated >= 0 {
+		m.pairs.reg.Retire(ch.Old)
+	}
 }
 
 // Step advances the simulation by one generation: a possible
@@ -530,26 +547,23 @@ func (m *Model) Sample() AbundanceSample {
 	for _, id := range t.Present() {
 		c := t.Count(id)
 		topCount = max(topCount, c)
-		if p, ok := t.Strategy(id).(*strategy.Pure); ok {
-			totalStates += c * p.NumStates()
-			defecting += c * m.defections(id, p)
-		}
+		p := t.Strategy(id).(*strategy.Pure)
+		totalStates += c * p.NumStates()
+		defecting += c * m.defections(id, p)
 	}
 	// Ties at the top go to the smallest rendering; only the winner is
 	// rendered.
-	var top strategy.Strategy
+	var top *strategy.Pure
 	for _, id := range t.Present() {
 		if t.Count(id) == topCount {
-			if c := t.Strategy(id); top == nil || rendersBefore(c, top) {
+			if c := t.Strategy(id).(*strategy.Pure); top == nil || rendersBefore(c, top) {
 				top = c
 			}
 		}
 	}
 	s.TopStrategy = top.String()
 	s.TopFraction = float64(topCount) / n
-	if totalStates > 0 {
-		s.MeanDefectingStates = float64(defecting) / float64(totalStates)
-	}
+	s.MeanDefectingStates = float64(defecting) / float64(totalStates)
 	return s
 }
 
@@ -567,15 +581,10 @@ func (m *Model) defections(id uint32, p *strategy.Pure) int {
 // tables of one depth render as '0'/'1' strings of one length, state 0
 // first, so the lowest state where they differ decides, and the table
 // that cooperates there (a clear bit, '0') comes first; they are compared
-// word by word without rendering.  Any other pair compares renderings.
-func rendersBefore(a, b strategy.Strategy) bool {
-	pa, okA := a.(*strategy.Pure)
-	pb, okB := b.(*strategy.Pure)
-	if !okA || !okB || pa.MemorySteps() != pb.MemorySteps() {
-		return a.String() < b.String()
-	}
-	wb := pb.Words()
-	for k, w := range pa.Words() {
+// word by word without rendering.
+func rendersBefore(a, b *strategy.Pure) bool {
+	wb := b.Words()
+	for k, w := range a.Words() {
 		if d := w ^ wb[k]; d != 0 {
 			return w&(d&-d) == 0
 		}

@@ -2,7 +2,6 @@ package population
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"evogame/internal/fitness"
@@ -375,8 +374,8 @@ func (f foreignStrategy) Clone() strategy.Strategy {
 }
 
 // TestNewRejectsStrategyOutsideCodec pins the behaviour for a strategy
-// implementation the codec cannot encode: every eval mode needs the table
-// interned, so New fails naming the entry instead of falling back.
+// implementation outside the strategy codec: the engines play pure move
+// tables only, so New fails naming the entry in every eval mode.
 func TestNewRejectsStrategyOutsideCodec(t *testing.T) {
 	for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
 		cfg := baseConfig()
@@ -384,8 +383,42 @@ func TestNewRejectsStrategyOutsideCodec(t *testing.T) {
 		cfg.EvalMode = mode
 		cfg.InitialStrategies = []strategy.Strategy{foreignStrategy{strategy.AllC(1)}, strategy.AllD(1)}
 		_, err := New(cfg)
-		if err == nil || !strings.Contains(err.Error(), "binding table entry 0") || !strings.Contains(err.Error(), "cannot encode") {
-			t.Errorf("%v: New = %v, want the binding error for entry 0", mode, err)
+		if err == nil || err.Error() != "population: strategy table entry 0 is a population.foreignStrategy, not a pure strategy" {
+			t.Errorf("%v: New = %v, want the non-pure error for entry 0", mode, err)
+		}
+	}
+}
+
+// TestNewRejectsNonPureTables puts each kind of entry the engines cannot
+// play at index 2 of a memory-one table: nil, a strategy outside the
+// codec, a mixed strategy and a pure one of another memory depth.  New
+// must fail with an error naming the engine and the entry, in every eval
+// mode and with or without noise, and must not panic.
+func TestNewRejectsNonPureTables(t *testing.T) {
+	gtft, err := strategy.GTFT(1, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		entry strategy.Strategy
+		want  string
+	}{
+		{"nil", nil, "population: strategy table entry 2 is nil"},
+		{"typed-nil", (*strategy.Pure)(nil), "population: strategy table entry 2 is nil"},
+		{"foreign", foreignStrategy{strategy.TFT(1)}, "population: strategy table entry 2 is a population.foreignStrategy, not a pure strategy"},
+		{"mixed", gtft, "population: strategy table entry 2 is a *strategy.Mixed, not a pure strategy"},
+		{"memory-two", strategy.TFT(2), "population: strategy table entry 2 has memory 2, want 1"},
+	} {
+		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {
+			for _, noise := range []float64{0, 0.05} {
+				cfg := baseConfig()
+				cfg.NumSSets, cfg.EvalMode, cfg.Noise = 4, mode, noise
+				cfg.InitialStrategies = []strategy.Strategy{strategy.AllC(1), strategy.AllD(1), tc.entry, strategy.WSLS(1)}
+				if _, err := New(cfg); err == nil || err.Error() != tc.want {
+					t.Errorf("%s/%v/noise %v: New = %v, want %q", tc.name, mode, noise, err, tc.want)
+				}
+			}
 		}
 	}
 }

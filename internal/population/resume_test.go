@@ -1,10 +1,8 @@
 package population
 
 // Engine-level tests of the checkpoint/resume state: Snapshot and
-// Config.Resume must round-trip a mid-run model bit-identically — including populations with
-// mixed (probabilistic) strategies, which the old CLI snapshot path lost by
-// re-parsing rendered move-table strings — and Run's periodic cadence must
-// leave a resumable file behind.
+// Config.Resume must round-trip a mid-run model bit-identically, and Run's
+// periodic cadence must leave a resumable file behind.
 
 import (
 	"context"
@@ -13,101 +11,7 @@ import (
 	"testing"
 
 	"evogame/internal/checkpoint"
-	"evogame/internal/strategy"
 )
-
-// mixedResumeConfig is a noisy run whose table starts with a mixed (GTFT)
-// strategy, forcing the full evaluation path and keeping the game stream
-// busy: the hardest case for a bit-identical resume.
-func mixedResumeConfig(t *testing.T) Config {
-	t.Helper()
-	gtft, err := strategy.GTFT(1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial := make([]strategy.Strategy, 8)
-	initial[0] = gtft
-	for i := 1; i < len(initial); i++ {
-		initial[i] = strategy.WSLS(1)
-	}
-	return Config{
-		NumSSets: 8, AgentsPerSSet: 2, MemorySteps: 1, Rounds: 10,
-		Noise: 0.05, PCRate: 1, MutationRate: 0.3, Beta: 1, Seed: 99,
-		InitialStrategies: initial,
-	}
-}
-
-func stepN(t *testing.T, m *Model, n int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := m.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestSnapshotRestoreMidRunMixed drives a noisy mixed-strategy model to
-// generation 15, checkpoints it through a real file, and verifies that the
-// restored model's next 15 generations match the uninterrupted model's —
-// and that the mixed strategy survived the file round trip typed, not as a
-// lossy display string.
-func TestSnapshotRestoreMidRunMixed(t *testing.T) {
-	cfg := mixedResumeConfig(t)
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepN(t, m, 15)
-
-	path := filepath.Join(t.TempDir(), "mid.ckpt")
-	if err := checkpoint.Save(path, m.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundMixed := false
-	for _, s := range snap.Strategies {
-		if _, ok := s.(*strategy.Mixed); ok {
-			foundMixed = true
-		}
-	}
-	if !foundMixed && !snap.Strategies[0].Equal(m.Strategies()[0]) {
-		t.Fatal("checkpoint lost the typed strategy table")
-	}
-
-	// Reference: the uninterrupted model continues.
-	stepN(t, m, 15)
-
-	restoreCfg := mixedResumeConfig(t)
-	restoreCfg.InitialStrategies = nil
-	restoreCfg.Resume = &snap
-	restored, err := New(restoreCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Generation() != 15 {
-		t.Fatalf("restored generation = %d, want 15", restored.Generation())
-	}
-	stepN(t, restored, 15)
-
-	if restored.Generation() != m.Generation() {
-		t.Fatalf("generation diverged: %d vs %d", restored.Generation(), m.Generation())
-	}
-	want, got := m.Strategies(), restored.Strategies()
-	for i := range want {
-		if !want[i].Equal(got[i]) {
-			t.Fatalf("strategy %d diverged after resume: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if m.NatureStats() != restored.NatureStats() {
-		t.Fatalf("event trace diverged: %+v vs %+v", restored.NatureStats(), m.NatureStats())
-	}
-	if m.GamesPlayed() != restored.GamesPlayed() {
-		t.Fatalf("game counter diverged: %d vs %d", restored.GamesPlayed(), m.GamesPlayed())
-	}
-}
 
 // TestRunFinalCheckpoint verifies the end-of-run write: Run leaves a
 // resumable serial-engine snapshot at the configured path, recording the

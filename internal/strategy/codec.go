@@ -31,19 +31,6 @@ const (
 // strategy encoding.
 var ErrCorrupt = errors.New("strategy: corrupt encoding")
 
-// Encodable reports whether Encode supports the strategy's implementation
-// (the codec covers the package's own Pure and Mixed types).  The fitness
-// subsystem uses it as a cheap pre-check before committing to interned
-// evaluation.
-func Encodable(s Strategy) bool {
-	switch s.(type) {
-	case *Pure, *Mixed:
-		return true
-	default:
-		return false
-	}
-}
-
 // Encode serialises a strategy.  It returns an error for strategy
 // implementations outside this package.
 func Encode(s Strategy) ([]byte, error) {

@@ -211,7 +211,7 @@ func NewMixed(memSteps int) *Mixed {
 // MixedFromProbs builds a mixed strategy from explicit per-state cooperation
 // probabilities.  Probabilities must lie in [0,1].
 //
-//lint:allow deadapi intern.TestInternMixedAndErrors and population.TestEvalModesMixedStrategyBypassIdentical build mixed strategies with it
+//lint:allow deadapi intern.TestInternMixedAndErrors and intern.TestRegistryMatchesEncodingKeyedReference build mixed strategies with it
 func MixedFromProbs(memSteps int, probs []float64) (*Mixed, error) {
 	game.CheckMemorySteps(memSteps)
 	n := game.NumStates(memSteps)
@@ -231,7 +231,7 @@ func MixedFromProbs(memSteps int, probs []float64) (*Mixed, error) {
 // RandomMixed returns a mixed strategy whose per-state cooperation
 // probabilities are independent uniform draws from [0,1).
 //
-//lint:allow deadapi population.TestMergedEventMixedStrategies builds mixed populations with it
+//lint:allow deadapi intern.TestRegistryMatchesEncodingKeyedReference interns random mixed strategies with it
 func RandomMixed(memSteps int, src *rng.Source) *Mixed {
 	game.CheckMemorySteps(memSteps)
 	n := game.NumStates(memSteps)
