@@ -201,6 +201,8 @@ func (r *Registry) Strategy(id uint32) (strategy.Strategy, error) {
 }
 
 // Len returns the number of IDs issued so far, retired ones included.
+//
+//lint:allow deadapi fitness.TestRetiredClonesFollowPopulation and population.TestEvalFullRetiresVacatedIDs walk every issued ID with it
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

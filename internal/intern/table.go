@@ -8,9 +8,9 @@ import (
 
 // Table is a population's strategy table over one registry: for every SSet
 // the interned ID of its strategy and the registry's canonical instance
-// behind it, the number of SSets holding each ID, and the list of IDs held
-// by at least one SSet.  It is the one record an engine keeps of which
-// strategy each SSet holds.
+// behind it, the number of SSets holding each ID and the lowest of them,
+// and the list of IDs held by at least one SSet.  It is the one record an
+// engine keeps of which strategy each SSet holds.
 //
 // Strategies are immutable once constructed, so the table stores the
 // registry's canonical instances, never the caller's values: a caller that
@@ -35,6 +35,7 @@ type Table struct {
 type tableEntry struct {
 	count int32             // SSets holding the ID
 	pos   int32             // index of the ID in present while count > 0
+	first int32             // lowest SSet index holding the ID while count > 0
 	canon strategy.Strategy // the canonical instance behind the ID while count > 0
 }
 
@@ -79,7 +80,7 @@ func NewTable(reg *Registry, initial []strategy.Strategy) (*Table, error) {
 			return nil, fmt.Errorf("intern: binding table entry %d: %w", i, err)
 		}
 		t.ids[i], t.strats[i] = id, canon
-		if !t.add(id, canon) {
+		if !t.add(id, canon, i) {
 			reg.Drop(id)
 		}
 	}
@@ -126,6 +127,12 @@ func (t *Table) Present() []uint32 { return t.present }
 // Count returns the number of SSets holding id.
 func (t *Table) Count(id uint32) int { return int(t.byID.Get(id).count) }
 
+// Pos returns the position of id in Present; id must be present.
+func (t *Table) Pos(id uint32) int { return int(t.byID.Get(id).pos) }
+
+// First returns the lowest SSet index holding id, which must be present.
+func (t *Table) First(id uint32) int { return int(t.byID.Get(id).first) }
+
 // CountOf returns the number of SSets holding a strategy equal to s.  It
 // compares s with the present strategies and never interns it: an ID
 // issued here would renumber every strategy interned after it.
@@ -165,35 +172,44 @@ func (t *Table) Adopt(learner, teacher int) (Change, error) {
 // table's when id is newly present and drops it otherwise.
 func (t *Table) move(i int, id uint32, canon strategy.Strategy) Change {
 	old := t.ids[i]
-	ch := Change{Old: old, New: id, OldPos: int(t.byID.Get(old).pos), Vacated: t.remove(old)}
-	if ch.Added = t.add(id, canon); !ch.Added {
+	ch := Change{Old: old, New: id, OldPos: t.Pos(old), Vacated: t.remove(old, i)}
+	if ch.Added = t.add(id, canon, i); !ch.Added {
 		t.reg.Drop(id)
 	}
-	ch.NewPos = int(t.byID.Get(id).pos)
+	ch.NewPos = t.Pos(id)
 	t.ids[i], t.strats[i] = id, canon
 	return ch
 }
 
-// add counts one more SSet holding id, whose canonical instance is canon,
-// and reports whether id is newly present (appended to present).  The
-// caller holds id in the registry.
-func (t *Table) add(id uint32, canon strategy.Strategy) bool {
+// add counts SSet i as one more holder of id, whose canonical instance is
+// canon, and reports whether id is newly present (appended to present).
+// The caller holds id in the registry.
+func (t *Table) add(id uint32, canon strategy.Strategy, i int) bool {
 	e := t.byID.At(id)
 	if e.count++; e.count > 1 {
+		e.first = min(e.first, int32(i))
 		return false
 	}
-	e.pos, e.canon = int32(len(t.present)), canon
+	e.pos, e.first, e.canon = int32(len(t.present)), int32(i), canon
 	t.present = append(t.present, id)
 	return true
 }
 
-// remove counts one SSet fewer holding id.  When none is left, id leaves
-// present by swap-remove and the table drops its hold: it returns the
-// position id vacated, which the last entry now fills, or -1 while id is
-// still present.
-func (t *Table) remove(id uint32) int {
+// remove counts SSet i, which holds id, as one holder fewer.  When none is
+// left, id leaves present by swap-remove and the table drops its hold: it
+// returns the position id vacated, which the last entry now fills, or -1
+// while id is still present.  When SSet i was id's first holder and others
+// remain, the next holder is found by a forward scan.
+func (t *Table) remove(id uint32, i int) int {
 	e := t.byID.At(id)
 	if e.count--; e.count > 0 {
+		if int(e.first) == i {
+			j := i + 1
+			for t.ids[j] != id {
+				j++
+			}
+			e.first = int32(j)
+		}
 		return -1
 	}
 	p, last := e.pos, t.present[len(t.present)-1]

@@ -135,9 +135,10 @@ func TestTableCounts(t *testing.T) {
 // FuzzTable drives random Set and Adopt sequences over a small pool, so
 // changes to the ID an SSet already holds are common, and after every step
 // checks the table against a from-scratch recount: IDs and strategies per
-// SSet, count per ID, the present set, and that applying the reported
-// Change to the previous present list (subtract at OldPos, swap-remove at
-// Vacated, append when Added) yields the new list with New at NewPos.
+// SSet, count, position and first holder per ID, the present set, and that
+// applying the reported Change to the previous present list (subtract at
+// OldPos, swap-remove at Vacated, append when Added) yields the new list
+// with New at NewPos.
 func FuzzTable(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(uint64(2), uint8(1), uint8(1), []byte{9, 9, 9})
@@ -176,9 +177,15 @@ func FuzzTable(f *testing.F) {
 			if len(present) != len(count) {
 				t.Fatalf("step %d: %d present IDs, recount %d", step, len(present), len(count))
 			}
-			for _, id := range present {
+			for pos, id := range present {
 				if tab.Count(id) != count[id] || count[id] == 0 {
 					t.Fatalf("step %d: ID %d count %d, recount %d", step, id, tab.Count(id), count[id])
+				}
+				if tab.Pos(id) != pos {
+					t.Fatalf("step %d: ID %d at position %d, Pos says %d", step, id, pos, tab.Pos(id))
+				}
+				if first := slices.Index(tab.IDs(), id); tab.First(id) != first {
+					t.Fatalf("step %d: ID %d first held by SSet %d, First says %d", step, id, first, tab.First(id))
 				}
 			}
 		}

@@ -182,3 +182,39 @@ func BenchmarkFitnessPairNoisy(b *testing.B) {
 	}
 	b.ReportMetric(float64(m.games)/float64(b.N), "games/op")
 }
+
+// BenchmarkFitnessPairNoisyConverged is BenchmarkFitnessPairNoisy in the
+// late-run Figure 2 state: 90% of the SSets hold WSLS and the rest random
+// memory-one strategies, so an event meets few distinct strategies among
+// many SSets and plays few games.
+func BenchmarkFitnessPairNoisyConverged(b *testing.B) {
+	cfg := baseConfig()
+	cfg.NumSSets = 512
+	cfg.Rounds = 200
+	cfg.Noise = 0.05
+	src := rng.New(2013)
+	cfg.InitialStrategies = make([]strategy.Strategy, cfg.NumSSets)
+	for i := range cfg.InitialStrategies {
+		if src.Float64() < 0.9 {
+			cfg.InitialStrategies[i] = strategy.WSLS(1)
+		} else {
+			cfg.InitialStrategies[i] = strategy.RandomPure(1, src)
+		}
+	}
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		teacher, learner, err := src.Pair(cfg.NumSSets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := m.fitnessPair(teacher, learner); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(m.games)/float64(b.N), "games/op")
+}

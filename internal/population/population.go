@@ -13,6 +13,7 @@ package population
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"evogame/internal/checkpoint"
 	"evogame/internal/dynamics"
@@ -199,7 +200,10 @@ type Result struct {
 	// NatureStats counts the evolutionary events that occurred.
 	NatureStats nature.Stats
 	// TotalGamesPlayed counts two-player IPD games executed by the fitness
-	// evaluations.
+	// evaluations.  A resumed EvalFull run counts from the checkpoint's
+	// total; a resumed run in the cached modes counts only the games its
+	// fresh pair store played, including pairs the interrupted run had
+	// already played (see GamesPlayed).
 	TotalGamesPlayed int64
 	// Metrics is the run's flat observability export: cache counters,
 	// kernel-mode mix and nature events (see fitness.Metrics).
@@ -224,8 +228,13 @@ type Model struct {
 	// bypass).
 	ev *fitness.Evaluator
 	// pairs is the per-event distinct-pair cache of the EvalFull path; its
-	// rows are sized from the table's registry.
+	// rows are indexed by present position.
 	pairs pairRows
+	// byCount is set on the EvalFull path on the complete graph with
+	// integer payoffs (fitness.DeltaExact): an event reads the table's
+	// present strategies, counts and first holders instead of walking the
+	// neighbours.
+	byCount bool
 	// retires is set on the EvalFull path from memory fitness.RetireFrom
 	// up: an ID the table vacates is retired at once, since nothing else
 	// holds the private registry's IDs.
@@ -280,6 +289,7 @@ func New(cfg Config) (*Model, error) {
 		// Noise alone decides whether its games draw randomness.
 		m.pairs.reg, m.pairs.noisy = intern.NewRegistry(), cfg.Noise > 0
 		m.retires = cfg.MemorySteps >= fitness.RetireFrom
+		m.byCount = run.Graph.Complete() && fitness.DeltaExact(engine)
 		if m.table, err = intern.NewTable(m.pairs.reg, run.Table); err != nil {
 			return nil, fmt.Errorf("population: %w", err)
 		}
@@ -314,7 +324,10 @@ func (m *Model) Release() { m.ev.Release() }
 
 // GamesPlayed returns the number of IPD games executed so far.  In the
 // cached evaluation modes every game runs through the pair cache, so the
-// count is the cache's miss counter: each miss plays its game once.
+// count is the cache's miss counter: each miss plays its game once.  The
+// cache starts empty on a resume and the snapshot records no count for it,
+// which keeps a resumed cached run's checkpoints byte-identical to the
+// uninterrupted run's.
 func (m *Model) GamesPlayed() int64 {
 	if m.ev != nil {
 		return m.ev.Cache().Misses()
@@ -333,6 +346,11 @@ func (m *Model) GamesPlayed() int64 {
 // pairs are collected first — teacher's, then learner's — and played in one
 // batch; the sums then run teacher first.  That reproduces, bit for bit,
 // evaluating the teacher completely before the learner starts.
+//
+// On the complete graph with integer payoffs (byCount) neither pass walks
+// the neighbours: collect and sum read the table's present strategies,
+// their counts and their first holders, O(k) for k distinct strategies
+// instead of O(S).  Elsewhere both passes walk the neighbour list.
 func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 	if m.ev != nil {
 		fa, err := m.ev.Fitness(a)
@@ -346,10 +364,16 @@ func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 		return fa, fb, nil
 	}
 	p := &m.pairs
-	p.begin(m.table.ID(a), m.table.ID(b))
-	p.reserve(m.graph.Degree(a), m.graph.Degree(b))
-	m.collect(0, a)
-	m.collect(1, b)
+	p.begin(m.table, a, b)
+	if m.byCount {
+		p.reserve(2 * len(m.table.Present()))
+		m.collectPresent(0, a)
+		m.collectPresent(1, b)
+	} else {
+		p.reserve(m.graph.Degree(a) + m.graph.Degree(b))
+		m.collect(0, a)
+		m.collect(1, b)
+	}
 	if n := p.misses; n > 0 {
 		var srcs []*rng.Source
 		if p.noisy {
@@ -360,105 +384,144 @@ func (m *Model) fitnessPair(a, b int) (float64, float64, error) {
 		}
 		m.games += int64(n)
 	}
-	return m.sum(0, a), m.sum(1, b), nil
-}
-
-// neighbourIDs returns the interned IDs of SSet i's neighbours in
-// neighbour order, as two runs.  On the complete graph they are the table's
-// dense ID slice on either side of i, with no Graph call; otherwise they
-// are side's buffer, which pass 1 fills.
-func (m *Model) neighbourIDs(side, i int) (lo, hi []uint32) {
-	if m.graph.Complete() {
-		all := m.table.IDs()
-		return all[:i], all[i+1:]
+	if m.byCount {
+		return p.sumPresent(m.table, 0), p.sumPresent(m.table, 1), nil
 	}
-	return m.pairs.ids[side][:m.graph.Degree(i)], nil
+	return p.sumRun(0, p.pos[0][:m.graph.Degree(a)]), p.sumRun(1, p.pos[1][:m.graph.Degree(b)]), nil
 }
 
 // collect is pass 1 of the evaluation of focal SSet i (side 0 for the
-// teacher, 1 for the learner): it queues the distinct pairs missing from
-// the SSet's row, in first-encounter order, splitting each miss's
-// randomness in exactly the order the one-game-at-a-time loop used to — the
-// split order is what keeps the trajectory bit-identical.
+// teacher, 1 for the learner) on the neighbour-scan path: it records the
+// present positions of the SSet's neighbours in side's buffer and queues
+// the distinct pairs missing from the SSet's row, in first-encounter
+// order, splitting each miss's randomness in exactly the order the
+// one-game-at-a-time loop used to — the split order is what keeps the
+// trajectory bit-identical.
 func (m *Model) collect(side, i int) {
-	p := &m.pairs
-	if !m.graph.Complete() {
-		ids := p.ids[side][:m.graph.Degree(i)]
-		for k := range ids {
-			ids[k] = m.table.ID(m.graph.Neighbor(i, k))
-		}
+	p, t := &m.pairs, m.table
+	deg := m.graph.Degree(i)
+	if len(p.pos[side]) < deg {
+		p.pos[side] = make([]uint32, deg)
 	}
-	lo, hi := m.neighbourIDs(side, i)
-	stamp := p.stamp[p.row(m.table.ID(i))]
+	pos := p.pos[side][:deg]
+	for k := range pos {
+		pos[k] = uint32(t.Pos(t.ID(m.graph.Neighbor(i, k))))
+	}
+	stamp := p.stamp[p.row(p.focal[side])]
 	cached, queued := p.epoch, p.epoch+1
-	for k, oppID := range lo {
-		if st := stamp[oppID]; st != cached && st != queued {
-			m.queue(side, i, k, oppID)
-		}
-	}
-	for k, oppID := range hi {
-		if st := stamp[oppID]; st != cached && st != queued {
-			m.queue(side, i, len(lo)+k, oppID)
+	for k, opp := range pos {
+		if st := stamp[opp]; st != cached && st != queued {
+			m.queue(side, i, m.graph.Neighbor(i, k), opp)
 		}
 	}
 }
 
-// queue adds focal SSet i's game against its k-th neighbour, of strategy
-// oppID, to the event's batch.
-func (m *Model) queue(side, i, k int, oppID uint32) {
+// collectPresent is collect on the complete graph, where SSet i's
+// neighbours are every other SSet in index order: a strategy is first
+// encountered at its lowest holder other than i, so the missing strategies
+// are queued in that order without walking the neighbours.  Only the focal
+// strategy's own key needs a scan when i is its first holder: the next
+// holder after i.
+func (m *Model) collectPresent(side, i int) {
+	p, t := &m.pairs, m.table
+	stamp := p.stamp[p.row(p.focal[side])]
+	cached, queued := p.epoch, p.epoch+1
+	p.order = p.order[:0]
+	for k, id := range t.Present() {
+		if st := stamp[k]; st == cached || st == queued {
+			continue
+		}
+		first := t.First(id)
+		if first == i {
+			if t.Count(id) == 1 {
+				continue // SSet i is its strategy's only holder: no self-pair
+			}
+			ids := t.IDs()
+			for first++; ids[first] != id; first++ {
+			}
+		}
+		p.order = append(p.order, uint64(first)<<32|uint64(k))
+	}
+	slices.Sort(p.order)
+	for _, key := range p.order {
+		m.queue(side, i, int(key>>32), uint32(key))
+	}
+}
+
+// queue adds focal SSet i's game against SSet j, whose strategy is at
+// present position opp, to the event's batch.
+func (m *Model) queue(side, i, j int, opp uint32) {
 	p := &m.pairs
-	my, myID := m.table.Get(i), m.table.ID(i)
-	opp := m.table.Get(m.graph.Neighbor(i, k))
+	myPos := p.focal[side]
 	n := p.misses
 	if p.noisy {
 		m.src.SplitInto(&p.srcs[n])
 		p.srcPtrs[n] = &p.srcs[n]
 	}
-	p.missFocal[n], p.missOpps[n] = my, opp
-	r := p.row(myID)
-	p.stamp[r][oppID], p.queue[r][oppID] = p.epoch+1, int32(n)
+	p.missFocal[n], p.missOpps[n] = m.table.Get(i), m.table.Get(j)
+	r := p.row(myPos)
+	p.stamp[r][opp], p.queue[r][opp] = p.epoch+1, int32(n)
 	p.misses++
 	// The teacher's pass 2 fills the learner's entry for the teacher's
 	// strategy from this game's FitnessB, so the learner must not queue it.
-	if side == 0 && p.row(oppID) == 1 {
-		p.stamp[1][myID] = p.epoch + 1
+	if side == 0 && p.row(opp) == 1 {
+		p.stamp[1][myPos] = p.epoch + 1
 	}
 }
 
-// sum is pass 2 of the evaluation of focal SSet i: it replays the
-// one-game-at-a-time loop's probe/fill order with the plays precomputed,
-// summing in neighbour order.  Filling forward then reverse at the first
-// encounter — not up front — matters for the noisy self-pair (another SSet
-// holding the focal strategy): its entry is its own reverse, so the first
-// occurrence must see FitnessA while later occurrences see the FitnessB
-// overwrite, exactly as the serial loop did.
-func (m *Model) sum(side, i int) float64 {
-	lo, hi := m.neighbourIDs(side, i)
-	myID := m.table.ID(i)
-	return m.sumRun(myID, hi, m.sumRun(myID, lo, 0))
+// take returns focal strategy myPos's payoff against the strategy at
+// position opp from row r, resolving a queued entry: it caches the game's
+// FitnessA and fills the reverse pairing's FitnessB into the opponent's row
+// when the opponent is a focal strategy of this event, since the partner
+// SSet is summed next.  For the self-pair that reverse is this row's own
+// entry, so a second read sees FitnessB.
+func (p *pairRows) take(r int, myPos, opp uint32) float64 {
+	if p.stamp[r][opp] == p.epoch+1 {
+		res := p.results[p.queue[r][opp]]
+		p.stamp[r][opp], p.payoff[r][opp] = p.epoch, res.FitnessA
+		if rr := p.row(opp); rr >= 0 {
+			p.stamp[rr][myPos], p.payoff[rr][myPos] = p.epoch, res.FitnessB
+		}
+		return res.FitnessA
+	}
+	return p.payoff[r][opp]
 }
 
-// sumRun adds focal strategy myID's payoffs against the strategies ids to
-// total, in order.
-func (m *Model) sumRun(myID uint32, ids []uint32, total float64) float64 {
-	p := &m.pairs
-	r := p.row(myID)
-	stamp, payoff, queue := p.stamp[r], p.payoff[r], p.queue[r]
-	cached, queued := p.epoch, p.epoch+1
-	for _, oppID := range ids {
-		v := payoff[oppID]
-		if stamp[oppID] == queued {
-			res := p.results[queue[oppID]]
-			v = res.FitnessA
-			stamp[oppID], payoff[oppID] = cached, v
-			// The reverse pairing gives the opponent's payoff; keep it when
-			// the opponent is a focal strategy of this event, since the
-			// partner SSet is summed next.
-			if rr := p.row(oppID); rr >= 0 {
-				p.stamp[rr][myID], p.payoff[rr][myID] = cached, res.FitnessB
-			}
+// sumRun is pass 2 of the evaluation of side's focal SSet on the
+// neighbour-scan path: it replays the one-game-at-a-time loop's probe/fill
+// order with the plays precomputed, summing the payoffs against the
+// neighbours at present positions pos in neighbour order.  Filling forward
+// then reverse at the first encounter — not up front — matters for the
+// noisy self-pair (another SSet holding the focal strategy): its entry is
+// its own reverse, so the first occurrence sees FitnessA while later
+// occurrences see the FitnessB overwrite, exactly as the serial loop did.
+func (p *pairRows) sumRun(side int, pos []uint32) float64 {
+	myPos := p.focal[side]
+	r, total := p.row(myPos), 0.0
+	for _, opp := range pos {
+		total += p.take(r, myPos, opp)
+	}
+	return total
+}
+
+// sumPresent is sumRun on the complete graph with integer payoffs: each
+// strategy present in t weighted by the number of SSets other than the
+// focal one holding it.  Every payoff and partial sum
+// is an integer below 2⁵³, so the sum equals the neighbour-order sum bit
+// for bit.  The noisy self-pair keeps its rule: when it was queued in this
+// row, its first holder contributes FitnessA and every other FitnessB.
+func (p *pairRows) sumPresent(t *intern.Table, side int) float64 {
+	myPos := p.focal[side]
+	r, total := p.row(myPos), 0.0
+	for k, id := range t.Present() {
+		c := t.Count(id)
+		if uint32(k) != myPos {
+			total += float64(c) * p.take(r, myPos, uint32(k))
+		} else if c > 1 {
+			// The focal SSet is one of the c holders.  After the first read
+			// the entry holds the reverse payoff.
+			total += p.take(r, myPos, uint32(k)) + float64(c-2)*p.payoff[r][k]
 		}
-		total += v
 	}
 	return total
 }

@@ -63,3 +63,27 @@ func TestEvalFullRetiresVacatedIDs(t *testing.T) {
 		})
 	}
 }
+
+// TestEvalFullRowsFollowPopulation runs a memory-six EvalFull population
+// under heavy mutation, so the registry issues thousands of IDs, and holds
+// every pair row to at most one entry per SSet after every generation: the
+// rows are keyed by present position, not by issued ID.
+func TestEvalFullRowsFollowPopulation(t *testing.T) {
+	cfg := baseConfig()
+	cfg.MemorySteps, cfg.MutationRate, cfg.Seed = 6, 0.5, 1
+	m := mustModel(t, cfg)
+	for gen := 1; gen <= 20000; gen++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+		p := &m.pairs
+		for r := range p.stamp {
+			if n := max(len(p.stamp[r]), len(p.payoff[r]), len(p.queue[r])); n > cfg.NumSSets {
+				t.Fatalf("generation %d: row %d holds %d entries for %d SSets", gen, r, n, cfg.NumSSets)
+			}
+		}
+	}
+	if issued := m.pairs.reg.Len(); issued < 100*cfg.NumSSets {
+		t.Fatalf("%d IDs issued; the test needs a registry far larger than the population", issued)
+	}
+}
