@@ -3,8 +3,8 @@ package evogame
 // This file is the benchmark harness of deliverable (d): one benchmark per
 // table and figure of the paper's evaluation section.  Workloads are scaled
 // down so the full suite completes in minutes on a laptop; the benchtables
-// command prints the corresponding rows/series, and EXPERIMENTS.md maps each
-// benchmark to the paper's numbers.
+// command prints the corresponding rows/series, and docs/REPRODUCTION.md maps
+// each benchmark to the paper's numbers.
 
 import (
 	"context"

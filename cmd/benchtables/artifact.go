@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -77,8 +76,8 @@ func tableArtifact(opts options) error {
 		doc.TotalRuns += cell.Replicates
 	}
 	if !opts.jsonOut {
-		header("Artifact table — paperkit incremental regeneration (quick grid, scratch directory)")
-		fmt.Printf("workload: artifact %q, %d cells, %d runs\n", name, len(cells), doc.TotalRuns)
+		header(opts, "Artifact table — paperkit incremental regeneration (quick grid, scratch directory)")
+		fmt.Fprintf(opts.out, "workload: artifact %q, %d cells, %d runs\n", name, len(cells), doc.TotalRuns)
 	}
 
 	execute := func(phase string) (artifactRow, error) {
@@ -130,17 +129,11 @@ func tableArtifact(opts options) error {
 		t.AddRow(row.Phase, row.RunsExecuted, row.RunsSkipped, fmt.Sprintf("%.3f", row.Seconds))
 	}
 
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	fmt.Print(t.String())
-	fmt.Printf("regenerated envelope byte-identical to the deleted one: %v\n", doc.RegeneratedIdentical)
-	fmt.Println("note: freshness is decided per envelope (config fingerprint + generation count), so a")
-	fmt.Println("partial regeneration executes exactly the missing runs and reproduces identical bytes.")
-	fmt.Println("BENCH_8.json is this table's -json output; see docs/REPRODUCTION.md")
-	return nil
+	return emit(opts, doc, t,
+		fmt.Sprintf("regenerated envelope byte-identical to the deleted one: %v", doc.RegeneratedIdentical),
+		"note: freshness is decided per envelope (config fingerprint + generation count), so a",
+		"partial regeneration executes exactly the missing runs and reproduces identical bytes.",
+		"BENCH_8.json is this table's -json output; see docs/REPRODUCTION.md")
 }
 
 func hash(b []byte) string {

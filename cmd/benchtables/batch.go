@@ -1,11 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"time"
 
 	"evogame/internal/fitness"
 	"evogame/internal/game"
@@ -98,17 +95,13 @@ func tableBatch(opts options) error {
 		workerCounts = append(workerCounts, p)
 	}
 	if !opts.jsonOut {
-		header("Batch table — scalar full replay vs bit-sliced SWAR kernel (full fitness sweep, memory-one)")
-		fmt.Printf("workload: S x S games per sweep, %d rounds/game, random pure strategies\n", rounds)
+		header(opts, "Batch table — scalar full replay vs bit-sliced SWAR kernel (full fitness sweep, memory-one)")
+		fmt.Fprintf(opts.out, "workload: S x S games per sweep, %d rounds/game, random pure strategies\n", rounds)
 	}
 	t := stats.NewTable("SSets", "Kernel", "Noise", "Workers", "Games", "Seconds", "ns/game", "Allocs/game", "Lanes", "Speedup")
 	var agg fitness.Metrics
 	for _, ssets := range []int{32, 128, 512} {
-		src := rng.New(opts.seed)
-		table := make([]strategy.Strategy, ssets)
-		for i := range table {
-			table[i] = strategy.RandomPure(memSteps, src)
-		}
+		table := randomTable(opts.seed, ssets, memSteps)
 		// Repeat small sweeps so every measurement covers comparable work.
 		sweeps := 512 / ssets
 		if opts.full {
@@ -152,16 +145,10 @@ func tableBatch(opts options) error {
 		BatchCalls:         agg.BatchCalls,
 		BatchLaneOccupancy: agg.BatchLaneOccupancy(),
 	}
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	fmt.Print(t.String())
-	fmt.Println("note: batch plays up to 64 opponents per call as uint64 bit lanes; noisy rows pre-draw")
-	fmt.Println("the per-round error flips in scalar order, so every row is bit-identical per seed.")
-	fmt.Println("BENCH_6.json is this table's -json output; see docs/PERFORMANCE.md")
-	return nil
+	return emit(opts, doc, t,
+		"note: batch plays up to 64 opponents per call as uint64 bit lanes; noisy rows pre-draw",
+		"the per-round error flips in scalar order, so every row is bit-identical per seed.",
+		"BENCH_6.json is this table's -json output; see docs/PERFORMANCE.md")
 }
 
 // measureBatch runs `sweeps` full fitness sweeps (every SSet in the table
@@ -213,32 +200,21 @@ func measureBatch(mode string, table []strategy.Strategy, rounds, memSteps, swee
 	}
 
 	stats0 := eng.KernelStats()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	totalGames := int64(0)
-	for s := 0; s < sweeps; s++ {
-		games, err := sweep(newSweepSrc())
-		if err != nil {
-			return batchRow{}, game.KernelStats{}, err
-		}
-		totalGames += games
+	cost, err := timeSweeps(sweeps, func() (int64, error) { return sweep(newSweepSrc()) })
+	if err != nil {
+		return batchRow{}, game.KernelStats{}, err
 	}
-	secs := time.Since(start).Seconds()
-	runtime.ReadMemStats(&m1)
 	stats1 := eng.KernelStats()
 	row := batchRow{
-		SSets:   len(table),
-		Mode:    mode,
-		Noise:   noise,
-		Workers: workers,
-		Sweeps:  sweeps,
-		Games:   totalGames,
-		Seconds: secs,
-	}
-	if totalGames > 0 {
-		row.NsPerGame = secs * 1e9 / float64(totalGames)
-		row.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(totalGames)
+		SSets:       len(table),
+		Mode:        mode,
+		Noise:       noise,
+		Workers:     workers,
+		Sweeps:      sweeps,
+		Games:       cost.games,
+		Seconds:     cost.seconds,
+		NsPerGame:   cost.nsPerGame,
+		AllocsPerOp: cost.allocsPerGame,
 	}
 	delta := game.KernelStats{
 		ScalarGames: stats1.ScalarGames - stats0.ScalarGames,

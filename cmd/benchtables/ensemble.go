@@ -2,18 +2,14 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"evogame/internal/ensemble"
 	"evogame/internal/fitness"
 	"evogame/internal/game"
 	"evogame/internal/population"
-	"evogame/internal/rng"
 	"evogame/internal/stats"
-	"evogame/internal/strategy"
 )
 
 // The ensemble table measures cross-run pair-cache sharing: N replicates of
@@ -85,11 +81,6 @@ func tableEnsemble(opts options) error {
 	if opts.full {
 		generations *= 4
 	}
-	src := rng.New(opts.seed)
-	initial := make([]strategy.Strategy, ssets)
-	for i := range initial {
-		initial[i] = strategy.RandomPure(memSteps, src)
-	}
 	base := population.Config{
 		NumSSets:          ssets,
 		AgentsPerSSet:     2,
@@ -101,7 +92,7 @@ func tableEnsemble(opts options) error {
 		Beta:              1,
 		Seed:              opts.seed,
 		EvalMode:          fitness.EvalCached,
-		InitialStrategies: initial,
+		InitialStrategies: randomTable(opts.seed, ssets, memSteps),
 	}
 	doc := ensembleDoc{
 		Table:       "ensemble",
@@ -114,8 +105,8 @@ func tableEnsemble(opts options) error {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	if !opts.jsonOut {
-		header("Ensemble table — cross-run pair-cache sharing vs serial replicates (noiseless, cached)")
-		fmt.Printf("workload: %d replicates, S=%d, memory-%d, %d generations, fixed initial table\n",
+		header(opts, "Ensemble table — cross-run pair-cache sharing vs serial replicates (noiseless, cached)")
+		fmt.Fprintf(opts.out, "workload: %d replicates, S=%d, memory-%d, %d generations, fixed initial table\n",
 			replicates, ssets, memSteps, generations)
 	}
 	t := stats.NewTable("Workers", "Cache", "Seconds", "Speedup", "Games", "Hits", "Misses", "WarmHits", "WarmHitRate")
@@ -160,14 +151,8 @@ func tableEnsemble(opts options) error {
 				fmt.Sprintf("%.3f", row.WarmHitRate))
 		}
 	}
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	fmt.Print(t.String())
-	fmt.Println("note: every replicate is bit-identical to running its seed solo; sharing only changes")
-	fmt.Println("which lookups hit.  warm_* columns cover replicates 1..N-1 (the cross-run evidence).")
-	fmt.Println("BENCH_7.json is this table's -json output; see docs/PERFORMANCE.md")
-	return nil
+	return emit(opts, doc, t,
+		"note: every replicate is bit-identical to running its seed solo; sharing only changes",
+		"which lookups hit.  warm_* columns cover replicates 1..N-1 (the cross-run evidence).",
+		"BENCH_7.json is this table's -json output; see docs/PERFORMANCE.md")
 }

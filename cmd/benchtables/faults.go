@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -30,7 +28,7 @@ import (
 //
 // Wall-clock rows take the best of several repeats so one scheduling
 // hiccup cannot fake an overhead.  The committed BENCH_9.json is this
-// table's -json output; bench_baseline_test.go guards its schema and the
+// table's -json output; baseline_test.go guards its schema and the
 // overhead claim.
 
 // faultsOverhead is the injector-off overhead measurement of the faults
@@ -136,8 +134,8 @@ func tableFaults(opts options) error {
 		Overhead:    faultsOverhead{Repeats: repeats},
 	}
 	if !opts.jsonOut {
-		header("Faults table — injector-off overhead and supervised recovery cost")
-		fmt.Printf("workload: 5 ranks, S=%d, memory-one, %d generations, opt level 3; best of %d repeats\n",
+		header(opts, "Faults table — injector-off overhead and supervised recovery cost")
+		fmt.Fprintf(opts.out, "workload: 5 ranks, S=%d, memory-one, %d generations, opt level 3; best of %d repeats\n",
 			doc.SSets, generations, repeats)
 	}
 
@@ -234,13 +232,10 @@ func tableFaults(opts options) error {
 		RecoverySeconds:  sRep.Recovery.Seconds(),
 	})
 
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+	if !opts.jsonOut {
+		fmt.Fprintf(opts.out, "injector-off overhead: baseline %.3fs, armed-idle %.3fs, ratio %.4f (claim: <= 1.02)\n",
+			doc.Overhead.BaselineSeconds, doc.Overhead.ArmedIdleSeconds, doc.Overhead.OverheadRatio)
 	}
-	fmt.Printf("injector-off overhead: baseline %.3fs, armed-idle %.3fs, ratio %.4f (claim: <= 1.02)\n",
-		doc.Overhead.BaselineSeconds, doc.Overhead.ArmedIdleSeconds, doc.Overhead.OverheadRatio)
 	t := stats.NewTable("Engine", "Spec", "SegmentEvery", "Restarts", "FaultFree (s)", "Recovered (s)", "Recovery (s)")
 	for _, r := range doc.Recovery {
 		t.AddRow(r.Engine, r.Spec, r.SegmentEvery, r.Restarts,
@@ -248,9 +243,8 @@ func tableFaults(opts options) error {
 			fmt.Sprintf("%.3f", r.RecoveredSeconds),
 			fmt.Sprintf("%.3f", r.RecoverySeconds))
 	}
-	fmt.Print(t.String())
-	fmt.Println("note: the recovered run is bit-identical to the fault-free one; restarts, retries and")
-	fmt.Println("recovery wall-clock are the only observable differences.  BENCH_9.json is this table's")
-	fmt.Println("-json output; see docs/FAULT_TOLERANCE.md")
-	return nil
+	return emit(opts, doc, t,
+		"note: the recovered run is bit-identical to the fault-free one; restarts, retries and",
+		"recovery wall-clock are the only observable differences.  BENCH_9.json is this table's",
+		"-json output; see docs/FAULT_TOLERANCE.md")
 }

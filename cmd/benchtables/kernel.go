@@ -1,15 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
-	"time"
 
 	"evogame/internal/fitness"
 	"evogame/internal/game"
-	"evogame/internal/rng"
 	"evogame/internal/stats"
 	"evogame/internal/strategy"
 )
@@ -71,16 +67,12 @@ func tableKernel(opts options) error {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	if !opts.jsonOut {
-		header("Kernel table — full replay vs cycle-closing vs cached (all-pairs evaluation, memory-one)")
-		fmt.Printf("workload: S x (S-1) ordered-pair games, %d rounds/game, noiseless random pure strategies\n", rounds)
+		header(opts, "Kernel table — full replay vs cycle-closing vs cached (all-pairs evaluation, memory-one)")
+		fmt.Fprintf(opts.out, "workload: S x (S-1) ordered-pair games, %d rounds/game, noiseless random pure strategies\n", rounds)
 	}
 	t := stats.NewTable("SSets", "Pipeline level", "Games", "Seconds", "ns/game", "Allocs/game", "Speedup")
 	for _, ssets := range []int{32, 128, 512} {
-		src := rng.New(opts.seed)
-		table := make([]strategy.Strategy, ssets)
-		for i := range table {
-			table[i] = strategy.RandomPure(memSteps, src)
-		}
+		table := randomTable(opts.seed, ssets, memSteps)
 		// Repeat small sweeps so every measurement covers comparable work.
 		sweeps := 512 / ssets
 		if opts.full {
@@ -106,16 +98,10 @@ func tableKernel(opts options) error {
 				fmt.Sprintf("%.1fx", row.SpeedupVsFullReplay))
 		}
 	}
-	if opts.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}
-	fmt.Print(t.String())
-	fmt.Println("note: cycle-closing computes fitness as prefix + k*cycle + tail over the periodic")
-	fmt.Println("joint-state walk; cached is the steady-state interned pair cache (every lookup a hit).")
-	fmt.Println("BENCH_5.json is this table's -json output; see docs/PERFORMANCE.md")
-	return nil
+	return emit(opts, doc, t,
+		"note: cycle-closing computes fitness as prefix + k*cycle + tail over the periodic",
+		"joint-state walk; cached is the steady-state interned pair cache (every lookup a hit).",
+		"BENCH_5.json is this table's -json output; see docs/PERFORMANCE.md")
 }
 
 // measureKernel runs the requested pipeline level over `sweeps` full
@@ -195,29 +181,17 @@ func measureKernel(mode string, table []strategy.Strategy, rounds, memSteps, swe
 		return kernelRow{}, fmt.Errorf("unknown kernel mode %q", mode)
 	}
 
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	totalGames := int64(0)
-	for s := 0; s < sweeps; s++ {
-		games, err := sweep()
-		if err != nil {
-			return kernelRow{}, err
-		}
-		totalGames += games
+	cost, err := timeSweeps(sweeps, sweep)
+	if err != nil {
+		return kernelRow{}, err
 	}
-	secs := time.Since(start).Seconds()
-	runtime.ReadMemStats(&m1)
-	row := kernelRow{
-		SSets:   len(table),
-		Mode:    mode,
-		Sweeps:  sweeps,
-		Games:   totalGames,
-		Seconds: secs,
-	}
-	if totalGames > 0 {
-		row.NsPerGame = secs * 1e9 / float64(totalGames)
-		row.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(totalGames)
-	}
-	return row, nil
+	return kernelRow{
+		SSets:       len(table),
+		Mode:        mode,
+		Sweeps:      sweeps,
+		Games:       cost.games,
+		Seconds:     cost.seconds,
+		NsPerGame:   cost.nsPerGame,
+		AllocsPerOp: cost.allocsPerGame,
+	}, nil
 }

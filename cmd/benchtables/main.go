@@ -9,8 +9,8 @@
 // Experiments that the paper ran on hundreds of thousands of Blue Gene
 // cores are reproduced at two levels: a real run of the distributed engine
 // on goroutine ranks (small scale), and the analytic performance model
-// extrapolated to the paper's processor counts.  EXPERIMENTS.md records the
-// paper-versus-measured comparison for each one.
+// extrapolated to the paper's processor counts.  docs/REPRODUCTION.md
+// records the paper-versus-measured comparison for each one.
 //
 // Usage:
 //
@@ -23,9 +23,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,28 +37,52 @@ import (
 
 	"evogame/internal/game"
 	"evogame/internal/parallel"
+	"evogame/internal/rng"
 	"evogame/internal/stats"
 	"evogame/internal/strategy"
 )
 
 type options struct {
-	table     string
-	fig       string
-	all       bool
-	full      bool
-	calibrate bool
-	jsonOut   bool
-	seed      uint64
+	table   string
+	fig     string
+	all     bool
+	full    bool
+	jsonOut bool
+	seed    uint64
+	// scaling configures the performance model; -calibrate sets its
+	// CalibrateKernel.
+	scaling evogame.ScalingOptions
+	// out receives every table, figure and -json document.
+	out io.Writer
+}
+
+// jsonTables are the tables with a -json form, in the order -all runs
+// them.  Each one's committed -json output is its baseline file, which the
+// tests of this package decode strictly into the table's own document type.
+var jsonTables = []struct {
+	name, baseline string
+	run            func(options) error
+}{
+	{"kernel", "BENCH_5.json", tableKernel},
+	{"batch", "BENCH_6.json", tableBatch},
+	{"ensemble", "BENCH_7.json", tableEnsemble},
+	{"artifact", "BENCH_8.json", tableArtifact},
+	{"faults", "BENCH_9.json", tableFaults},
 }
 
 func main() {
-	var opts options
+	opts := options{out: os.Stdout}
+	var names, baselines []string
+	for _, jt := range jsonTables {
+		names = append(names, jt.name)
+		baselines = append(baselines, jt.baseline)
+	}
 	flag.StringVar(&opts.table, "table", "", "regenerate one table: 1, 2, 3, 4, 5, 6, capacity, scenarios, eval, topology, kernel, batch, ensemble, artifact, faults")
 	flag.StringVar(&opts.fig, "fig", "", "regenerate one figure: 2, 3, 4, 5, 6a, 6b")
 	flag.BoolVar(&opts.all, "all", false, "regenerate every table and figure")
 	flag.BoolVar(&opts.full, "full", false, "use larger real runs (slower)")
-	flag.BoolVar(&opts.calibrate, "calibrate", false, "measure the game kernel cost before running the performance model")
-	flag.BoolVar(&opts.jsonOut, "json", false, "emit machine-readable JSON instead of a table (supported for -table kernel, batch, ensemble, artifact and faults; BENCH_5.json, BENCH_6.json, BENCH_7.json, BENCH_8.json and BENCH_9.json are their committed baselines)")
+	flag.BoolVar(&opts.scaling.CalibrateKernel, "calibrate", false, "measure the game kernel cost before running the performance model")
+	flag.BoolVar(&opts.jsonOut, "json", false, fmt.Sprintf("emit machine-readable JSON instead of a table (supported for -table %s; %s are their committed baselines)", andList(names), andList(baselines)))
 	seed := flag.Uint64("seed", 2013, "experiment seed")
 	flag.Parse()
 	opts.seed = *seed
@@ -62,8 +90,8 @@ func main() {
 	if !opts.all && opts.table == "" && opts.fig == "" {
 		opts.all = true
 	}
-	if opts.jsonOut && opts.table != "kernel" && opts.table != "batch" && opts.table != "ensemble" && opts.table != "artifact" && opts.table != "faults" {
-		fmt.Fprintln(os.Stderr, "benchtables: -json is supported for -table kernel, batch, ensemble, artifact and faults only")
+	if opts.jsonOut && !slices.Contains(names, opts.table) {
+		fmt.Fprintf(os.Stderr, "benchtables: -json is supported for -table %s only\n", andList(names))
 		os.Exit(1)
 	}
 	if err := run(opts); err != nil {
@@ -72,11 +100,16 @@ func main() {
 	}
 }
 
+// andList joins two or more items as "a, b and c".
+func andList(items []string) string {
+	last := len(items) - 1
+	return strings.Join(items[:last], ", ") + " and " + items[last]
+}
+
 func run(opts options) error {
-	scaling := evogame.ScalingOptions{CalibrateKernel: opts.calibrate}
 	type job struct {
 		name string
-		fn   func() error
+		fn   func(options) error
 	}
 	jobs := []job{
 		{"table 1", table1},
@@ -84,23 +117,23 @@ func run(opts options) error {
 		{"table 3", table3},
 		{"table 4", table4},
 		{"table 5", table5},
-		{"table 6", func() error { return table6(scaling) }},
+		{"table 6", table6},
 		{"table capacity", tableCapacity},
-		{"table scenarios", func() error { return tableScenarios(opts) }},
-		{"table topology", func() error { return tableTopology(opts) }},
-		{"table kernel", func() error { return tableKernel(opts) }},
-		{"table batch", func() error { return tableBatch(opts) }},
-		{"table ensemble", func() error { return tableEnsemble(opts) }},
-		{"table artifact", func() error { return tableArtifact(opts) }},
-		{"table faults", func() error { return tableFaults(opts) }},
-		{"fig 2", func() error { return figure2(opts) }},
-		{"fig 3", func() error { return figure3(opts) }},
-		{"table eval", func() error { return evalModes(opts) }},
-		{"fig 4", func() error { return figure4(opts, scaling) }},
-		{"fig 5", func() error { return figure5(opts, scaling) }},
-		{"fig 6a", func() error { return figure6a(opts, scaling) }},
-		{"fig 6b", func() error { return figure6b(opts, scaling) }},
+		{"table scenarios", tableScenarios},
+		{"table topology", tableTopology},
 	}
+	for _, jt := range jsonTables {
+		jobs = append(jobs, job{"table " + jt.name, jt.run})
+	}
+	jobs = append(jobs,
+		job{"fig 2", figure2},
+		job{"fig 3", figure3},
+		job{"table eval", evalModes},
+		job{"fig 4", figure4},
+		job{"fig 5", figure5},
+		job{"fig 6a", figure6a},
+		job{"fig 6b", figure6b},
+	)
 	selected := func(name string) bool {
 		if opts.all {
 			return true
@@ -118,7 +151,7 @@ func run(opts options) error {
 		if !selected(j.name) {
 			continue
 		}
-		if err := j.fn(); err != nil {
+		if err := j.fn(opts); err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
 		ran++
@@ -129,36 +162,139 @@ func run(opts options) error {
 	return nil
 }
 
-func header(title string) {
-	fmt.Println()
-	fmt.Println("=== " + title + " ===")
+// header prints a table's or figure's title line.
+func header(opts options, title string) {
+	fmt.Fprintln(opts.out)
+	fmt.Fprintln(opts.out, "=== "+title+" ===")
+}
+
+// emit writes a table's result: doc as indented JSON under -json, else
+// the text table followed by its notes, one line each.
+func emit(opts options, doc any, t *stats.Table, notes ...string) error {
+	if opts.jsonOut {
+		enc := json.NewEncoder(opts.out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	}
+	fmt.Fprint(opts.out, t.String())
+	for _, note := range notes {
+		fmt.Fprintln(opts.out, note)
+	}
+	return nil
+}
+
+// randomTable draws n random pure strategies of the given memory depth
+// from a source seeded with seed.
+func randomTable(seed uint64, n, memSteps int) []strategy.Strategy {
+	src := rng.New(seed)
+	table := make([]strategy.Strategy, n)
+	for i := range table {
+		table[i] = strategy.RandomPure(memSteps, src)
+	}
+	return table
+}
+
+// sweepCost is the measured cost of a kernel or batch table row.
+type sweepCost struct {
+	games                             int64
+	seconds, nsPerGame, allocsPerGame float64
+}
+
+// timeSweeps runs sweep `sweeps` times and reports the games it played,
+// the wall clock, and the mean wall-clock cost and heap allocations per
+// game.
+func timeSweeps(sweeps int, sweep func() (int64, error)) (sweepCost, error) {
+	var c sweepCost
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	for s := 0; s < sweeps; s++ {
+		games, err := sweep()
+		if err != nil {
+			return sweepCost{}, err
+		}
+		c.games += games
+	}
+	c.seconds = time.Since(start).Seconds()
+	runtime.ReadMemStats(&m1)
+	if c.games > 0 {
+		c.nsPerGame = c.seconds * 1e9 / float64(c.games)
+		c.allocsPerGame = float64(m1.Mallocs-m0.Mallocs) / float64(c.games)
+	}
+	return c, nil
+}
+
+// parallelConfig is the distributed workload of every real-rank table and
+// figure: 4 agents per SSet, the default rounds, PC rate 0.1 and mutation
+// rate 0.05.
+func parallelConfig(opts options, ranks, ssets, memSteps, gens, optLevel int) evogame.ParallelConfig {
+	return evogame.ParallelConfig{
+		Ranks: ranks, NumSSets: ssets, AgentsPerSSet: 4, MemorySteps: memSteps,
+		Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
+		Generations: gens, Seed: opts.seed, OptimizationLevel: optLevel,
+	}
+}
+
+// rankSweep runs cfg(r) for each SSet-rank count r, which cfg places on
+// r+1 ranks (the SSet ranks plus the Nature rank), and returns the wall
+// clocks in that order.
+func rankSweep(ssetRanks []int, cfg func(r int) evogame.ParallelConfig) ([]float64, error) {
+	walls := make([]float64, len(ssetRanks))
+	for i, r := range ssetRanks {
+		res, err := evogame.SimulateParallel(cfg(r))
+		if err != nil {
+			return nil, err
+		}
+		walls[i] = res.WallClockSeconds
+	}
+	return walls, nil
+}
+
+// realStrongScaling runs ssets memory-one SSets for gens generations on
+// each SSet-rank count and tabulates speedup and efficiency against the
+// first count.
+func realStrongScaling(opts options, ssets, gens int, ssetRanks []int) error {
+	walls, err := rankSweep(ssetRanks, func(r int) evogame.ParallelConfig {
+		return parallelConfig(opts, r+1, ssets, 1, gens, 3)
+	})
+	if err != nil {
+		return err
+	}
+	first := ssetRanks[0]
+	rt := stats.NewTable("SSet ranks", "Wallclock (s)", "Speedup", "Efficiency (%)")
+	for i, r := range ssetRanks {
+		rt.AddRow(r, walls[i], stats.Speedup(walls[0], walls[i])*float64(first),
+			stats.StrongEfficiency(walls[0], first, walls[i], r))
+	}
+	fmt.Fprint(opts.out, rt.String())
+	return nil
 }
 
 // table1 prints the Prisoner's Dilemma payoff matrix (Table I).
-func table1() error {
-	header("Table I — Prisoner's Dilemma payoff matrix f[R,S,T,P] = [3,0,4,1]")
+func table1(opts options) error {
+	header(opts, "Table I — Prisoner's Dilemma payoff matrix f[R,S,T,P] = [3,0,4,1]")
 	m := game.Standard()
 	t := stats.NewTable("", "Opponent C", "Opponent D")
 	t.AddRow("Agent C", fmt.Sprintf("R=%.0f", m.Reward), fmt.Sprintf("S=%.0f", m.Sucker))
 	t.AddRow("Agent D", fmt.Sprintf("T=%.0f", m.Temptation), fmt.Sprintf("P=%.0f", m.Punishment))
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return m.Validate()
 }
 
 // table2 prints the memory-one game states (Table II).
-func table2() error {
-	header("Table II — potential game states for a memory-one strategy")
+func table2(opts options) error {
+	header(opts, "Table II — potential game states for a memory-one strategy")
 	t := stats.NewTable("State", "Agent", "Opponent")
 	for s := 0; s < game.NumStates(1); s++ {
 		t.AddRow(s+1, game.Move((s>>1)&1).String(), game.Move(s&1).String())
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
 // table3 prints all sixteen pure memory-one strategies (Table III).
-func table3() error {
-	header("Table III — all potential memory-one strategies")
+func table3(opts options) error {
+	header(opts, "Table III — all potential memory-one strategies")
 	t := stats.NewTable("Strategy", "State CC", "State CD", "State DC", "State DD", "Name")
 	names := map[string]string{"0000": "ALLC", "1111": "ALLD", "0101": "TFT/GRIM", "0110": "WSLS", "1100": "Alternator"}
 	for i, p := range strategy.AllMemoryOne() {
@@ -169,13 +305,13 @@ func table3() error {
 		row = append(row, names[p.String()])
 		t.AddRow(row...)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
 // table4 prints the strategy-space growth (Table IV).
-func table4() error {
-	header("Table IV — number of pure strategies for different memory steps")
+func table4(opts options) error {
+	header(opts, "Table IV — number of pure strategies for different memory steps")
 	t := stats.NewTable("Memory Steps", "Game States (4^n)", "Pure Strategies")
 	for mem := 1; mem <= evogame.MaxMemorySteps; mem++ {
 		states, log2, err := evogame.StrategySpaceSize(mem)
@@ -184,27 +320,27 @@ func table4() error {
 		}
 		t.AddRow(mem, states, fmt.Sprintf("2^%d", log2))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
 // table5 prints the WSLS state table (Table V).
-func table5() error {
-	header("Table V — WSLS moves for memory-one games")
+func table5(opts options) error {
+	header(opts, "Table V — WSLS moves for memory-one games")
 	wsls := strategy.WSLS(1)
 	t := stats.NewTable("State", "Previous round (agent,opponent)", "Strategy move")
 	for s := 0; s < 4; s++ {
 		t.AddRow(s, game.StateString(s, 1), wsls.Move(s, nil).String())
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
 // table6 prints the SSets-per-processor efficiency table (Table VI).
-func table6(scaling evogame.ScalingOptions) error {
-	header("Table VI — parallel efficiency vs. SSets per processor (model, Blue Gene/P)")
+func table6(opts options) error {
+	header(opts, "Table VI — parallel efficiency vs. SSets per processor (model, Blue Gene/P)")
 	ratios := []float64{0.5, 1, 2, 3, 4, 5, 6, 7, 8}
-	rows, err := evogame.RatioTable(scaling, ratios, 2048, 6, 2048)
+	rows, err := evogame.RatioTable(opts.scaling, ratios, 2048, 6, 2048)
 	if err != nil {
 		return err
 	}
@@ -213,14 +349,14 @@ func table6(scaling evogame.ScalingOptions) error {
 	for _, r := range rows {
 		t.AddRow(r.Ratio, r.EfficiencyPercent, paper[r.Ratio])
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
 // tableCapacity prints the memory-capacity check (the paper's claim that
 // memory-six is the largest depth that fits).
-func tableCapacity() error {
-	header("Memory capacity — largest memory depth / population that fits (Section V-C)")
+func tableCapacity(opts options) error {
+	header(opts, "Memory capacity — largest memory depth / population that fits (Section V-C)")
 	t := stats.NewTable("Machine", "Processors", "Population (SSets)", "Max memory steps", "Max SSets at memory-six")
 	for _, tc := range []struct {
 		machine evogame.MachineName
@@ -237,7 +373,7 @@ func tableCapacity() error {
 		}
 		t.AddRow(string(tc.machine), tc.procs, tc.ssets, cap.MaxMemorySteps, cap.MaxTotalSSets)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 	return nil
 }
 
@@ -247,12 +383,12 @@ func tableCapacity() error {
 // is the registry counterpart of Table I: the paper fixes IPD + Fermi, the
 // registry opens the rest of the matrix.
 func tableScenarios(opts options) error {
-	header("Scenario registry — cooperativity per (game, update rule) pair")
+	header(opts, "Scenario registry — cooperativity per (game, update rule) pair")
 	ssets, gens := 48, 4000
 	if opts.full {
 		ssets, gens = 128, 20000
 	}
-	fmt.Printf("serial runs: %d SSets x 4 agents, memory-one, %d generations, noiseless, eval incremental\n", ssets, gens)
+	fmt.Fprintf(opts.out, "serial runs: %d SSets x 4 agents, memory-one, %d generations, noiseless, eval incremental\n", ssets, gens)
 	t := stats.NewTable("Game", "Payoff [R,S,T,P]", "Rule", "Distinct", "Top strategy", "Top %", "Defecting states %")
 	for _, gameName := range evogame.Games() {
 		if gameName == "generic" {
@@ -281,11 +417,11 @@ func tableScenarios(opts options) error {
 				fmt.Sprintf("%.0f", 100*last.MeanDefectingStates))
 		}
 	}
-	fmt.Print(t.String())
-	fmt.Println("note: IPD tends toward defection-heavy strategies; snowdrift keeps cooperation at")
-	fmt.Println("equilibrium (best reply to a defector is to cooperate); stag hunt coordinates on one")
-	fmt.Println("of its equilibria.  The generic game (canonical payoff = ipd's) is omitted: pass a")
-	fmt.Println("custom matrix via cmd/evogame -game generic -payoff R,S,T,P instead")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "note: IPD tends toward defection-heavy strategies; snowdrift keeps cooperation at")
+	fmt.Fprintln(opts.out, "equilibrium (best reply to a defector is to cooperate); stag hunt coordinates on one")
+	fmt.Fprintln(opts.out, "of its equilibria.  The generic game (canonical payoff = ipd's) is omitted: pass a")
+	fmt.Fprintln(opts.out, "custom matrix via cmd/evogame -game generic -payoff R,S,T,P instead")
 	return nil
 }
 
@@ -297,29 +433,19 @@ func tableScenarios(opts options) error {
 // runs the identical workload per topology at S = 512 and reports games
 // per generation and wallclock against the well-mixed baseline.
 func tableTopology(opts options) error {
-	header("Topology registry — games/generation and wallclock vs. well-mixed (S = 512, full evaluation)")
+	header(opts, "Topology registry — games/generation and wallclock vs. well-mixed (S = 512, full evaluation)")
 	ssets, gens, ranks := 512, 5, 5
 	if opts.full {
 		gens = 20
 	}
-	fmt.Printf("distributed runs: %d SSets x 4 agents, memory-one, %d generations, %d ranks, opt level 3, eval full\n",
+	fmt.Fprintf(opts.out, "distributed runs: %d SSets x 4 agents, memory-one, %d generations, %d ranks, opt level 3, eval full\n",
 		ssets, gens, ranks)
 	t := stats.NewTable("Topology", "Mean degree", "Games/gen", "Wallclock (s)", "Speedup vs wellmixed")
 	var baseWall float64
 	for _, topo := range []string{"wellmixed", "ring:8", "torus:moore", "smallworld:8:0.1"} {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks:             ranks,
-			NumSSets:          ssets,
-			AgentsPerSSet:     4,
-			MemorySteps:       1,
-			Rounds:            evogame.DefaultRounds,
-			PCRate:            0.1,
-			MutationRate:      0.05,
-			Generations:       gens,
-			Seed:              opts.seed,
-			OptimizationLevel: 3,
-			Topology:          topo,
-		})
+		cfg := parallelConfig(opts, ranks, ssets, 1, gens, 3)
+		cfg.Topology = topo
+		res, err := evogame.SimulateParallel(cfg)
 		if err != nil {
 			return fmt.Errorf("topology %s: %w", topo, err)
 		}
@@ -343,15 +469,15 @@ func tableTopology(opts options) error {
 			fmt.Sprintf("%.3f", res.WallClockSeconds),
 			speedup)
 	}
-	fmt.Print(t.String())
-	fmt.Println("note: a sparse topology makes the full evaluation O(S*k) games by construction,")
-	fmt.Println("orthogonal to (and composable with) the cached/incremental eval modes")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "note: a sparse topology makes the full evaluation O(S*k) games by construction,")
+	fmt.Fprintln(opts.out, "orthogonal to (and composable with) the cached/incremental eval modes")
 	return nil
 }
 
 // figure2 runs the scaled-down WSLS validation (Figure 2).
 func figure2(opts options) error {
-	header("Figure 2 — validation: emergence of Win-Stay Lose-Shift (scaled-down run)")
+	header(opts, "Figure 2 — validation: emergence of Win-Stay Lose-Shift (scaled-down run)")
 	ssets, gens := 128, 60000
 	if opts.full {
 		ssets, gens = 256, 300000
@@ -374,58 +500,47 @@ func figure2(opts options) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("population: %d SSets x %d agents, memory-one, %d generations (%.1fs)\n",
+	fmt.Fprintf(opts.out, "population: %d SSets x %d agents, memory-one, %d generations (%.1fs)\n",
 		cfg.NumSSets, cfg.AgentsPerSSet, res.Generations, time.Since(start).Seconds())
 	t := stats.NewTable("Generation", "Distinct", "Top strategy", "Top fraction", "WSLS fraction", "ALLD fraction")
 	for _, s := range res.Samples {
 		t.AddRow(s.Generation, s.DistinctStrategies, s.TopStrategy, s.TopFraction, s.WSLSFraction, s.AllDFraction)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 
 	clusters, err := evogame.ClusterStrategies(res.FinalStrategies, 4, opts.seed)
 	if err != nil {
 		return err
 	}
-	fmt.Println("k-means clusters of the final population (Lloyd, k=4):")
+	fmt.Fprintln(opts.out, "k-means clusters of the final population (Lloyd, k=4):")
 	ct := stats.NewTable("Cluster", "Size", "Fraction", "Representative strategy")
 	for i, c := range clusters {
 		ct.AddRow(i, c.Size, c.Fraction, c.Representative)
 	}
-	fmt.Print(ct.String())
-	fmt.Printf("paper reports 85%% of SSets adopting WSLS after 10^7 generations; measured WSLS fraction: %.0f%%\n",
+	fmt.Fprint(opts.out, ct.String())
+	fmt.Fprintf(opts.out, "paper reports 85%% of SSets adopting WSLS after 10^7 generations; measured WSLS fraction: %.0f%%\n",
 		100*res.WSLSFraction())
 	return nil
 }
 
 // figure3 runs the optimization-level ablation (Figure 3).
 func figure3(opts options) error {
-	header("Figure 3 — optimization levels (real distributed runs, goroutine ranks)")
+	header(opts, "Figure 3 — optimization levels (real distributed runs, goroutine ranks)")
 	ssets, ranks, gens := 64, 5, 20
 	if opts.full {
 		ssets, ranks, gens = 256, 9, 40
 	}
-	fmt.Printf("workload: %d SSets, memory-one, %d generations, %d ranks, 200 rounds/game\n", ssets, gens, ranks)
+	fmt.Fprintf(opts.out, "workload: %d SSets, memory-one, %d generations, %d ranks, 200 rounds/game\n", ssets, gens, ranks)
 	t := stats.NewTable("Optimization level", "Wallclock (s)", "Mean rank compute (s)", "Mean rank comm (s)")
 	for lvl := 0; lvl <= 3; lvl++ {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks:             ranks,
-			NumSSets:          ssets,
-			AgentsPerSSet:     4,
-			MemorySteps:       1,
-			Rounds:            evogame.DefaultRounds,
-			PCRate:            0.1,
-			MutationRate:      0.05,
-			Generations:       gens,
-			Seed:              opts.seed,
-			OptimizationLevel: lvl,
-		})
+		res, err := evogame.SimulateParallel(parallelConfig(opts, ranks, ssets, 1, gens, lvl))
 		if err != nil {
 			return err
 		}
 		t.AddRow(parallel.OptLevel(lvl).String(), res.WallClockSeconds, res.ComputeSeconds, res.CommSeconds)
 	}
-	fmt.Print(t.String())
-	fmt.Println("paper: each cumulative optimization reduces wallclock; comm stays a small share")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "paper: each cumulative optimization reduces wallclock; comm stays a small share")
 	return nil
 }
 
@@ -436,29 +551,19 @@ func figure3(opts options) error {
 // dynamics for a given seed; only the number of games actually played (and
 // therefore the wallclock) changes.
 func evalModes(opts options) error {
-	header("Eval modes — incremental fitness vs. full replay (real distributed runs)")
+	header(opts, "Eval modes — incremental fitness vs. full replay (real distributed runs)")
 	gens := 10
 	if opts.full {
 		gens = 40
 	}
-	fmt.Printf("workload: memory-one, %d generations, 5 ranks, opt level 3, 200 rounds/game\n", gens)
+	fmt.Fprintf(opts.out, "workload: memory-one, %d generations, 5 ranks, opt level 3, 200 rounds/game\n", gens)
 	t := stats.NewTable("SSets", "Eval mode", "Wallclock (s)", "Games/gen", "Speedup")
 	for _, ssets := range []int{32, 128, 512} {
 		var baseWall float64
 		for _, mode := range []evogame.EvalMode{evogame.EvalFull, evogame.EvalCached, evogame.EvalIncremental} {
-			res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-				Ranks:             5,
-				NumSSets:          ssets,
-				AgentsPerSSet:     4,
-				MemorySteps:       1,
-				Rounds:            evogame.DefaultRounds,
-				PCRate:            0.1,
-				MutationRate:      0.05,
-				Generations:       gens,
-				Seed:              opts.seed,
-				OptimizationLevel: 3,
-				EvalMode:          mode,
-			})
+			cfg := parallelConfig(opts, 5, ssets, 1, gens, 3)
+			cfg.EvalMode = mode
+			res, err := evogame.SimulateParallel(cfg)
 			if err != nil {
 				return err
 			}
@@ -475,19 +580,19 @@ func evalModes(opts options) error {
 				speedup)
 		}
 	}
-	fmt.Print(t.String())
-	fmt.Println("note: noiseless deterministic games are pure functions of the strategy pair;")
-	fmt.Println("incremental evaluation replays only pairs never seen before")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "note: noiseless deterministic games are pure functions of the strategy pair;")
+	fmt.Fprintln(opts.out, "incremental evaluation replays only pairs never seen before")
 	return nil
 }
 
 // figure4 reports strong scaling as the number of SSets grows (Figure 4).
-func figure4(opts options, scaling evogame.ScalingOptions) error {
-	header("Figure 4 — strong scaling vs. population size (model, Blue Gene/P)")
+func figure4(opts options) error {
+	header(opts, "Figure 4 — strong scaling vs. population size (model, Blue Gene/P)")
 	procs := []int{64, 128, 256, 512, 1024, 2048}
 	t := stats.NewTable(append([]string{"SSets"}, procsHeader(procs)...)...)
 	for _, ssets := range []int{1024, 2048, 4096, 8192, 16384, 32768} {
-		points, err := evogame.PredictStrongScaling(scaling, ssets, 6, procs)
+		points, err := evogame.PredictStrongScaling(opts.scaling, ssets, 6, procs)
 		if err != nil {
 			return err
 		}
@@ -497,37 +602,17 @@ func figure4(opts options, scaling evogame.ScalingOptions) error {
 		}
 		t.AddRow(row...)
 	}
-	fmt.Print(t.String())
-	fmt.Println("paper: efficiency collapses once SSets/processor < 1; larger populations scale further")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "paper: efficiency collapses once SSets/processor < 1; larger populations scale further")
 
 	// Small real-rank confirmation of the same trend.
 	ssets := 48
-	ranks := []int{2, 3, 5, 9}
 	gens := 10
 	if opts.full {
 		ssets, gens = 96, 20
 	}
-	fmt.Printf("\nreal goroutine-rank confirmation (%d SSets, memory-one, %d generations):\n", ssets, gens)
-	rt := stats.NewTable("SSet ranks", "Wallclock (s)", "Speedup", "Efficiency (%)")
-	var base float64
-	for i, r := range ranks {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks: r + 1, NumSSets: ssets, AgentsPerSSet: 4, MemorySteps: 1,
-			Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
-			Generations: gens, Seed: opts.seed, OptimizationLevel: 3,
-		})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			base = res.WallClockSeconds
-		}
-		speedup := stats.Speedup(base, res.WallClockSeconds) * float64(ranks[0])
-		eff := stats.StrongEfficiency(base, ranks[0], res.WallClockSeconds, r)
-		rt.AddRow(r, res.WallClockSeconds, speedup, eff)
-	}
-	fmt.Print(rt.String())
-	return nil
+	fmt.Fprintf(opts.out, "\nreal goroutine-rank confirmation (%d SSets, memory-one, %d generations):\n", ssets, gens)
+	return realStrongScaling(opts, ssets, gens, []int{2, 3, 5, 9})
 }
 
 func procsHeader(procs []int) []string {
@@ -539,50 +624,42 @@ func procsHeader(procs []int) []string {
 }
 
 // figure5 reports the runtime breakdown across memory steps (Figure 5).
-func figure5(opts options, scaling evogame.ScalingOptions) error {
-	header("Figure 5 — runtime breakdown vs. memory steps")
+func figure5(opts options) error {
+	header(opts, "Figure 5 — runtime breakdown vs. memory steps")
 	// Real runs, scaled down from the paper's 2,048 SSets / 2,048 processors.
 	ssets, ranks, gens := 32, 5, 5
 	if opts.full {
 		ssets, gens = 64, 10
 	}
-	fmt.Printf("real distributed runs: %d SSets, %d generations, %d ranks\n", ssets, gens, ranks)
+	fmt.Fprintf(opts.out, "real distributed runs: %d SSets, %d generations, %d ranks\n", ssets, gens, ranks)
 	t := stats.NewTable("Memory steps", "Compute (s)", "Comm (s)", "Wallclock (s)")
 	for mem := 1; mem <= evogame.MaxMemorySteps; mem++ {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks: ranks, NumSSets: ssets, AgentsPerSSet: 4, MemorySteps: mem,
-			Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
-			Generations: gens, Seed: opts.seed, OptimizationLevel: 3,
-		})
+		res, err := evogame.SimulateParallel(parallelConfig(opts, ranks, ssets, mem, gens, 3))
 		if err != nil {
 			return err
 		}
 		t.AddRow(mem, res.ComputeSeconds, res.CommSeconds, res.WallClockSeconds)
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 
 	// The paper attributes the runtime growth to identifying the current
 	// state; the optimized rolling-code kernel flattens it, so replay the
 	// low memory depths with the original linear search to expose the
 	// effect (memory five and six are skipped: a 4,096-row search per round
 	// is impractically slow, which is the paper's point).
-	fmt.Println("\nsame sweep with the original linear state search (optimization level 1), memory 1..4:")
+	fmt.Fprintln(opts.out, "\nsame sweep with the original linear state search (optimization level 1), memory 1..4:")
 	lt := stats.NewTable("Memory steps", "Compute (s)", "Comm (s)", "Wallclock (s)")
 	for mem := 1; mem <= 4; mem++ {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks: ranks, NumSSets: ssets, AgentsPerSSet: 4, MemorySteps: mem,
-			Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
-			Generations: gens, Seed: opts.seed, OptimizationLevel: 1,
-		})
+		res, err := evogame.SimulateParallel(parallelConfig(opts, ranks, ssets, mem, gens, 1))
 		if err != nil {
 			return err
 		}
 		lt.AddRow(mem, res.ComputeSeconds, res.CommSeconds, res.WallClockSeconds)
 	}
-	fmt.Print(lt.String())
+	fmt.Fprint(opts.out, lt.String())
 
-	fmt.Println("\nmodel prediction for the paper's workload (2,048 SSets, 20 generations, 2,048 BG/P processors):")
-	points, err := evogame.MemorySweep(scaling, 2048, 20, 2048)
+	fmt.Fprintln(opts.out, "\nmodel prediction for the paper's workload (2,048 SSets, 20 generations, 2,048 BG/P processors):")
+	points, err := evogame.MemorySweep(opts.scaling, 2048, 20, 2048)
 	if err != nil {
 		return err
 	}
@@ -590,20 +667,20 @@ func figure5(opts options, scaling evogame.ScalingOptions) error {
 	for _, p := range points {
 		mt.AddRow(p.MemorySteps, p.ComputeSeconds, p.CommSeconds)
 	}
-	fmt.Print(mt.String())
-	fmt.Println("paper: runtime rises with memory depth (state identification), computation dominates communication")
+	fmt.Fprint(opts.out, mt.String())
+	fmt.Fprintln(opts.out, "paper: runtime rises with memory depth (state identification), computation dominates communication")
 	return nil
 }
 
 // figure6a reports weak scaling (Figure 6a).
-func figure6a(opts options, scaling evogame.ScalingOptions) error {
-	header("Figure 6(a) — weak scaling, 4,096 SSets per processor, memory-six (model)")
+func figure6a(opts options) error {
+	header(opts, "Figure 6(a) — weak scaling, 4,096 SSets per processor, memory-six (model)")
 	procsP := []int{1024, 4096, 16384, 65536, 294912}
-	pointsP, err := evogame.PredictWeakScaling(scaling, 4096, 4096, 6, procsP)
+	pointsP, err := evogame.PredictWeakScaling(opts.scaling, 4096, 4096, 6, procsP)
 	if err != nil {
 		return err
 	}
-	scalingQ := scaling
+	scalingQ := opts.scaling
 	scalingQ.Machine = evogame.MachineBlueGeneQ
 	procsQ := []int{1024, 4096, 16384}
 	pointsQ, err := evogame.PredictWeakScaling(scalingQ, 4096, 4096, 6, procsQ)
@@ -617,8 +694,8 @@ func figure6a(opts options, scaling evogame.ScalingOptions) error {
 	for _, p := range pointsQ {
 		t.AddRow("BG/Q", p.Processors, p.SecondsPerGeneration, p.EfficiencyPercent)
 	}
-	fmt.Print(t.String())
-	fmt.Println("paper: >=99% weak scaling efficiency to 294,912 BG/P processors and 16,384 BG/Q tasks")
+	fmt.Fprint(opts.out, t.String())
+	fmt.Fprintln(opts.out, "paper: >=99% weak scaling efficiency to 294,912 BG/P processors and 16,384 BG/Q tasks")
 
 	// Real weak scaling on goroutine ranks: constant SSets per rank.
 	perRank := 8
@@ -628,35 +705,30 @@ func figure6a(opts options, scaling evogame.ScalingOptions) error {
 		perRank, gens = 16, 20
 		rankCounts = []int{2, 4, 8, 16}
 	}
-	fmt.Printf("\nreal goroutine-rank weak scaling (%d SSets per rank, memory-one, %d generations):\n", perRank, gens)
-	rt := stats.NewTable("SSet ranks", "Total SSets", "Wallclock (s)", "Efficiency (%)")
-	var base float64
-	for i, r := range rankCounts {
-		total := perRank * r
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks: r + 1, NumSSets: total, AgentsPerSSet: 4, MemorySteps: 1,
-			Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
-			Generations: gens, Seed: opts.seed, OptimizationLevel: 3, SkipFitnessWhenIdle: true,
-		})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			base = res.WallClockSeconds
-		}
-		rt.AddRow(r, total, res.WallClockSeconds, stats.WeakEfficiency(base, res.WallClockSeconds))
+	fmt.Fprintf(opts.out, "\nreal goroutine-rank weak scaling (%d SSets per rank, memory-one, %d generations):\n", perRank, gens)
+	walls, err := rankSweep(rankCounts, func(r int) evogame.ParallelConfig {
+		cfg := parallelConfig(opts, r+1, perRank*r, 1, gens, 3)
+		cfg.SkipFitnessWhenIdle = true
+		return cfg
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Print(rt.String())
-	fmt.Println("note: real weak scaling on a single host is limited by the physical core count; the")
-	fmt.Println("model rows above carry the Blue Gene extrapolation")
+	rt := stats.NewTable("SSet ranks", "Total SSets", "Wallclock (s)", "Efficiency (%)")
+	for i, r := range rankCounts {
+		rt.AddRow(r, perRank*r, walls[i], stats.WeakEfficiency(walls[0], walls[i]))
+	}
+	fmt.Fprint(opts.out, rt.String())
+	fmt.Fprintln(opts.out, "note: real weak scaling on a single host is limited by the physical core count; the")
+	fmt.Fprintln(opts.out, "model rows above carry the Blue Gene extrapolation")
 	return nil
 }
 
 // figure6b reports strong scaling (Figure 6b).
-func figure6b(opts options, scaling evogame.ScalingOptions) error {
-	header("Figure 6(b) — strong scaling, 32,768 SSets, memory-six (model, Blue Gene/P)")
+func figure6b(opts options) error {
+	header(opts, "Figure 6(b) — strong scaling, 32,768 SSets, memory-six (model, Blue Gene/P)")
 	procs := []int{1024, 2048, 8192, 16384, 262144}
-	points, err := evogame.PredictStrongScaling(scaling, 32768, 6, procs)
+	points, err := evogame.PredictStrongScaling(opts.scaling, 32768, 6, procs)
 	if err != nil {
 		return err
 	}
@@ -665,33 +737,13 @@ func figure6b(opts options, scaling evogame.ScalingOptions) error {
 	for _, p := range points {
 		t.AddRow(p.Processors, p.Speedup, p.EfficiencyPercent, paper[p.Processors])
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(opts.out, t.String())
 
 	// Real strong scaling on goroutine ranks.
 	ssets, gens := 64, 10
-	rankCounts := []int{1, 2, 4, 8}
 	if opts.full {
 		ssets, gens = 128, 20
 	}
-	fmt.Printf("\nreal goroutine-rank strong scaling (%d SSets, memory-one, %d generations):\n", ssets, gens)
-	rt := stats.NewTable("SSet ranks", "Wallclock (s)", "Speedup", "Efficiency (%)")
-	var base float64
-	for i, r := range rankCounts {
-		res, err := evogame.SimulateParallel(evogame.ParallelConfig{
-			Ranks: r + 1, NumSSets: ssets, AgentsPerSSet: 4, MemorySteps: 1,
-			Rounds: evogame.DefaultRounds, PCRate: 0.1, MutationRate: 0.05,
-			Generations: gens, Seed: opts.seed, OptimizationLevel: 3,
-		})
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			base = res.WallClockSeconds
-		}
-		rt.AddRow(r, res.WallClockSeconds,
-			stats.Speedup(base, res.WallClockSeconds)*float64(rankCounts[0]),
-			stats.StrongEfficiency(base, rankCounts[0], res.WallClockSeconds, r))
-	}
-	fmt.Print(rt.String())
-	return nil
+	fmt.Fprintf(opts.out, "\nreal goroutine-rank strong scaling (%d SSets, memory-one, %d generations):\n", ssets, gens)
+	return realStrongScaling(opts, ssets, gens, []int{1, 2, 4, 8})
 }

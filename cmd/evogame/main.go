@@ -37,7 +37,7 @@ func main() {
 	var (
 		useParallel = flag.Bool("parallel", false, "use the distributed engine (goroutine ranks)")
 		ranks       = flag.Int("ranks", 5, "total ranks for the distributed engine (Nature + SSet ranks)")
-		workers     = flag.Int("workers", 0, "worker goroutines for game play, per rank in parallel mode (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker goroutines for game play per rank of the distributed engine (0 = GOMAXPROCS); the serial engine plays on one goroutine and ignores it")
 		optLevel    = flag.Int("opt", 3, "optimization level 0..3 (Figure 3)")
 
 		ssets       = flag.Int("ssets", 128, "number of Strategy Sets")
@@ -159,6 +159,34 @@ func (o *runOptions) adoptCheckpointIdentity(snap checkpoint.Snapshot) {
 	o.payoff = append([]float64(nil), snap.Payoff[:]...)
 }
 
+// checkpointLabel names the CLI's single runs in their checkpoints.
+const checkpointLabel = "evogame CLI run"
+
+// simulationConfig is the serial engine's configuration from the flags,
+// shared by a single run and an ensemble's replicates.
+func (o runOptions) simulationConfig() evogame.SimulationConfig {
+	return evogame.SimulationConfig{
+		NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
+		Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
+		Beta: o.beta, Generations: o.generations, Seed: o.seed, SampleEvery: o.sampleEvery,
+		EvalMode: o.evalMode, Kernel: o.kernel, Workers: o.workers,
+		Game: o.game, Payoff: o.payoff, UpdateRule: o.rule, Topology: o.topology,
+	}
+}
+
+// parallelConfig is the distributed engine's configuration from the flags,
+// shared by a single run and an ensemble's replicates.
+func (o runOptions) parallelConfig() evogame.ParallelConfig {
+	return evogame.ParallelConfig{
+		Ranks: o.ranks, WorkersPerRank: o.workers, OptimizationLevel: o.optLevel,
+		NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
+		Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
+		Beta: o.beta, Generations: o.generations, Seed: o.seed, EvalMode: o.evalMode,
+		Kernel: o.kernel,
+		Game:   o.game, Payoff: o.payoff, UpdateRule: o.rule, Topology: o.topology,
+	}
+}
+
 func run(o runOptions) error {
 	//lint:allow randsource wall-clock elapsed time for the CLI summary line; never feeds simulation state
 	start := time.Now()
@@ -196,17 +224,9 @@ func run(o runOptions) error {
 	}
 
 	if o.parallel {
-		cfg := evogame.ParallelConfig{
-			Ranks: o.ranks, WorkersPerRank: o.workers, OptimizationLevel: o.optLevel,
-			NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
-			Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
-			Beta: o.beta, Generations: o.generations, Seed: o.seed, EvalMode: o.evalMode,
-			Kernel: o.kernel,
-			Game:   o.game, Payoff: o.payoff, UpdateRule: o.rule, Topology: o.topology,
-			CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
-			CheckpointLabel: "evogame CLI run",
-			FaultPlan:       o.faultSpec, MaxRestarts: o.maxRestarts, SegmentEvery: o.segmentEvery,
-		}
+		cfg := o.parallelConfig()
+		cfg.CheckpointPath, cfg.CheckpointEvery, cfg.CheckpointLabel = o.ckptPath, o.ckptEvery, checkpointLabel
+		cfg.FaultPlan, cfg.MaxRestarts, cfg.SegmentEvery = o.faultSpec, o.maxRestarts, o.segmentEvery
 		var res evogame.ParallelResult
 		if o.resumePath != "" {
 			res, err = evogame.ResumeParallelSimulation(o.resumePath, cfg)
@@ -230,17 +250,9 @@ func run(o runOptions) error {
 		}
 		fmt.Print(t.String())
 	} else {
-		cfg := evogame.SimulationConfig{
-			NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
-			Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
-			Beta: o.beta, Generations: o.generations, Seed: o.seed, SampleEvery: o.sampleEvery,
-			EvalMode: o.evalMode, Kernel: o.kernel, Workers: o.workers,
-			Game: o.game, Payoff: o.payoff, UpdateRule: o.rule,
-			Topology:       o.topology,
-			CheckpointPath: o.ckptPath, CheckpointEvery: o.ckptEvery,
-			CheckpointLabel: "evogame CLI run",
-			FaultPlan:       o.faultSpec, MaxRestarts: o.maxRestarts, SegmentEvery: o.segmentEvery,
-		}
+		cfg := o.simulationConfig()
+		cfg.CheckpointPath, cfg.CheckpointEvery, cfg.CheckpointLabel = o.ckptPath, o.ckptEvery, checkpointLabel
+		cfg.FaultPlan, cfg.MaxRestarts, cfg.SegmentEvery = o.faultSpec, o.maxRestarts, o.segmentEvery
 		var res evogame.SimulationResult
 		if o.resumePath != "" {
 			res, err = evogame.ResumeSimulation(context.Background(), o.resumePath, cfg)
@@ -313,22 +325,11 @@ func runEnsemble(o runOptions) error {
 		SegmentEvery:    o.segmentEvery,
 	}
 	if o.parallel {
-		ecfg.Parallel = &evogame.ParallelConfig{
-			Ranks: o.ranks, WorkersPerRank: o.workers, OptimizationLevel: o.optLevel,
-			NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
-			Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
-			Beta: o.beta, Generations: o.generations, Seed: o.seed, EvalMode: o.evalMode,
-			Kernel: o.kernel,
-			Game:   o.game, Payoff: o.payoff, UpdateRule: o.rule, Topology: o.topology,
-		}
+		cfg := o.parallelConfig()
+		ecfg.Parallel = &cfg
 	} else {
-		ecfg.Simulation = &evogame.SimulationConfig{
-			NumSSets: o.ssets, AgentsPerSSet: o.agents, MemorySteps: o.memory,
-			Rounds: o.rounds, Noise: o.noise, PCRate: o.pcRate, MutationRate: o.muRate,
-			Beta: o.beta, Generations: o.generations, Seed: o.seed, SampleEvery: o.sampleEvery,
-			EvalMode: o.evalMode, Kernel: o.kernel, Workers: o.workers,
-			Game: o.game, Payoff: o.payoff, UpdateRule: o.rule, Topology: o.topology,
-		}
+		cfg := o.simulationConfig()
+		ecfg.Simulation = &cfg
 	}
 	res, err := evogame.RunEnsemble(context.Background(), ecfg)
 	if err != nil {

@@ -435,27 +435,23 @@ func (c *Comm) Recv(from, tag int) ([]byte, error) {
 	return data, err
 }
 
-// Request represents an in-flight non-blocking operation.
+// Request represents a non-blocking operation.  Sends are eager, so a
+// Request is complete when it is returned.
 type Request struct {
-	done chan struct{}
 	data []byte
 	err  error
 }
 
-// Wait blocks until the operation completes and returns the received data
-// (nil for sends) and any error.
+// Wait returns the operation's received data (nil for sends) and any
+// error.
 func (r *Request) Wait() ([]byte, error) {
-	<-r.done
 	return r.data, r.err
 }
 
 // Isend starts a non-blocking send.  Because sends are eager the operation
 // completes immediately; the Request exists for symmetry with MPI code.
 func (c *Comm) Isend(to, tag int, data []byte) *Request {
-	req := &Request{done: make(chan struct{})}
-	req.err = c.Send(to, tag, data)
-	close(req.done)
-	return req
+	return &Request{err: c.Send(to, tag, data)}
 }
 
 // Bcast broadcasts data from root to every rank.  Every rank must call it;

@@ -141,7 +141,7 @@ type Config struct {
 // checks the ones both engines share.
 func (c Config) validate() error {
 	if c.Workers < 0 {
-		return fmt.Errorf("population: Workers must be non-negative, got %d (0 selects GOMAXPROCS)", c.Workers)
+		return fmt.Errorf("population: Workers must be non-negative, got %d (its value is otherwise unused: the serial engine plays every game on the calling goroutine)", c.Workers)
 	}
 	if c.SampleEvery < 0 {
 		return fmt.Errorf("population: SampleEvery must be non-negative, got %d", c.SampleEvery)
