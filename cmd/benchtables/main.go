@@ -87,17 +87,31 @@ func main() {
 	flag.Parse()
 	opts.seed = *seed
 
+	if err := checkJSON(opts, names); err != nil {
+		fmt.Fprintln(os.Stderr, "benchtables:", err)
+		os.Exit(1)
+	}
 	if !opts.all && opts.table == "" && opts.fig == "" {
 		opts.all = true
-	}
-	if opts.jsonOut && !slices.Contains(names, opts.table) {
-		fmt.Fprintf(os.Stderr, "benchtables: -json is supported for -table %s only\n", andList(names))
-		os.Exit(1)
 	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
+}
+
+// checkJSON rejects a -json run whose output would not be one JSON
+// document: -json takes exactly one -table among names, and neither -all
+// nor -fig, which would add text tables to the output.
+func checkJSON(opts options, names []string) error {
+	if !opts.jsonOut {
+		return nil
+	}
+	if opts.all || opts.fig != "" || !slices.Contains(names, opts.table) {
+		return fmt.Errorf("-json needs exactly one -table of %s, and neither -all nor -fig (got -table %q -fig %q -all=%t)",
+			andList(names), opts.table, opts.fig, opts.all)
+	}
+	return nil
 }
 
 // andList joins two or more items as "a, b and c".

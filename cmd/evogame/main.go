@@ -41,7 +41,7 @@ func main() {
 		optLevel    = flag.Int("opt", 3, "optimization level 0..3 (Figure 3)")
 
 		ssets       = flag.Int("ssets", 128, "number of Strategy Sets")
-		agents      = flag.Int("agents", 4, "agents per Strategy Set")
+		agents      = flag.Int("agents", 4, "agents per Strategy Set (must be >= 1; read by no engine, so it changes no result)")
 		memory      = flag.Int("memory", 1, "memory steps (1..6)")
 		rounds      = flag.Int("rounds", evogame.DefaultRounds, "IPD rounds per game")
 		noise       = flag.Float64("noise", 0.05, "per-move error probability")

@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		ssets       = flag.Int("ssets", 200, "number of Strategy Sets (paper: 5000)")
-		agents      = flag.Int("agents", 4, "agents per Strategy Set (paper: 4)")
+		agents      = flag.Int("agents", 4, "agents per Strategy Set (paper: 4; must be >= 1; read by no engine, so it changes no result)")
 		generations = flag.Int("generations", 100000, "generations to simulate (paper: 10^7)")
 		noise       = flag.Float64("noise", 0.05, "per-move error probability")
 		pcRate      = flag.Float64("pc-rate", 1.0, "pairwise comparison rate (raised from the paper's 0.1 so shorter runs reach fixation)")

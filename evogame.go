@@ -232,7 +232,8 @@ func resolveScenario(gameName string, payoff []float64, ruleName string) (game.S
 type SimulationConfig struct {
 	// NumSSets is the number of Strategy Sets (>= 2).
 	NumSSets int
-	// AgentsPerSSet is the number of agents per Strategy Set (>= 1).
+	// AgentsPerSSet is the number of agents per Strategy Set (>= 1).  It is
+	// validated but read by no engine, so it changes no result.
 	AgentsPerSSet int
 	// MemorySteps is the strategy memory depth, 1..6.
 	MemorySteps int
@@ -625,10 +626,13 @@ type ParallelConfig struct {
 	// are rejected.  The result is independent of the worker count.
 	WorkersPerRank int
 	// OptimizationLevel selects the Figure 3 optimization level 0..3
-	// (0 = original, 1 = non-blocking comm, 2 = + state lookup,
-	// 3 = + fused fitness).  Use 3 for production runs.
+	// (0 = original, 1 = comm, 2 = + state lookup, 3 = + fused fitness).
+	// In-process sends are eager and never block, so level 1 sends exactly
+	// what level 0 does.  Use 3 for production runs.
 	OptimizationLevel int
 
+	// The population and game fields are as in SimulationConfig;
+	// AgentsPerSSet is validated but read by no engine.
 	NumSSets      int
 	AgentsPerSSet int
 	MemorySteps   int

@@ -182,14 +182,17 @@ func TestInjectedDropsRecoverWithinRetryBudget(t *testing.T) {
 }
 
 // TestSendFailsAfterRetriesExhausted pins the other side: a permanent drop
-// exhausts the budget and surfaces as ErrSendFailed, which also matches
-// ErrRankFailed at the Run level (the sender dies of it).
+// exhausts the RetryBudget retries and surfaces as ErrSendFailed, which
+// also matches ErrRankFailed at the Run level (the sender dies of it).
 func TestSendFailsAfterRetriesExhausted(t *testing.T) {
 	plan := faults.NewPlan(faults.Event{Kind: faults.Drop, Gen: 0, Rank: 0, Count: -1})
+	var stats Stats
 	err := watchdog(t, 5*time.Second, func() error {
-		return RunWithOptions(2, Options{Injector: plan, SendRetries: 2, RetryBackoff: time.Microsecond}, func(c *Comm) error {
+		return RunWithOptions(2, Options{Injector: plan}, func(c *Comm) error {
 			if c.Rank() == 0 {
-				return c.Send(1, 7, []byte("never arrives"))
+				err := c.Send(1, 7, []byte("never arrives"))
+				stats = c.Stats()
+				return err
 			}
 			_, err := c.Recv(0, 7)
 			return err
@@ -200,6 +203,10 @@ func TestSendFailsAfterRetriesExhausted(t *testing.T) {
 	}
 	if !errors.Is(err, ErrRankFailed) {
 		t.Fatalf("Run error %v should also match ErrRankFailed", err)
+	}
+	if stats.RetriedSends != RetryBudget || stats.DroppedMessages != RetryBudget+1 {
+		t.Fatalf("stats = %d dropped / %d retried, want %d / %d",
+			stats.DroppedMessages, stats.RetriedSends, RetryBudget+1, RetryBudget)
 	}
 }
 

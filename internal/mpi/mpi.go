@@ -1,16 +1,15 @@
 // Package mpi provides an in-process message-passing runtime with the small
 // subset of MPI semantics the evolutionary game dynamics framework needs:
-// SPMD rank launch, point-to-point sends (blocking and non-blocking) and
-// blocking receives with tag matching, and the two collective operations
-// the Nature Agent uses (broadcast and barrier).
+// SPMD rank launch, point-to-point sends and blocking receives with tag
+// matching, and the two collective operations the Nature Agent uses
+// (broadcast and barrier).
 //
 // The paper's implementation runs on Blue Gene/P and Blue Gene/Q with MPI
 // over the torus and collective networks.  This package substitutes
 // goroutines for MPI processes and channels/queues for the network: the
 // communication pattern of the algorithm — who sends what to whom and when —
-// is preserved exactly, and the per-rank traffic statistics the runtime
-// collects feed the analytic performance model of internal/perfmodel that
-// extrapolates to Blue Gene scale.
+// is preserved exactly, and each rank counts the messages and bytes it
+// moves.
 //
 // Semantics:
 //
@@ -19,9 +18,9 @@
 //   - Messages between a fixed (source, destination) pair are delivered in
 //     the order they were sent when matched with the same tag.
 //   - Recv blocks until a matching message arrives.
-//   - Collectives must be called by every rank of the communicator; they are
-//     implemented on top of point-to-point messages using a reserved tag
-//     space (tags >= 1<<30 are reserved).
+//   - Every rank of the communicator must call each collective; the
+//     collectives are implemented on top of point-to-point messages using a
+//     reserved tag space (tags >= 1<<30 are reserved).
 package mpi
 
 import (
@@ -32,9 +31,6 @@ import (
 	"time"
 )
 
-// AnyTag matches a message with any tag in Recv.
-const AnyTag = -1
-
 // reservedTagBase is the start of the tag space used internally by the
 // collective operations.
 const reservedTagBase = 1 << 30
@@ -42,8 +38,8 @@ const reservedTagBase = 1 << 30
 // ErrInvalidRank is returned when a rank argument is outside [0, Size).
 var ErrInvalidRank = errors.New("mpi: invalid rank")
 
-// ErrInvalidTag is returned when a user-supplied tag falls in the reserved
-// collective tag space or is negative (other than AnyTag for receives).
+// ErrInvalidTag is returned when a user-supplied tag is negative or falls in
+// the reserved collective tag space.
 var ErrInvalidTag = errors.New("mpi: invalid tag")
 
 // ErrRankFailed is the sentinel matched (via errors.Is) by every error a
@@ -58,7 +54,7 @@ var ErrRankFailed = errors.New("mpi: rank failed")
 var ErrDeadline = errors.New("mpi: deadline exceeded")
 
 // ErrSendFailed is returned by Send when the fault injector dropped the
-// message more times than the communicator's retry budget allows.
+// message more times than RetryBudget allows.
 var ErrSendFailed = errors.New("mpi: send failed after retries")
 
 // RankError reports the first rank failure observed on a communicator.  It
@@ -101,8 +97,8 @@ type FaultInjector interface {
 }
 
 // Options configures the failure semantics of a communicator launched by
-// RunWithOptions.  The zero value reproduces the historical behavior
-// exactly: no injector, no deadline, and the default retry budget.
+// RunWithOptions.  The zero value is a plain fabric: no injector and no
+// deadline.
 type Options struct {
 	// Injector perturbs the fabric; nil disables injection entirely.
 	Injector FaultInjector
@@ -110,42 +106,15 @@ type Options struct {
 	// this without a matching message or a recorded peer failure returns
 	// ErrDeadline.  Zero disables the deadline.
 	Deadline time.Duration
-	// SendRetries is the number of times a send is retried after the
-	// injector drops it before Send gives up with ErrSendFailed.
-	// Zero selects DefaultSendRetries.
-	SendRetries int
-	// RetryBackoff is the initial backoff between send retries, doubling
-	// per attempt up to 32x.  Zero selects DefaultRetryBackoff.
-	RetryBackoff time.Duration
 }
 
-// Default retry budget for injected-transient send failures.
-const (
-	DefaultSendRetries  = 5
-	DefaultRetryBackoff = 100 * time.Microsecond
-)
+// RetryBudget is the number of times a send is retried after the fault
+// injector drops it before Send gives up with ErrSendFailed.
+const RetryBudget = 5
 
-func (o Options) sendRetries() int {
-	if o.SendRetries <= 0 {
-		return DefaultSendRetries
-	}
-	return o.SendRetries
-}
-
-func (o Options) retryBackoff(attempt int) time.Duration {
-	base := o.RetryBackoff
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	d := base
-	for i := 1; i < attempt && d < 32*base; i++ {
-		d *= 2
-	}
-	if d > 32*base {
-		d = 32 * base
-	}
-	return d
-}
+// retryBackoff is the pause before a send's first retry; it doubles per
+// retry up to 32 times itself.
+const retryBackoff = 100 * time.Microsecond
 
 type message struct {
 	src, tag int
@@ -177,12 +146,10 @@ func (m *mailbox) put(msg message) {
 }
 
 // take removes and returns the first message matching (src, tag); src < 0
-// matches any source, tag == AnyTag matches any tag.  Queued matches are
-// delivered even after a peer failure; once no match is queued, take
-// returns a *RankError if any rank has failed, or ErrDeadline if the
-// communicator's deadline elapses first.  The time spent waiting for a
-// match is added to *blockedNs; a match already queued reads no clock.
-func (m *mailbox) take(src, tag int, blockedNs *atomic.Int64) (message, error) {
+// matches any source.  Queued matches are delivered even after a peer
+// failure; once no match is queued, take returns a *RankError if any rank
+// has failed, or ErrDeadline if the communicator's deadline elapses first.
+func (m *mailbox) take(src, tag int) (message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	expired := false
@@ -197,7 +164,7 @@ func (m *mailbox) take(src, tag int, blockedNs *atomic.Int64) (message, error) {
 	}
 	for {
 		for i, msg := range m.queue {
-			if (src < 0 || msg.src == src) && (tag == AnyTag || msg.tag == tag) {
+			if (src < 0 || msg.src == src) && msg.tag == tag {
 				m.queue = append(m.queue[:i], m.queue[i+1:]...)
 				return msg, nil
 			}
@@ -209,10 +176,7 @@ func (m *mailbox) take(src, tag int, blockedNs *atomic.Int64) (message, error) {
 			return message{}, fmt.Errorf("mpi: rank %d: no message matching (src=%d, tag=%d) within the %v deadline: %w",
 				m.rank, src, tag, m.fab.opts.Deadline, ErrDeadline)
 		}
-		//lint:allow randsource wall-clock measurement of receive-blocked time for RankReport comm stats; never feeds simulation state
-		start := time.Now()
 		m.cond.Wait()
-		blockedNs.Add(int64(time.Since(start)))
 	}
 }
 
@@ -271,15 +235,9 @@ func (f *fabric) failure() error {
 // Stats aggregates per-rank communication counters; the scaling studies use
 // them to report communication volume per generation.
 type Stats struct {
-	SendCount   int64
-	RecvCount   int64
-	BytesSent   int64
-	BytesRecv   int64
-	Collectives int64
-	// TimeBlocked is the cumulative wall-clock time the rank spent waiting
-	// for a message to arrive inside Recv and collective calls; receiving a
-	// message that is already queued adds nothing.
-	TimeBlocked time.Duration
+	SendCount int64
+	RecvCount int64
+	BytesSent int64
 	// RetriedSends counts send attempts repeated after the fault injector
 	// dropped the message (always zero with no injector).
 	RetriedSends int64
@@ -304,9 +262,6 @@ type Comm struct {
 	sendCount    atomic.Int64
 	recvCount    atomic.Int64
 	bytesSent    atomic.Int64
-	bytesRecv    atomic.Int64
-	collectives  atomic.Int64
-	blockedNs    atomic.Int64
 	retriedSends atomic.Int64
 	droppedMsgs  atomic.Int64
 	delayedMsgs  atomic.Int64
@@ -321,9 +276,6 @@ func (c *Comm) Stats() Stats {
 		SendCount:       c.sendCount.Load(),
 		RecvCount:       c.recvCount.Load(),
 		BytesSent:       c.bytesSent.Load(),
-		BytesRecv:       c.bytesRecv.Load(),
-		Collectives:     c.collectives.Load(),
-		TimeBlocked:     time.Duration(c.blockedNs.Load()),
 		RetriedSends:    c.retriedSends.Load(),
 		DroppedMessages: c.droppedMsgs.Load(),
 		DelayedMessages: c.delayedMsgs.Load(),
@@ -362,9 +314,9 @@ func checkUserTag(tag int) error {
 // send delivers data to the destination mailbox; the payload is copied so
 // the caller may reuse its buffer immediately.  With a fault injector
 // installed, the message may be delayed (extra latency) or dropped; drops
-// are retried with capped exponential backoff up to the communicator's
-// retry budget, and a send issued after a peer failure has been recorded
-// fails fast with the propagated *RankError.
+// are retried with capped exponential backoff up to RetryBudget times, and
+// a send issued after a peer failure has been recorded fails fast with the
+// propagated *RankError.
 func (c *Comm) send(to, tag int, data []byte) error {
 	if err := c.checkRank(to); err != nil {
 		return err
@@ -381,13 +333,13 @@ func (c *Comm) send(to, tag int, data []byte) error {
 		attempt := 0
 		for inj.Drop(c.rank, to, epoch) {
 			c.droppedMsgs.Add(1)
-			if attempt >= c.fabric.opts.sendRetries() {
+			if attempt >= RetryBudget {
 				return fmt.Errorf("mpi: rank %d: send to rank %d (tag %d) dropped %d times at generation %d: %w",
 					c.rank, to, tag, attempt+1, epoch, ErrSendFailed)
 			}
 			attempt++
 			c.retriedSends.Add(1)
-			time.Sleep(c.fabric.opts.retryBackoff(attempt))
+			time.Sleep(retryBackoff << min(attempt-1, 5))
 		}
 	}
 	cp := make([]byte, len(data))
@@ -402,12 +354,11 @@ func (c *Comm) recv(from, tag int) ([]byte, int, error) {
 	if from >= c.fabric.size {
 		return nil, 0, fmt.Errorf("%w: %d not in [0,%d)", ErrInvalidRank, from, c.fabric.size)
 	}
-	msg, err := c.fabric.mailboxes[c.rank].take(from, tag, &c.blockedNs)
+	msg, err := c.fabric.mailboxes[c.rank].take(from, tag)
 	if err != nil {
 		return nil, 0, err
 	}
 	c.recvCount.Add(1)
-	c.bytesRecv.Add(int64(len(msg.data)))
 	return msg.data, msg.src, nil
 }
 
@@ -421,37 +372,16 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 }
 
 // Recv blocks until a message with the given tag arrives from rank `from`
-// (AnySource is not supported; pass the concrete rank).  Tag may be AnyTag.
+// (AnySource is not supported; pass the concrete rank).
 func (c *Comm) Recv(from, tag int) ([]byte, error) {
-	if tag != AnyTag {
-		if err := checkUserTag(tag); err != nil {
-			return nil, err
-		}
+	if err := checkUserTag(tag); err != nil {
+		return nil, err
 	}
 	if from < 0 {
 		return nil, fmt.Errorf("%w: %d", ErrInvalidRank, from)
 	}
 	data, _, err := c.recv(from, tag)
 	return data, err
-}
-
-// Request represents a non-blocking operation.  Sends are eager, so a
-// Request is complete when it is returned.
-type Request struct {
-	data []byte
-	err  error
-}
-
-// Wait returns the operation's received data (nil for sends) and any
-// error.
-func (r *Request) Wait() ([]byte, error) {
-	return r.data, r.err
-}
-
-// Isend starts a non-blocking send.  Because sends are eager the operation
-// completes immediately; the Request exists for symmetry with MPI code.
-func (c *Comm) Isend(to, tag int, data []byte) *Request {
-	return &Request{err: c.Send(to, tag, data)}
 }
 
 // Bcast broadcasts data from root to every rank.  Every rank must call it;
@@ -461,7 +391,6 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
-	c.collectives.Add(1)
 	tag := reservedTagBase + 1
 	if c.rank == root {
 		for r := 0; r < c.fabric.size; r++ {
@@ -474,14 +403,12 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 		}
 		return data, nil
 	}
-	// recv accounts the time blocked waiting for the payload.
 	out, _, err := c.recv(root, tag)
 	return out, err
 }
 
 // Barrier blocks until every rank has entered it.
 func (c *Comm) Barrier() error {
-	c.collectives.Add(1)
 	const root = 0
 	tagIn := reservedTagBase + 3
 	tagOut := reservedTagBase + 4
@@ -516,7 +443,7 @@ func Run(size int, fn func(c *Comm) error) error {
 }
 
 // RunWithOptions behaves like Run with explicit failure semantics: a fault
-// injector, a blocking deadline, and the send retry budget (see Options).
+// injector and a blocking deadline (see Options).
 func RunWithOptions(size int, opts Options, fn func(c *Comm) error) error {
 	if size <= 0 {
 		return fmt.Errorf("mpi: communicator size must be positive, got %d", size)

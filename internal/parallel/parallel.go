@@ -45,8 +45,9 @@ const (
 	// OptOriginal is the unoptimized baseline: blocking fitness returns,
 	// linear-search state identification and branching fitness accumulation.
 	OptOriginal OptLevel = iota
-	// OptNonBlockingComm switches the fitness returns to non-blocking sends
-	// (the paper's "Comm" level).
+	// OptNonBlockingComm is the paper's "Comm" level, which switched the
+	// fitness returns to non-blocking sends.  In-process sends are eager and
+	// never block, so this level runs OptOriginal's sends unchanged.
 	OptNonBlockingComm
 	// OptStateLookup replaces the linear state search with the O(1) rolling
 	// state code (the paper's "Compiler" level).
@@ -90,9 +91,6 @@ func (o OptLevel) accumMode() game.AccumMode {
 	return game.AccumBranching
 }
 
-// nonBlocking reports whether fitness returns use non-blocking sends.
-func (o OptLevel) nonBlocking() bool { return o >= OptNonBlockingComm }
-
 // kernelMode resolves the game-kernel mode for the optimization level: the
 // levels below the paper's "Compiler" tier reproduce the original
 // round-by-round kernel faithfully (that is what the Figure 3 ablation
@@ -119,7 +117,8 @@ type Config struct {
 	WorkersPerRank int
 
 	// NumSSets, AgentsPerSSet, MemorySteps, Rounds and Noise describe the
-	// population and the game, exactly as in population.Config.
+	// population and the game, exactly as in population.Config;
+	// AgentsPerSSet is validated there but read by no engine.
 	NumSSets      int
 	AgentsPerSSet int
 	MemorySteps   int
@@ -689,12 +688,12 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 
 		// Phase 3: return fitness for selected SSets.
 		if pcOK && teacher >= lo && teacher < hi {
-			if err := sendFitness(c, cfg.OptLevel, tagFitnessTeacher, fit[teacher-lo]); err != nil {
+			if err := sendFitness(c, tagFitnessTeacher, fit[teacher-lo]); err != nil {
 				return RankReport{}, err
 			}
 		}
 		if pcOK && learner >= lo && learner < hi {
-			if err := sendFitness(c, cfg.OptLevel, tagFitnessLearner, fit[learner-lo]); err != nil {
+			if err := sendFitness(c, tagFitnessLearner, fit[learner-lo]); err != nil {
 				return RankReport{}, err
 			}
 		}
@@ -762,14 +761,9 @@ func applyUpdate(u updateMessage, table []strategy.Strategy, ev *fitness.Evaluat
 }
 
 // sendFitness returns the relative fitness of a selected SSet to the Nature
-// Agent, using a non-blocking send above the "Comm" optimization level.
-func sendFitness(c *mpi.Comm, opt OptLevel, tag int, fitness float64) error {
+// Agent.
+func sendFitness(c *mpi.Comm, tag int, fitness float64) error {
 	buf := make([]byte, 8)
 	binary.LittleEndian.PutUint64(buf, uint64(floatBits(fitness)))
-	if opt.nonBlocking() {
-		req := c.Isend(0, tag, buf)
-		_, err := req.Wait()
-		return err
-	}
 	return c.Send(0, tag, buf)
 }

@@ -100,9 +100,6 @@ func TestBlockDistributionBalanced(t *testing.T) {
 }
 
 func TestOptLevelMapping(t *testing.T) {
-	if OptOriginal.nonBlocking() || !OptNonBlockingComm.nonBlocking() {
-		t.Fatal("non-blocking threshold wrong")
-	}
 	if OptOriginal.stateMode().String() != "linear-search" || OptStateLookup.stateMode().String() != "rolling" {
 		t.Fatal("state mode mapping wrong")
 	}
@@ -396,9 +393,10 @@ func TestRunMatchesSerialEngine(t *testing.T) {
 
 func TestOptLevelsProduceIdenticalDynamics(t *testing.T) {
 	// The optimization levels change how fast the games run, never their
-	// outcome.
-	var want []strategy.Strategy
-	for _, lvl := range []OptLevel{OptOriginal, OptNonBlockingComm, OptStateLookup, OptFusedFitness} {
+	// outcome, and every level moves the same messages: in-process sends
+	// are eager, so the "comm" level sends exactly what OptOriginal does.
+	var want Result
+	for n, lvl := range []OptLevel{OptOriginal, OptNonBlockingComm, OptStateLookup, OptFusedFitness} {
 		cfg := baseConfig()
 		cfg.Generations = 30
 		cfg.OptLevel = lvl
@@ -406,13 +404,20 @@ func TestOptLevelsProduceIdenticalDynamics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", lvl, err)
 		}
-		if want == nil {
-			want = res.FinalStrategies
+		if n == 0 {
+			want = res
 			continue
 		}
-		for i := range want {
-			if !want[i].Equal(res.FinalStrategies[i]) {
+		for i := range want.FinalStrategies {
+			if !want.FinalStrategies[i].Equal(res.FinalStrategies[i]) {
 				t.Fatalf("%v: final table differs at SSet %d", lvl, i)
+			}
+		}
+		for r, rep := range res.Ranks {
+			got, ref := rep.CommStats, want.Ranks[r].CommStats
+			if got.SendCount != ref.SendCount || got.RecvCount != ref.RecvCount || got.BytesSent != ref.BytesSent {
+				t.Fatalf("%v: rank %d sent/received/bytes %d/%d/%d, OptOriginal %d/%d/%d", lvl, rep.Rank,
+					got.SendCount, got.RecvCount, got.BytesSent, ref.SendCount, ref.RecvCount, ref.BytesSent)
 			}
 		}
 	}
@@ -586,8 +591,8 @@ func TestRankReportsAccountForAllSSets(t *testing.T) {
 			continue
 		}
 		total += rep.LocalSSets
-		if rep.CommStats.Collectives == 0 {
-			t.Fatalf("rank %d recorded no collectives", rep.Rank)
+		if rep.CommStats.RecvCount == 0 {
+			t.Fatalf("rank %d received no messages", rep.Rank)
 		}
 	}
 	if total != cfg.NumSSets {

@@ -35,6 +35,8 @@ type Config struct {
 	NumSSets int
 	// AgentsPerSSet is the number of agents per Strategy Set (the paper's
 	// validation run uses 4 agents per SSet: 20,000 agents / 5,000 SSets).
+	// It must be at least 1, but no engine reads it: every agent of an SSet
+	// plays the SSet's one strategy, so the count changes no result.
 	AgentsPerSSet int
 	// MemorySteps is the memory depth of the strategies (1..6).
 	MemorySteps int

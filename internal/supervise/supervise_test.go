@@ -124,10 +124,10 @@ func TestChaosMatrixParallelRecoveryBitIdentical(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						ev := faults.Event{Kind: kind, Gen: 17, Rank: target}
 						if kind == faults.Drop {
-							// Enough consecutive drops to exhaust the default
-							// retry budget exactly once, then stay quiet so
-							// the relaunched run sails through.
-							ev.Count = mpi.DefaultSendRetries + 1
+							// Enough consecutive drops to exhaust the retry
+							// budget exactly once, then stay quiet so the
+							// relaunched run sails through.
+							ev.Count = mpi.RetryBudget + 1
 						}
 						cfg := parallelCfg(t, gens, 0, topo, kernel)
 						cfg.Faults = faults.NewPlan(ev)
