@@ -14,7 +14,7 @@ import (
 // maxCacheBytes sets the budget of a PairCache's memoized results.  The
 // budget counts stored ordered entries, hot and cold alike, at a nominal
 // 64 bytes each (see NewPairCache); what a stored pair actually occupies
-// is a 48-byte slot while it is hot and a 32-byte record once cold.  Long
+// is 32 bytes, hot and cold alike (see pairRecord).  Long
 // runs with high mutation rates generate an unbounded stream of distinct
 // strategies; once a shard reaches its slice of the budget, a bounded
 // fraction of its entries is evicted (see cacheShard.evict), which at
@@ -35,13 +35,41 @@ const evictDivisor = 4
 // minTableSlots is the slot count of a shard's first table.
 const minTableSlots = 8
 
+// pairRecord is a stored pair's canonical result without Rounds, which is
+// the store's constant (the game ID covers it).  A game's cooperation
+// counts never exceed its rounds, which NewPairCache bounds to 32 bits, so
+// a record and its 8-byte key or tag make 32 bytes, in the hot table and
+// in the cold log alike.
+type pairRecord struct {
+	fitA, fitB   float64
+	coopA, coopB uint32
+}
+
+func newPairRecord(r game.Result) pairRecord {
+	return pairRecord{fitA: r.FitnessA, fitB: r.FitnessB, coopA: uint32(r.CooperationsA), coopB: uint32(r.CooperationsB)}
+}
+
+// restore writes the result of a game of the given rounds into *dst, from
+// the canonical side or, when swapped, the opposite one.  It writes dst
+// field by field: a result built in a temporary and copied to *dst would
+// read back stores still in flight on every cache hit.
+func (p *pairRecord) restore(dst *game.Result, rounds int, swapped bool) {
+	fa, fb, ca, cb := p.fitA, p.fitB, p.coopA, p.coopB
+	if swapped {
+		fa, fb, ca, cb = fb, fa, cb, ca
+	}
+	dst.FitnessA, dst.FitnessB = fa, fb
+	dst.CooperationsA, dst.CooperationsB = int(ca), int(cb)
+	dst.Rounds = rounds
+}
+
 // pairSlot is one open-addressing slot.  tag is the canonical key plus one
 // (0 marks an empty slot; IDs stay below math.MaxUint32, so the tag never
-// wraps).  res is written before tag is published and never changed
-// afterwards, so a reader that observes the tag may copy res without a lock.
+// wraps).  The record is written before tag is published and never changed
+// afterwards, so a reader that observes the tag may copy it without a lock.
 type pairSlot struct {
 	tag atomic.Uint64
-	res game.Result
+	pairRecord
 }
 
 // pairTable is a linear-probing table of canonical pair results.  Its
@@ -73,11 +101,11 @@ func (t *pairTable) find(tag, h uint64) *pairSlot {
 // put fills the first empty slot of tag's probe sequence, publishing the
 // result before the tag.  Called with the shard's lock held, for a tag not
 // yet in the table.
-func (t *pairTable) put(tag, h uint64, res game.Result) {
+func (t *pairTable) put(tag, h uint64, rec pairRecord) {
 	for i := h >> 6 & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
 		if s.tag.Load() == 0 {
-			s.res = res
+			s.pairRecord = rec
 			s.tag.Store(tag)
 			return
 		}
@@ -145,7 +173,7 @@ func (sh *cacheShard) evict(st *pairStore) int {
 		for i := range t.slots {
 			s := &t.slots[i]
 			if tag := s.tag.Load(); tag > floor+1 {
-				nt.put(tag, pairHash(tag-1), s.res)
+				nt.put(tag, pairHash(tag-1), s.pairRecord)
 				hot++
 			}
 		}
@@ -194,7 +222,7 @@ func (sh *cacheShard) grow(st *pairStore) *pairTable {
 			continue
 		}
 		if (!st.retires || st.reg.Pinned(a) && st.reg.Pinned(b)) && st.demote(a, b) {
-			sh.cold.push(newColdPair(key, s.res))
+			sh.cold.push(coldPair{key: key, pairRecord: s.pairRecord})
 			continue
 		}
 		keep[i/64] |= 1 << (i % 64)
@@ -209,7 +237,7 @@ func (sh *cacheShard) grow(st *pairStore) *pairTable {
 		if keep[i/64]&(1<<(i%64)) != 0 {
 			s := &t.slots[i]
 			tag := s.tag.Load()
-			nt.put(tag, pairHash(tag-1), s.res)
+			nt.put(tag, pairHash(tag-1), s.pairRecord)
 		}
 	}
 	sh.table.Store(nt)
@@ -449,11 +477,7 @@ func (c *PairCache) lookup(a, b uint32, dst *game.Result) bool {
 	if s == nil {
 		return false
 	}
-	if swapped {
-		*dst = swap(s.res)
-	} else {
-		*dst = s.res
-	}
+	s.restore(dst, c.store.rounds, swapped)
 	return true
 }
 
@@ -472,10 +496,9 @@ func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
 	t := sh.table.Load()
 	if s := t.find(tag, h); s != nil {
 		c.hits.Add(1)
-		if swapped {
-			return swap(s.res)
-		}
-		return s.res
+		var stored game.Result
+		s.restore(&stored, c.store.rounds, swapped)
+		return stored
 	}
 	c.misses.Add(1)
 	if sh.n >= c.store.maxPerShard {
@@ -485,7 +508,7 @@ func (c *PairCache) record(a, b uint32, res game.Result) game.Result {
 	if swapped {
 		canon = swap(res)
 	}
-	sh.grow(c.store).put(tag, h, canon)
+	sh.grow(c.store).put(tag, h, newPairRecord(canon))
 	sh.pairs++
 	sh.n += weight(tag - 1)
 	c.store.raiseHighWater(sh.n)

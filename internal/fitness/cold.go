@@ -3,28 +3,13 @@ package fitness
 import (
 	"sync"
 	"sync/atomic"
-
-	"evogame/internal/game"
 )
 
 // coldPair is a stored pair whose result has left the probed table: its
-// canonical key and the canonical result without Rounds, which is the
-// store's constant (the game ID covers it).  A game's cooperation counts
-// never exceed its rounds, which NewPairCache bounds to 32 bits, so one
-// record is 32 bytes where a pairSlot is 48.
+// canonical key and its record, 32 bytes like the pairSlot it came from.
 type coldPair struct {
-	key          uint64
-	fitA, fitB   float64
-	coopA, coopB uint32
-}
-
-func newColdPair(key uint64, r game.Result) coldPair {
-	return coldPair{key: key, fitA: r.FitnessA, fitB: r.FitnessB, coopA: uint32(r.CooperationsA), coopB: uint32(r.CooperationsB)}
-}
-
-// result restores the canonical result of a game of the given rounds.
-func (p *coldPair) result(rounds int) game.Result {
-	return game.Result{FitnessA: p.fitA, FitnessB: p.fitB, CooperationsA: int(p.coopA), CooperationsB: int(p.coopB), Rounds: rounds}
+	key uint64
+	pairRecord
 }
 
 // coldChunkLen is the number of records in one chunk of a cold log (8 KiB).
@@ -282,7 +267,7 @@ func (st *pairStore) promote(x uint32, partners []uint32) {
 		if i, ok := sh.cold.find(tag - 1); ok {
 			c := sh.cold.remove(i)
 			st.live.addColdRefs(x, p, -1)
-			sh.grow(st).put(tag, h, c.result(st.rounds))
+			sh.grow(st).put(tag, h, c.pairRecord)
 			sh.pairs++
 		}
 		sh.mu.Unlock()

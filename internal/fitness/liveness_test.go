@@ -20,7 +20,9 @@ func coldPairs(c *PairCache) map[uint64]game.Result {
 		sh.mu.Lock()
 		for i := 0; i < sh.cold.n; i++ {
 			p := sh.cold.at(i)
-			out[p.key] = p.result(c.store.rounds)
+			var res game.Result
+			p.restore(&res, c.store.rounds, false)
+			out[p.key] = res
 		}
 		sh.mu.Unlock()
 	}

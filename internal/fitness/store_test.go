@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"evogame/internal/game"
 	"evogame/internal/rng"
@@ -142,7 +143,8 @@ func storedPairs(c *PairCache) map[uint64]game.Result {
 			if tag == 0 {
 				continue
 			}
-			res := tab.slots[i].res
+			var res game.Result
+			tab.slots[i].restore(&res, c.store.rounds, false)
 			out[tag-1] = res
 			out[reversedKey(tag-1)] = swap(res)
 		}
@@ -224,6 +226,23 @@ func testEvictionMatches(t *testing.T, budget int) {
 // constantly race table rebuilds.  Every result must equal the engine's
 // own game for that ordered pair.  Run with -race, it is also the data-race
 // gate for the publish-before-read protocol.
+// TestPairSlotLayout pins a stored pair at 32 bytes, hot and cold alike,
+// and checks that a record restores every field of a result from either
+// side.
+func TestPairSlotLayout(t *testing.T) {
+	if hot, cold := unsafe.Sizeof(pairSlot{}), unsafe.Sizeof(coldPair{}); hot != 32 || cold != 32 {
+		t.Fatalf("a hot slot is %d bytes and a cold record %d, want 32 each", hot, cold)
+	}
+	res := game.Result{FitnessA: 1.5, FitnessB: -2, CooperationsA: 7, CooperationsB: 1<<31 - 1, Rounds: 1<<31 - 1}
+	rec := newPairRecord(res)
+	var got, swapped game.Result
+	rec.restore(&got, res.Rounds, false)
+	rec.restore(&swapped, res.Rounds, true)
+	if got != res || swapped != swap(res) {
+		t.Fatalf("restored %+v and swapped %+v from %+v", got, swapped, res)
+	}
+}
+
 func TestConcurrentReadsDuringRebuilds(t *testing.T) {
 	cfg := game.EngineConfig{Rounds: 20, MemorySteps: 2, StateMode: game.StateRolling, AccumMode: game.AccumLookup}
 	base := testCacheSmallShards(t, 24)

@@ -21,6 +21,10 @@
 //   - Every rank of the communicator must call each collective; the
 //     collectives are implemented on top of point-to-point messages using a
 //     reserved tag space (tags >= 1<<30 are reserved).
+//   - Send copies its payload, so the sender may reuse its buffer at once
+//     and the receiver owns what Recv returns.  Bcast copies its payload
+//     once and every receiver gets that one copy: a broadcast payload is
+//     shared, read-only data that no receiver may modify.
 package mpi
 
 import (
@@ -125,9 +129,12 @@ type message struct {
 // sources, protected by a mutex and condition variable so receivers can wait
 // for a match.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the undelivered messages in arrival order; the
+	// slots before head have been taken and are cleared.
 	queue []message
+	head  int
 	rank  int
 	fab   *fabric
 }
@@ -152,31 +159,56 @@ func (m *mailbox) put(msg message) {
 func (m *mailbox) take(src, tag int) (message, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	expired := false
+	// The flag the timer sets exists only when a deadline is set, so a
+	// receive without one allocates nothing.
+	var expired *bool
 	if d := m.fab.opts.Deadline; d > 0 {
+		flag := new(bool)
+		expired = flag
 		timer := time.AfterFunc(d, func() {
 			m.mu.Lock()
-			expired = true
+			*flag = true
 			m.mu.Unlock()
 			m.cond.Broadcast()
 		})
 		defer timer.Stop()
 	}
 	for {
-		for i, msg := range m.queue {
-			if (src < 0 || msg.src == src) && msg.tag == tag {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
+		for i := m.head; i < len(m.queue); i++ {
+			if msg := m.queue[i]; (src < 0 || msg.src == src) && msg.tag == tag {
+				m.remove(i)
 				return msg, nil
 			}
 		}
 		if err := m.fab.failure(); err != nil {
 			return message{}, err
 		}
-		if expired {
+		if expired != nil && *expired {
 			return message{}, fmt.Errorf("mpi: rank %d: no message matching (src=%d, tag=%d) within the %v deadline: %w",
 				m.rank, src, tag, m.fab.opts.Deadline, ErrDeadline)
 		}
 		m.cond.Wait()
+	}
+}
+
+// remove deletes queue[i], i >= head.  The head message, the usual match,
+// goes in O(1) by advancing head; a later one shifts the messages behind
+// it.  Once head passes half the queue the live messages move to the
+// front in place, so the dead prefix never makes put reallocate.  Called
+// with mu held.
+func (m *mailbox) remove(i int) {
+	if i == m.head {
+		m.queue[i] = message{}
+		m.head++
+	} else {
+		copy(m.queue[i:], m.queue[i+1:])
+		m.queue[len(m.queue)-1] = message{}
+		m.queue = m.queue[:len(m.queue)-1]
+	}
+	if 2*m.head >= len(m.queue) {
+		n := copy(m.queue, m.queue[m.head:])
+		clear(m.queue[n:])
+		m.queue, m.head = m.queue[:n], 0
 	}
 }
 
@@ -311,13 +343,20 @@ func checkUserTag(tag int) error {
 	return nil
 }
 
-// send delivers data to the destination mailbox; the payload is copied so
-// the caller may reuse its buffer immediately.  With a fault injector
-// installed, the message may be delayed (extra latency) or dropped; drops
-// are retried with capped exponential backoff up to RetryBudget times, and
-// a send issued after a peer failure has been recorded fails fast with the
-// propagated *RankError.
+// send delivers a copy of data to the destination mailbox, so the caller
+// may reuse its buffer immediately.
 func (c *Comm) send(to, tag int, data []byte) error {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	return c.deliver(to, tag, cp)
+}
+
+// deliver puts data itself, not a copy, in the destination mailbox.  With a
+// fault injector installed, the message may be delayed (extra latency) or
+// dropped; drops are retried with capped exponential backoff up to
+// RetryBudget times, and a delivery issued after a peer failure has been
+// recorded fails fast with the propagated *RankError.
+func (c *Comm) deliver(to, tag int, data []byte) error {
 	if err := c.checkRank(to); err != nil {
 		return err
 	}
@@ -342,9 +381,7 @@ func (c *Comm) send(to, tag int, data []byte) error {
 			time.Sleep(retryBackoff << min(attempt-1, 5))
 		}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.fabric.mailboxes[to].put(message{src: c.rank, tag: tag, data: cp})
+	c.fabric.mailboxes[to].put(message{src: c.rank, tag: tag, data: data})
 	c.sendCount.Add(1)
 	c.bytesSent.Add(int64(len(data)))
 	return nil
@@ -386,18 +423,22 @@ func (c *Comm) Recv(from, tag int) ([]byte, error) {
 
 // Bcast broadcasts data from root to every rank.  Every rank must call it;
 // the root passes the payload, other ranks pass nil and receive the payload
-// as the return value.
+// as the return value.  The root copies data once, so it may reuse its
+// buffer as soon as Bcast returns, and every receiver gets that same copy:
+// receivers share one backing array and must not modify it.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	if err := c.checkRank(root); err != nil {
 		return nil, err
 	}
 	tag := reservedTagBase + 1
 	if c.rank == root {
+		shared := make([]byte, len(data))
+		copy(shared, data)
 		for r := 0; r < c.fabric.size; r++ {
 			if r == root {
 				continue
 			}
-			if err := c.send(r, tag, data); err != nil {
+			if err := c.deliver(r, tag, shared); err != nil {
 				return nil, err
 			}
 		}

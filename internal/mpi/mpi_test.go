@@ -228,6 +228,52 @@ func TestBcastDeliversToAllRanks(t *testing.T) {
 	}
 }
 
+// TestBcastRootMayReuseItsBuffer: the root overwrites its payload as soon
+// as Bcast returns, and every receiver still reads what was broadcast.  The
+// receivers read only after a barrier the root enters after overwriting,
+// and they share one copy of the payload, which is not the root's buffer.
+func TestBcastRootMayReuseItsBuffer(t *testing.T) {
+	const size = 6
+	want := []byte("generation-update")
+	results := make([][]byte, size)
+	err := Run(size, func(c *Comm) error {
+		if c.Rank() == 0 {
+			buf := bytes.Clone(want)
+			if _, err := c.Bcast(0, buf); err != nil {
+				return err
+			}
+			for i := range buf {
+				buf[i] = 'X'
+			}
+			results[0] = buf
+			return c.Barrier()
+		}
+		got, err := c.Bcast(0, nil)
+		if err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		results[c.Rank()] = got
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < size; r++ {
+		if !bytes.Equal(results[r], want) {
+			t.Fatalf("rank %d read %q after the root reused its buffer, want %q", r, results[r], want)
+		}
+		if &results[r][0] != &results[1][0] {
+			t.Fatalf("ranks 1 and %d received different copies of one broadcast", r)
+		}
+	}
+	if &results[0][0] == &results[1][0] {
+		t.Fatal("the receivers share the root's own buffer")
+	}
+}
+
 func TestBarrierEstablishesOrdering(t *testing.T) {
 	// Every rank increments a counter before the barrier; after the barrier
 	// every rank must observe the full count.  Run several rounds to give a

@@ -15,11 +15,13 @@ import (
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 
-func decodeFitness(buf []byte) float64 {
+// decodeFitness reads the fitness an SSet rank returned under tag; from
+// names the sending rank in the error a payload of the wrong length gives.
+func decodeFitness(buf []byte, from, tag int) (float64, error) {
 	if len(buf) != 8 {
-		return 0
+		return 0, fmt.Errorf("parallel: rank %d returned a %d-byte fitness payload (tag %d), want 8", from, len(buf), tag)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
 }
 
 // encodeTable packs the full strategy table: a uint32 count followed by
@@ -28,15 +30,22 @@ func encodeTable(table []strategy.Strategy) ([]byte, error) {
 	out := make([]byte, 4, 4+len(table)*16)
 	binary.LittleEndian.PutUint32(out, uint32(len(table)))
 	for i, s := range table {
-		enc, err := strategy.Encode(s)
-		if err != nil {
+		var err error
+		if out, err = appendStrategy(out, s); err != nil {
 			return nil, fmt.Errorf("parallel: encoding strategy %d: %w", i, err)
 		}
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(enc)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, enc...)
 	}
+	return out, nil
+}
+
+// appendStrategy appends s's encoding to dst behind its uint32 length.
+func appendStrategy(dst []byte, s strategy.Strategy) ([]byte, error) {
+	at := len(dst)
+	out, err := strategy.AppendEncode(binary.LittleEndian.AppendUint32(dst, 0), s)
+	if err != nil {
+		return dst, err
+	}
+	binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
 	return out, nil
 }
 
@@ -109,34 +118,39 @@ const (
 	updateMutation
 )
 
-// encodeUpdate packs an updateMessage: a flag byte (bit 0 learning, bit 1
-// mutation), then for an adoption the uint32 learner and teacher indices,
-// then for a mutation the uint32 target index and a length-prefixed
-// strategy encoding.
-func encodeUpdate(u updateMessage) ([]byte, error) {
-	out := make([]byte, 1, 9)
+// encodeUpdate appends an updateMessage to dst: a flag byte (bit 0
+// learning, bit 1 mutation), then for an adoption the uint32 learner and
+// teacher indices, then for a mutation the uint32 target index and a
+// length-prefixed strategy encoding.
+func encodeUpdate(dst []byte, u updateMessage) ([]byte, error) {
+	var flags byte
 	if u.learning {
-		out[0] |= updateLearning
+		flags |= updateLearning
+	}
+	if u.mutation {
+		flags |= updateMutation
+	}
+	out := append(dst, flags)
+	if u.learning {
 		out = binary.LittleEndian.AppendUint32(out, uint32(u.learner))
 		out = binary.LittleEndian.AppendUint32(out, uint32(u.teacher))
 	}
 	if u.mutation {
-		enc, err := strategy.Encode(u.targetStrategy)
-		if err != nil {
-			return nil, err
+		var err error
+		if out, err = appendStrategy(binary.LittleEndian.AppendUint32(out, uint32(u.target)), u.targetStrategy); err != nil {
+			return dst, err
 		}
-		out[0] |= updateMutation
-		out = binary.LittleEndian.AppendUint32(out, uint32(u.target))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
 	}
 	return out, nil
 }
 
-// decodeUpdate reverses encodeUpdate for a table of n SSets.  It rejects
-// unknown flag bits and any learner, teacher or target index outside
-// [0, n), so an accepted update can be applied without further checks.
-func decodeUpdate(buf []byte, n int) (updateMessage, error) {
+// decodeUpdate reverses encodeUpdate for a table of n SSets, decoding a
+// mutant into scratch, which must have the run's memory depth: the
+// returned targetStrategy is scratch itself, valid until the next decode.
+// It rejects unknown flag bits, any learner, teacher or target index
+// outside [0, n), and a mutant of another kind or depth than scratch, so
+// an accepted update can be applied without further checks.
+func decodeUpdate(buf []byte, n int, scratch *strategy.Pure) (updateMessage, error) {
 	var u updateMessage
 	if len(buf) < 1 {
 		return u, fmt.Errorf("parallel: empty update payload")
@@ -180,9 +194,10 @@ func decodeUpdate(buf []byte, n int) (updateMessage, error) {
 		if uint64(len(buf)) < uint64(size) {
 			return u, fmt.Errorf("parallel: update payload truncated inside strategy")
 		}
-		if u.targetStrategy, err = strategy.Decode(buf[:size]); err != nil {
+		if err := strategy.DecodeInto(scratch, buf[:size]); err != nil {
 			return u, err
 		}
+		u.targetStrategy = scratch
 		buf = buf[size:]
 	}
 	if len(buf) != 0 {

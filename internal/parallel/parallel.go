@@ -490,6 +490,9 @@ func natureRank(c *mpi.Comm, cfg Config, run nature.Setup) (RankReport, error) {
 	}
 	rec.Lap(trace.PhaseComm)
 
+	// Bcast copies what it sends, so one update buffer serves every
+	// generation.
+	var upBuf []byte
 	for gen := 0; gen < cfg.Generations; gen++ {
 		// Mark the epoch (and give an installed fault plan its per-generation
 		// crash point) before any choreography of the generation runs.
@@ -507,21 +510,21 @@ func natureRank(c *mpi.Comm, cfg Config, run nature.Setup) (RankReport, error) {
 
 		// Phase 2: collect fitness from the owners of the selected SSets and
 		// decide adoption.
-		var tBuf, lBuf []byte
+		var tFit, lFit float64
 		if pcOK {
 			teacherOwner, _ := blockOwner(teacher, cfg.NumSSets, cfg.Ranks)
 			learnerOwner, _ := blockOwner(learner, cfg.NumSSets, cfg.Ranks)
-			if tBuf, err = c.Recv(teacherOwner, tagFitnessTeacher); err != nil {
+			if tFit, err = recvFitness(c, teacherOwner, tagFitnessTeacher); err != nil {
 				return RankReport{}, err
 			}
-			if lBuf, err = c.Recv(learnerOwner, tagFitnessLearner); err != nil {
+			if lFit, err = recvFitness(c, learnerOwner, tagFitnessLearner); err != nil {
 				return RankReport{}, err
 			}
 		}
 		rec.Lap(trace.PhaseComm)
 		var update updateMessage
 		if pcOK {
-			adopted, _ := nat.DecideAdoption(decodeFitness(tBuf), decodeFitness(lBuf))
+			adopted, _ := nat.DecideAdoption(tFit, lFit)
 			nat.RecordPC(adopted)
 			if adopted {
 				update.learning = true
@@ -541,12 +544,11 @@ func natureRank(c *mpi.Comm, cfg Config, run nature.Setup) (RankReport, error) {
 		}
 
 		// Phase 4: broadcast the strategy-table update.
-		buf, err := encodeUpdate(update)
-		if err != nil {
+		if upBuf, err = encodeUpdate(upBuf[:0], update); err != nil {
 			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseCompute)
-		if _, err := c.Bcast(0, buf); err != nil {
+		if _, err := c.Bcast(0, upBuf); err != nil {
 			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseComm)
@@ -626,6 +628,10 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 	// EvalFull keeps the decoded table and one opponents buffer, sized for
 	// the rank's largest degree and refilled from the table for each SSet.
 	var opponents []strategy.Strategy
+	// Every broadcast mutant is decoded into scratch.  An evaluator's table
+	// keeps the registry's canonical copy, interned from it; the EvalFull
+	// table keeps a clone (see below).
+	scratch := strategy.NewPure(cfg.MemorySteps)
 	if ev != nil {
 		table = nil
 	} else {
@@ -705,9 +711,13 @@ func ssetRank(c *mpi.Comm, cfg Config, start int) (RankReport, error) {
 			return RankReport{}, err
 		}
 		rec.Lap(trace.PhaseComm)
-		update, err := decodeUpdate(upBuf, cfg.NumSSets)
+		update, err := decodeUpdate(upBuf, cfg.NumSSets, scratch)
 		if err != nil {
 			return RankReport{}, err
+		}
+		if update.mutation && ev == nil {
+			// The table outlives scratch's next decode.
+			update.targetStrategy = scratch.Clone()
 		}
 		if err := applyUpdate(update, table, ev); err != nil {
 			return RankReport{}, err
@@ -763,7 +773,16 @@ func applyUpdate(u updateMessage, table []strategy.Strategy, ev *fitness.Evaluat
 // sendFitness returns the relative fitness of a selected SSet to the Nature
 // Agent.
 func sendFitness(c *mpi.Comm, tag int, fitness float64) error {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, uint64(floatBits(fitness)))
-	return c.Send(0, tag, buf)
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], floatBits(fitness))
+	return c.Send(0, tag, buf[:])
+}
+
+// recvFitness receives the relative fitness rank from returns under tag.
+func recvFitness(c *mpi.Comm, from, tag int) (float64, error) {
+	buf, err := c.Recv(from, tag)
+	if err != nil {
+		return 0, err
+	}
+	return decodeFitness(buf, from, tag)
 }

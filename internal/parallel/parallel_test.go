@@ -3,6 +3,10 @@ package parallel
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -165,18 +169,19 @@ func TestTableCodecRoundTrip(t *testing.T) {
 
 func TestUpdateCodecRoundTrip(t *testing.T) {
 	const n = 16
+	scratch := strategy.NewPure(1)
 	u := updateMessage{
 		learning: true, learner: 5, teacher: 11,
 		mutation: true, target: 9, targetStrategy: strategy.AllD(1),
 	}
-	buf, err := encodeUpdate(u)
+	buf, err := encodeUpdate(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 1 + 8 + 8 + strategy.EncodedSize(1); len(buf) != want {
 		t.Fatalf("update is %d bytes, want %d", len(buf), want)
 	}
-	got, err := decodeUpdate(buf, n)
+	got, err := decodeUpdate(buf, n, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +191,42 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 	if !got.mutation || got.target != 9 || !got.targetStrategy.Equal(strategy.AllD(1)) {
 		t.Fatalf("mutation part wrong: %+v", got)
 	}
+	if got.targetStrategy != strategy.Strategy(scratch) {
+		t.Fatal("the mutant was not decoded into the scratch strategy")
+	}
+
+	// encodeUpdate appends: a reused buffer keeps its prefix and its
+	// capacity.
+	prefix := []byte{0xAA}
+	again, err := encodeUpdate(append(make([]byte, 0, 64), prefix...), u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again[:1], prefix) || !bytes.Equal(again[1:], buf) || cap(again) != 64 {
+		t.Fatalf("append into a reused buffer gave %x (cap %d), want %x%x", again, cap(again), prefix, buf)
+	}
+
+	// A mutant of another depth than the scratch strategy is rejected.
+	deep, err := encodeUpdate(nil, updateMessage{mutation: true, target: 2, targetStrategy: strategy.WSLS(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeUpdate(deep, n, scratch); !errors.Is(err, strategy.ErrCorrupt) {
+		t.Fatalf("memory-2 mutant into a memory-1 scratch: got error %v, want ErrCorrupt", err)
+	}
+	if !scratch.Equal(strategy.AllD(1)) {
+		t.Fatal("a rejected mutant changed the scratch strategy")
+	}
 
 	// An adoption alone is the flag byte and two indices.
-	adopt, err := encodeUpdate(updateMessage{learning: true, learner: 3, teacher: 0})
+	adopt, err := encodeUpdate(nil, updateMessage{learning: true, learner: 3, teacher: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(adopt) != 9 {
 		t.Fatalf("adoption-only update is %d bytes, want 9", len(adopt))
 	}
-	gotAdopt, err := decodeUpdate(adopt, n)
+	gotAdopt, err := decodeUpdate(adopt, n, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +234,11 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		t.Fatalf("adoption-only update decoded as %+v", gotAdopt)
 	}
 
-	empty, err := encodeUpdate(updateMessage{})
+	empty, err := encodeUpdate(nil, updateMessage{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotEmpty, err := decodeUpdate(empty, n)
+	gotEmpty, err := decodeUpdate(empty, n, scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,16 +246,16 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		t.Fatal("empty update decoded as containing events")
 	}
 
-	if _, err := decodeUpdate(nil, n); err == nil {
+	if _, err := decodeUpdate(nil, n, scratch); err == nil {
 		t.Fatal("accepted empty update payload")
 	}
-	if _, err := decodeUpdate(buf[:4], n); err == nil {
+	if _, err := decodeUpdate(buf[:4], n, scratch); err == nil {
 		t.Fatal("accepted truncated update payload")
 	}
-	if _, err := decodeUpdate(append(buf[:len(buf):len(buf)], 1, 2, 3), n); err == nil {
+	if _, err := decodeUpdate(append(buf[:len(buf):len(buf)], 1, 2, 3), n, scratch); err == nil {
 		t.Fatal("accepted trailing bytes")
 	}
-	if _, err := decodeUpdate([]byte{4}, n); err == nil {
+	if _, err := decodeUpdate([]byte{4}, n, scratch); err == nil {
 		t.Fatal("accepted unknown flag bits")
 	}
 	// Every index is checked against the table size, and the error names
@@ -237,30 +268,53 @@ func TestUpdateCodecRoundTrip(t *testing.T) {
 		{"teacher", updateMessage{learning: true, learner: 0, teacher: n + 7}},
 		{"target", updateMessage{mutation: true, target: n, targetStrategy: strategy.TFT(1)}},
 	} {
-		b, err := encodeUpdate(bad.u)
+		b, err := encodeUpdate(nil, bad.u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = decodeUpdate(b, n)
+		_, err = decodeUpdate(b, n, scratch)
 		if err == nil || !strings.Contains(err.Error(), bad.field) {
 			t.Fatalf("out-of-range %s: got error %v", bad.field, err)
 		}
 	}
 }
 
-// FuzzDecodeUpdate feeds arbitrary payloads to decodeUpdate: it must never
-// panic, and a payload it accepts must carry in-range indices and
-// re-encode byte for byte.
+// TestDecodeFitnessRejectsWrongLength: a fitness return that is not one
+// float64 is an error naming the sender, the tag and the length, not a
+// fitness of 0.
+func TestDecodeFitnessRejectsWrongLength(t *testing.T) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(2.5))
+	if f, err := decodeFitness(buf[:], 3, tagFitnessLearner); err != nil || f != 2.5 {
+		t.Fatalf("8-byte payload: got %v, %v, want 2.5", f, err)
+	}
+	_, err := decodeFitness(buf[:7], 3, tagFitnessLearner)
+	if err == nil {
+		t.Fatal("accepted a 7-byte fitness payload")
+	}
+	for _, want := range []string{"rank 3", "7-byte", fmt.Sprintf("tag %d", tagFitnessLearner)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// FuzzDecodeUpdate feeds arbitrary payloads to decodeUpdate with a
+// memory-two scratch strategy: it must never panic, and a payload it
+// accepts must carry in-range indices and re-encode byte for byte.
 func FuzzDecodeUpdate(f *testing.F) {
-	const n = 12
+	const (
+		n   = 12
+		mem = 2
+	)
 	seeds := []updateMessage{
 		{},
 		{learning: true, learner: 3, teacher: 7},
-		{mutation: true, target: 11, targetStrategy: strategy.WSLS(2)},
-		{learning: true, learner: 0, teacher: 11, mutation: true, target: 4, targetStrategy: strategy.AllC(1)},
+		{mutation: true, target: 11, targetStrategy: strategy.WSLS(mem)},
+		{learning: true, learner: 0, teacher: 11, mutation: true, target: 4, targetStrategy: strategy.AllC(mem)},
 	}
 	for _, u := range seeds {
-		buf, err := encodeUpdate(u)
+		buf, err := encodeUpdate(nil, u)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -268,8 +322,18 @@ func FuzzDecodeUpdate(f *testing.F) {
 	}
 	f.Add([]byte{1, 12, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{2, 0, 0, 0, 0, 255, 255, 255, 255})
+	scratch := strategy.NewPure(mem)
+	// A mutant of another depth is rejected, not decoded into the scratch.
+	other, err := encodeUpdate(nil, updateMessage{mutation: true, target: 1, targetStrategy: strategy.WSLS(mem + 1)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeUpdate(other, n, scratch); !errors.Is(err, strategy.ErrCorrupt) {
+		f.Fatalf("memory-%d mutant into a memory-%d scratch: got error %v, want ErrCorrupt", mem+1, mem, err)
+	}
+	f.Add(other)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		u, err := decodeUpdate(buf, n)
+		u, err := decodeUpdate(buf, n, scratch)
 		if err != nil {
 			return
 		}
@@ -278,7 +342,10 @@ func FuzzDecodeUpdate(f *testing.F) {
 				t.Fatalf("accepted index %d outside [0,%d): %+v", idx, n, u)
 			}
 		}
-		again, err := encodeUpdate(u)
+		if u.mutation && u.targetStrategy.MemorySteps() != mem {
+			t.Fatalf("accepted a memory-%d mutant into a memory-%d scratch", u.targetStrategy.MemorySteps(), mem)
+		}
+		again, err := encodeUpdate(nil, u)
 		if err != nil {
 			t.Fatalf("accepted payload does not re-encode: %v", err)
 		}
@@ -387,6 +454,60 @@ func TestRunMatchesSerialEngine(t *testing.T) {
 		if !par.FinalStrategies[i].Equal(serialRes.FinalStrategies[i]) {
 			t.Fatalf("final tables differ at SSet %d:\n parallel %s\n serial   %s",
 				i, par.FinalStrategies[i], serialRes.FinalStrategies[i])
+		}
+	}
+}
+
+// TestEvalFullMutantsAreNotAliased: an EvalFull SSet rank decodes every
+// broadcast mutant into one scratch strategy, which the next mutation
+// overwrites, so its table must keep a clone.  The distributed run at
+// mutation 0.5 must match the serial engine, which never shares a
+// strategy with a decoder, and the serial run, stepped one generation at
+// a time, shows that the run has consecutive mutations, the case a table
+// aliasing the scratch strategy gets wrong.
+func TestEvalFullMutantsAreNotAliased(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Generations = 200
+	cfg.MutationRate = 0.5
+
+	par, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := population.New(population.Config{
+		NumSSets:      cfg.NumSSets,
+		AgentsPerSSet: cfg.AgentsPerSSet,
+		MemorySteps:   cfg.MemorySteps,
+		Rounds:        cfg.Rounds,
+		PCRate:        cfg.PCRate,
+		MutationRate:  cfg.MutationRate,
+		Beta:          cfg.Beta,
+		Seed:          cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consecutive, prev := 0, false
+	for gen := 0; gen < cfg.Generations; gen++ {
+		before := serial.NatureStats().Mutations
+		if err := serial.Step(); err != nil {
+			t.Fatal(err)
+		}
+		mutated := serial.NatureStats().Mutations > before
+		if mutated && prev {
+			consecutive++
+		}
+		prev = mutated
+	}
+	if consecutive == 0 {
+		t.Fatal("the run has no two consecutive mutations")
+	}
+	if got := serial.NatureStats(); par.NatureStats != got {
+		t.Fatalf("nature stats differ: parallel %+v vs serial %+v", par.NatureStats, got)
+	}
+	for i, s := range serial.Strategies() {
+		if !par.FinalStrategies[i].Equal(s) {
+			t.Fatalf("final tables differ at SSet %d:\n parallel %s\n serial   %s", i, par.FinalStrategies[i], s)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"evogame/internal/game"
 )
 
 // The codec packs strategies into self-describing byte slices so that the
@@ -33,29 +35,28 @@ var ErrCorrupt = errors.New("strategy: corrupt encoding")
 
 // Encode serialises a strategy.  It returns an error for strategy
 // implementations outside this package.
-func Encode(s Strategy) ([]byte, error) {
+func Encode(s Strategy) ([]byte, error) { return AppendEncode(nil, s) }
+
+// AppendEncode appends the encoding of s to dst and returns the extended
+// slice, growing dst at most once.  On error it returns dst unchanged.
+func AppendEncode(dst []byte, s Strategy) ([]byte, error) {
 	switch v := s.(type) {
 	case *Pure:
-		words := v.Words()
-		buf := make([]byte, 3+8*len(words))
-		buf[0] = codecVersion
-		buf[1] = kindPure
-		buf[2] = byte(v.MemorySteps())
-		for i, w := range words {
-			binary.LittleEndian.PutUint64(buf[3+8*i:], w)
+		dst = slices.Grow(dst, 3+8*len(v.bits))
+		dst = append(dst, codecVersion, kindPure, byte(v.mem))
+		for _, w := range v.bits {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
 		}
-		return buf, nil
+		return dst, nil
 	case *Mixed:
-		buf := make([]byte, 3+8*len(v.probs))
-		buf[0] = codecVersion
-		buf[1] = kindMixed
-		buf[2] = byte(v.MemorySteps())
-		for i, p := range v.probs {
-			binary.LittleEndian.PutUint64(buf[3+8*i:], math.Float64bits(p))
+		dst = slices.Grow(dst, 3+8*len(v.probs))
+		dst = append(dst, codecVersion, kindMixed, byte(v.mem))
+		for _, p := range v.probs {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
 		}
-		return buf, nil
+		return dst, nil
 	default:
-		return nil, fmt.Errorf("strategy: cannot encode %T", s)
+		return dst, fmt.Errorf("strategy: cannot encode %T", s)
 	}
 }
 
@@ -112,35 +113,33 @@ func SameEncoding(a, b Strategy) bool {
 	}
 }
 
-// Decode reverses Encode.
-func Decode(buf []byte) (Strategy, error) {
+// header checks an encoding's version byte and memory depth and returns
+// its kind, depth and payload.
+func header(buf []byte) (kind byte, mem int, payload []byte, err error) {
 	if len(buf) < 3 {
-		return nil, fmt.Errorf("%w: too short (%d bytes)", ErrCorrupt, len(buf))
+		return 0, 0, nil, fmt.Errorf("%w: too short (%d bytes)", ErrCorrupt, len(buf))
 	}
 	if buf[0] != codecVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrCorrupt, buf[0])
+		return 0, 0, nil, fmt.Errorf("%w: unknown version %d", ErrCorrupt, buf[0])
 	}
-	mem := int(buf[2])
+	mem = int(buf[2])
 	if mem < 1 || mem > 6 {
-		return nil, fmt.Errorf("%w: memory steps %d out of range", ErrCorrupt, mem)
+		return 0, 0, nil, fmt.Errorf("%w: memory steps %d out of range", ErrCorrupt, mem)
 	}
-	payload := buf[3:]
-	switch buf[1] {
+	return buf[1], mem, buf[3:], nil
+}
+
+// Decode reverses Encode.
+func Decode(buf []byte) (Strategy, error) {
+	kind, mem, payload, err := header(buf)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case kindPure:
 		p := NewPure(mem)
-		want := len(p.bits) * 8
-		if len(payload) != want {
-			return nil, fmt.Errorf("%w: pure payload %d bytes, want %d", ErrCorrupt, len(payload), want)
-		}
-		for i := range p.bits {
-			p.bits[i] = binary.LittleEndian.Uint64(payload[8*i:])
-		}
-		// Canonicalise: reject encodings that set bits beyond the state count,
-		// which would make Equal unreliable.
-		tail := p.bits[len(p.bits)-1]
-		p.maskTail()
-		if tail != p.bits[len(p.bits)-1] {
-			return nil, fmt.Errorf("%w: pure payload sets bits beyond the state count", ErrCorrupt)
+		if err := DecodeInto(p, buf); err != nil {
+			return nil, err
 		}
 		return p, nil
 	case kindMixed:
@@ -158,14 +157,42 @@ func Decode(buf []byte) (Strategy, error) {
 		}
 		return m, nil
 	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, buf[1])
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
 }
 
+// DecodeInto decodes the encoding of a pure strategy of p's memory depth
+// into p, overwriting its moves, so a receiver can decode into one scratch
+// strategy instead of allocating a new one.  It rejects an encoding of
+// another kind or depth with ErrCorrupt, and leaves p unchanged on error.
+func DecodeInto(p *Pure, buf []byte) error {
+	kind, mem, payload, err := header(buf)
+	if err != nil {
+		return err
+	}
+	if kind != kindPure {
+		return fmt.Errorf("%w: kind %d, want a pure strategy", ErrCorrupt, kind)
+	}
+	if mem != p.mem {
+		return fmt.Errorf("%w: memory-%d strategy, want memory-%d", ErrCorrupt, mem, p.mem)
+	}
+	if want := len(p.bits) * 8; len(payload) != want {
+		return fmt.Errorf("%w: pure payload %d bytes, want %d", ErrCorrupt, len(payload), want)
+	}
+	// Canonicalise: reject encodings that set bits beyond the state count,
+	// which would make Equal unreliable.
+	if rem := p.n % 64; rem != 0 && binary.LittleEndian.Uint64(payload[len(payload)-8:])>>rem != 0 {
+		return fmt.Errorf("%w: pure payload sets bits beyond the state count", ErrCorrupt)
+	}
+	for i := range p.bits {
+		p.bits[i] = binary.LittleEndian.Uint64(payload[8*i:])
+	}
+	return nil
+}
+
 // EncodedSize returns the number of bytes Encode produces for a pure
-// strategy of the given memory depth; the message-passing layer uses it to
-// size broadcast buffers without materialising a strategy first.
+// strategy of the given memory depth, without materialising one; the
+// performance model sizes its broadcast messages with it.
 func EncodedSize(memSteps int) int {
-	p := NewPure(memSteps)
-	return 3 + 8*len(p.bits)
+	return 3 + 8*((game.NumStates(memSteps)+63)/64)
 }

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"bytes"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -456,6 +458,52 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	bad[3+1] = 0xFF
 	if _, err := Decode(bad); err == nil {
 		t.Error("Decode accepted a pure payload with out-of-range bits")
+	}
+}
+
+// TestAppendEncodeAndDecodeInto: AppendEncode appends exactly Encode's
+// bytes behind dst's prefix, and DecodeInto overwrites a scratch strategy
+// of the encoding's depth, rejecting another depth or kind and leaving the
+// scratch unchanged when it does.
+func TestAppendEncodeAndDecodeInto(t *testing.T) {
+	for mem := 1; mem <= 6; mem++ {
+		p := RandomPure(mem, rng.New(uint64(40+mem)))
+		want, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := AppendEncode([]byte{7, 7}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf[:2], []byte{7, 7}) || !bytes.Equal(buf[2:], want) {
+			t.Fatalf("memory-%d: AppendEncode gave %x, want 0707%x", mem, buf, want)
+		}
+		scratch := AllD(mem)
+		if err := DecodeInto(scratch, want); err != nil {
+			t.Fatal(err)
+		}
+		if !scratch.Equal(p) {
+			t.Fatalf("memory-%d: DecodeInto did not round-trip", mem)
+		}
+	}
+
+	scratch := WSLS(2)
+	deeper, _ := Encode(WSLS(3))
+	mixed, _ := Encode(RandomMixed(2, rng.New(3)))
+	short, _ := Encode(AllC(2))
+	bad, _ := Encode(NewPure(2))
+	bad[3+2] = 0xFF
+	for name, buf := range map[string][]byte{"another depth": deeper, "a mixed strategy": mixed, "out-of-range bits": bad, "a truncated payload": short[:len(short)-1]} {
+		if err := DecodeInto(scratch, buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeInto returned %v, want ErrCorrupt", name, err)
+		}
+		if !scratch.Equal(WSLS(2)) {
+			t.Fatalf("%s: a rejected encoding changed the scratch strategy", name)
+		}
+	}
+	if _, err := AppendEncode(nil, nil); err == nil {
+		t.Fatal("AppendEncode accepted nil")
 	}
 }
 
