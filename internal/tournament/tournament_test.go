@@ -1,6 +1,7 @@
 package tournament
 
 import (
+	"math"
 	"testing"
 
 	"evogame/internal/strategy"
@@ -160,6 +161,52 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	for i := range a.Standings {
 		if a.Standings[i] != b.Standings[i] {
 			t.Fatalf("noisy tournaments with the same seed diverge at rank %d", i)
+		}
+	}
+}
+
+// TestNoisyClassicFieldGolden pins a noisy self-play tournament to the
+// exact float bits it produced when the tournament still accepted mixed
+// strategies, so the source-split rule (one split per game, only under
+// noise) and the table-based replay consume the stream as they did then.
+func TestNoisyClassicFieldGolden(t *testing.T) {
+	res, err := Run(ClassicField(1), Config{Rounds: 100, Repetitions: 5, Noise: 0.05, IncludeSelfPlay: true, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantScores := [6][6]uint64{
+		{0x4096240000000000, 0x4057400000000000, 0x4095bc0000000000, 0x40959c0000000000, 0x4084a80000000000, 0x4087d00000000000},
+		{0x409dc40000000000, 0x4081180000000000, 0x4083d80000000000, 0x4083980000000000, 0x4092cc0000000000, 0x40930c0000000000},
+		{0x40970c0000000000, 0x4080f80000000000, 0x408f780000000000, 0x408fe80000000000, 0x408d400000000000, 0x408f380000000000},
+		{0x40970c0000000000, 0x4080b80000000000, 0x4090240000000000, 0x4090a00000000000, 0x408ed00000000000, 0x408f480000000000},
+		{0x409ac40000000000, 0x4075700000000000, 0x408d400000000000, 0x408f100000000000, 0x4094a80000000000, 0x408f000000000000},
+		{0x409a880000000000, 0x4074f00000000000, 0x408f180000000000, 0x408f280000000000, 0x408f400000000000, 0x408f580000000000},
+	}
+	for i, row := range wantScores {
+		for j, want := range row {
+			if got := math.Float64bits(res.Scores[i][j]); got != want {
+				t.Errorf("Scores[%d][%d] = %#016x (%v), want %#016x", i, j, got, res.Scores[i][j], want)
+			}
+		}
+	}
+	wantStandings := []struct {
+		name              string
+		total, mean       uint64
+		games, wins, draw int
+	}{
+		{"WSLS", 0x40b89c0000000000, 0x406a400000000000, 30, 13, 5},
+		{"ALLD", 0x40b7f80000000000, 0x4069911111111111, 30, 27, 0},
+		{"GRIM", 0x40b7ce0000000000, 0x4069644444444444, 30, 10, 9},
+		{"ALT", 0x40b78c0000000000, 0x40691dddddddddde, 30, 13, 5},
+		{"TFT", 0x40b75d0000000000, 0x4068ebbbbbbbbbbc, 30, 14, 0},
+		{"ALLC", 0x40b64b0000000000, 0x4067c77777777777, 30, 1, 0},
+	}
+	for k, w := range wantStandings {
+		s := res.Standings[k]
+		if s.Name != w.name || math.Float64bits(s.TotalScore) != w.total || math.Float64bits(s.MeanPerGame) != w.mean ||
+			s.Games != w.games || s.Wins != w.wins || s.Draws != w.draw {
+			t.Errorf("standing %d = %+v, want %s total %#016x mean %#016x games %d wins %d draws %d",
+				k, s, w.name, w.total, w.mean, w.games, w.wins, w.draw)
 		}
 	}
 }
