@@ -314,7 +314,7 @@ func table3(opts options) error {
 	for i, p := range strategy.AllMemoryOne() {
 		row := []interface{}{i + 1}
 		for s := 0; s < 4; s++ {
-			row = append(row, p.Move(s, nil).String())
+			row = append(row, p.Move(s).String())
 		}
 		row = append(row, names[p.String()])
 		t.AddRow(row...)
@@ -344,7 +344,7 @@ func table5(opts options) error {
 	wsls := strategy.WSLS(1)
 	t := stats.NewTable("State", "Previous round (agent,opponent)", "Strategy move")
 	for s := 0; s < 4; s++ {
-		t.AddRow(s, game.StateString(s, 1), wsls.Move(s, nil).String())
+		t.AddRow(s, game.StateString(s, 1), wsls.Move(s).String())
 	}
 	fmt.Fprint(opts.out, t.String())
 	return nil

@@ -544,9 +544,10 @@ func Simulate(ctx context.Context, cfg SimulationConfig) (SimulationResult, erro
 // parameters the snapshot does not record, such as noise and rounds, must
 // simply be passed identically), and InitialStrategies must be empty: the
 // strategy table comes from the checkpoint, typed.  The engines play pure
-// strategies of the configured memory depth only, so a checkpoint whose
-// table holds any other strategy (a mixed one, say) is rejected, naming
-// the entry.  The resumed run takes Simulate's
+// strategies of the configured memory depth only: a checkpoint whose table
+// holds an entry of another depth is rejected, naming the entry, and the
+// checkpoint reader rejects an entry it cannot decode as a pure strategy.
+// The resumed run takes Simulate's
 // path, so cfg.MaxRestarts > 0 supervises it exactly as a fresh run.
 //
 // For a resumable checkpoint (format v4, written by the serial engine) the
@@ -859,18 +860,14 @@ func parallelResultFromInternal(res parallel.Result) ParallelResult {
 
 // NamedStrategy returns the move-table string of a built-in strategy
 // ("allc", "alld", "tft", "wsls", "grim", "tf2t", "alternator") for the
-// given memory depth.  Mixed strategies ("gtft") cannot be rendered as a
-// move table and return an error.
+// given memory depth.  An unknown name or a memory depth outside
+// [1, MaxMemorySteps] returns an error.
 func NamedStrategy(name string, memSteps int) (string, error) {
 	s, err := strategy.ByName(name, memSteps)
 	if err != nil {
 		return "", err
 	}
-	pure, ok := s.(*strategy.Pure)
-	if !ok {
-		return "", fmt.Errorf("evogame: strategy %q is not a pure strategy", name)
-	}
-	return pure.String(), nil
+	return s.String(), nil
 }
 
 // StrategySpaceSize returns the number of game states (4^n) and the base-2

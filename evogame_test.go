@@ -238,7 +238,7 @@ func TestNamedStrategy(t *testing.T) {
 		t.Fatal("accepted an unknown strategy")
 	}
 	if _, err := NamedStrategy("gtft", 1); err == nil {
-		t.Fatal("GTFT is mixed and cannot be a move table")
+		t.Fatal("accepted gtft, which is not a built-in strategy")
 	}
 }
 

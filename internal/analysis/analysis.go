@@ -69,8 +69,8 @@ func ExpectedPayoffs(a, b *strategy.Pure, payoff game.Matrix, rounds int, noise 
 	intendA := make([]game.Move, n)
 	intendB := make([]game.Move, n)
 	for s := 0; s < n; s++ {
-		intendA[s] = a.Move(s, nil)
-		intendB[s] = b.Move(game.OpponentState(s, mem), nil)
+		intendA[s] = a.Move(s)
+		intendB[s] = b.Move(game.OpponentState(s, mem))
 	}
 
 	flip := [2]float64{1 - noise, noise}
@@ -176,7 +176,7 @@ func Classify(p *strategy.Pure) Traits {
 	t.Nice = true
 	defections := 0
 	for s := 0; s < n; s++ {
-		move := p.Move(s, nil)
+		move := p.Move(s)
 		if move == game.Defect {
 			defections++
 		}
@@ -234,8 +234,8 @@ func CooperationIndex(a, b *strategy.Pure, rounds int, noise float64) (float64, 
 			if p == 0 {
 				continue
 			}
-			ia := a.Move(s, nil)
-			ib := b.Move(game.OpponentState(s, mem), nil)
+			ia := a.Move(s)
+			ib := b.Move(game.OpponentState(s, mem))
 			for fa := 0; fa < 2; fa++ {
 				for fb := 0; fb < 2; fb++ {
 					prob := p * flip[fa] * flip[fb]

@@ -394,22 +394,13 @@ func Read(r io.Reader) (Snapshot, error) {
 		if err != nil {
 			return Snapshot{}, fmt.Errorf("checkpoint: decoding strategy %d: %w", i, err)
 		}
-		if got := strategyDepth(strat); got != env.MemorySteps {
+		if got := strat.MemorySteps(); got != env.MemorySteps {
 			return Snapshot{}, fmt.Errorf("checkpoint: strategy %d has memory depth %d, envelope declares %d",
 				i, got, env.MemorySteps)
 		}
 		s.Strategies[i] = strat
 	}
 	return s, nil
-}
-
-// strategyDepth returns the memory depth of a decoded strategy (every type
-// the codec produces reports one).
-func strategyDepth(s strategy.Strategy) int {
-	if d, ok := s.(interface{ MemorySteps() int }); ok {
-		return d.MemorySteps()
-	}
-	return -1
 }
 
 // Save writes the snapshot atomically and durably to the given path: the

@@ -3,8 +3,10 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"evogame/internal/game"
@@ -520,26 +522,34 @@ func TestSaveIsDurableAndCollisionFree(t *testing.T) {
 	}
 }
 
-func TestMixedStrategiesRoundTrip(t *testing.T) {
-	gtft, err := strategy.GTFT(1, 0.3)
+// TestReadRejectsKindTwoEntry reads an envelope whose table holds, behind
+// a pure entry, a kind-2 entry: the codec's former mixed-strategy layout,
+// here a memory-one strategy cooperating with probability 0.5 everywhere.
+// Read must fail with an error that wraps strategy.ErrCorrupt and names
+// the entry.
+func TestReadRejectsKindTwoEntry(t *testing.T) {
+	wsls, err := strategy.Encode(strategy.WSLS(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := Snapshot{
-		Generation:  1,
-		MemorySteps: 1,
-		Strategies:  []strategy.Strategy{gtft, strategy.WSLS(1)},
+	kindTwo := []byte{1, 2, 1}
+	for s := 0; s < 4; s++ {
+		kindTwo = append(kindTwo, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, snap); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(envelope{
+		Version: formatVersion, Generation: 1, MemorySteps: 1,
+		Game: defaultGame, Payoff: standardPayoff(), UpdateRule: defaultRule, Topology: defaultTopology,
+		Strategies: [][]byte{wsls, kindTwo},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
+	_, err = Read(&buf)
+	if !errors.Is(err, strategy.ErrCorrupt) {
+		t.Fatalf("Read of a kind-2 entry returned %v, want an error wrapping strategy.ErrCorrupt", err)
 	}
-	if !got.Strategies[0].Equal(gtft) {
-		t.Fatal("mixed strategy did not round trip")
+	if !strings.Contains(err.Error(), "strategy 1") {
+		t.Fatalf("error %q does not name entry 1", err)
 	}
 }
 

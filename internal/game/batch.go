@@ -39,9 +39,10 @@ import (
 // handled by pre-drawing each lane's per-round flips from that game's own
 // rng.Source in canonical scalar order (two draws per round, focal player
 // first), so the RNG streams — and therefore the trajectory of any caller —
-// are unchanged.  Games the kernel cannot replay exactly (mixed strategies,
-// fractional payoff matrices, players without packed move tables) fall back
-// to the scalar Play path lane by lane.
+// are unchanged.  Over a fractional payoff matrix, which the kernel cannot
+// replay exactly, every game takes the scalar Play path instead, and so
+// does a player whose memory depth differs from the engine's, for Play to
+// report.
 
 // BatchLanes is the number of games one bit-sliced batch plays at once: one
 // lane per bit of a uint64 word.  Engine.PlayBatch accepts any number of
@@ -165,17 +166,14 @@ func (e *Engine) batchEnabled() bool {
 	return e.intPayoff
 }
 
-// laneWords returns p's packed move table when p can occupy a SWAR lane,
-// and nil when its games must take the scalar fallback.
+// laneWords returns p's packed move table when p can occupy a lane, and nil
+// when its memory depth differs from the engine's, so that Play reports the
+// mismatch.
 func (e *Engine) laneWords(p Player) []uint64 {
-	if !p.Deterministic() || p.MemorySteps() != e.memSteps {
+	if p.MemorySteps() != e.memSteps {
 		return nil
 	}
-	mt, ok := p.(MoveTable)
-	if !ok {
-		return nil
-	}
-	return mt.Words()
+	return p.Words()
 }
 
 // PlayBatch plays one game between a and every opponent, writing game i's
@@ -183,9 +181,8 @@ func (e *Engine) laneWords(p Player) []uint64 {
 // opponents[i], srcs[i]) in index order — same results bit for bit, same
 // consumption of each source — but routes eligible games through the
 // bit-sliced batch kernel, 64 lanes at a time, when the kernel mode allows
-// it (see KernelMode).  srcs may be nil for fully deterministic noiseless
-// batches; otherwise it must hold one source per opponent (entries for
-// deterministic games may be nil when noise is off).  Opponent counts that
+// it (see KernelMode).  srcs may be nil when noise is off; otherwise it
+// must hold one source per opponent.  Opponent counts that
 // are not a multiple of 64 are fine; the ragged tail simply occupies fewer
 // lanes.
 func (e *Engine) PlayBatch(a Player, opponents []Player, srcs []*rng.Source, out []Result) error {
@@ -285,8 +282,7 @@ func (e *Engine) playChunk(as, bs []Player, srcs []*rng.Source, out []Result) er
 			continue
 		}
 		if e.noise > 0 && (srcs == nil || srcs[i] == nil) {
-			return fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
-				e.noise, a.Deterministic(), b.Deterministic())
+			return fmt.Errorf("game: rng source required (noise=%v)", e.noise)
 		}
 		buf.words[0][lanes], buf.words[1][lanes] = aw, bw
 		buf.lane2idx[lanes] = i

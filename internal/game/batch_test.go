@@ -30,12 +30,7 @@ func newTestEngines(t *testing.T, mem int, noise float64) (batch, scalar *Engine
 
 func checkBatchMatchesScalar(t *testing.T, batch, scalar *Engine, a Player, opps []Player, seed uint64) {
 	t.Helper()
-	noisy := scalar.Noise() > 0 || !a.Deterministic()
-	for _, b := range opps {
-		if !b.Deterministic() {
-			noisy = true
-		}
-	}
+	noisy := scalar.Noise() > 0
 	var batchSrcs []*rng.Source
 	if noisy {
 		batchSrcs = make([]*rng.Source, len(opps))
@@ -49,7 +44,7 @@ func checkBatchMatchesScalar(t *testing.T, batch, scalar *Engine, a Player, opps
 	}
 	for i, b := range opps {
 		var src *rng.Source
-		if noisy || !b.Deterministic() {
+		if noisy {
 			src = rng.New(seed + uint64(i))
 		}
 		want, err := scalar.Play(a, b, src)
@@ -116,27 +111,6 @@ func TestPlayBatchRaggedTail(t *testing.T) {
 			opps[i] = randomWordPlayer(1, src)
 		}
 		checkBatchMatchesScalar(t, batch, scalar, randomWordPlayer(1, src), opps, 5)
-	}
-}
-
-// TestPlayBatchMixedLanesFallBack mixes SWAR-ineligible opponents (mixed
-// strategies) into the batch; those lanes must take the scalar path with
-// their own sources while the rest stay bit-sliced.
-func TestPlayBatchMixedLanesFallBack(t *testing.T) {
-	for _, noise := range []float64{0, 0.02} {
-		batch, scalar := newTestEngines(t, 1, noise)
-		src := rng.New(23)
-		opps := make([]Player, 70)
-		for i := range opps {
-			if i%7 == 3 {
-				opps[i] = &randPlayer{p: 0.4}
-			} else {
-				opps[i] = randomWordPlayer(1, src)
-			}
-		}
-		checkBatchMatchesScalar(t, batch, scalar, randomWordPlayer(1, src), opps, 31)
-		// A mixed focal player forces the scalar path for the whole batch.
-		checkBatchMatchesScalar(t, batch, scalar, &randPlayer{p: 0.6}, opps, 37)
 	}
 }
 
@@ -309,7 +283,7 @@ func TestPlayPairsExhaustiveMemoryOne(t *testing.T) {
 
 // TestPlayPairsRandomDeeperMemory runs the general round loop with a
 // different random focal per lane at memory 2..4, noiseless and noisy, over
-// a ragged second chunk with mixed players in some lanes.
+// a ragged second chunk.
 func TestPlayPairsRandomDeeperMemory(t *testing.T) {
 	for mem := 2; mem <= 4; mem++ {
 		for _, noise := range []float64{0, 0.05} {

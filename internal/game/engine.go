@@ -7,19 +7,17 @@ import (
 	"evogame/internal/rng"
 )
 
-// Player is one side of an Iterated Prisoner's Dilemma game.  The strategy
-// package provides the pure (bit-vector) and mixed (probabilistic)
-// implementations; the game package only needs to ask the player for its
-// move in a given state.
+// Player is one side of an Iterated Prisoner's Dilemma game: a pure
+// memory-n strategy given as its packed move table.  strategy.Pure
+// implements it.  Every kernel reads the table with plain word arithmetic,
+// so the round loops make no per-move interface call.
 type Player interface {
 	// MemorySteps returns the memory depth n of the strategy.
 	MemorySteps() int
-	// Move returns the player's move in the given packed state.  src may be
-	// nil when Deterministic() is true.
-	Move(state int, src *rng.Source) Move
-	// Deterministic reports whether the strategy needs randomness to choose
-	// its move (mixed strategies do, pure strategies do not).
-	Deterministic() bool
+	// Words returns the packed move table, least-significant bit first:
+	// bit s is 1 when the player defects in state s.  The slice must not be
+	// modified and must cover all 4^n states.
+	Words() []uint64
 }
 
 // AccumMode selects how the engine accumulates fitness each round.  It is
@@ -68,7 +66,7 @@ type Engine struct {
 	states    *StateTable // non-nil only under StateLinearSearch
 	// replay plays one game round by round: playRounds, or the Figure 3
 	// ablation's playReference when a mode field asks for it.
-	replay func(e *Engine, a, b Player, src *rng.Source) Result
+	replay func(e *Engine, wa, wb []uint64, src *rng.Source) Result
 
 	stats     kernelCounters
 	cyclePool sync.Pool // of *cycleBuffers
@@ -101,7 +99,7 @@ type EngineConfig struct {
 	// AccumMode selects look-up (the zero value) or branching fitness
 	// accumulation.
 	AccumMode AccumMode
-	// Kernel selects the deterministic-game inner loop: the zero value,
+	// Kernel selects the noiseless-game inner loop: the zero value,
 	// KernelAuto, closes the joint-state cycle in closed form whenever that
 	// is bit-exact (see KernelMode); KernelFullReplay forces the
 	// round-by-round reference loop.
@@ -194,51 +192,52 @@ type Result struct {
 }
 
 // Play runs one game between a and b and returns both players' accumulated
-// fitness.  src is required when noise > 0 or either strategy is mixed; it
-// may be nil for a fully deterministic game.  Play returns an error if the
-// players' memory depths do not match the engine's.
+// fitness.  src is required when noise > 0; it may be nil for a noiseless
+// game.  Play returns an error if the players' memory depths do not match
+// the engine's.
 func (e *Engine) Play(a, b Player, src *rng.Source) (Result, error) {
 	if a.MemorySteps() != e.memSteps || b.MemorySteps() != e.memSteps {
 		return Result{}, fmt.Errorf("game: player memory (%d, %d) does not match engine memory %d",
 			a.MemorySteps(), b.MemorySteps(), e.memSteps)
 	}
-	needRand := e.noise > 0 || !a.Deterministic() || !b.Deterministic()
-	if needRand && src == nil {
-		return Result{}, fmt.Errorf("game: rng source required (noise=%v, deterministic=%v/%v)",
-			e.noise, a.Deterministic(), b.Deterministic())
+	if e.noise > 0 && src == nil {
+		return Result{}, fmt.Errorf("game: rng source required (noise=%v)", e.noise)
 	}
-	if !needRand && e.kernel != KernelFullReplay && e.intPayoff {
-		// Deterministic noiseless game over an integer-valued payoff matrix:
-		// the walk is periodic and the closed-form totals are bit-identical
-		// to a full replay (see KernelMode).  KernelBatch only changes batch
-		// routing, so single games keep the KernelAuto fast path.  A game
-		// that ends before its walk revisits a state counts as a scalar game.
-		if wa, wb, ok := moveTables(a, b); ok {
-			res, closed := e.playCycleClosing(wa, wb)
-			if closed {
-				e.stats.cycleGames.Add(1)
-			} else {
-				e.stats.scalarGames.Add(1)
-			}
-			return res, nil
+	if e.noise == 0 && e.kernel != KernelFullReplay && e.intPayoff {
+		// Noiseless game over an integer-valued payoff matrix: the walk is
+		// periodic and the closed-form totals are bit-identical to a full
+		// replay (see KernelMode).  KernelBatch only changes batch routing,
+		// so single games keep the KernelAuto fast path.  A game that ends
+		// before its walk revisits a state counts as a scalar game.
+		res, closed := e.playCycleClosing(a.Words(), b.Words())
+		if closed {
+			e.stats.cycleGames.Add(1)
+		} else {
+			e.stats.scalarGames.Add(1)
 		}
+		return res, nil
 	}
 
-	res := e.replay(e, a, b, src)
+	res := e.replay(e, a.Words(), b.Words(), src)
 	e.stats.scalarGames.Add(1)
 	return res, nil
 }
 
-// playRounds replays one game round by round on the two rolling state codes
-// and the fused payoff table.  The draws per round are A's move, B's move,
-// A's flip, B's flip.
-func (e *Engine) playRounds(a, b Player, src *rng.Source) Result {
+// moveAt returns the move the packed move table w plays in state s.
+func moveAt(w []uint64, s int) Move {
+	return Move(w[s>>6] >> (uint(s) & 63) & 1)
+}
+
+// playRounds replays one game between the packed move tables wa and wb
+// round by round on the two rolling state codes and the fused payoff
+// table.  Under noise each round draws A's flip, then B's flip.
+func (e *Engine) playRounds(wa, wb []uint64, src *rng.Source) Result {
 	mask := NumStates(e.memSteps) - 1
 	res := Result{Rounds: e.rounds}
 	sA, sB := InitialState, InitialState
 	for r := 0; r < e.rounds; r++ {
-		moveA := a.Move(sA, src)
-		moveB := b.Move(sB, src)
+		moveA := moveAt(wa, sA)
+		moveB := moveAt(wb, sB)
 		if e.noise > 0 {
 			if src.BoolT(e.flipT) {
 				moveA = moveA.Flip()

@@ -1,7 +1,6 @@
 package game
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -13,35 +12,32 @@ import (
 // one, so tests here use a local stand-in.
 type testPlayer struct {
 	mem   int
-	moves []Move // indexed by state
+	moves []Move   // indexed by state
+	words []uint64 // moves packed as Player.Words returns them
 }
 
-func (p *testPlayer) MemorySteps() int                   { return p.mem }
-func (p *testPlayer) Deterministic() bool                { return true }
-func (p *testPlayer) Move(state int, _ *rng.Source) Move { return p.moves[state] }
+func newTestPlayer(mem int, moves []Move) *testPlayer {
+	words := make([]uint64, (len(moves)+63)/64)
+	for s, m := range moves {
+		words[s>>6] |= uint64(m) << (uint(s) & 63)
+	}
+	return &testPlayer{mem: mem, moves: moves, words: words}
+}
+
+func (p *testPlayer) MemorySteps() int    { return p.mem }
+func (p *testPlayer) Words() []uint64     { return p.words }
+func (p *testPlayer) Move(state int) Move { return p.moves[state] }
 
 // makeMemOne returns a memory-one test player from the four moves for states
 // CC, CD, DC, DD.
 func makeMemOne(cc, cd, dc, dd Move) *testPlayer {
-	return &testPlayer{mem: 1, moves: []Move{cc, cd, dc, dd}}
+	return newTestPlayer(1, []Move{cc, cd, dc, dd})
 }
 
 func allC() *testPlayer { return makeMemOne(Cooperate, Cooperate, Cooperate, Cooperate) }
 func allD() *testPlayer { return makeMemOne(Defect, Defect, Defect, Defect) }
 func tft() *testPlayer  { return makeMemOne(Cooperate, Defect, Cooperate, Defect) }
 func wsls() *testPlayer { return makeMemOne(Cooperate, Defect, Defect, Cooperate) }
-
-// randPlayer is a mixed test player that cooperates with probability p.
-type randPlayer struct{ p float64 }
-
-func (r *randPlayer) MemorySteps() int    { return 1 }
-func (r *randPlayer) Deterministic() bool { return false }
-func (r *randPlayer) Move(_ int, src *rng.Source) Move {
-	if src.Bool(r.p) {
-		return Cooperate
-	}
-	return Defect
-}
 
 func mustEngine(t *testing.T, cfg EngineConfig) *Engine {
 	t.Helper()
@@ -90,10 +86,6 @@ func TestPlayRequiresSourceWhenRandom(t *testing.T) {
 	e := mustEngine(t, EngineConfig{Rounds: 10, MemorySteps: 1, Noise: 0.1})
 	if _, err := e.Play(allC(), allC(), nil); err == nil {
 		t.Fatal("Play with noise accepted a nil rng source")
-	}
-	e2 := mustEngine(t, EngineConfig{Rounds: 10, MemorySteps: 1})
-	if _, err := e2.Play(&randPlayer{p: 0.5}, allC(), nil); err == nil {
-		t.Fatal("Play with a mixed strategy accepted a nil rng source")
 	}
 }
 
@@ -207,12 +199,12 @@ func TestWSLSRecoversFromSingleError(t *testing.T) {
 	// For WSLS: A is in state DC -> defect again; B is in state CD ->
 	// defect.  Round 2: both in DD -> both cooperate.  So within two rounds
 	// mutual cooperation is restored.
-	moveA, moveB := a.Move(sA, nil), b.Move(sB, nil)
+	moveA, moveB := a.Move(sA), b.Move(sB)
 	if moveA != Defect || moveB != Defect {
 		t.Fatalf("round 1 after error: moves %s/%s, want D/D", moveA, moveB)
 	}
 	sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
-	moveA, moveB = a.Move(sA, nil), b.Move(sB, nil)
+	moveA, moveB = a.Move(sA), b.Move(sB)
 	if moveA != Cooperate || moveB != Cooperate {
 		t.Fatalf("round 2 after error: moves %s/%s, want C/C (WSLS recovers)", moveA, moveB)
 	}
@@ -225,7 +217,7 @@ func TestTFTDeathSpiralAfterError(t *testing.T) {
 	sA, sB := postErrorStates(t)
 	mutualCooperation := false
 	for round := 0; round < 10; round++ {
-		moveA, moveB := a.Move(sA, nil), b.Move(sB, nil)
+		moveA, moveB := a.Move(sA), b.Move(sB)
 		if moveA == Cooperate && moveB == Cooperate {
 			mutualCooperation = true
 		}
@@ -267,8 +259,8 @@ func TestStateModesAgree(t *testing.T) {
 				moves[s] = Defect
 			}
 		}
-		p := &testPlayer{mem: mem, moves: moves}
-		q := &testPlayer{mem: mem, moves: append([]Move(nil), moves...)}
+		p := newTestPlayer(mem, moves)
+		q := newTestPlayer(mem, append([]Move(nil), moves...))
 		linear := mustEngine(t, EngineConfig{Rounds: 80, MemorySteps: mem, StateMode: StateLinearSearch})
 		rolling := mustEngine(t, EngineConfig{Rounds: 80, MemorySteps: mem, StateMode: StateRolling})
 		r1, err := linear.Play(p, q, nil)
@@ -337,20 +329,6 @@ func TestNoiseIsDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestMixedStrategyFullyRandom(t *testing.T) {
-	src := rng.New(7)
-	e := mustEngine(t, EngineConfig{Rounds: 2000, MemorySteps: 1})
-	res, err := e.Play(&randPlayer{p: 0.5}, &randPlayer{p: 0.5}, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected per-round payoff for random vs random is (3+0+4+1)/4 = 2.
-	avg := (res.FitnessA + res.FitnessB) / (2 * 2000)
-	if math.Abs(avg-2) > 0.15 {
-		t.Fatalf("random vs random mean per-round payoff %v, want ~2", avg)
-	}
-}
-
 func TestPlayFitness(t *testing.T) {
 	e := mustEngine(t, EngineConfig{Rounds: 10, MemorySteps: 1})
 	fit, err := e.PlayFitness(allD(), allC(), nil)
@@ -360,7 +338,7 @@ func TestPlayFitness(t *testing.T) {
 	if fit != 40 {
 		t.Fatalf("PlayFitness = %v, want 40", fit)
 	}
-	if _, err := e.PlayFitness(&testPlayer{mem: 2, moves: make([]Move, 16)}, allC(), nil); err == nil {
+	if _, err := e.PlayFitness(newTestPlayer(2, make([]Move, 16)), allC(), nil); err == nil {
 		t.Fatal("PlayFitness accepted mismatched memory")
 	}
 }

@@ -3,7 +3,7 @@ package game
 import "fmt"
 
 // KernelMode selects the inner-loop implementation Engine.Play uses for a
-// fully deterministic, noiseless game.
+// noiseless game.
 //
 // Two deterministic memory-n automata that both start from the
 // all-cooperate history play a deterministic walk, and the opponent's state
@@ -20,9 +20,9 @@ type KernelMode int
 
 const (
 	// KernelAuto (the default) closes the joint-state cycle whenever the
-	// game qualifies: noiseless, both players deterministic with packed move
-	// tables (see MoveTable), and an integer-valued payoff matrix.  Games
-	// that do not qualify replay every round exactly as KernelFullReplay.
+	// game qualifies: noiseless, with an integer-valued payoff matrix.
+	// Games that do not qualify replay every round exactly as
+	// KernelFullReplay.
 	// Batches (Engine.PlayBatch, PlayPairs) of qualifying games take the
 	// SWAR kernel up to memory three (batchAutoMaxMemory); at memory four to
 	// six, on an amd64 CPU with AVX-512, a chunk of at least minVectorLanes
@@ -76,32 +76,6 @@ func ParseKernelMode(s string) (KernelMode, error) {
 	default:
 		return KernelAuto, fmt.Errorf("game: unknown kernel mode %q (want auto, full-replay or batch)", s)
 	}
-}
-
-// MoveTable is implemented by deterministic players whose per-state moves
-// are available as a packed bit vector: bit s of the word slice is 1 when
-// the player defects in state s.  strategy.Pure implements it.  The
-// cycle-closing kernel requires it so the per-round inner loop is plain
-// word arithmetic with no interface dispatch; deterministic players without
-// it simply take the full-replay path.
-type MoveTable interface {
-	// Words returns the packed move table, least-significant bit first.  The
-	// slice must not be modified and must cover all 4^n states.
-	Words() []uint64
-}
-
-// moveTables returns both players' packed move tables, or ok=false when
-// either player lacks one.
-func moveTables(a, b Player) (wa, wb []uint64, ok bool) {
-	ta, ok := a.(MoveTable)
-	if !ok {
-		return nil, nil, false
-	}
-	tb, ok := b.(MoveTable)
-	if !ok {
-		return nil, nil, false
-	}
-	return ta.Words(), tb.Words(), true
 }
 
 // totals is the running sum of a game's first r rounds.

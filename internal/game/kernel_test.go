@@ -31,11 +31,9 @@ func randomWordPlayer(mem int, src *rng.Source) *wordPlayer {
 
 func (p *wordPlayer) MemorySteps() int { return p.mem }
 
-func (p *wordPlayer) Deterministic() bool { return true }
-
 func (p *wordPlayer) Words() []uint64 { return p.words }
 
-func (p *wordPlayer) Move(state int, _ *rng.Source) Move {
+func (p *wordPlayer) Move(state int) Move {
 	return Move(p.words[state>>6] >> (uint(state) & 63) & 1)
 }
 
@@ -147,7 +145,7 @@ func firstRevisit(a, b *wordPlayer) int {
 			return r
 		}
 		seen[[2]int{sA, sB}] = true
-		ma, mb := int(a.Move(sA, nil)), int(b.Move(sB, nil))
+		ma, mb := int(a.Move(sA)), int(b.Move(sB))
 		sA = (sA<<2 | ma<<1 | mb) & mask
 		sB = (sB<<2 | mb<<1 | ma) & mask
 	}
@@ -236,10 +234,9 @@ func TestCycleClosingRandomDeeperMemory(t *testing.T) {
 	}
 }
 
-// TestCycleClosingGates verifies the bit-exactness gates through the
-// kernel-mix counters: a fractional payoff matrix and players without
-// packed move tables both replay round by round, while the qualifying
-// configuration closes its cycle allocation-free.
+// TestCycleClosingGates verifies the bit-exactness gate through the
+// kernel-mix counters: a fractional payoff matrix replays round by round,
+// while the qualifying configuration closes its cycle allocation-free.
 func TestCycleClosingGates(t *testing.T) {
 	a := newWordPlayer(1)
 	b := newWordPlayer(1)
@@ -272,18 +269,11 @@ func TestCycleClosingGates(t *testing.T) {
 	if _, d := statsDelta(t, fracAuto, a, b); d.CycleGames != 0 || d.ScalarGames != 1 {
 		t.Errorf("fractional payoff matrix: kernel split %+v, want one scalar game", d)
 	}
-
-	// Deterministic players without packed move tables fall back too.
-	plain := makeMemOne(Cooperate, Defect, Cooperate, Defect)
-	if _, d := statsDelta(t, auto, plain, plain); d.CycleGames != 0 || d.ScalarGames != 1 {
-		t.Errorf("player without a move table: kernel split %+v, want one scalar game", d)
-	}
 }
 
 // TestScalarLoopAllocationFree pins the round-by-round loop to zero heap
 // allocations in every configuration that reaches it: full replay through
-// the production loop and the ablation reference loop, a noisy game and a
-// mixed player.
+// the production loop and the ablation reference loop, and a noisy game.
 func TestScalarLoopAllocationFree(t *testing.T) {
 	a := randomWordPlayer(MaxMemorySteps, rng.New(5))
 	b := randomWordPlayer(MaxMemorySteps, rng.New(6))
@@ -302,52 +292,54 @@ func TestScalarLoopAllocationFree(t *testing.T) {
 			t.Errorf("%+v: round-by-round loop allocates %v objects/op, want 0", cfg, n)
 		}
 	}
-	e := mustEngine(t, EngineConfig{Rounds: DefaultRounds, MemorySteps: 1})
-	mixed, opp, src := &randPlayer{p: 0.5}, allD(), rng.New(8)
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := e.Play(mixed, opp, src); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("mixed player: round-by-round loop allocates %v objects/op, want 0", n)
-	}
 }
 
 // TestNoisyDrawOrder pins the per-round consumption of the game's source in
-// the round-by-round loop: A's move, B's move, then A's flip, then B's flip.
-// The SWAR batch kernel and every recorded noisy trajectory depend on it.
+// the round-by-round loop: A's flip, then B's flip.  The SWAR batch kernel
+// and every recorded noisy trajectory depend on it.  The players differ, so
+// the reverse order gives a different game; the test checks that too, so it
+// cannot pass for either order.
 func TestNoisyDrawOrder(t *testing.T) {
 	const rounds, noise = 60, 0.3
 	e := mustEngine(t, EngineConfig{Rounds: rounds, MemorySteps: 1, Noise: noise})
-	a, b := &randPlayer{p: 0.5}, &randPlayer{p: 0.8}
+	a, b := tft(), wsls()
 	got, err := e.Play(a, b, rng.New(21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(21)
-	sA, sB := InitialState, InitialState
-	want := Result{Rounds: rounds}
-	for r := 0; r < rounds; r++ {
-		moveA := a.Move(sA, src)
-		moveB := b.Move(sB, src)
-		if src.Bool(noise) {
-			moveA = moveA.Flip()
+	reference := func(aFirst bool) Result {
+		src := rng.New(21)
+		sA, sB := InitialState, InitialState
+		res := Result{Rounds: rounds}
+		for r := 0; r < rounds; r++ {
+			moveA, moveB := a.Move(sA), b.Move(sB)
+			flipA, flipB := src.Bool(noise), src.Bool(noise)
+			if !aFirst {
+				flipA, flipB = flipB, flipA
+			}
+			if flipA {
+				moveA = moveA.Flip()
+			}
+			if flipB {
+				moveB = moveB.Flip()
+			}
+			if moveA == Cooperate {
+				res.CooperationsA++
+			}
+			if moveB == Cooperate {
+				res.CooperationsB++
+			}
+			res.FitnessA += e.Payoff().Payoff(moveA, moveB)
+			res.FitnessB += e.Payoff().Payoff(moveB, moveA)
+			sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
 		}
-		if src.Bool(noise) {
-			moveB = moveB.Flip()
-		}
-		if moveA == Cooperate {
-			want.CooperationsA++
-		}
-		if moveB == Cooperate {
-			want.CooperationsB++
-		}
-		want.FitnessA += e.Payoff().Payoff(moveA, moveB)
-		want.FitnessB += e.Payoff().Payoff(moveB, moveA)
-		sA, sB = push(sA, 1, moveA, moveB), push(sB, 1, moveB, moveA)
+		return res
 	}
-	if got != want {
+	if want := reference(true); got != want {
 		t.Fatalf("noisy game %+v, reference draw order %+v", got, want)
+	}
+	if reversed := reference(false); got == reversed {
+		t.Fatalf("B-first draw order gives the same game %+v, so the test cannot tell the orders apart", got)
 	}
 }
 

@@ -18,7 +18,7 @@ func defectBiased(mem int, src *rng.Source) *strategy.Pure {
 	for k := 0; k < 3; k++ {
 		q := strategy.RandomPure(mem, src)
 		for s := 0; s < game.NumStates(mem); s++ {
-			if q.Move(s, nil) == game.Defect {
+			if q.Move(s) == game.Defect {
 				p.SetMove(s, game.Defect)
 			}
 		}

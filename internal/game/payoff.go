@@ -2,6 +2,9 @@
 // kernel at the heart of the framework: moves, the payoff matrix, memory-n
 // game-state encoding, execution errors (noise), and the round loop that
 // plays one strategy against another and returns the accumulated fitness.
+// A player is a pure memory-n strategy given as its packed move table
+// (Player); the only randomness in a game is the execution error, drawn
+// from the source the caller supplies.
 //
 // The package corresponds to the IPD() function of the paper's Section IV-C
 // and the optimization levels of Figure 3: the state of the game after each

@@ -127,7 +127,7 @@ search:
 // explicit per-round view; under AccumBranching each payoff goes through
 // Matrix.Payoff.  Draw order, state sequence and sums match playRounds, so
 // the variants differ only in speed.
-func (e *Engine) playReference(a, b Player, src *rng.Source) Result {
+func (e *Engine) playReference(wa, wb []uint64, src *rng.Source) Result {
 	n := e.memSteps
 	mask := NumStates(n) - 1
 	var viewA, viewB [MaxMemorySteps]uint8 // view[r] = RoundCode of round r, 0 = most recent
@@ -137,8 +137,8 @@ func (e *Engine) playReference(a, b Player, src *rng.Source) Result {
 		if e.states != nil {
 			sA, sB = e.states.FindState(viewA[:n]), e.states.FindState(viewB[:n])
 		}
-		moveA := a.Move(sA, src)
-		moveB := b.Move(sB, src)
+		moveA := moveAt(wa, sA)
+		moveB := moveAt(wb, sB)
 		if e.noise > 0 {
 			if src.BoolT(e.flipT) {
 				moveA = moveA.Flip()

@@ -2,7 +2,6 @@ package intern
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"evogame/internal/rng"
@@ -27,31 +26,16 @@ func (r encodingRegistry) intern(t *testing.T, s strategy.Strategy) uint32 {
 	return id
 }
 
-// mixedOf builds a memory-one mixed strategy from four probabilities.
-func mixedOf(t *testing.T, probs ...float64) strategy.Strategy {
-	t.Helper()
-	m, err := strategy.MixedFromProbs(1, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // TestRegistryMatchesEncodingKeyedReference interns seeded sequences of
-// pure strategies (memory 1, 2 and 6, so memory one repeats often) and
-// mixed ones, with re-interned clones, +0 and -0 probabilities and NaN
-// payloads, and requires every ID to equal the encoding-keyed reference's
-// and to resolve to a strategy encoding like the one interned.
+// pure strategies (memory 1, 2, 3 and 6, so memory one repeats often),
+// with re-interned clones and tables alike at one depth but not another,
+// and requires every ID to equal the encoding-keyed reference's and to
+// resolve to a strategy encoding like the one interned.
 func TestRegistryMatchesEncodingKeyedReference(t *testing.T) {
-	negZero := math.Copysign(0, -1)
-	nan1, nan2 := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0x7FF8000000000002)
 	fixed := []strategy.Strategy{
-		mixedOf(t, 0, 0.5, 0.5, 0.5),
-		mixedOf(t, negZero, 0.5, 0.5, 0.5), // Mixed.Equal calls these two equal
-		mixedOf(t, nan1, 1, 0, 1),
-		mixedOf(t, nan2, 1, 0, 1),
-		mixedOf(t, 1, 0, 1, 0),
-		strategy.TFT(1), // pure twin of the mixed strategy above
+		strategy.AllC(1),
+		strategy.AllC(2), // all-zero words like memory one's, another depth
+		strategy.TFT(1),
 		strategy.AllD(6),
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -73,7 +57,7 @@ func TestRegistryMatchesEncodingKeyedReference(t *testing.T) {
 				case k < 9:
 					s = fixed[src.Intn(len(fixed))]
 				default:
-					s = strategy.RandomMixed(1+src.Intn(2), src)
+					s = strategy.RandomPure(3, src)
 				}
 				seen = append(seen, s)
 				got, err := r.Intern(s)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"evogame/internal/game"
 	"evogame/internal/rng"
 	"evogame/internal/strategy"
 )
@@ -67,15 +66,8 @@ func TestInternCanonicalInstanceIsIsolated(t *testing.T) {
 	}
 }
 
-func TestInternMixedAndErrors(t *testing.T) {
+func TestInternErrors(t *testing.T) {
 	r := NewRegistry()
-	m, err := strategy.MixedFromProbs(1, []float64{1, 0.3, 1, 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Intern(m); err != nil {
-		t.Fatalf("mixed strategies must intern: %v", err)
-	}
 	if _, err := r.Intern(nil); err == nil {
 		t.Fatal("accepted a nil strategy")
 	}
@@ -125,10 +117,9 @@ func TestInternConcurrent(t *testing.T) {
 // unknownStrategy is a Strategy implementation outside the codec.
 type unknownStrategy struct{}
 
-func (unknownStrategy) MemorySteps() int                { return 1 }
-func (unknownStrategy) Move(int, *rng.Source) game.Move { return game.Cooperate }
-func (unknownStrategy) Deterministic() bool             { return true }
-func (u unknownStrategy) Clone() strategy.Strategy      { return u }
+func (unknownStrategy) MemorySteps() int           { return 1 }
+func (unknownStrategy) Words() []uint64            { return []uint64{0} }
+func (u unknownStrategy) Clone() strategy.Strategy { return u }
 func (unknownStrategy) Equal(other strategy.Strategy) bool {
 	_, ok := other.(unknownStrategy)
 	return ok

@@ -596,15 +596,11 @@ func (f foreignStrategy) Clone() strategy.Strategy {
 }
 
 // TestRunRejectsNonPureTables puts each kind of entry the engines cannot
-// play at index 4 of the initial table: nil, a strategy outside the codec,
-// a mixed strategy and a pure one of another memory depth.  Run must fail
+// play at index 4 of the initial table: nil, a strategy outside the codec
+// and a pure one of another memory depth.  Run must fail
 // before the fabric starts, with an error naming the engine and the entry,
 // in every eval mode and with or without noise.
 func TestRunRejectsNonPureTables(t *testing.T) {
-	gtft, err := strategy.GTFT(1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		entry strategy.Strategy
@@ -612,7 +608,6 @@ func TestRunRejectsNonPureTables(t *testing.T) {
 	}{
 		{"nil", nil, "parallel: strategy table entry 4 is nil"},
 		{"foreign", foreignStrategy{strategy.TFT(1)}, "parallel: strategy table entry 4 is a parallel.foreignStrategy, not a pure strategy"},
-		{"mixed", gtft, "parallel: strategy table entry 4 is a *strategy.Mixed, not a pure strategy"},
 		{"memory-two", strategy.TFT(2), "parallel: strategy table entry 4 has memory 2, want 1"},
 	} {
 		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {

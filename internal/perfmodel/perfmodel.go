@@ -336,6 +336,9 @@ func (m *Model) RatioTable(ratios []float64, opponentsPerSSet, memSteps, procs i
 	if procs < 2 {
 		return nil, fmt.Errorf("perfmodel: need at least 2 processors")
 	}
+	if memSteps < 1 || memSteps > game.MaxMemorySteps {
+		return nil, fmt.Errorf("perfmodel: memory steps %d out of range", memSteps)
+	}
 	perRound := m.Calibration.secondsPerRound(memSteps)
 	perSSet := float64(opponentsPerSSet) * float64(m.RoundsPerGame) * perRound
 	nodes, err := m.Machine.Nodes(procs, m.TasksPerNode)

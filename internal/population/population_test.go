@@ -391,14 +391,10 @@ func TestNewRejectsStrategyOutsideCodec(t *testing.T) {
 
 // TestNewRejectsNonPureTables puts each kind of entry the engines cannot
 // play at index 2 of a memory-one table: nil, a strategy outside the
-// codec, a mixed strategy and a pure one of another memory depth.  New
+// codec and a pure one of another memory depth.  New
 // must fail with an error naming the engine and the entry, in every eval
 // mode and with or without noise, and must not panic.
 func TestNewRejectsNonPureTables(t *testing.T) {
-	gtft, err := strategy.GTFT(1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		entry strategy.Strategy
@@ -407,7 +403,6 @@ func TestNewRejectsNonPureTables(t *testing.T) {
 		{"nil", nil, "population: strategy table entry 2 is nil"},
 		{"typed-nil", (*strategy.Pure)(nil), "population: strategy table entry 2 is nil"},
 		{"foreign", foreignStrategy{strategy.TFT(1)}, "population: strategy table entry 2 is a population.foreignStrategy, not a pure strategy"},
-		{"mixed", gtft, "population: strategy table entry 2 is a *strategy.Mixed, not a pure strategy"},
 		{"memory-two", strategy.TFT(2), "population: strategy table entry 2 has memory 2, want 1"},
 	} {
 		for _, mode := range []fitness.EvalMode{fitness.EvalFull, fitness.EvalCached, fitness.EvalIncremental} {

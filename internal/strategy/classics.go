@@ -114,56 +114,27 @@ func Alternator(memSteps int) *Pure {
 	return p
 }
 
-// GTFT returns Generous Tit-For-Tat as a mixed strategy: cooperate after the
-// opponent cooperates, and after a defection cooperate with the forgiveness
-// probability g (0 gives plain TFT, 1 gives ALLC).
-func GTFT(memSteps int, generosity float64) (*Mixed, error) {
-	if generosity < 0 || generosity > 1 {
-		return nil, fmt.Errorf("strategy: generosity %v outside [0,1]", generosity)
+// ByName builds the named classic strategy ("allc", "alld", "tft", "wsls",
+// "grim", "tf2t" or "alternator") for the given memory depth.
+func ByName(name string, memSteps int) (*Pure, error) {
+	if err := checkMemory(memSteps); err != nil {
+		return nil, err
 	}
-	game.CheckMemorySteps(memSteps)
-	n := game.NumStates(memSteps)
-	probs := make([]float64, n)
-	for s := 0; s < n; s++ {
-		_, opp := mostRecentRound(s)
-		if opp == game.Cooperate {
-			probs[s] = 1
-		} else {
-			probs[s] = generosity
-		}
-	}
-	return &Mixed{mem: memSteps, probs: probs}, nil
-}
-
-// Named is a catalogue entry mapping a strategy name to its constructor;
-// used by the CLI and the benchmarks.
-type Named struct {
-	Name        string
-	Description string
-	Build       func(memSteps int) (Strategy, error)
-}
-
-// Catalogue returns the built-in named strategies.
-func Catalogue() []Named {
-	return []Named{
-		{"allc", "always cooperate", func(m int) (Strategy, error) { return AllC(m), nil }},
-		{"alld", "always defect", func(m int) (Strategy, error) { return AllD(m), nil }},
-		{"tft", "tit-for-tat", func(m int) (Strategy, error) { return TFT(m), nil }},
-		{"wsls", "win-stay lose-shift", func(m int) (Strategy, error) { return WSLS(m), nil }},
-		{"grim", "grim trigger (within the memory window)", func(m int) (Strategy, error) { return GRIM(m), nil }},
-		{"tf2t", "tit-for-two-tats", func(m int) (Strategy, error) { return TF2T(m) }},
-		{"alternator", "alternate own previous move", func(m int) (Strategy, error) { return Alternator(m), nil }},
-		{"gtft", "generous tit-for-tat (g=0.3)", func(m int) (Strategy, error) { return GTFT(m, 0.3) }},
-	}
-}
-
-// ByName looks up a catalogue strategy by name and builds it for the given
-// memory depth.
-func ByName(name string, memSteps int) (Strategy, error) {
-	for _, n := range Catalogue() {
-		if n.Name == name {
-			return n.Build(memSteps)
-		}
+	switch name {
+	case "allc":
+		return AllC(memSteps), nil
+	case "alld":
+		return AllD(memSteps), nil
+	case "tft":
+		return TFT(memSteps), nil
+	case "wsls":
+		return WSLS(memSteps), nil
+	case "grim":
+		return GRIM(memSteps), nil
+	case "tf2t":
+		return TF2T(memSteps)
+	case "alternator":
+		return Alternator(memSteps), nil
 	}
 	return nil, fmt.Errorf("strategy: unknown strategy %q", name)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"evogame/internal/game"
@@ -16,17 +15,17 @@ import (
 // deliberately simple and versioned:
 //
 //	byte 0      format version (currently 1)
-//	byte 1      kind (1 = pure, 2 = mixed)
+//	byte 1      kind (1 = pure; every other kind is rejected)
 //	byte 2      memory steps
-//	bytes 3..   payload
+//	bytes 3..   payload: ceil(numStates/64) little-endian uint64 words
 //
-// Pure payload:  ceil(numStates/64) little-endian uint64 words.
-// Mixed payload: numStates little-endian float64 values.
+// Older encodings used kind 2 for mixed strategies (per-state cooperation
+// probabilities); checkpoints may still hold one, and Decode rejects it as
+// corrupt like any other unknown kind.
 
 const (
 	codecVersion = 1
 	kindPure     = 1
-	kindMixed    = 2
 )
 
 // ErrCorrupt is returned by Decode when the byte slice is not a valid
@@ -40,77 +39,48 @@ func Encode(s Strategy) ([]byte, error) { return AppendEncode(nil, s) }
 // AppendEncode appends the encoding of s to dst and returns the extended
 // slice, growing dst at most once.  On error it returns dst unchanged.
 func AppendEncode(dst []byte, s Strategy) ([]byte, error) {
-	switch v := s.(type) {
-	case *Pure:
-		dst = slices.Grow(dst, 3+8*len(v.bits))
-		dst = append(dst, codecVersion, kindPure, byte(v.mem))
-		for _, w := range v.bits {
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
-		return dst, nil
-	case *Mixed:
-		dst = slices.Grow(dst, 3+8*len(v.probs))
-		dst = append(dst, codecVersion, kindMixed, byte(v.mem))
-		for _, p := range v.probs {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p))
-		}
-		return dst, nil
-	default:
+	p, ok := s.(*Pure)
+	if !ok {
 		return dst, fmt.Errorf("strategy: cannot encode %T", s)
 	}
+	dst = slices.Grow(dst, 3+8*len(p.bits))
+	dst = append(dst, codecVersion, kindPure, byte(p.mem))
+	for _, w := range p.bits {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst, nil
 }
 
-// EncodingHash returns a 64-bit hash of the words Encode writes for s:
-// the kind and memory depth, then the move words of a pure strategy or the
-// Float64bits of a mixed strategy's probabilities.  It allocates nothing.
+// EncodingHash returns a 64-bit hash of the words Encode writes for s: the
+// kind and memory depth, then the move words.  It allocates nothing.
 // Strategies that encode alike hash alike; the converse needs
 // SameEncoding.
 func EncodingHash(s Strategy) (uint64, error) {
+	p, ok := s.(*Pure)
+	if !ok {
+		return 0, fmt.Errorf("strategy: cannot encode %T", s)
+	}
 	h := uint64(0x9E3779B97F4A7C15)
 	mix := func(w uint64) {
 		h = (h ^ w) * 0xBF58476D1CE4E5B9
 		h ^= h >> 31
 	}
-	switch v := s.(type) {
-	case *Pure:
-		mix(kindPure<<8 | uint64(v.mem))
-		for _, w := range v.bits {
-			mix(w)
-		}
-	case *Mixed:
-		mix(kindMixed<<8 | uint64(v.mem))
-		for _, p := range v.probs {
-			mix(math.Float64bits(p))
-		}
-	default:
-		return 0, fmt.Errorf("strategy: cannot encode %T", s)
+	mix(kindPure<<8 | uint64(p.mem))
+	for _, w := range p.bits {
+		mix(w)
 	}
 	return h, nil
 }
 
 // SameEncoding reports whether Encode writes identical bytes for a and b:
-// the same kind and memory depth, and bit-identical move words or
-// probabilities.  Unlike Mixed.Equal it tells +0 from -0 and compares NaN
-// payloads bit for bit.
+// both pure, of the same memory depth and with identical move words.
 func SameEncoding(a, b Strategy) bool {
-	switch x := a.(type) {
-	case *Pure:
-		y, ok := b.(*Pure)
-		return ok && x.mem == y.mem && slices.Equal(x.bits, y.bits)
-	case *Mixed:
-		y, ok := b.(*Mixed)
-		if !ok || x.mem != y.mem || len(x.probs) != len(y.probs) {
-			return false
-		}
-		for i, p := range x.probs {
-			if math.Float64bits(p) != math.Float64bits(y.probs[i]) {
-				return false
-			}
-		}
-		return true
-	default:
+	x, ok := a.(*Pure)
+	if !ok {
 		return false
 	}
+	y, ok := b.(*Pure)
+	return ok && x.mem == y.mem && slices.Equal(x.bits, y.bits)
 }
 
 // header checks an encoding's version byte and memory depth and returns
@@ -130,35 +100,19 @@ func header(buf []byte) (kind byte, mem int, payload []byte, err error) {
 }
 
 // Decode reverses Encode.
-func Decode(buf []byte) (Strategy, error) {
-	kind, mem, payload, err := header(buf)
+func Decode(buf []byte) (*Pure, error) {
+	kind, mem, _, err := header(buf)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case kindPure:
-		p := NewPure(mem)
-		if err := DecodeInto(p, buf); err != nil {
-			return nil, err
-		}
-		return p, nil
-	case kindMixed:
-		m := NewMixed(mem)
-		want := len(m.probs) * 8
-		if len(payload) != want {
-			return nil, fmt.Errorf("%w: mixed payload %d bytes, want %d", ErrCorrupt, len(payload), want)
-		}
-		for i := range m.probs {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-			if v < 0 || v > 1 || math.IsNaN(v) {
-				return nil, fmt.Errorf("%w: probability %v at state %d outside [0,1]", ErrCorrupt, v, i)
-			}
-			m.probs[i] = v
-		}
-		return m, nil
-	default:
+	if kind != kindPure {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
 	}
+	p := NewPure(mem)
+	if err := DecodeInto(p, buf); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // DecodeInto decodes the encoding of a pure strategy of p's memory depth

@@ -1,15 +1,14 @@
-// Package strategy defines the strategy types used by the evolutionary game
-// dynamics framework: pure memory-n strategies backed by packed bit vectors
-// and mixed (probabilistic) strategies, together with the classic named
-// strategies of the literature (ALLC, ALLD, TFT, WSLS, …) generalised to
-// arbitrary memory depth, uniform random strategy generation for the
-// mutation operator, a compact binary codec used by the message-passing
-// layer and checkpoints, and the strategy-space accounting of Table IV.
+// Package strategy defines the strategies the evolutionary game dynamics
+// framework evolves: pure memory-n strategies backed by packed bit vectors,
+// together with the classic named strategies of the literature (ALLC, ALLD,
+// TFT, WSLS, …) generalised to arbitrary memory depth, uniform random
+// strategy generation for the mutation operator, a compact binary codec
+// used by the message-passing layer and checkpoints, and the
+// strategy-space accounting of Table IV.
 //
-// A strategy is a function from game states to moves (pure) or to a
-// cooperation probability (mixed).  States are encoded as in the game
-// package: the most recent round occupies the two low bits, with the
-// player's own move in the high bit of each round pair.
+// A strategy is a function from game states to moves.  States are encoded
+// as in the game package: the most recent round occupies the two low bits,
+// with the player's own move in the high bit of each round pair.
 package strategy
 
 import (
@@ -31,7 +30,7 @@ type Strategy interface {
 	// Clone returns a deep copy that can be mutated independently.
 	Clone() Strategy
 	// Equal reports whether the receiver and other define the same mapping
-	// from states to (distributions over) moves.
+	// from states to moves.
 	Equal(other Strategy) bool
 	// String returns a compact human-readable rendering.
 	String() string
@@ -67,6 +66,9 @@ func RandomPure(memSteps int, src *rng.Source) *Pure {
 // (defect) characters, one per state, state 0 first — the format used in the
 // paper's strategy tables.
 func ParsePure(memSteps int, s string) (*Pure, error) {
+	if err := checkMemory(memSteps); err != nil {
+		return nil, err
+	}
 	p := NewPure(memSteps)
 	if len(s) != p.n {
 		return nil, fmt.Errorf("strategy: string has %d characters, memory-%d needs %d", len(s), memSteps, p.n)
@@ -83,6 +85,15 @@ func ParsePure(memSteps int, s string) (*Pure, error) {
 	return p, nil
 }
 
+// checkMemory is game.CheckMemorySteps for constructors that return an
+// error instead of panicking.
+func checkMemory(memSteps int) error {
+	if memSteps < 1 || memSteps > game.MaxMemorySteps {
+		return fmt.Errorf("strategy: memory steps %d out of range [1,%d]", memSteps, game.MaxMemorySteps)
+	}
+	return nil
+}
+
 func (p *Pure) maskTail() {
 	rem := p.n % 64
 	if rem != 0 {
@@ -96,12 +107,8 @@ func (p *Pure) MemorySteps() int { return p.mem }
 // NumStates returns the number of states in the strategy's domain.
 func (p *Pure) NumStates() int { return p.n }
 
-// Deterministic implements game.Player; pure strategies never need
-// randomness.
-func (p *Pure) Deterministic() bool { return true }
-
-// Move implements game.Player.
-func (p *Pure) Move(state int, _ *rng.Source) game.Move {
+// Move returns the move played in the given state.
+func (p *Pure) Move(state int) game.Move {
 	if p.bits[state>>6]&(1<<(uint(state)&63)) != 0 {
 		return game.Defect
 	}
@@ -138,8 +145,7 @@ func (p *Pure) Clone() Strategy {
 	return c
 }
 
-// Equal implements Strategy.  A Pure strategy is never equal to a Mixed one,
-// even if the Mixed strategy happens to be degenerate.
+// Equal implements Strategy.
 func (p *Pure) Equal(other Strategy) bool {
 	q, ok := other.(*Pure)
 	if !ok || q.mem != p.mem {
@@ -185,118 +191,10 @@ func (p *Pure) String() string {
 	return sb.String()
 }
 
-// Words returns the packed move table; used by the codec and the k-means
-// feature extraction.  The returned slice must not be modified.
+// Words implements game.Player: it returns the packed move table, which the
+// game kernels, the codec and the k-means feature extraction read.  The
+// returned slice must not be modified.
 func (p *Pure) Words() []uint64 { return p.bits }
-
-// Mixed is a probabilistic memory-n strategy: for every state it cooperates
-// with probability Probs[state] and defects otherwise (Section III-D).
-type Mixed struct {
-	mem   int
-	probs []float64
-}
-
-// NewMixed returns a mixed strategy with cooperation probability 0.5 in
-// every state.
-func NewMixed(memSteps int) *Mixed {
-	game.CheckMemorySteps(memSteps)
-	n := game.NumStates(memSteps)
-	probs := make([]float64, n)
-	for i := range probs {
-		probs[i] = 0.5
-	}
-	return &Mixed{mem: memSteps, probs: probs}
-}
-
-// MixedFromProbs builds a mixed strategy from explicit per-state cooperation
-// probabilities.  Probabilities must lie in [0,1].
-//
-//lint:allow deadapi intern.TestInternMixedAndErrors and intern.TestRegistryMatchesEncodingKeyedReference build mixed strategies with it
-func MixedFromProbs(memSteps int, probs []float64) (*Mixed, error) {
-	game.CheckMemorySteps(memSteps)
-	n := game.NumStates(memSteps)
-	if len(probs) != n {
-		return nil, fmt.Errorf("strategy: %d probabilities supplied, memory-%d needs %d", len(probs), memSteps, n)
-	}
-	cp := make([]float64, n)
-	for i, p := range probs {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("strategy: probability %v at state %d outside [0,1]", p, i)
-		}
-		cp[i] = p
-	}
-	return &Mixed{mem: memSteps, probs: cp}, nil
-}
-
-// RandomMixed returns a mixed strategy whose per-state cooperation
-// probabilities are independent uniform draws from [0,1).
-//
-//lint:allow deadapi intern.TestRegistryMatchesEncodingKeyedReference interns random mixed strategies with it
-func RandomMixed(memSteps int, src *rng.Source) *Mixed {
-	game.CheckMemorySteps(memSteps)
-	n := game.NumStates(memSteps)
-	probs := make([]float64, n)
-	for i := range probs {
-		probs[i] = src.Float64()
-	}
-	return &Mixed{mem: memSteps, probs: probs}
-}
-
-// MemorySteps implements game.Player.
-func (m *Mixed) MemorySteps() int { return m.mem }
-
-// Deterministic implements game.Player; mixed strategies require a random
-// source.
-func (m *Mixed) Deterministic() bool { return false }
-
-// Move implements game.Player.
-func (m *Mixed) Move(state int, src *rng.Source) game.Move {
-	if src.Bool(m.probs[state]) {
-		return game.Cooperate
-	}
-	return game.Defect
-}
-
-// Clone implements Strategy.
-func (m *Mixed) Clone() Strategy {
-	cp := make([]float64, len(m.probs))
-	copy(cp, m.probs)
-	return &Mixed{mem: m.mem, probs: cp}
-}
-
-// Equal implements Strategy.
-func (m *Mixed) Equal(other Strategy) bool {
-	q, ok := other.(*Mixed)
-	if !ok || q.mem != m.mem {
-		return false
-	}
-	for i := range m.probs {
-		if m.probs[i] != q.probs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the first few probabilities; full tables are too large to
-// print for high memory depths.
-func (m *Mixed) String() string {
-	limit := len(m.probs)
-	if limit > 8 {
-		limit = 8
-	}
-	s := fmt.Sprintf("mixed(mem=%d)[", m.mem)
-	for i := 0; i < limit; i++ {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%.2f", m.probs[i])
-	}
-	if limit < len(m.probs) {
-		s += " …"
-	}
-	return s + "]"
-}
 
 // NumPureStrategies returns the number of pure strategies for the given
 // memory depth, 2^(4^n) — the quantity tabulated in the paper's Table IV.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,9 +24,6 @@ func TestNewPureIsAllCooperate(t *testing.T) {
 		if p.DefectionCount() != 0 {
 			t.Fatalf("new memory-%d strategy defects in %d states", mem, p.DefectionCount())
 		}
-		if !p.Deterministic() {
-			t.Fatal("pure strategy must be deterministic")
-		}
 	}
 }
 
@@ -38,12 +36,12 @@ func TestPureSetMoveAndMove(t *testing.T) {
 		if s == 5 || s == 15 {
 			want = game.Defect
 		}
-		if got := p.Move(s, nil); got != want {
+		if got := p.Move(s); got != want {
 			t.Fatalf("Move(%d) = %s, want %s", s, got, want)
 		}
 	}
 	p.SetMove(5, game.Cooperate)
-	if p.Move(5, nil) != game.Cooperate {
+	if p.Move(5) != game.Cooperate {
 		t.Fatal("SetMove back to Cooperate failed")
 	}
 	if p.DefectionCount() != 1 {
@@ -67,11 +65,11 @@ func TestPureSetMovePanicsOutOfRange(t *testing.T) {
 func TestFlipMove(t *testing.T) {
 	p := NewPure(1)
 	p.FlipMove(2)
-	if p.Move(2, nil) != game.Defect {
+	if p.Move(2) != game.Defect {
 		t.Fatal("FlipMove did not set defect")
 	}
 	p.FlipMove(2)
-	if p.Move(2, nil) != game.Cooperate {
+	if p.Move(2) != game.Cooperate {
 		t.Fatal("FlipMove did not restore cooperate")
 	}
 	func() {
@@ -104,6 +102,11 @@ func TestParsePure(t *testing.T) {
 	if _, err := ParsePure(1, "01x0"); err == nil {
 		t.Fatal("ParsePure accepted an invalid character")
 	}
+	for _, mem := range []int{0, -1, 7} {
+		if _, err := ParsePure(mem, "0110"); err == nil {
+			t.Errorf("ParsePure accepted memory %d", mem)
+		}
+	}
 }
 
 func TestPureCloneIndependent(t *testing.T) {
@@ -120,9 +123,8 @@ func TestPureCloneIndependent(t *testing.T) {
 
 func TestPureEqualDifferentTypes(t *testing.T) {
 	p := NewPure(1)
-	m := NewMixed(1)
-	if p.Equal(m) {
-		t.Fatal("a pure strategy reported equality with a mixed strategy")
+	if p.Equal(nil) {
+		t.Fatal("a pure strategy reported equality with nil")
 	}
 	if p.Equal(NewPure(2)) {
 		t.Fatal("strategies with different memory reported equal")
@@ -178,7 +180,7 @@ func TestWSLSProperties(t *testing.T) {
 		for s := 0; s < w.NumStates(); s++ {
 			my := game.Move((s >> 1) & 1)
 			opp := game.Move(s & 1)
-			got := w.Move(s, nil)
+			got := w.Move(s)
 			if opp == game.Cooperate && got != my {
 				t.Fatalf("memory-%d WSLS state %d: won but switched", mem, s)
 			}
@@ -193,7 +195,7 @@ func TestTFTProperties(t *testing.T) {
 	for mem := 1; mem <= 4; mem++ {
 		p := TFT(mem)
 		for s := 0; s < p.NumStates(); s++ {
-			if p.Move(s, nil) != game.Move(s&1) {
+			if p.Move(s) != game.Move(s&1) {
 				t.Fatalf("memory-%d TFT state %d does not copy the opponent's last move", mem, s)
 			}
 		}
@@ -208,7 +210,7 @@ func TestGRIMMemoryTwo(t *testing.T) {
 		if oppDefectedRecently {
 			want = game.Defect
 		}
-		if got := g.Move(s, nil); got != want {
+		if got := g.Move(s); got != want {
 			t.Fatalf("GRIM(2) state %d = %s, want %s", s, got, want)
 		}
 	}
@@ -228,104 +230,9 @@ func TestTF2T(t *testing.T) {
 		if both {
 			want = game.Defect
 		}
-		if got := p.Move(s, nil); got != want {
+		if got := p.Move(s); got != want {
 			t.Fatalf("TF2T state %d = %s, want %s", s, got, want)
 		}
-	}
-}
-
-func TestGTFT(t *testing.T) {
-	if _, err := GTFT(1, -0.1); err == nil {
-		t.Fatal("GTFT accepted negative generosity")
-	}
-	if _, err := GTFT(1, 1.1); err == nil {
-		t.Fatal("GTFT accepted generosity > 1")
-	}
-	g, err := GTFT(1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.probs[0] != 1 || g.probs[2] != 1 {
-		t.Fatal("GTFT must always cooperate after opponent cooperation")
-	}
-	if g.probs[1] != 0.25 || g.probs[3] != 0.25 {
-		t.Fatal("GTFT must forgive with the requested probability")
-	}
-	if g.Deterministic() {
-		t.Fatal("GTFT is a mixed strategy")
-	}
-}
-
-func TestMixedBasics(t *testing.T) {
-	m := NewMixed(1)
-	for s := 0; s < 4; s++ {
-		if m.probs[s] != 0.5 {
-			t.Fatalf("NewMixed prob(%d) = %v", s, m.probs[s])
-		}
-	}
-	if len(m.probs) != 4 || m.MemorySteps() != 1 {
-		t.Fatal("mixed dimensions wrong")
-	}
-	if m.String() == "" {
-		t.Fatal("empty String()")
-	}
-}
-
-func TestMixedFromProbsValidation(t *testing.T) {
-	if _, err := MixedFromProbs(1, []float64{0.1, 0.2}); err == nil {
-		t.Fatal("accepted wrong length")
-	}
-	if _, err := MixedFromProbs(1, []float64{0.1, 0.2, 0.3, 1.5}); err == nil {
-		t.Fatal("accepted probability > 1")
-	}
-	m, err := MixedFromProbs(1, []float64{0, 0.5, 0.75, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.probs[2] != 0.75 {
-		t.Fatal("probabilities not copied")
-	}
-}
-
-func TestMixedCloneEqual(t *testing.T) {
-	m := RandomMixed(2, rng.New(5))
-	c := m.Clone().(*Mixed)
-	if !m.Equal(c) {
-		t.Fatal("clone not equal")
-	}
-	c.probs[3] = 0.123
-	if m.Equal(c) && m.probs[3] != 0.123 {
-		t.Fatal("clone shares storage with original")
-	}
-	if m.Equal(NewMixed(1)) {
-		t.Fatal("mixed strategies of different memory reported equal")
-	}
-	if m.Equal(NewPure(2)) {
-		t.Fatal("mixed strategy equal to pure strategy")
-	}
-}
-
-func TestMixedMoveFrequencies(t *testing.T) {
-	src := rng.New(6)
-	m, _ := MixedFromProbs(1, []float64{1, 0, 0.5, 0.5})
-	for i := 0; i < 100; i++ {
-		if m.Move(0, src) != game.Cooperate {
-			t.Fatal("prob-1 state produced a defection")
-		}
-		if m.Move(1, src) != game.Defect {
-			t.Fatal("prob-0 state produced a cooperation")
-		}
-	}
-	coop := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if m.Move(2, src) == game.Cooperate {
-			coop++
-		}
-	}
-	frac := float64(coop) / n
-	if frac < 0.45 || frac > 0.55 {
-		t.Fatalf("prob-0.5 state cooperated %v of the time", frac)
 	}
 }
 
@@ -382,22 +289,29 @@ func TestStrategyBytes(t *testing.T) {
 	}
 }
 
+// TestCatalogueAndByName builds every catalogue name at memory two, and
+// requires an error, not a panic, for an unknown name and for a memory
+// depth outside [1,6].
 func TestCatalogueAndByName(t *testing.T) {
-	for _, n := range Catalogue() {
-		mem := 2
-		s, err := n.Build(mem)
+	for _, name := range []string{"allc", "alld", "tft", "wsls", "grim", "tf2t", "alternator"} {
+		p, err := ByName(name, 2)
 		if err != nil {
-			t.Fatalf("%s: %v", n.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if s.MemorySteps() != mem {
-			t.Fatalf("%s built with memory %d", n.Name, s.MemorySteps())
+		if p.MemorySteps() != 2 {
+			t.Fatalf("%s built with memory %d", name, p.MemorySteps())
 		}
 	}
-	if _, err := ByName("wsls", 1); err != nil {
-		t.Fatal(err)
+	if p, err := ByName("wsls", 1); err != nil || !p.Equal(WSLS(1)) {
+		t.Fatalf("ByName(wsls, 1) = %v, %v", p, err)
 	}
-	if _, err := ByName("nope", 1); err == nil {
-		t.Fatal("ByName accepted an unknown name")
+	for _, tc := range []struct {
+		name string
+		mem  int
+	}{{"nope", 1}, {"gtft", 1}, {"wsls", 0}, {"wsls", -1}, {"wsls", 7}, {"tf2t", 9}} {
+		if _, err := ByName(tc.name, tc.mem); err == nil {
+			t.Errorf("ByName(%q, %d) accepted", tc.name, tc.mem)
+		}
 	}
 }
 
@@ -421,19 +335,15 @@ func TestEncodeDecodePure(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeMixed(t *testing.T) {
-	m := RandomMixed(2, rng.New(9))
-	buf, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Equal(got) {
-		t.Fatal("mixed strategy did not round-trip")
-	}
+// kindTwo is the encoding of a memory-one kind-2 (mixed) strategy that
+// cooperates with probability 0.5 in every state: the codec wrote this
+// layout before the framework became pure-only, and rejects it now.
+var kindTwo = []byte{
+	1, 2, 1,
+	0, 0, 0, 0, 0, 0, 0xe0, 0x3f,
+	0, 0, 0, 0, 0, 0, 0xe0, 0x3f,
+	0, 0, 0, 0, 0, 0, 0xe0, 0x3f,
+	0, 0, 0, 0, 0, 0, 0xe0, 0x3f,
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
@@ -447,11 +357,15 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 		append([]byte{1, 1, 9}, valid[3:]...),    // bad memory
 		valid[:len(valid)-1],                     // truncated payload
 		append(append([]byte{}, valid...), 0xFF), // oversized payload
+		kindTwo,                                  // a former mixed strategy
 	}
 	for i, buf := range cases {
-		if _, err := Decode(buf); err == nil {
-			t.Errorf("case %d: Decode accepted corrupt input", i)
+		if _, err := Decode(buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: Decode returned %v, want ErrCorrupt", i, err)
 		}
+	}
+	if _, err := Decode(kindTwo); err == nil || !strings.Contains(err.Error(), "unknown kind 2") {
+		t.Errorf("kind-2 encoding: Decode returned %v, want unknown kind 2", err)
 	}
 	// Pure payload with bits beyond the state count.
 	bad, _ := Encode(NewPure(1))
@@ -490,11 +404,10 @@ func TestAppendEncodeAndDecodeInto(t *testing.T) {
 
 	scratch := WSLS(2)
 	deeper, _ := Encode(WSLS(3))
-	mixed, _ := Encode(RandomMixed(2, rng.New(3)))
 	short, _ := Encode(AllC(2))
 	bad, _ := Encode(NewPure(2))
 	bad[3+2] = 0xFF
-	for name, buf := range map[string][]byte{"another depth": deeper, "a mixed strategy": mixed, "out-of-range bits": bad, "a truncated payload": short[:len(short)-1]} {
+	for name, buf := range map[string][]byte{"another depth": deeper, "kind 2": kindTwo, "out-of-range bits": bad, "a truncated payload": short[:len(short)-1]} {
 		if err := DecodeInto(scratch, buf); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeInto returned %v, want ErrCorrupt", name, err)
 		}
@@ -572,7 +485,7 @@ func TestPureStringAndDefectionCountMatchMoves(t *testing.T) {
 			defects := 0
 			for s := range want {
 				want[s] = '0'
-				if p.Move(s, nil) == game.Defect {
+				if p.Move(s) == game.Defect {
 					want[s] = '1'
 					defects++
 				}

@@ -175,6 +175,11 @@ func Syntax(name string) string {
 //	"ring" or "ring:8"    ring lattice, optional even degree
 //	"torus:moore"         torus, optional neighborhood name
 //	"smallworld:6:0.2"    Watts-Strogatz, optional degree and rewire prob
+//
+// It rejects every parameter that is invalid whatever the population size:
+// a degree that is not a positive even number and a rewire probability
+// outside [0, 1] (NaN included).  Only the bound of a degree by the SSet
+// count waits for Build.
 func Parse(sel string) (Spec, error) {
 	if sel == "" {
 		sel = "wellmixed"
@@ -199,6 +204,9 @@ func Parse(sel string) (Spec, error) {
 			if err != nil {
 				return Spec{}, fmt.Errorf("topology: ring degree %q: %w", args[0], err)
 			}
+			if err := checkDegree(deg); err != nil {
+				return Spec{}, err
+			}
 			spec.Degree = deg
 		}
 	case "torus":
@@ -221,12 +229,18 @@ func Parse(sel string) (Spec, error) {
 			if err != nil {
 				return Spec{}, fmt.Errorf("topology: smallworld degree %q: %w", args[0], err)
 			}
+			if err := checkDegree(deg); err != nil {
+				return Spec{}, err
+			}
 			spec.Degree = deg
 		}
 		if len(args) == 2 {
 			p, err := strconv.ParseFloat(args[1], 64)
 			if err != nil {
 				return Spec{}, fmt.Errorf("topology: smallworld rewire probability %q: %w", args[1], err)
+			}
+			if err := checkRewire(p); err != nil {
+				return Spec{}, err
 			}
 			spec.Rewire = p
 		}

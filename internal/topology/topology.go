@@ -176,9 +176,28 @@ func buildRing(spec Spec, n int, _ *rng.Source) (Graph, error) {
 	return newAdjacency(spec.String(), n, buildRingEdges(n, spec.Degree))
 }
 
-func validateRingDegree(deg, n int) error {
+// checkDegree rejects a lattice degree that is not a positive even number.
+func checkDegree(deg int) error {
 	if deg < 2 || deg%2 != 0 {
 		return fmt.Errorf("topology: ring degree must be a positive even number, got %d", deg)
+	}
+	return nil
+}
+
+// checkRewire rejects a rewiring probability outside [0, 1]; it is written
+// so that NaN, which fails every comparison, is rejected too.
+func checkRewire(rewire float64) error {
+	if !(rewire >= 0 && rewire <= 1) {
+		return fmt.Errorf("topology: small-world rewire probability %v outside [0,1]", rewire)
+	}
+	return nil
+}
+
+// validateRingDegree is checkDegree plus the bound by the SSet count; Build
+// repeats checkDegree for specs assembled by hand rather than by Parse.
+func validateRingDegree(deg, n int) error {
+	if err := checkDegree(deg); err != nil {
+		return err
 	}
 	if deg > n-1 {
 		return fmt.Errorf("topology: ring degree %d too large for %d SSets (max %d)", deg, n, n-1)
@@ -247,8 +266,8 @@ func buildSmallWorld(spec Spec, n int, src *rng.Source) (Graph, error) {
 	if err := validateRingDegree(spec.Degree, n); err != nil {
 		return nil, err
 	}
-	if spec.Rewire < 0 || spec.Rewire > 1 {
-		return nil, fmt.Errorf("topology: small-world rewiring probability %v outside [0,1]", spec.Rewire)
+	if err := checkRewire(spec.Rewire); err != nil {
+		return nil, err
 	}
 	edges := buildRingEdges(n, spec.Degree)
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -221,15 +222,16 @@ func TestParseAndCanonicalString(t *testing.T) {
 			t.Errorf("canonical %q did not round-trip: %q, %v", want, again.String(), err)
 		}
 	}
+	// Every parameter here is invalid whatever the population size, so
+	// Parse itself must reject it; only the degree's bound by the SSet
+	// count waits for Build.
 	for _, bad := range []string{
-		"hypercube", "ring:3", "ring:0", "ring:x", "torus:hex", "smallworld:4:2",
+		"hypercube", "ring:3", "ring:0", "ring:-3", "ring:x", "torus:hex", "smallworld:4:2",
+		"smallworld:4:-0.1", "smallworld:4:NaN", "smallworld:5",
 		"wellmixed:2", "ring:4:4", "smallworld:4:0.1:9",
 	} {
-		spec, err := Parse(bad)
-		if err == nil {
-			if _, berr := spec.Build(16, 0); berr == nil {
-				t.Errorf("Parse(%q) and Build both accepted an invalid selection", bad)
-			}
+		if spec, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted an invalid selection as %q", bad, spec.String())
 		}
 	}
 	if got := Names(); len(got) < 4 {
@@ -240,6 +242,21 @@ func TestParseAndCanonicalString(t *testing.T) {
 	}
 	if Syntax("ring") == "" || Syntax("smallworld") == "" {
 		t.Error("Syntax returned an empty help string")
+	}
+}
+
+// TestBuildRejectsHandMadeInvalidSpecs: a Spec assembled by hand skips
+// Parse, so Build repeats its size-free checks; a NaN rewire probability
+// once slipped through and built a plain ring.
+func TestBuildRejectsHandMadeInvalidSpecs(t *testing.T) {
+	for _, spec := range []Spec{
+		{Name: "smallworld", Degree: 4, Rewire: math.NaN()},
+		{Name: "smallworld", Degree: 4, Rewire: -0.1},
+		{Name: "ring", Degree: 3},
+	} {
+		if _, err := spec.Build(16, 1); err == nil {
+			t.Errorf("Build accepted the hand-made spec %+v", spec)
+		}
 	}
 }
 

@@ -36,7 +36,8 @@ type Config struct {
 	IncludeSelfPlay bool
 	// MemorySteps is the memory depth shared by all entrants.
 	MemorySteps int
-	// Seed drives noisy and mixed-strategy games.
+	// Seed drives the execution errors of noisy games; a noiseless
+	// tournament draws nothing from it.
 	Seed uint64
 }
 
@@ -126,7 +127,7 @@ func Run(entrants []Entrant, cfg Config) (Result, error) {
 			}
 			for rep := 0; rep < cfg.Repetitions; rep++ {
 				var gameSrc *rng.Source
-				if cfg.Noise > 0 || !entrants[i].Strategy.Deterministic() || !entrants[j].Strategy.Deterministic() {
+				if cfg.Noise > 0 {
 					gameSrc = src.Split()
 				}
 				res, err := eng.Play(entrants[i].Strategy, entrants[j].Strategy, gameSrc)

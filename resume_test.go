@@ -282,59 +282,6 @@ func TestResumeRejectsOtherEnginesSnapshot(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMixedTable writes a mixed strategy into an otherwise
-// valid checkpoint of each engine with checkpoint.Save: the engines play
-// pure move tables only, so resuming it fails naming the engine and the
-// entry, in every eval mode, noisy or not, supervised or not.
-func TestResumeRejectsMixedTable(t *testing.T) {
-	gtft, err := strategy.GTFT(1, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	mix := func(path string) {
-		t.Helper()
-		snap, err := checkpoint.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap.Strategies[3] = gtft
-		if err := checkpoint.Save(path, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, eval := range []EvalMode{EvalFull, EvalCached, EvalIncremental} {
-		for _, noise := range []float64{0, 0.05} {
-			for _, restarts := range []int{0, 2} {
-				name := fmt.Sprintf("%v-noise%v-restarts%d", eval, noise, restarts)
-				serialCkpt := filepath.Join(dir, name+"-serial.ckpt")
-				if _, err := Simulate(context.Background(), serialResumeConfig(10, noise, "ring:4", eval, serialCkpt)); err != nil {
-					t.Fatal(err)
-				}
-				mix(serialCkpt)
-				cfg := serialResumeConfig(10, noise, "ring:4", eval, "")
-				cfg.MaxRestarts = restarts
-				_, err := ResumeSimulation(context.Background(), serialCkpt, cfg)
-				if want := "population: strategy table entry 3 is a *strategy.Mixed, not a pure strategy"; err == nil || err.Error() != want {
-					t.Errorf("%s: serial resume of a mixed table: err = %v, want %q", name, err, want)
-				}
-
-				parallelCkpt := filepath.Join(dir, name+"-parallel.ckpt")
-				if _, err := SimulateParallel(parallelResumeConfig(10, noise, "ring:4", eval, parallelCkpt)); err != nil {
-					t.Fatal(err)
-				}
-				mix(parallelCkpt)
-				pcfg := parallelResumeConfig(10, noise, "ring:4", eval, "")
-				pcfg.MaxRestarts = restarts
-				_, err = ResumeParallelSimulation(parallelCkpt, pcfg)
-				if want := "parallel: strategy table entry 3 is a *strategy.Mixed, not a pure strategy"; err == nil || err.Error() != want {
-					t.Errorf("%s: parallel resume of a mixed table: err = %v, want %q", name, err, want)
-				}
-			}
-		}
-	}
-}
-
 // TestResumeFaultPlanSupervised pins that a resumed run takes the same
 // supervised path as a fresh one: resuming a 50-generation checkpoint under
 // a crash at generation 60 with MaxRestarts 3 recovers from the

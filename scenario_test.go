@@ -268,9 +268,6 @@ func TestTopologyRegistryFacade(t *testing.T) {
 	if err != nil || info.Name != "ring" || info.Canonical != "ring:8" {
 		t.Errorf("DescribeTopology(ring:8) = %+v, %v", info, err)
 	}
-	if _, err := DescribeTopology("hypercube"); err == nil {
-		t.Error("DescribeTopology accepted an unknown topology")
-	}
 	neigh, err := TopologyNeighbors("ring:4", 10, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -278,11 +275,20 @@ func TestTopologyRegistryFacade(t *testing.T) {
 	if fmt.Sprint(neigh[0]) != "[1 2 8 9]" {
 		t.Errorf("TopologyNeighbors(ring:4)[0] = %v, want [1 2 8 9]", neigh[0])
 	}
+	// The describer must not hand out a canonical identity for a selection
+	// no engine runs (a NaN rewire probability once built a plain ring).
 	for name, cfgTopo := range map[string]string{
-		"unknown":    "hypercube",
-		"bad degree": "ring:5",
-		"bad params": "wellmixed:3",
+		"unknown":         "hypercube",
+		"bad degree":      "ring:5",
+		"negative degree": "ring:-3",
+		"odd smallworld":  "smallworld:5",
+		"negative rewire": "smallworld:4:-0.1",
+		"NaN rewire":      "smallworld:4:NaN",
+		"bad params":      "wellmixed:3",
 	} {
+		if info, err := DescribeTopology(cfgTopo); err == nil {
+			t.Errorf("DescribeTopology accepted %s topology %q as %+v", name, cfgTopo, info)
+		}
 		if _, err := Simulate(context.Background(), SimulationConfig{
 			NumSSets: 8, AgentsPerSSet: 1, MemorySteps: 1, Generations: 1, Topology: cfgTopo,
 		}); err == nil {

@@ -176,11 +176,7 @@ func ClassicTournamentEntrants(memSteps int) (map[string]string, error) {
 	}
 	out := map[string]string{}
 	for _, e := range tournament.ClassicField(memSteps) {
-		p, ok := e.Strategy.(*strategy.Pure)
-		if !ok {
-			continue
-		}
-		out[e.Name] = p.String()
+		out[e.Name] = e.Strategy.String()
 	}
 	return out, nil
 }

@@ -215,3 +215,57 @@ func TestExactPayoffsConsistentWithSimulateDynamics(t *testing.T) {
 		t.Fatal("NaN payoff")
 	}
 }
+
+// TestFacadeRejectsMemoryOutOfRange calls every facade entry point that
+// takes a memory depth with depths outside [1,6]: each must return an
+// error and none may panic.  RunTournament reads MemorySteps 0 as its
+// documented default of one, so it is called at -1 and 7 only.
+func TestFacadeRejectsMemoryOutOfRange(t *testing.T) {
+	calls := map[string]func(mem int) error{
+		"ExactPayoffs": func(mem int) error {
+			_, _, err := ExactPayoffs("0110", "0101", mem, 10, 0)
+			return err
+		},
+		"CooperationIndex": func(mem int) error {
+			_, err := CooperationIndex("0110", "0101", mem, 10, 0)
+			return err
+		},
+		"CanInvade": func(mem int) error {
+			_, err := CanInvade("0110", "0101", mem, 10, 8, 0)
+			return err
+		},
+		"ClassifyStrategy": func(mem int) error {
+			_, err := ClassifyStrategy("0110", mem)
+			return err
+		},
+		"NamedStrategy": func(mem int) error {
+			_, err := NamedStrategy("wsls", mem)
+			return err
+		},
+		"RunTournament": func(mem int) error {
+			_, err := RunTournament(map[string]string{"a": "0110", "b": "0101"}, TournamentConfig{MemorySteps: mem})
+			return err
+		},
+		"RatioTable": func(mem int) error {
+			_, err := RatioTable(ScalingOptions{}, []float64{1, 2}, 10, mem, 16)
+			return err
+		},
+	}
+	for name, call := range calls {
+		for _, mem := range []int{0, -1, 7} {
+			if name == "RunTournament" && mem == 0 {
+				continue
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s at memory %d panicked: %v", name, mem, r)
+					}
+				}()
+				if err := call(mem); err == nil {
+					t.Errorf("%s accepted memory %d", name, mem)
+				}
+			}()
+		}
+	}
+}
