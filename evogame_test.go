@@ -74,18 +74,20 @@ func TestNoiseOutsideUnitIntervalRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "Noise") {
 			t.Errorf("Simulate with Noise=%v: err = %v, want an error naming Noise", noise, err)
 		}
-		_, err = SimulateParallel(ParallelConfig{
+		_, perr := SimulateParallel(ParallelConfig{
 			Ranks: 2, NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2, Noise: noise,
 		})
-		if err == nil || !strings.Contains(err.Error(), "Noise") {
-			t.Errorf("SimulateParallel with Noise=%v: err = %v, want an error naming Noise", noise, err)
+		if err != nil && (perr == nil || perr.Error() != err.Error()) {
+			t.Errorf("SimulateParallel with Noise=%v: err = %v, want the serial engine's %v", noise, perr, err)
 		}
 	}
 }
 
 // TestNaNRatesRejected: both engines refuse a NaN PCRate, MutationRate or
 // Beta — NaN fails every range check, and used to run silently with no
-// learning, no mutation or no adoption — with an error naming the field.
+// learning, no mutation or no adoption — and an infinite Beta, at which
+// the Fermi probability of a fitness tie is NaN, so a tie never adopted,
+// with an error naming the field.
 func TestNaNRatesRejected(t *testing.T) {
 	nan := math.NaN()
 	for _, tc := range []struct {
@@ -95,20 +97,22 @@ func TestNaNRatesRejected(t *testing.T) {
 		{"PCRate", nan, 0, 0},
 		{"MutationRate", 0, nan, 0},
 		{"Beta", 0, 0, nan},
+		{"Beta", 0, 0, math.Inf(1)},
+		{"Beta", 0, 0, math.Inf(-1)},
 	} {
 		_, err := Simulate(context.Background(), SimulationConfig{
 			NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2,
 			PCRate: tc.pc, MutationRate: tc.mut, Beta: tc.beta,
 		})
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("Simulate with NaN %s: err = %v, want an error naming %s", tc.field, err, tc.field)
+			t.Errorf("Simulate with %+v: err = %v, want an error naming %s", tc, err, tc.field)
 		}
 		_, err = SimulateParallel(ParallelConfig{
 			Ranks: 2, NumSSets: 4, AgentsPerSSet: 1, MemorySteps: 1, Rounds: 10, Generations: 2,
 			PCRate: tc.pc, MutationRate: tc.mut, Beta: tc.beta,
 		})
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
-			t.Errorf("SimulateParallel with NaN %s: err = %v, want an error naming %s", tc.field, err, tc.field)
+			t.Errorf("SimulateParallel with %+v: err = %v, want an error naming %s", tc, err, tc.field)
 		}
 	}
 }
@@ -365,6 +369,28 @@ func TestRatioTableFacade(t *testing.T) {
 	}
 	if rows[0].EfficiencyPercent >= rows[2].EfficiencyPercent {
 		t.Fatal("R=0.5 should be less efficient than R=2")
+	}
+}
+
+// TestRatioTableRejectsBadArguments: a ratio that is not a positive
+// finite number (NaN fails every comparison) and a negative opponent count
+// are refused with an error naming the argument, not turned into NaN or
+// negative efficiencies.
+func TestRatioTableRejectsBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ratio     float64
+		opponents int
+	}{
+		{"ratio", math.NaN(), 2048},
+		{"ratio", math.Inf(1), 2048},
+		{"ratio", 0, 2048},
+		{"opponentsPerSSet", 2, -1},
+	} {
+		_, err := RatioTable(ScalingOptions{}, []float64{1, tc.ratio}, tc.opponents, 6, 2048)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("RatioTable(ratio %v, opponents %d): err = %v, want an error naming %s", tc.ratio, tc.opponents, err, tc.name)
+		}
 	}
 }
 

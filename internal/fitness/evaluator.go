@@ -2,6 +2,7 @@ package fitness
 
 import (
 	"fmt"
+	"sync"
 
 	"evogame/internal/game"
 	"evogame/internal/intern"
@@ -38,6 +39,14 @@ import (
 // the store has headroom for every pair the call looks up, and falls back
 // to the neighbour loop otherwise.
 //
+// The abundance path reads the store through a private memo (see
+// payMemo): the payoff of every pair of present strategies it has looked
+// up, filled lazily and moved with the table.  A memo read stands for a
+// store lookup that would hit, and counts as one, so hits, misses and
+// games played are those of the store alone.  Headroom is also the memo's
+// validity gate: while it holds, the store has never evicted, so every
+// pair of two IDs the table holds is still stored.
+//
 // The evaluator keeps the store's liveness (see pairStore): its table
 // holds every ID its SSets hold, it brings an ID's cold pairs back before
 // looking up any pair of it, and it tells the run's clock (see runClock)
@@ -54,9 +63,10 @@ type Evaluator struct {
 	graph  topology.Graph
 	table  *intern.Table
 	matrix *IncrementalMatrix // EvalIncremental
-	// byAbundance selects EvalCached's abundance path; opps, mult and res
-	// are its Fitness scratch.
+	// byAbundance selects EvalCached's abundance path; memo is its payoff
+	// memo, and opps, mult and res are its Fitness scratch.
 	byAbundance bool
+	memo        *payMemo
 	opps        []uint32
 	mult        []int
 	res         []game.Result
@@ -119,7 +129,9 @@ func NewEvaluator(eng *game.Engine, g topology.Graph, table []strategy.Strategy,
 		if ev.table, err = intern.NewTable(cache.Interner(), table); err != nil {
 			return nil, fmt.Errorf("fitness: %w", err)
 		}
-		ev.byAbundance = g.Complete() && DeltaExact(eng)
+		if ev.byAbundance = g.Complete() && DeltaExact(eng); ev.byAbundance {
+			ev.memo = newPayMemo(len(ev.table.Present()))
+		}
 	}
 	if cache.run.pin {
 		for _, id := range ev.table.Present() {
@@ -153,6 +165,10 @@ func (e *Evaluator) Release() {
 		e.cache.run.left(e.member, id)
 	}
 	e.cache.run.release(e.member)
+	if e.memo != nil {
+		memoPool.Put(e.memo)
+		e.memo = nil
+	}
 }
 
 // Cache returns the pair cache (or view) the evaluator plays through, for
@@ -204,26 +220,37 @@ func (e *Evaluator) Fitness(i int) (float64, error) {
 	return total, nil
 }
 
-// abundanceFitness is Fitness on the abundance path: one lookup per
+// abundanceFitness is Fitness on the abundance path: one payoff per
 // distinct strategy held by another SSet, weighted by how many hold it.
 // SSet i itself is left out of its own strategy's count, so the self pair
-// is looked up only when another SSet shares it.  ok is false, with
-// nothing looked up, when the store lacks headroom for the call's pairs.
+// is looked up only when another SSet shares it.  Payoffs come from the
+// memo where it knows them and from one batched store lookup otherwise.
+// ok is false, with nothing looked up, when the store lacks headroom for
+// the call's pairs.
 func (e *Evaluator) abundanceFitness(i int) (total float64, ok bool, err error) {
 	my := e.table.ID(i)
+	p := e.table.Pos(my)
+	pay, known := e.memo.row(p)
 	e.opps, e.mult = e.opps[:0], e.mult[:0]
-	for _, t := range e.table.Present() {
+	n := 0
+	for q, t := range e.table.Present() {
 		m := e.table.Count(t)
 		if t == my {
 			m--
 		}
+		e.mult = append(e.mult, m)
 		if m > 0 {
-			e.opps = append(e.opps, t)
-			e.mult = append(e.mult, m)
+			n++
+			if !known[q] {
+				e.opps = append(e.opps, t)
+			}
 		}
 	}
-	if !e.cache.headroom(len(e.opps)) {
+	if !e.cache.headroom(n) {
 		return 0, false, nil
+	}
+	if hits := n - len(e.opps); hits > 0 {
+		e.cache.hits.Add(int64(hits))
 	}
 	if cap(e.res) < len(e.opps) {
 		e.res = make([]game.Result, cap(e.opps))
@@ -232,8 +259,16 @@ func (e *Evaluator) abundanceFitness(i int) (total float64, ok bool, err error) 
 	if err := e.cache.PlayIDBatch(my, e.opps, res); err != nil {
 		return 0, true, err
 	}
-	for k, r := range res {
-		total += float64(e.mult[k]) * r.FitnessA
+	k := 0
+	for q, m := range e.mult {
+		if m == 0 {
+			continue
+		}
+		if !known[q] {
+			e.memo.set(p, q, res[k])
+			k++
+		}
+		total += float64(m) * pay[q]
 	}
 	return total, true, nil
 }
@@ -270,9 +305,98 @@ func (e *Evaluator) follow(idx int, ch intern.Change) error {
 	if ch.Added {
 		e.cache.store.bringBack([]uint32{ch.New}, e.table.Present())
 	}
+	if e.memo != nil {
+		e.memo.follow(ch)
+	}
 	err := e.matrix.apply(idx, ch)
 	if ch.Vacated >= 0 {
 		e.cache.run.left(e.member, ch.Old)
 	}
 	return err
+}
+
+// memoPool holds the memos of released evaluators, so an ensemble makes
+// one per replicate in flight rather than one per replicate.
+var memoPool sync.Pool // *payMemo
+
+// payMemo is the abundance path's dense memo over the table's present
+// positions: pay[p*stride+q] is the payoff of Present()[p] against
+// Present()[q], valid where known is set.  It covers the first n
+// positions and moves with the table as intern.Change describes.  Its
+// entries are the store's results of pairs of two IDs the table holds,
+// so they stay right for as long as the store keeps those pairs (see
+// Evaluator).
+type payMemo struct {
+	stride, n int
+	pay       []float64
+	known     []bool
+}
+
+// newPayMemo returns a memo of n positions, all unknown, reusing a
+// released evaluator's buffers when there is one.
+func newPayMemo(n int) *payMemo {
+	m, _ := memoPool.Get().(*payMemo)
+	if m == nil {
+		m = &payMemo{}
+	}
+	clear(m.known)
+	m.n = 0
+	m.reserve(n)
+	m.n = n
+	return m
+}
+
+// reserve makes room for n positions, doubling the stride as needed and
+// keeping the entries of the first m.n.
+func (m *payMemo) reserve(n int) {
+	if n <= m.stride {
+		return
+	}
+	stride := max(2*m.stride, n)
+	pay, known := make([]float64, stride*stride), make([]bool, stride*stride)
+	for p := 0; p < m.n; p++ {
+		copy(pay[p*stride:p*stride+m.n], m.pay[p*m.stride:])
+		copy(known[p*stride:p*stride+m.n], m.known[p*m.stride:])
+	}
+	m.stride, m.pay, m.known = stride, pay, known
+}
+
+// row returns the payoffs of position p against every position, valid
+// where known is set.
+func (m *payMemo) row(p int) (pay []float64, known []bool) {
+	lo := p * m.stride
+	return m.pay[lo : lo+m.n], m.known[lo : lo+m.n]
+}
+
+// set records r, the result of position p against position q, in both
+// orientations (the self pair's from p's side).
+func (m *payMemo) set(p, q int, r game.Result) {
+	m.pay[q*m.stride+p], m.known[q*m.stride+p] = r.FitnessB, true
+	m.pay[p*m.stride+q], m.known[p*m.stride+q] = r.FitnessA, true
+}
+
+// follow moves the memo with the table change ch: a vacated position takes
+// the last position's row and column, and an added position starts
+// unknown.
+func (m *payMemo) follow(ch intern.Change) {
+	if v := ch.Vacated; v >= 0 {
+		last := m.n - 1
+		if v != last {
+			copy(m.pay[v*m.stride:v*m.stride+m.n], m.pay[last*m.stride:])
+			copy(m.known[v*m.stride:v*m.stride+m.n], m.known[last*m.stride:])
+			for r := 0; r < m.n; r++ {
+				m.pay[r*m.stride+v], m.known[r*m.stride+v] = m.pay[r*m.stride+last], m.known[r*m.stride+last]
+			}
+		}
+		m.n = last
+	}
+	if ch.Added {
+		m.reserve(m.n + 1)
+		a := m.n
+		m.n++
+		clear(m.known[a*m.stride : a*m.stride+m.n])
+		for r := 0; r < a; r++ {
+			m.known[r*m.stride+a] = false
+		}
+	}
 }

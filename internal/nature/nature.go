@@ -74,14 +74,16 @@ type Config struct {
 
 func (c Config) withDefaults() (Config, error) {
 	// NaN fails every comparison below, so it would run as a silent zero
-	// rate (or, for Beta, as a rule that never adopts).
+	// rate (or, for Beta, as a rule that never adopts).  An infinite Beta
+	// makes the Fermi probability of a fitness tie NaN, so a tie would
+	// never adopt.
 	switch {
 	case math.IsNaN(c.PCRate):
 		return c, fmt.Errorf("nature: PCRate must be a number, got NaN")
 	case math.IsNaN(c.MutationRate):
 		return c, fmt.Errorf("nature: MutationRate must be a number, got NaN")
-	case math.IsNaN(c.Beta):
-		return c, fmt.Errorf("nature: Beta must be a number, got NaN")
+	case math.IsNaN(c.Beta) || math.IsInf(c.Beta, 0):
+		return c, fmt.Errorf("nature: Beta must be a finite number, got %v", c.Beta)
 	}
 	if c.PCRate == 0 {
 		c.PCRate = DefaultPCRate

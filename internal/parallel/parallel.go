@@ -414,6 +414,12 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// The SSet ranks build their engines inside the fabric; checking the
+	// engine settings here fails a bad one with the serial engine's error
+	// instead of a rank's.
+	if _, err := game.NewEngine(cfg.EngineConfig()); err != nil {
+		return Result{}, err
+	}
 
 	// Every SSet rank of the run evaluates through a view over one store,
 	// so a pair any rank has played is never played again by another.  The

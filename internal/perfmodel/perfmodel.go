@@ -339,6 +339,9 @@ func (m *Model) RatioTable(ratios []float64, opponentsPerSSet, memSteps, procs i
 	if memSteps < 1 || memSteps > game.MaxMemorySteps {
 		return nil, fmt.Errorf("perfmodel: memory steps %d out of range", memSteps)
 	}
+	if opponentsPerSSet < 0 {
+		return nil, fmt.Errorf("perfmodel: opponentsPerSSet must be non-negative, got %d", opponentsPerSSet)
+	}
 	perRound := m.Calibration.secondsPerRound(memSteps)
 	perSSet := float64(opponentsPerSSet) * float64(m.RoundsPerGame) * perRound
 	nodes, err := m.Machine.Nodes(procs, m.TasksPerNode)
@@ -354,8 +357,10 @@ func (m *Model) RatioTable(ratios []float64, opponentsPerSSet, memSteps, procs i
 	out := make([]RatioPoint, 0, len(ratios))
 	syncCost := m.SyncFraction * perSSet
 	for _, r := range ratios {
-		if r <= 0 {
-			return nil, fmt.Errorf("perfmodel: ratio must be positive, got %v", r)
+		// Written so NaN, which fails every comparison, is rejected too; an
+		// infinite ratio would make the efficiency Inf/Inf.
+		if !(r > 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("perfmodel: ratio must be positive and finite, got %v", r)
 		}
 		ideal := r * perSSet
 		// Work is assigned in whole SSets, so the most loaded processor
